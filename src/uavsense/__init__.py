@@ -50,9 +50,10 @@ from .ofdm import (
     RcsEstimate,
     ReflectionComponent,
     build_reflections,
+    closed_form_peaks,
     dirichlet_kernel,
     estimate_rcs,
-    fast_cell_estimate,
+    matched_coupling,
     matched_point_value,
     periodogram_grid,
     reflection_amplitude,

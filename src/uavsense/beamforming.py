@@ -58,35 +58,29 @@ class AoAMesh:
     desired: np.ndarray  # (4n^2,) real
 
 
-def steering_vector(direction: AoA, n: int) -> np.ndarray:
-    """Per-element phase signature of a plane wave from `direction`.
+def steering_matrix(directions: AoA, n: int) -> np.ndarray:
+    """Steering vectors of every direction as columns, shape (n^2, H).
 
-    Entry (i, j), i and j in 0..n-1, is
+    `directions` holds H elevations and azimuths (arrays, or floats for
+    H = 1). Entry (i, j) of a column, i and j in 0..n-1, is
     exp(-j*pi*i*sin(theta)*sin(phi)) * exp(-j*pi*j*sin(theta)*cos(phi)),
     flattened row-major; every entry has unit modulus and entry (0, 0) is 1.
     """
     if n < 1:
         raise ValueError(f"array side must be >= 1, got {n}")
-    st = math.sin(direction.theta)
-    ramp_i = np.exp(-1j * math.pi * st * math.sin(direction.phi) * np.arange(n))
-    ramp_j = np.exp(-1j * math.pi * st * math.cos(direction.phi) * np.arange(n))
-    return np.outer(ramp_i, ramp_j).ravel()
-
-
-def steering_matrix(directions, n: int) -> np.ndarray:
-    """Stack steering vectors as columns, shape (n^2, H)."""
-    if len(directions) == 0:
-        return np.zeros((n * n, 0), dtype=complex)
-    return np.column_stack([steering_vector(d, n) for d in directions])
-
-
-def _steering_matrix_from_angles(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
-    # Vectorized equivalent of steering_matrix for raveled angle arrays.
+    theta = np.ravel(directions.theta)
+    phi = np.ravel(directions.phi)
     st = np.sin(theta)
-    idx = np.arange(n)
-    ramp_i = np.exp(-1j * np.pi * np.outer(idx, st * np.sin(phi)))  # (n, H)
-    ramp_j = np.exp(-1j * np.pi * np.outer(idx, st * np.cos(phi)))
+    idx = np.arange(n)[:, None]
+    ramp_i = np.exp(idx * (-1j * math.pi * st * np.sin(phi)))  # (n, H)
+    ramp_j = np.exp(idx * (-1j * math.pi * st * np.cos(phi)))
     return (ramp_i[:, None, :] * ramp_j[None, :, :]).reshape(n * n, -1)
+
+
+def steering_vector(direction: AoA, n: int) -> np.ndarray:
+    """Per-element phase signature of a plane wave from `direction`: the
+    single column of steering_matrix, shape (n^2,)."""
+    return steering_matrix(direction, n)[:, 0]
 
 
 def beam_pattern(matrix: np.ndarray, weights: BeamformerWeights | np.ndarray) -> np.ndarray:
@@ -121,7 +115,7 @@ def ls_beamformer(mesh: AoAMesh, n: int, iterations: int = 10, tol: float = 1e-1
     factorization (diagonal loading if singular) plus an iterative refinement
     loop that never lets the residual grow.
     """
-    response_matrix = _steering_matrix_from_angles(mesh.theta, mesh.phi, n).conj().T  # (H', n^2)
+    response_matrix = steering_matrix(AoA(mesh.theta, mesh.phi), n).conj().T  # (H', n^2)
     v = mesh.desired.astype(complex)
     normal = response_matrix.conj().T @ response_matrix
     rhs = response_matrix.conj().T @ v

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    DELTAS,
     ConfigError,
     RunOptions,
     ScenarioConfig,
@@ -22,7 +23,7 @@ from .config import (
     render_config_text,
 )
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_vector
-from .engine import DELTAS, SweepRow, run_monte_carlo_all_fusions, sweep
+from .engine import SweepRow, run_monte_carlo_all_fusions, sweep
 from .geometry import AoA
 from .ofdm import (
     OfdmParams,

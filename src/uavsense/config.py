@@ -13,6 +13,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "DELTAS",
     "ConfigError",
     "ScenarioConfig",
     "RunOptions",
@@ -42,6 +43,11 @@ def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
 
 def w_per_hz_to_dbm_per_hz(value_w_hz: float) -> float:
     return 10.0 * math.log10(value_w_hz) + 30.0
+
+
+# Hit distances (Chebyshev cells between detected and true cell) that every
+# Monte Carlo batch counts; sweeps may report any subset of them.
+DELTAS = (0, 1, 2)
 
 
 class ConfigError(ValueError):
@@ -198,7 +204,7 @@ class SweepSpec:
     beamformers: tuple[str, ...] = ("capon",)
     fusions: tuple[str, ...] = ("avg",)
     sigma_g_dbsm: tuple[float, ...] = (-30.0,)
-    deltas: tuple[int, ...] = (0, 1, 2)
+    deltas: tuple[int, ...] = DELTAS
 
     def __post_init__(self):
         if self.parameter not in _SWEEP_PARAMS:
@@ -212,8 +218,8 @@ class SweepSpec:
             if tag not in ("avg", "prenorm"):
                 raise ConfigError(f"sweep.fusions: unknown tag {tag!r}")
         for d in self.deltas:
-            if not (isinstance(d, int) and d >= 0):
-                raise ConfigError(f"sweep.deltas: must be non-negative integers, got {d!r}")
+            if not (isinstance(d, int) and d in DELTAS):
+                raise ConfigError(f"sweep.deltas: must be among {DELTAS}, got {d!r}")
 
 
 # Flat key-value config format: "section.key = value", '#' comments.

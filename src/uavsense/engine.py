@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .config import (
+    DELTAS,
     SPEED_OF_LIGHT,
     ConfigError,
     RunOptions,
@@ -23,6 +24,7 @@ from .config import (
     dbsm_to_m2,
 )
 from .geometry import (
+    AoA,
     aoa,
     build_grid,
     cell_of_point,
@@ -30,14 +32,18 @@ from .geometry import (
     deploy_uavs,
     derive_altitude,
     footprint_radius,
+    path_distances,
 )
-from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_vector
+from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from .ofdm import (
     OfdmParams,
     RcsEstimate,
     build_reflections,
-    dirichlet_kernel,
+    closed_form_peaks,
+    estimate_rcs,
+    matched_coupling,
     matched_point_value,
+    reflection_amplitude,
     remove_data,
     synth_rx_frame,
     synth_tx_frame,
@@ -58,7 +64,6 @@ __all__ = [
     "substream",
 ]
 
-DELTAS = (0, 1, 2)
 FUSION_METHODS = ("avg", "prenorm")
 
 # Stream tags for the counter-based substream split.
@@ -69,25 +74,13 @@ _STREAM_TXDATA = 4
 
 _MASK64 = (1 << 64) - 1
 
-# Config fields the precomputed tables depend on; the remaining fields (RCS
-# values, trial count, master seed) can change between table reuse.
-_GEOMETRY_FIELDS = (
-    "transmit_power_w",
-    "transmit_gain",
-    "area_side_m",
-    "uav_count",
-    "noise_density_w_hz",
-    "symbols_per_frame",
-    "subcarriers",
-    "array_side",
-    "carrier_frequency_hz",
-    "bandwidth_hz",
-    "cp_duration_s",
-    "grid_side",
-    "doppler_hz",
-    "altitude_mode",
-    "altitude_m",
-)
+# RunOptions fields that shape a trial run on given tables; tables carry the
+# options they were built with, and a caller's options must agree on these.
+_TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise", "capon_loading", "ls_iterations")
+
+# Config fields that may change between a table build and a run (RCS values,
+# trial count, master seed); every other field shapes the tables.
+_RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 
 
 def _mix64(x: int) -> int:
@@ -121,7 +114,7 @@ class DetectionStats:
     """Hit counts and detection probabilities with 95% binomial half-widths."""
 
     trials: int
-    hits: tuple[int, int, int]  # delta = 0, 1, 2
+    hits: tuple[int, int, int]  # one count per delta in DELTAS
 
     def p_detect(self, delta: int) -> float:
         return self.hits[delta] / self.trials
@@ -156,7 +149,7 @@ class _PairTables:
     matched_delay: np.ndarray  # (n_p,)
     est_scale: np.ndarray  # (n_p,) maps matched power to sigma-hat
     noise_var: np.ndarray  # (n_p,) per-sample variance N0 BW ||w||^2
-    ground_amp: np.ndarray  # (n_q, n_p) unit-RCS amplitude * gain * kernel
+    ground_coupling: np.ndarray  # (n_q, n_p) matched_coupling of the ground at unit RCS
     weights: np.ndarray  # (n_p, n^2) receive weights per intended cell
 
 
@@ -170,11 +163,11 @@ class ScenarioTables:
     deployment: object
     cell_sets: list
     footprints: np.ndarray  # (U,) ground radii
-    owners: np.ndarray  # (L, L) owning UAV per cell, -1 if never intended
     pairs: list
 
     def compatible_with(self, config: ScenarioConfig) -> bool:
-        return all(getattr(self.config, f) == getattr(config, f) for f in _GEOMETRY_FIELDS)
+        shaping = [f.name for f in fields(config) if f.name not in _RUN_FIELDS]
+        return all(getattr(self.config, name) == getattr(config, name) for name in shaping)
 
 
 def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
@@ -204,27 +197,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     if all(len(s.intended) == 0 for s in cell_sets):
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
 
-    N = config.symbols_per_frame
-    M = config.subcarriers
-    df = config.subcarrier_spacing_hz
-    lam = config.wavelength_m
-    inv_pg = (4.0 * math.pi) ** 3 / (N * M * config.transmit_power_w * config.transmit_gain * lam * lam)
-    unit_b = config.transmit_power_w * config.transmit_gain * lam * lam / (4.0 * math.pi) ** 3
+    params = OfdmParams.from_config(config)
 
-    # Beamformers depend on (listener, cell) geometry only; design each once.
-    weight_cache: dict[tuple[int, int, int], np.ndarray] = {}
+    def design(direction: AoA) -> np.ndarray:
+        if options.beamformer == "capon":
+            return capon_beamformer(direction, n, loading=options.capon_loading).weights
+        return ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
 
-    def weights_for(rx: int, a: int, b: int) -> np.ndarray:
-        key = (rx, a, b)
-        if key not in weight_cache:
-            direction = aoa(deployment.positions[rx], grid.centers[a, b])
-            if options.beamformer == "capon":
-                w = capon_beamformer(direction, n, loading=options.capon_loading).weights
-            else:
-                w = ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
-            weight_cache[key] = w
-        return weight_cache[key]
-
+    # Intended sets never overlap, so each (listener, cell) is designed once.
     pairs = []
     for tx in range(U):
         intended = cell_sets[tx].intended
@@ -242,18 +222,20 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             rx_pos = deployment.positions[rx]
             d2_q = np.linalg.norm(rx_pos - q_points, axis=1)
             d2_p = np.linalg.norm(rx_pos - p_points, axis=1)
-            tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
             tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
 
-            w_stack = np.stack([weights_for(rx, a, b) for a, b in intended])  # (n_p, n^2)
-            g_stack = np.column_stack(
-                [steering_vector(aoa(rx_pos, q_points[i]), n) for i in range(len(illuminated))]
-            )  # (n^2, n_q)
-            chi = w_stack.conj() @ g_stack  # (n_p, n_q)
-
-            b_unit = np.sqrt(unit_b / (d1_q**2 * d2_q**2))  # (n_q,) amplitude at sigma = 1
-            kernel = dirichlet_kernel((tau_q[:, None] - tau_p[None, :]) * df, M) * N  # (n_q, n_p)
-            ground_amp = b_unit[:, None] * chi.T * kernel
+            toward = aoa(rx_pos, p_points)
+            w_stack = np.stack([design(AoA(t, f)) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
+            chi = w_stack.conj() @ steering_matrix(aoa(rx_pos, q_points), n)  # (n_p, n_q)
+            ground_coupling = matched_coupling(
+                reflection_amplitude(config, 1.0, d1_q, d2_q),
+                chi.T,
+                (d1_q + d2_q) / SPEED_OF_LIGHT,
+                config.doppler_hz,
+                tau_p,
+                config.doppler_hz,
+                params,
+            )
 
             pairs.append(
                 _PairTables(
@@ -261,11 +243,11 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                     rx=rx,
                     cells=intended,
                     matched_delay=tau_p,
-                    est_scale=inv_pg * d1_p**2 * d2_p**2,
+                    est_scale=estimate_rcs(1.0, config, d1_p, d2_p),
                     noise_var=config.noise_density_w_hz
                     * config.bandwidth_hz
                     * np.sum(np.abs(w_stack) ** 2, axis=1),
-                    ground_amp=ground_amp,
+                    ground_coupling=ground_coupling,
                     weights=w_stack,
                 )
             )
@@ -276,61 +258,62 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         deployment=deployment,
         cell_sets=cell_sets,
         footprints=footprints,
-        owners=owners,
         pairs=pairs,
     )
 
 
-def _draw_target(config: ScenarioConfig, trial: int) -> np.ndarray:
-    rng = substream(config.master_seed, trial, _STREAM_TARGET)
-    xy = rng.uniform(0.0, config.area_side_m, size=2)
-    return np.array([xy[0], xy[1], 0.0])
+def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, target_override):
+    """The trial's target position and, per UAV, whether its footprint covers it."""
+    if target_override is not None:
+        xy = target_override
+    else:
+        xy = substream(config.master_seed, trial, _STREAM_TARGET).uniform(0.0, config.area_side_m, size=2)
+    target = np.array([xy[0], xy[1], 0.0])
+    proj = tables.deployment.positions[:, :2]
+    return target, np.hypot(target[0] - proj[:, 0], target[1] - proj[:, 1]) <= tables.footprints
 
 
-def _estimate_pair_fast(config, tables, pair, trial, target, illuminated, g_target):
-    """Vectorized matched-point estimates for every intended cell of one pair."""
-    N = config.symbols_per_frame
-    M = config.subcarriers
-    n_q = pair.ground_amp.shape[0]
+def _target_couplings(config, tables, params, tx, target) -> dict:
+    """The target's matched_coupling row for each listener of an illuminating
+    transmitter, keyed by (tx, listener); one call covers all listeners."""
+    pairs = [p for p in tables.pairs if p.tx == tx]
+    positions = tables.deployment.positions
+    g_target = steering_matrix(aoa(positions[[p.rx for p in pairs]], target), config.array_side)
+    d1, d2 = np.array([path_distances(positions[tx], target, positions[p.rx]) for p in pairs]).T
+    rows = matched_coupling(
+        reflection_amplitude(config, config.target_rcs_m2, d1, d2),
+        np.stack([p.weights.conj() @ g_target[:, k] for k, p in enumerate(pairs)]),
+        (d1 + d2) / SPEED_OF_LIGHT,
+        config.doppler_hz,
+        np.stack([p.matched_delay for p in pairs]),
+        config.doppler_hz,
+        params,
+    )
+    return {(tx, p.rx): row for p, row in zip(pairs, rows)}
+
+
+def _closed_form_estimates(config, tables, params, pair, trial, target_row):
+    """Fast-path RCS estimates for every intended cell of one pair.
+
+    `target_row` is the target's coupling if the transmitter illuminates it,
+    else None. Phases follow the reflection order of build_reflections:
+    ground cells first, the target last.
+    """
+    coupling = math.sqrt(config.ground_rcs_m2) * pair.ground_coupling
+    if target_row is not None:
+        coupling = np.vstack([coupling, target_row])
     rng_phase = substream(config.master_seed, trial, _STREAM_PHASE, pair.tx, pair.rx)
-    zeta = rng_phase.uniform(0.0, 2.0 * math.pi, size=n_q + (1 if illuminated else 0))
-    phase = np.exp(-1j * zeta)
-    total = math.sqrt(config.ground_rcs_m2) * (phase[:n_q] @ pair.ground_amp)
-    if illuminated:
-        tx_pos = tables.deployment.positions[pair.tx]
-        rx_pos = tables.deployment.positions[pair.rx]
-        d1 = float(np.linalg.norm(target - tx_pos))
-        d2 = float(np.linalg.norm(rx_pos - target))
-        lam = config.wavelength_m
-        b_t = math.sqrt(
-            config.transmit_power_w * config.transmit_gain * config.target_rcs_m2 * lam * lam
-            / ((4.0 * math.pi) ** 3 * d1 * d1 * d2 * d2)
-        )
-        tau_t = (d1 + d2) / SPEED_OF_LIGHT
-        chi_t = pair.weights.conj() @ g_target
-        kernel_t = dirichlet_kernel((tau_t - pair.matched_delay) * config.subcarrier_spacing_hz, M) * N
-        total = total + b_t * phase[-1] * chi_t * kernel_t
+    zeta = rng_phase.uniform(0.0, 2.0 * math.pi, size=len(coupling))
     if tables.options.noise:
         rng_noise = substream(config.master_seed, trial, _STREAM_NOISE, pair.tx, pair.rx)
-        draws = rng_noise.standard_normal((2, len(pair.cells)))
-        total = total + np.sqrt(N * M * pair.noise_var / 2.0) * (draws[0] + 1j * draws[1])
-    peak = np.abs(total) ** 2 / (N * M)
-    return peak * pair.est_scale
+        peaks = closed_form_peaks(coupling, zeta, params, pair.noise_var, rng_noise)
+    else:
+        peaks = closed_form_peaks(coupling, zeta, params)
+    return peaks * pair.est_scale
 
 
-class _WeightsView:
-    """Minimal weights wrapper so build_reflections can take a raw vector."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        self.weights = weights
-
-
-def _estimate_pair_reference(config, tables, pair, trial, target, illuminated, tx_frame):
+def _estimate_pair_reference(config, tables, params, pair, trial, target, tx_frame):
     """Full frame-level pipeline for every intended cell of one pair."""
-    params = OfdmParams.from_config(config)
-    grid = tables.grid
     tx_pos = tables.deployment.positions[pair.tx]
     rx_pos = tables.deployment.positions[pair.rx]
     sets = tables.cell_sets[pair.tx]
@@ -344,9 +327,9 @@ def _estimate_pair_reference(config, tables, pair, trial, target, illuminated, t
             tx_pos,
             rx_pos,
             sets,
-            grid,
-            _WeightsView(pair.weights[i]),
-            target if illuminated else None,
+            tables.grid,
+            pair.weights[i],
+            target,
             rng_phase,
         )
         noise_var = float(pair.noise_var[i]) if tables.options.noise else 0.0
@@ -377,38 +360,32 @@ def run_trial(
         tables = build_tables(config, options or RunOptions())
     elif not tables.compatible_with(config):
         raise ConfigError("tables were built for a different scenario geometry")
+    elif options is not None:
+        _check_options(options, tables)
     L = config.grid_side
     U = config.uav_count
 
-    if target_override is not None:
-        target = np.array([target_override[0], target_override[1], 0.0])
-    else:
-        target = _draw_target(config, trial)
-
-    proj = tables.deployment.positions[:, :2]
-    dist = np.hypot(target[0] - proj[:, 0], target[1] - proj[:, 1])
-    illuminated_by = dist <= tables.footprints
-
+    target, illuminated_by = _trial_target(config, tables, trial, target_override)
     fast = tables.options.fast_path
-    g_target = {}
-    tx_frames = {}
+    params = OfdmParams.from_config(config)
     if fast:
-        n = config.array_side
-        for rx in range(U):
-            g_target[rx] = steering_vector(aoa(tables.deployment.positions[rx], target), n)
+        target_rows = {}
+        for tx in np.flatnonzero(illuminated_by):
+            target_rows.update(_target_couplings(config, tables, params, int(tx), target))
     else:
-        params = OfdmParams.from_config(config)
+        tx_frames = {}
         for tx in range(U):
             rng_tx = substream(config.master_seed, trial, _STREAM_TXDATA, tx)
             tx_frames[tx] = synth_tx_frame(params, rng_tx)
 
     maps = np.full((U, L, L), np.nan)
     for pair in tables.pairs:
-        lit = bool(illuminated_by[pair.tx])
         if fast:
-            est = _estimate_pair_fast(config, tables, pair, trial, target, lit, g_target[pair.rx])
+            target_row = target_rows.get((pair.tx, pair.rx))
+            est = _closed_form_estimates(config, tables, params, pair, trial, target_row)
         else:
-            est = _estimate_pair_reference(config, tables, pair, trial, target, lit, tx_frames[pair.tx])
+            lit_target = target if illuminated_by[pair.tx] else None
+            est = _estimate_pair_reference(config, tables, params, pair, trial, lit_target, tx_frames[pair.tx])
         maps[pair.rx, pair.cells[:, 0], pair.cells[:, 1]] = est
 
     local_maps = [LocalRcsMap(owner=u, values=maps[u]) for u in range(U)]
@@ -460,14 +437,10 @@ def estimate_cell(
     matches = np.flatnonzero((pair.cells[:, 0] == cell[0]) & (pair.cells[:, 1] == cell[1]))
     if len(matches) == 0:
         raise ValueError(f"cell {cell} is not intended for UAV {tx}")
-    if target_override is not None:
-        target = np.array([target_override[0], target_override[1], 0.0])
-    else:
-        target = _draw_target(config, trial)
-    proj = tables.deployment.positions[tx, :2]
-    lit = bool(math.hypot(target[0] - proj[0], target[1] - proj[1]) <= tables.footprints[tx])
-    g_target = steering_vector(aoa(tables.deployment.positions[listener], target), config.array_side)
-    values = _estimate_pair_fast(config, tables, pair, trial, target, lit, g_target)
+    target, illuminated_by = _trial_target(config, tables, trial, target_override)
+    params = OfdmParams.from_config(config)
+    target_rows = _target_couplings(config, tables, params, tx, target) if illuminated_by[tx] else {}
+    values = _closed_form_estimates(config, tables, params, pair, trial, target_rows.get((tx, listener)))
     return RcsEstimate(
         cell=(int(cell[0]), int(cell[1])),
         value_m2=float(values[matches[0]]),
@@ -476,9 +449,14 @@ def estimate_cell(
     )
 
 
-def _count_hits(config, options, trials, tables=None) -> dict:
-    if tables is None:
-        tables = build_tables(config, options)
+def _check_options(options: RunOptions, tables: ScenarioTables) -> None:
+    for name in _TABLE_OPTION_FIELDS:
+        given, built = getattr(options, name), getattr(tables.options, name)
+        if given != built:
+            raise ConfigError(f"{name}: options give {given!r} but the tables were built with {built!r}")
+
+
+def _count_hits(config, trials, tables) -> dict:
     counts = {method: np.zeros(len(DELTAS), dtype=int) for method in FUSION_METHODS}
     for trial in trials:
         outcome = run_trial(config, trial, tables=tables)
@@ -497,19 +475,27 @@ def run_monte_carlo_all_fusions(
     workers: int = 1,
     tables: ScenarioTables | None = None,
 ) -> dict[str, DetectionStats]:
-    """Aggregate hit counts over config.trials trials for both fusion methods."""
-    options = options or RunOptions()
+    """Aggregate hit counts over config.trials trials for both fusion methods.
+
+    Given tables are used as they are; `options`, if also given, must agree
+    with the options the tables were built with (fusion aside). Tables are
+    built once here and shared with every worker process.
+    """
     if config.trials < 1:
         raise ConfigError("trials: must be >= 1")
+    if tables is None:
+        tables = build_tables(config, options or RunOptions())
+    elif options is not None:
+        _check_options(options, tables)
     trial_ids = list(range(config.trials))
     if workers <= 1:
-        counts = _count_hits(config, options, trial_ids, tables)
+        counts = _count_hits(config, trial_ids, tables)
     else:
         chunks = [trial_ids[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         counts = {method: np.zeros(len(DELTAS), dtype=int) for method in FUSION_METHODS}
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_count_hits_star, [(config, options, chunk) for chunk in chunks]):
+            for part in pool.map(_count_hits_star, [(config, chunk, tables) for chunk in chunks]):
                 for method in counts:
                     counts[method] += part[method]
     return {
@@ -529,8 +515,8 @@ def run_monte_carlo(
     Randomness is pre-split per trial, so any partition of the trial range
     across workers yields bit-identical statistics.
     """
-    options = options or RunOptions()
-    return run_monte_carlo_all_fusions(config, options, workers, tables)[options.fusion]
+    fusion = (options or RunOptions()).fusion
+    return run_monte_carlo_all_fusions(config, options, workers, tables)[fusion]
 
 
 def _config_for_sweep_point(parameter: str, value: float, base: ScenarioConfig) -> ScenarioConfig:

@@ -32,6 +32,14 @@ __all__ = [
     "cell_of_point",
 ]
 
+# Element-wise libm angles. numpy's float64 arctan and arctan2 take SIMD paths
+# on some CPUs and its hypot is not CPython's, so they differ from math in the
+# last bit from machine to machine; a Capon design turns a last-bit change of
+# its direction into relative changes near 1e-11 of low-gain estimates.
+_hypot = np.vectorize(math.hypot, otypes=[float])
+_atan = np.vectorize(math.atan, otypes=[float])
+_atan2 = np.vectorize(math.atan2, otypes=[float])
+
 # Absolute slack for closed containment tests; geometric thresholds that are
 # algebraically exact (inscribed square == block edge) must not fail to rounding.
 _GEOM_EPS = 1e-9
@@ -39,10 +47,11 @@ _GEOM_EPS = 1e-9
 
 @dataclass(frozen=True)
 class AoA:
-    """Angle of arrival: elevation from the downward boresight, azimuth from +x."""
+    """Angle of arrival: elevation from the downward boresight, azimuth from +x
+    (floats for one direction, equal-length arrays for many)."""
 
-    theta: float
-    phi: float
+    theta: float | np.ndarray
+    phi: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,20 +189,21 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
 
     Elevation arctan(horizontal distance / height difference), azimuth the
     planar angle of (point - observer) from +x in [0, 2*pi). Straight down
-    maps to (0, 0).
+    maps to (0, 0). Observer and point broadcast over leading axes: one (3,)
+    pair gives float angles, a (K, 3) stack on either side gives (K,) arrays.
     """
     observer = np.asarray(observer, dtype=float)
     point = np.asarray(point, dtype=float)
-    dz = observer[2] - point[2]
-    if dz <= 0:
+    dz = observer[..., 2] - point[..., 2]
+    if np.any(dz <= 0):
         raise ValueError("observed point must lie below the observer")
-    dx = point[0] - observer[0]
-    dy = point[1] - observer[1]
-    rho = math.hypot(dx, dy)
-    if rho == 0.0:
-        return AoA(theta=0.0, phi=0.0)
-    theta = math.atan(rho / dz)
-    phi = math.atan2(dy, dx) % (2.0 * math.pi)
+    dx = point[..., 0] - observer[..., 0]
+    dy = point[..., 1] - observer[..., 1]
+    rho = _hypot(dx, dy)
+    theta = _atan(rho / dz)
+    phi = np.where(rho == 0.0, 0.0, _atan2(dy, dx) % (2.0 * math.pi))
+    if theta.ndim == 0:
+        return AoA(theta=float(theta), phi=float(phi))
     return AoA(theta=theta, phi=phi)
 
 

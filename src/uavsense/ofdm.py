@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import diric
 
 from .config import SPEED_OF_LIGHT, ScenarioConfig
-from .geometry import CellGrid, CellSets, aoa, path_distances
-from .beamforming import BeamformerWeights, steering_vector
+from .geometry import CellGrid, CellSets, aoa
+from .beamforming import steering_matrix
 
 __all__ = [
     "OfdmParams",
@@ -33,13 +33,10 @@ __all__ = [
     "periodogram_grid",
     "matched_point_value",
     "estimate_rcs",
-    "fast_cell_estimate",
     "dirichlet_kernel",
+    "matched_coupling",
+    "closed_form_peaks",
 ]
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -50,19 +47,10 @@ class OfdmParams:
     subcarriers: int  # M
     subcarrier_spacing_hz: float
     cp_duration_s: float
-    padded_symbols: int = 0  # N' >= N; 0 means N (set in __post_init__)
-    padded_subcarriers: int = 0
-    alphabet: str = "qpsk"
 
     def __post_init__(self):
         if self.symbols < 1 or self.subcarriers < 1:
             raise ValueError("frame must have at least one symbol and one subcarrier")
-        if self.padded_symbols == 0:
-            object.__setattr__(self, "padded_symbols", _next_pow2(self.symbols))
-        if self.padded_subcarriers == 0:
-            object.__setattr__(self, "padded_subcarriers", _next_pow2(self.subcarriers))
-        if self.padded_symbols < self.symbols or self.padded_subcarriers < self.subcarriers:
-            raise ValueError("padded lengths must not be smaller than the frame")
 
     @property
     def symbol_duration_s(self) -> float:
@@ -105,13 +93,13 @@ def synth_tx_frame(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * quadrant))
 
 
-def reflection_amplitude(config: ScenarioConfig, rcs_m2: float, d1: float, d2: float) -> float:
-    """Two-hop amplitude attenuation sqrt(P G sigma lambda^2 / ((4 pi)^3 d1^2 d2^2))."""
-    if d1 <= 0 or d2 <= 0:
+def reflection_amplitude(config: ScenarioConfig, rcs_m2, d1, d2):
+    """Two-hop amplitude attenuation sqrt(P G sigma lambda^2 / ((4 pi)^3 d1^2 d2^2)), element-wise."""
+    if np.any(np.asarray(d1) <= 0) or np.any(np.asarray(d2) <= 0):
         raise ValueError("propagation distances must be positive")
     lam = config.wavelength_m
     num = config.transmit_power_w * config.transmit_gain * rcs_m2 * lam * lam
-    return math.sqrt(num / ((4.0 * math.pi) ** 3 * d1 * d1 * d2 * d2))
+    return np.sqrt(num / ((4.0 * math.pi) ** 3 * d1 * d1 * d2 * d2))
 
 
 def build_reflections(
@@ -122,7 +110,7 @@ def build_reflections(
     rx_pos: np.ndarray,
     cell_sets: CellSets,
     grid: CellGrid,
-    weights: BeamformerWeights,
+    weights: np.ndarray,
     target_pos: np.ndarray | None,
     rng: np.random.Generator,
 ) -> list[ReflectionComponent]:
@@ -130,41 +118,28 @@ def build_reflections(
 
     One ground component per illuminated cell (in row-major cell order), plus
     one target component appended iff ``target_pos`` is given (the target was
-    illuminated). Phases are drawn i.i.d. uniform on [0, 2*pi) in that order,
-    so a reused stream reproduces identical phases.
+    illuminated). ``weights`` is the listener's (n^2,) receive weight vector.
+    Phases are drawn i.i.d. uniform on [0, 2*pi) in that order, so a reused
+    stream reproduces identical phases.
     """
     if tx == listener:
         raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
     cells = cell_sets.illuminated
-    count = len(cells) + (1 if target_pos is not None else 0)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    n = config.array_side
-    w = weights.weights
-    components = []
-    for idx, (a, b) in enumerate(cells):
-        point = grid.centers[a, b]
-        d1, d2 = path_distances(tx_pos, point, rx_pos)
-        components.append(
-            ReflectionComponent(
-                amplitude=reflection_amplitude(config, config.ground_rcs_m2, d1, d2),
-                gain=complex(w.conj() @ steering_vector(aoa(rx_pos, point), n)),
-                delay_s=(d1 + d2) / SPEED_OF_LIGHT,
-                doppler_hz=config.doppler_hz,
-                phase=float(phases[idx]),
-            )
-        )
+    points = grid.centers[cells[:, 0], cells[:, 1]]
+    rcs = np.full(len(points), config.ground_rcs_m2)
     if target_pos is not None:
-        d1, d2 = path_distances(tx_pos, target_pos, rx_pos)
-        components.append(
-            ReflectionComponent(
-                amplitude=reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-                gain=complex(w.conj() @ steering_vector(aoa(rx_pos, target_pos), n)),
-                delay_s=(d1 + d2) / SPEED_OF_LIGHT,
-                doppler_hz=config.doppler_hz,
-                phase=float(phases[-1]),
-            )
-        )
-    return components
+        points = np.vstack([points, target_pos])
+        rcs = np.append(rcs, config.target_rcs_m2)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(points))
+    d1 = np.linalg.norm(points - tx_pos, axis=1)
+    d2 = np.linalg.norm(rx_pos - points, axis=1)
+    amplitudes = reflection_amplitude(config, rcs, d1, d2)
+    gains = weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side)
+    delays = (d1 + d2) / SPEED_OF_LIGHT
+    return [
+        ReflectionComponent(float(b), complex(g), float(tau), config.doppler_hz, float(zeta))
+        for b, g, tau, zeta in zip(amplitudes, gains, delays, phases)
+    ]
 
 
 def synth_rx_frame(
@@ -237,9 +212,9 @@ def matched_point_value(frame: np.ndarray, delay_s: float, doppler_hz: float, pa
     return float(np.abs(sym @ frame @ sub) ** 2 / (N * M))
 
 
-def estimate_rcs(peak_value: float, config: ScenarioConfig, d1: float, d2: float) -> float:
-    """Invert the two-hop propagation model to an RCS estimate in m^2."""
-    if peak_value < 0:
+def estimate_rcs(peak_value, config: ScenarioConfig, d1, d2):
+    """Invert the two-hop propagation model to RCS estimates in m^2, element-wise."""
+    if np.any(np.asarray(peak_value) < 0):
         raise ValueError("periodogram values are non-negative")
     N = config.symbols_per_frame
     M = config.subcarriers
@@ -260,39 +235,56 @@ def dirichlet_kernel(x: np.ndarray | float, length: int) -> np.ndarray | complex
     return magnitude * np.exp(-1j * math.pi * x * (length - 1))
 
 
-def fast_cell_estimate(
-    config: ScenarioConfig,
-    reflections: list[ReflectionComponent],
-    matched_delay_s: float,
-    matched_doppler_hz: float,
-    d1: float,
-    d2: float,
-    noise_variance: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Closed-form equivalent of frame synthesis + data removal + matched point.
+def matched_coupling(
+    amplitude,
+    gain,
+    delay_s,
+    doppler_hz,
+    matched_delay_s,
+    matched_doppler_hz,
+    params: OfdmParams,
+) -> np.ndarray:
+    """Matched-point response of each reflection (rows) at each cell (columns).
 
-    The matched correlation of each reflection separates into the product of
-    two geometric phase-ramp sums (a Dirichlet cross-kernel), so the coherent
-    sum costs O(reflections) instead of O(reflections * N * M). Noise enters
-    as a single complex Gaussian draw of variance N*M*noise_variance on the
-    un-normalized sum, which matches the reference path in distribution.
-    Noiseless results equal the reference path to rounding.
+    The matched correlation of one reflection separates into two geometric
+    phase-ramp sums, so reflection r contributes
+    b_r chi_rp D_N((f_p - f_r) T_o) D_M((tau_r - tau_p) df) e^{-j zeta_r}
+    to the coherent sum of cell p. This returns that product without the
+    random phase. ``amplitude``, ``delay_s`` and ``doppler_hz`` are per
+    reflection (scalars broadcast), ``matched_delay_s`` is per cell (or per
+    reflection and cell), and ``gain`` broadcasts to (reflections, cells).
     """
-    N = config.symbols_per_frame
-    M = config.subcarriers
-    df = config.subcarrier_spacing_hz
-    t_o = config.symbol_duration_s
-    total = 0.0 + 0.0j
-    for r in reflections:
-        kernel_sym = dirichlet_kernel((matched_doppler_hz - r.doppler_hz) * t_o, N)
-        kernel_sub = dirichlet_kernel((r.delay_s - matched_delay_s) * df, M)
-        total += r.amplitude * r.gain * np.exp(-1j * r.phase) * kernel_sym * kernel_sub
-    if noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("noise requires a random generator")
-        scale = math.sqrt(N * M * noise_variance / 2.0)
-        zr, zi = rng.standard_normal(2)
-        total += scale * (zr + 1j * zi)
-    peak = float(np.abs(total) ** 2 / (N * M))
-    return estimate_rcs(peak, config, d1, d2)
+    doppler_mismatch = matched_doppler_hz - np.reshape(doppler_hz, (-1, 1))
+    delay_mismatch = np.reshape(delay_s, (-1, 1)) - np.asarray(matched_delay_s)
+    kernel_sym = dirichlet_kernel(doppler_mismatch * params.symbol_duration_s, params.symbols)
+    kernel_sub = dirichlet_kernel(delay_mismatch * params.subcarrier_spacing_hz, params.subcarriers)
+    return np.reshape(amplitude, (-1, 1)) * gain * (kernel_sym * kernel_sub)
+
+
+def closed_form_peaks(
+    coupling: np.ndarray,
+    zeta,
+    params: OfdmParams,
+    noise_variance=0.0,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Periodogram value at the matched point of every cell, in closed form.
+
+    Equals frame synthesis + data removal + matched_point_value without
+    building a frame: the coherent sum over reflections of
+    coupling[r, p] e^{-j zeta_r} (see matched_coupling) costs O(reflections)
+    per cell instead of O(reflections * N * M). With a generator, noise enters
+    as one complex Gaussian draw per cell of variance N*M*noise_variance on
+    the un-normalized sum, drawn as standard_normal((2, cells)); this matches
+    the reference path in distribution. Noiseless results equal the
+    reference path to rounding.
+    """
+    N = params.symbols
+    M = params.subcarriers
+    total = np.exp(-1j * np.asarray(zeta, dtype=float)) @ coupling
+    if rng is not None:
+        draws = rng.standard_normal((2, total.shape[0]))
+        total = total + np.sqrt(N * M * noise_variance / 2.0) * (draws[0] + 1j * draws[1])
+    elif np.any(noise_variance):
+        raise ValueError("noise requires a random generator")
+    return np.abs(total) ** 2 / (N * M)

@@ -18,10 +18,11 @@ from uavsense import (
     aoa_mesh,
     build_tables,
     capon_beamformer,
+    closed_form_peaks,
     derive_altitude,
     estimate_rcs,
-    fast_cell_estimate,
     ls_beamformer,
+    matched_coupling,
     matched_point_value,
     periodogram_grid,
     reflection_amplitude,
@@ -29,12 +30,12 @@ from uavsense import (
     run_monte_carlo,
     run_monte_carlo_all_fusions,
     run_trial,
+    steering_matrix,
     steering_vector,
     sweep,
     synth_rx_frame,
     synth_tx_frame,
 )
-from uavsense.beamforming import _steering_matrix_from_angles
 from uavsense.cli import main
 from uavsense.config import SPEED_OF_LIGHT
 from uavsense.ofdm import OfdmParams, ReflectionComponent
@@ -116,7 +117,7 @@ def test_criterion_3_beamformer_contracts():
         mesh = aoa_mesh(d, n)
         bf = ls_beamformer(mesh, n)
         worst_norm = max(worst_norm, abs(np.linalg.norm(bf.weights) - 1.0))
-        A = _steering_matrix_from_angles(mesh.theta, mesh.phi, n).conj().T
+        A = steering_matrix(AoA(mesh.theta, mesh.phi), n).conj().T
         res_ls = np.sum(np.abs(A @ bf.weights - mesh.desired) ** 2)
         res_base = np.sum(np.abs(A @ (g / np.linalg.norm(g)) - mesh.desired) ** 2)
         ls_beats_baseline &= bool(res_ls <= res_base)
@@ -168,12 +169,18 @@ def test_criterion_4_fast_reference_equivalence():
         frame = remove_data(synth_rx_frame(tx, reflections, params, noise_var, gen_ref), tx)
         ref_values[i] = matched_point_value(frame, tau, 0.0, params)
     gen_fast = np.random.default_rng(18)
-    scale = estimate_rcs(1.0, cfg, d1, d2)
+    coupling = matched_coupling(
+        [r.amplitude for r in reflections],
+        np.reshape([r.gain for r in reflections], (-1, 1)),
+        [r.delay_s for r in reflections],
+        [r.doppler_hz for r in reflections],
+        [tau],
+        0.0,
+        params,
+    )
+    zeta = [r.phase for r in reflections]
     fast_values = np.array(
-        [
-            fast_cell_estimate(cfg, reflections, tau, 0.0, d1, d2, noise_var, gen_fast) / scale
-            for _ in range(draws)
-        ]
+        [closed_form_peaks(coupling, zeta, params, noise_var, gen_fast)[0] for _ in range(draws)]
     )
     rel_mean = abs(ref_values.mean() - fast_values.mean()) / ref_values.mean()
     ok_noise = rel_mean < 0.03

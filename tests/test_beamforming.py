@@ -13,11 +13,15 @@ from uavsense import (
     steering_matrix,
     steering_vector,
 )
-from uavsense.beamforming import _steering_matrix_from_angles
 
 
 def random_aoa(rng, theta_max=math.pi / 2 * 0.999):
     return AoA(theta=rng.uniform(0.0, theta_max), phi=rng.uniform(0.0, 2 * math.pi))
+
+
+def stacked(directions):
+    """One AoA holding the angles of several directions as arrays."""
+    return AoA(theta=np.array([d.theta for d in directions]), phi=np.array([d.phi for d in directions]))
 
 
 class TestSteeringVector:
@@ -49,16 +53,19 @@ class TestSteeringVector:
 
     def test_matrix_stacks_columns(self, rng):
         dirs = [random_aoa(rng) for _ in range(5)]
-        G = steering_matrix(dirs, 4)
+        G = steering_matrix(stacked(dirs), 4)
         assert G.shape == (16, 5)
         for h, d in enumerate(dirs):
             assert np.allclose(G[:, h], steering_vector(d, 4))
 
     def test_vectorized_matrix_matches_loop(self, rng):
-        dirs = [random_aoa(rng) for _ in range(7)]
-        theta = np.array([d.theta for d in dirs])
-        phi = np.array([d.phi for d in dirs])
-        assert np.allclose(_steering_matrix_from_angles(theta, phi, 5), steering_matrix(dirs, 5))
+        # Every column of the vectorized matrix is the steering vector of its
+        # direction, here over a whole design mesh.
+        mesh = aoa_mesh(random_aoa(rng), 5)
+        G = steering_matrix(AoA(mesh.theta, mesh.phi), 5)
+        assert G.shape == (25, len(mesh.theta))
+        for h, (theta, phi) in enumerate(zip(mesh.theta, mesh.phi)):
+            assert np.allclose(G[:, h], steering_vector(AoA(theta, phi), 5), rtol=0.0, atol=1e-15)
 
 
 class TestBeamPattern:
@@ -71,7 +78,7 @@ class TestBeamPattern:
 
     def test_duplicated_columns_duplicate_gains(self, rng):
         d = random_aoa(rng)
-        G = steering_matrix([d, d], 4)
+        G = steering_matrix(stacked([d, d]), 4)
         pattern = beam_pattern(G, rng.standard_normal(16) + 1j * rng.standard_normal(16))
         assert pattern[0] == pytest.approx(pattern[1])
 
@@ -127,7 +134,7 @@ class TestLsBeamformer:
             d = random_aoa(rng)
             mesh = aoa_mesh(d, 8)
             bf = ls_beamformer(mesh, 8)
-            A = _steering_matrix_from_angles(mesh.theta, mesh.phi, 8).conj().T
+            A = steering_matrix(AoA(mesh.theta, mesh.phi), 8).conj().T
             baseline = steering_vector(d, 8) / 8.0
             res_ls = np.sum(np.abs(A @ bf.weights - mesh.desired) ** 2)
             res_base = np.sum(np.abs(A @ baseline - mesh.desired) ** 2)
@@ -137,7 +144,7 @@ class TestLsBeamformer:
         for _ in range(10):
             mesh = aoa_mesh(random_aoa(rng), 6)
             bf = ls_beamformer(mesh, 6)
-            A = _steering_matrix_from_angles(mesh.theta, mesh.phi, 6).conj().T
+            A = steering_matrix(AoA(mesh.theta, mesh.phi), 6).conj().T
             oracle, *_ = np.linalg.lstsq(A, mesh.desired.astype(complex), rcond=None)
             res_oracle = np.sum(np.abs(A @ oracle - mesh.desired) ** 2)
             assert bf.fit_residual == pytest.approx(res_oracle, rel=1e-8)
@@ -180,7 +187,7 @@ class TestCaponBeamformer:
             d = random_aoa(rng, theta_max=math.pi / 3)
             bf = capon_beamformer(d, 8)
             mesh = aoa_mesh(d, 8)
-            G = _steering_matrix_from_angles(mesh.theta, mesh.phi, 8)
+            G = steering_matrix(AoA(mesh.theta, mesh.phi), 8)
             gains = np.abs(beam_pattern(G, bf))
             far = np.hypot(mesh.theta - d.theta, mesh.phi - d.phi) > width
             assert gains[0] >= np.max(gains[far]) - 1e-12
@@ -191,7 +198,7 @@ def test_global_phase_immunity(rng):
     # untouched.
     d = random_aoa(rng)
     others = [random_aoa(rng) for _ in range(6)]
-    G = steering_matrix(others, 8)
+    G = steering_matrix(stacked(others), 8)
     w = capon_beamformer(d, 8).weights
     shift = np.exp(1j * 0.7)
     assert np.allclose(np.abs(beam_pattern(G * shift, w * shift)), np.abs(beam_pattern(G, w)))

@@ -183,6 +183,12 @@ class TestSweepCommand:
         cfg_path = _write_config(tmp_path)
         assert main(["sweep", "--config", cfg_path]) == 2
 
+    def test_uncounted_delta_exit_code(self, tmp_path, capsys):
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30\nsweep.deltas = 0, 3\n"
+        cfg_path = _write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg_path, "--trials", "1"]) == 2
+        assert "sweep.deltas" in capsys.readouterr().err
+
     def test_config_sweep_section(self, tmp_path):
         text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\nsweep.deltas = 0\n"
         cfg_path = _write_config(tmp_path, text)

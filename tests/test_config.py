@@ -130,6 +130,19 @@ def test_sweep_section_requires_parameter_and_values():
     assert sw.values == (40.0, 80.0)
 
 
+def test_sweep_deltas_outside_counted_distances_rejected():
+    # Batches count hits for delta 0, 1 and 2 only; any other delta would
+    # index past DetectionStats.hits.
+    base = "sweep.parameter = altitude\nsweep.values = 40\n"
+    _, _, sw = parse_config_text(base + "sweep.deltas = 2, 0\n")
+    assert sw.deltas == (2, 0)
+    for bad in ("0, 3", "-1", "1, 2, 5"):
+        with pytest.raises(ConfigError, match="sweep.deltas"):
+            parse_config_text(base + f"sweep.deltas = {bad}\n")
+    with pytest.raises(ConfigError, match="sweep.deltas"):
+        SweepSpec(parameter="altitude", values=(40.0,), deltas=(1.0,))
+
+
 def test_run_options_validation():
     with pytest.raises(ConfigError, match="beamformer"):
         RunOptions(beamformer="mvdr")

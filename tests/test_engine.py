@@ -157,6 +157,37 @@ class TestMonteCarlo:
         parallel = run_monte_carlo_all_fusions(small_config, opts, workers=3)
         assert serial == parallel
 
+    def test_parallel_reuses_given_tables(self, small_config):
+        tables = build_tables(small_config, RunOptions(noise=False))
+        serial = run_monte_carlo_all_fusions(small_config, tables=tables)
+        parallel = run_monte_carlo_all_fusions(small_config, workers=2, tables=tables)
+        assert serial == parallel == run_monte_carlo_all_fusions(small_config, RunOptions(noise=False))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise", False),
+            ("fast_path", False),
+            ("beamformer", "ls"),
+            ("capon_loading", 1e-3),
+            ("ls_iterations", 3),
+        ],
+    )
+    def test_options_disagreeing_with_tables_rejected(self, small_config, field, value):
+        tables = build_tables(small_config, RunOptions())
+        options = replace(RunOptions(), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            run_monte_carlo_all_fusions(small_config, options, tables=tables)
+        with pytest.raises(ConfigError, match=field):
+            run_monte_carlo(small_config, options, tables=tables)
+        with pytest.raises(ConfigError, match=field):
+            run_trial(small_config, 0, options, tables=tables)
+
+    def test_fusion_may_differ_from_tables(self, small_config):
+        tables = build_tables(small_config, RunOptions(fusion="avg"))
+        stats = run_monte_carlo(small_config, RunOptions(fusion="prenorm"), tables=tables)
+        assert stats == run_monte_carlo_all_fusions(small_config, tables=tables)["prenorm"]
+
 
 class TestSweepPointConfigs:
     def test_constant_coverage_scales_area_and_altitude(self):

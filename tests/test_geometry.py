@@ -196,6 +196,24 @@ class TestAoa:
         with pytest.raises(ValueError):
             aoa((0.0, 0.0, 100.0), (5.0, 5.0, 100.0))
 
+    def test_stacked_points_match_single_points(self, rng):
+        cfg = _config()
+        grid = build_grid(cfg)
+        dep = deploy_uavs(cfg, grid)
+        points = grid.centers.reshape(-1, 3)
+        stacked = aoa(dep.positions[5], points)
+        assert stacked.theta.shape == stacked.phi.shape == (len(points),)
+        for k, point in enumerate(points):
+            single = aoa(dep.positions[5], point)
+            assert (stacked.theta[k], stacked.phi[k]) == (single.theta, single.phi)
+        observers = aoa(dep.positions, points[7])
+        for u in range(cfg.uav_count):
+            assert observers.theta[u] == aoa(dep.positions[u], points[7]).theta
+
+    def test_stacked_points_above_observer_rejected(self):
+        with pytest.raises(ValueError):
+            aoa((0.0, 0.0, 100.0), np.array([[1.0, 2.0, 0.0], [5.0, 5.0, 100.0]]))
+
     def test_inverse_reconstruction(self, rng):
         cfg = _config()
         grid = build_grid(cfg)

@@ -7,16 +7,20 @@ import pytest
 from uavsense import (
     ScenarioConfig,
     build_grid,
+    aoa,
     build_tables,
     classify_cells,
+    closed_form_peaks,
     deploy_uavs,
     estimate_rcs,
-    fast_cell_estimate,
+    matched_coupling,
     matched_point_value,
+    path_distances,
     periodogram_grid,
     reflection_amplitude,
     remove_data,
     synth_rx_frame,
+    steering_vector,
     synth_tx_frame,
 )
 from uavsense.config import RunOptions
@@ -50,6 +54,23 @@ def direct_periodogram(frame, n_pad, m_pad):
                     )
             out[n, m] = abs(acc) ** 2 / (N * M)
     return out
+
+
+def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, noise_variance=0.0, rng=None):
+    """RCS estimate of one cell through matched_coupling and closed_form_peaks."""
+    params = OfdmParams.from_config(cfg)
+    coupling = matched_coupling(
+        [r.amplitude for r in reflections],
+        np.reshape([r.gain for r in reflections], (-1, 1)),
+        [r.delay_s for r in reflections],
+        [r.doppler_hz for r in reflections],
+        [matched_delay],
+        matched_doppler,
+        params,
+    )
+    zeta = [r.phase for r in reflections]
+    peak = closed_form_peaks(coupling, zeta, params, noise_variance, rng)[0]
+    return estimate_rcs(peak, cfg, d1, d2)
 
 
 def geometric_ramp_sum(x, length):
@@ -102,14 +123,14 @@ class TestBuildReflections:
         dep = deploy_uavs(cfg, grid)
         sets = classify_cells(cfg, 0, grid, dep)
         tables = build_tables(cfg, RunOptions())
-        weights = next(p for p in tables.pairs if p.tx == 0 and p.rx == 1)
-        return cfg, grid, dep, sets, weights
+        pair = next(p for p in tables.pairs if p.tx == 0 and p.rx == 1)
+        return cfg, grid, dep, sets, pair
 
     def test_component_count_without_target(self, rng):
         cfg, grid, dep, sets, pair = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            type("W", (), {"weights": pair.weights[0]}), None, rng,
+            pair.weights[0], None, rng,
         )
         assert len(refl) == len(sets.illuminated)
 
@@ -117,7 +138,7 @@ class TestBuildReflections:
         cfg, grid, dep, sets, pair = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            type("W", (), {"weights": pair.weights[0]}), np.array([13.0, 11.0, 0.0]), rng,
+            pair.weights[0], np.array([13.0, 11.0, 0.0]), rng,
         )
         assert len(refl) == len(sets.illuminated) + 1
 
@@ -125,19 +146,35 @@ class TestBuildReflections:
         cfg, grid, dep, sets, pair = self._scene()
         make = lambda: build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            type("W", (), {"weights": pair.weights[0]}), None,
+            pair.weights[0], None,
             substream(7, 0, 2, 0, 1),
         )
         first, second = make(), make()
         assert all(0 <= r.phase < 2 * math.pi for r in first)
         assert [r.phase for r in first] == [r.phase for r in second]
 
+    def test_components_follow_scalar_geometry(self, rng):
+        cfg, grid, dep, sets, pair = self._scene()
+        target = np.array([13.0, 11.0, 0.0])
+        refl = build_reflections(
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, pair.weights[0], target, rng,
+        )
+        points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
+        for r, point in zip(refl, points):
+            rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
+            d1, d2 = path_distances(dep.positions[0], point, dep.positions[1])
+            gain = pair.weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
+            assert r.amplitude == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
+            assert r.gain == pytest.approx(gain, rel=1e-12)
+            assert r.delay_s == pytest.approx((d1 + d2) / C0, rel=1e-12)
+            assert r.doppler_hz == cfg.doppler_hz
+
     def test_half_duplex_guard(self, rng):
         cfg, grid, dep, sets, pair = self._scene()
         with pytest.raises(ValueError, match="half-duplex"):
             build_reflections(
                 cfg, 1, 1, dep.positions[1], dep.positions[1], sets, grid,
-                type("W", (), {"weights": pair.weights[0]}), None, rng,
+                pair.weights[0], None, rng,
             )
 
 
@@ -341,14 +378,14 @@ class TestFastCellEstimate:
         ]
         peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(0))
         expected = estimate_rcs(peak, cfg, d1, d2)
-        got = fast_cell_estimate(cfg, reflections, tau, 0.0, d1, d2)
+        got = closed_form_rcs(cfg, reflections, tau, 0.0, d1, d2)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_matched_kernel_is_frame_size(self):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
         tau = 2e-6
         refl = [ReflectionComponent(1.0, 1.0, tau, 0.0, 0.0)]
-        got = fast_cell_estimate(cfg, refl, tau, 0.0, 100.0, 100.0)
+        got = closed_form_rcs(cfg, refl, tau, 0.0, 100.0, 100.0)
         # K = N M at zero mismatch, so the peak is N M and sigma follows Eq.-style inversion
         assert got == pytest.approx(estimate_rcs(8 * 16, cfg, 100.0, 100.0), rel=1e-12)
 
@@ -362,7 +399,7 @@ class TestFastCellEstimate:
             ReflectionComponent(3e-7, 0.5 + 0.5j, tau * 1.02, -2500.0, 1.5),
         ]
         peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(1))
-        got = fast_cell_estimate(cfg, reflections, tau, cfg.doppler_hz, 100.0, 100.0)
+        got = closed_form_rcs(cfg, reflections, tau, cfg.doppler_hz, 100.0, 100.0)
         assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
 
     def test_noise_only_mean_matches_variance(self):
@@ -374,7 +411,7 @@ class TestFastCellEstimate:
         n = cfg.symbols_per_frame * cfg.subcarriers
         scale = estimate_rcs(1.0, cfg, 100.0, 100.0)
         values = [
-            fast_cell_estimate(cfg, [], 0.0, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
+            closed_form_rcs(cfg, [], 0.0, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
             for _ in range(10_000)
         ]
         assert np.mean(values) == pytest.approx(noise_var, rel=0.05)
@@ -382,7 +419,22 @@ class TestFastCellEstimate:
     def test_noise_requires_rng(self):
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):
-            fast_cell_estimate(cfg, [], 0.0, 0.0, 1.0, 1.0, noise_variance=1.0)
+            closed_form_peaks(np.zeros((0, 1)), [], OfdmParams.from_config(cfg), noise_variance=1.0)
+
+    def test_cells_share_phases_and_draw_noise_per_cell(self):
+        # Several cells at once equal one call per cell, noise included: the
+        # (2, cells) draw gives cell p the pair (draws[0, p], draws[1, p]).
+        cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
+        params = OfdmParams.from_config(cfg)
+        coupling = np.array([[1.0 + 0.5j, 0.2j, -0.3], [0.4, 1.1 - 0.2j, 0.9j]])
+        zeta = [0.3, 2.2]
+        together = closed_form_peaks(coupling, zeta, params, 0.5, np.random.default_rng(4))
+        draws = np.random.default_rng(4).standard_normal((2, 3))
+        for p in range(3):
+            total = np.exp(-1j * np.array(zeta)) @ coupling[:, p] + math.sqrt(16 * 8 * 0.5 / 2) * (
+                draws[0, p] + 1j * draws[1, p]
+            )
+            assert together[p] == pytest.approx(abs(total) ** 2 / (8 * 16), rel=1e-12)
 
 
 def test_noise_only_reference_mean(rng):
