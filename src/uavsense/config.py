@@ -172,7 +172,7 @@ class RunOptions:
     fusion: str = "avg"  # "avg" or "prenorm"
     fast_path: bool = True
     noise: bool = True
-    capon_loading: float = 1e-2
+    capon_loading: float = 1e-2  # validated only: Capon weights g / (g^H g) do not depend on it
     ls_iterations: int = 10
 
     def __post_init__(self):

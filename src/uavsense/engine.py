@@ -2,8 +2,10 @@
 
 Every random quantity comes from a counter-style substream derived from
 (master_seed, trial, stream tag, ids), so outcomes are a pure function of the
-configuration and trial index. Trials are independent work units; parallel and
-serial execution agree bit for bit.
+configuration and trial index. The fast path computes the same streams in
+bulk (keys of all pairs at once, a vectorized Philox for the phases).
+Trials are independent work units; parallel and serial execution agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -83,21 +85,104 @@ _TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise", "capon_loading", "ls
 _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 
 
-def _mix64(x: int) -> int:
-    # SplitMix64 finalizer; a cheap, well-mixed 64-bit hash step.
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+# Name of the random-number scheme below, recorded in run manifests; any change
+# to a stream's bytes gets a new name.
+RNG_SCHEME = "splitmix64-path/philox4x64-10/v1"
+
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    # SplitMix64 finalizer on uint64 arrays (wrapping arithmetic); a cheap,
+    # well-mixed 64-bit hash step.
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _stream_keys(master_seed: int, trial, tag, *ids) -> np.ndarray:
+    """Philox keys of the substreams at (trial, tag, *ids), shape broadcast(ids) + (2,).
+
+    The path is hashed with SplitMix64. The two words are then what
+    ``np.random.Philox(key=(k0, k1))`` stores for Python ints k0 and k1: numpy
+    parses the tuple with ``np.asarray``, which gives float64 when exactly one
+    word is >= 2**63, so both words of such a key are rounded to float64
+    before the cast to uint64. Keys whose words are both below 2**63, or both
+    at or above it, are exact.
+    """
+    path = np.stack(np.broadcast_arrays(*(np.asarray(part, dtype=np.uint64) for part in (trial, tag, *ids))))
+    shape = path.shape[1:]
+    acc = np.full(path[0].size, master_seed & _MASK64, dtype=np.uint64)
+    for hashed in _mix64(path.reshape(len(path), -1)):
+        acc = _mix64(acc ^ hashed)
+    keys = np.stack([acc, _mix64(acc ^ np.uint64(0xA5A5A5A5A5A5A5A5))], axis=1)
+    top = keys >> np.uint64(63)
+    mixed = top[:, :1] != top[:, 1:]
+    keys = np.where(mixed, keys.astype(np.float64).astype(np.uint64), keys)
+    return keys.reshape(shape + (2,))
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent generator for a (trial, tag, ids...) path under one seed."""
-    acc = master_seed & _MASK64
-    for part in path:
-        acc = _mix64(acc ^ _mix64(part & _MASK64))
-    key = (acc, _mix64(acc ^ 0xA5A5A5A5A5A5A5A5))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_keys(master_seed, *path)))
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # Low and high words of the 128-bit product a * m, from 32-bit halves.
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _U32
+    t = a_lo * m_lo
+    u = a_hi * m_lo + (t >> _U32)
+    v = a_lo * m_hi + (u & _LOW32)
+    return a * np.uint64(m), a_hi * m_hi + (u >> _U32) + (v >> _U32)
+
+
+def _philox_uniform(keys: np.ndarray, count: int, high: float) -> np.ndarray:
+    """The first `count` draws of ``Generator(Philox(key=k)).uniform(0, high)``
+    for every key row of a (K, 2) array, shape (K, count).
+
+    Philox4x64-10 evaluated for all keys and blocks at once: numpy's Philox
+    starts its counter at 0 and increments it before each block, so block b
+    enciphers the counter (b + 1, 0, 0, 0); each block yields four words, and
+    a word x becomes the draw 0.0 + high * ((x >> 11) * 2**-53).
+    """
+    blocks = -(-count // 4)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        lo0, hi0 = _mulhilo(c0, _PHILOX_M0)
+        lo1, hi1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
+    return 0.0 + high * ((words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0))
+
+
+def _standard_normals(generator: np.random.Generator, keys: np.ndarray, shape: tuple) -> np.ndarray:
+    """``substream`` draws of standard_normal(shape) for every key row of a
+    (K, 2) array, shape (K, *shape). The Philox under `generator` is reset to
+    each key in turn, with the counter and buffer of a new generator."""
+    fresh = {
+        "bit_generator": "Philox",
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    counter = np.zeros(4, dtype=np.uint64)
+    out = np.empty((len(keys),) + tuple(shape))
+    for key, draws in zip(keys, out):
+        generator.bit_generator.state = dict(fresh, state={"counter": counter, "key": key})
+        generator.standard_normal(out=draws)
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,17 +225,19 @@ class SweepRow:
 
 
 @dataclass
-class _PairTables:
-    """Static per-(transmitter, listener) factors reused across trials."""
+class _TransmitterTables:
+    """Static factors of one active transmitter and all its listeners, reused
+    across trials. Every listener shares the transmitter's illuminated and
+    intended cells; rows follow `rx`."""
 
     tx: int
-    rx: int
+    rx: np.ndarray  # (L,) listeners, ascending
     cells: np.ndarray  # (n_p, 2) intended cells, row-major order
-    matched_delay: np.ndarray  # (n_p,)
-    est_scale: np.ndarray  # (n_p,) maps matched power to sigma-hat
-    noise_var: np.ndarray  # (n_p,) per-sample variance N0 BW ||w||^2
-    ground_coupling: np.ndarray  # (n_q, n_p) matched_coupling of the ground at unit RCS
-    weights: np.ndarray  # (n_p, n^2) receive weights per intended cell
+    matched_delay: np.ndarray  # (L, n_p)
+    est_scale: np.ndarray  # (L, n_p) maps matched power to sigma-hat
+    noise_var: np.ndarray  # (L, n_p) per-sample variance N0 BW ||w||^2
+    ground_coupling: np.ndarray  # (L, n_q, n_p) matched_coupling of the ground at unit RCS
+    weights: np.ndarray  # (L, n_p, n^2) receive weights per listener and intended cell
 
 
 @dataclass
@@ -163,7 +250,7 @@ class ScenarioTables:
     deployment: object
     cell_sets: list
     footprints: np.ndarray  # (U,) ground radii
-    pairs: list
+    transmitters: list  # _TransmitterTables of each UAV with intended cells, ascending
 
     def compatible_with(self, config: ScenarioConfig) -> bool:
         shaping = [f.name for f in fields(config) if f.name not in _RUN_FIELDS]
@@ -198,6 +285,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
 
     params = OfdmParams.from_config(config)
+    noise_w = config.noise_density_w_hz * config.bandwidth_hz
 
     def design(direction: AoA) -> np.ndarray:
         if options.beamformer == "capon":
@@ -205,7 +293,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         return ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
 
     # Intended sets never overlap, so each (listener, cell) is designed once.
-    pairs = []
+    transmitters = []
     for tx in range(U):
         intended = cell_sets[tx].intended
         if len(intended) == 0:
@@ -216,9 +304,19 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         d1_q = np.linalg.norm(q_points - tx_pos, axis=1)
         p_points = grid.centers[intended[:, 0], intended[:, 1]]  # (n_p, 3)
         d1_p = np.linalg.norm(p_points - tx_pos, axis=1)
-        for rx in range(U):
-            if rx == tx:
-                continue
+        listeners = np.array([rx for rx in range(U) if rx != tx])
+        n_l, n_q, n_p = len(listeners), len(q_points), len(p_points)
+        record = _TransmitterTables(
+            tx=tx,
+            rx=listeners,
+            cells=intended,
+            matched_delay=np.empty((n_l, n_p)),
+            est_scale=np.empty((n_l, n_p)),
+            noise_var=np.empty((n_l, n_p)),
+            ground_coupling=np.empty((n_l, n_q, n_p), dtype=complex),
+            weights=np.empty((n_l, n_p, n * n), dtype=complex),
+        )
+        for k, rx in enumerate(listeners):
             rx_pos = deployment.positions[rx]
             d2_q = np.linalg.norm(rx_pos - q_points, axis=1)
             d2_p = np.linalg.norm(rx_pos - p_points, axis=1)
@@ -227,7 +325,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             toward = aoa(rx_pos, p_points)
             w_stack = np.stack([design(AoA(t, f)) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
             chi = w_stack.conj() @ steering_matrix(aoa(rx_pos, q_points), n)  # (n_p, n_q)
-            ground_coupling = matched_coupling(
+            record.ground_coupling[k] = matched_coupling(
                 reflection_amplitude(config, 1.0, d1_q, d2_q),
                 chi.T,
                 (d1_q + d2_q) / SPEED_OF_LIGHT,
@@ -236,21 +334,11 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                 config.doppler_hz,
                 params,
             )
-
-            pairs.append(
-                _PairTables(
-                    tx=tx,
-                    rx=rx,
-                    cells=intended,
-                    matched_delay=tau_p,
-                    est_scale=estimate_rcs(1.0, config, d1_p, d2_p),
-                    noise_var=config.noise_density_w_hz
-                    * config.bandwidth_hz
-                    * np.sum(np.abs(w_stack) ** 2, axis=1),
-                    ground_coupling=ground_coupling,
-                    weights=w_stack,
-                )
-            )
+            record.matched_delay[k] = tau_p
+            record.est_scale[k] = estimate_rcs(1.0, config, d1_p, d2_p)
+            record.noise_var[k] = noise_w * np.sum(np.abs(w_stack) ** 2, axis=1)
+            record.weights[k] = w_stack
+        transmitters.append(record)
     return ScenarioTables(
         config=config,
         options=options,
@@ -258,7 +346,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         deployment=deployment,
         cell_sets=cell_sets,
         footprints=footprints,
-        pairs=pairs,
+        transmitters=transmitters,
     )
 
 
@@ -273,71 +361,99 @@ def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, ta
     return target, np.hypot(target[0] - proj[:, 0], target[1] - proj[:, 1]) <= tables.footprints
 
 
-def _target_couplings(config, tables, params, tx, target) -> dict:
-    """The target's matched_coupling row for each listener of an illuminating
-    transmitter, keyed by (tx, listener); one call covers all listeners."""
-    pairs = [p for p in tables.pairs if p.tx == tx]
+def _target_couplings(config, tables, params, record, target) -> np.ndarray:
+    """The target's matched_coupling row for every listener of an illuminating
+    transmitter, shape (L, n_p); one call covers all listeners."""
     positions = tables.deployment.positions
-    g_target = steering_matrix(aoa(positions[[p.rx for p in pairs]], target), config.array_side)
-    d1, d2 = np.array([path_distances(positions[tx], target, positions[p.rx]) for p in pairs]).T
-    rows = matched_coupling(
+    g_target = steering_matrix(aoa(positions[record.rx], target), config.array_side)  # (n^2, L)
+    d1, d2 = np.array([path_distances(positions[record.tx], target, positions[rx]) for rx in record.rx]).T
+    return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-        np.stack([p.weights.conj() @ g_target[:, k] for k, p in enumerate(pairs)]),
+        (record.weights.conj() @ g_target.T[:, :, None])[:, :, 0],
         (d1 + d2) / SPEED_OF_LIGHT,
         config.doppler_hz,
-        np.stack([p.matched_delay for p in pairs]),
+        record.matched_delay,
         config.doppler_hz,
         params,
     )
-    return {(tx, p.rx): row for p, row in zip(pairs, rows)}
 
 
-def _closed_form_estimates(config, tables, params, pair, trial, target_row):
-    """Fast-path RCS estimates for every intended cell of one pair.
+def _closed_form_estimates(config, tables, params, trial, target, illuminated_by, records):
+    """Fast-path RCS estimates, shape (L, n_p), of every listener of each record.
 
-    `target_row` is the target's coupling if the transmitter illuminates it,
-    else None. Phases follow the reflection order of build_reflections:
-    ground cells first, the target last.
+    Reflections follow the order of build_reflections: ground cells first,
+    the target last when the transmitter illuminates it. Each (tx, rx) pair
+    draws its phases from substream(seed, trial, PHASE, tx, rx) and its noise
+    from substream(seed, trial, NOISE, tx, rx); the phases of all pairs come
+    from one vectorized Philox call and share its longest length.
     """
-    coupling = math.sqrt(config.ground_rcs_m2) * pair.ground_coupling
-    if target_row is not None:
-        coupling = np.vstack([coupling, target_row])
-    rng_phase = substream(config.master_seed, trial, _STREAM_PHASE, pair.tx, pair.rx)
-    zeta = rng_phase.uniform(0.0, 2.0 * math.pi, size=len(coupling))
+    tx_ids = np.concatenate([np.full(len(r.rx), r.tx) for r in records])
+    rx_ids = np.concatenate([r.rx for r in records])
+    lengths = [r.ground_coupling.shape[1] + int(illuminated_by[r.tx]) for r in records]
+    keys = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx_ids, rx_ids)
+    zeta = _philox_uniform(keys, max(lengths), 2.0 * math.pi)
     if tables.options.noise:
-        rng_noise = substream(config.master_seed, trial, _STREAM_NOISE, pair.tx, pair.rx)
-        peaks = closed_form_peaks(coupling, zeta, params, pair.noise_var, rng_noise)
-    else:
-        peaks = closed_form_peaks(coupling, zeta, params)
-    return peaks * pair.est_scale
+        noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx_ids, rx_ids)
+        generator = np.random.Generator(np.random.Philox(key=0))
+    estimates = []
+    start = 0
+    for record, length in zip(records, lengths):
+        rows = slice(start, start + len(record.rx))
+        start = rows.stop
+        coupling = math.sqrt(config.ground_rcs_m2) * record.ground_coupling
+        if illuminated_by[record.tx]:
+            target_rows = _target_couplings(config, tables, params, record, target)
+            coupling = np.concatenate([coupling, target_rows[:, None, :]], axis=1)
+        if tables.options.noise:
+            draws = _standard_normals(generator, noise_keys[rows], (2, len(record.cells)))
+            peaks = closed_form_peaks(coupling, zeta[rows, :length], params, record.noise_var, draws)
+        else:
+            peaks = closed_form_peaks(coupling, zeta[rows, :length], params)
+        estimates.append(peaks * record.est_scale)
+    return estimates
 
 
-def _estimate_pair_reference(config, tables, params, pair, trial, target, tx_frame):
-    """Full frame-level pipeline for every intended cell of one pair."""
-    tx_pos = tables.deployment.positions[pair.tx]
-    rx_pos = tables.deployment.positions[pair.rx]
-    sets = tables.cell_sets[pair.tx]
-    estimates = np.empty(len(pair.cells))
-    for i, (a, b) in enumerate(pair.cells):
-        rng_phase = substream(config.master_seed, trial, _STREAM_PHASE, pair.tx, pair.rx)
+def _estimate_pair_reference(config, tables, params, record, k, trial, target, tx_frame):
+    """Full frame-level pipeline for every intended cell of one listener (row
+    k of the transmitter's record).
+
+    Every cell redraws the pair's phases from a new generator on the
+    substream (trial, PHASE, tx, rx), and its noise from (trial, NOISE, tx,
+    rx, a, b); the keys of all cells are derived in one call.
+    """
+    tx, rx = record.tx, int(record.rx[k])
+    tx_pos = tables.deployment.positions[tx]
+    rx_pos = tables.deployment.positions[rx]
+    sets = tables.cell_sets[tx]
+    phase_key = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx, rx)
+    a, b = record.cells.T
+    noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx, rx, a, b)
+    estimates = np.empty(len(record.cells))
+    for i in range(len(record.cells)):
+        rng_phase = np.random.Generator(np.random.Philox(key=phase_key))
         reflections = build_reflections(
-            config,
-            pair.tx,
-            pair.rx,
-            tx_pos,
-            rx_pos,
-            sets,
-            tables.grid,
-            pair.weights[i],
-            target,
-            rng_phase,
+            config, tx, rx, tx_pos, rx_pos, sets, tables.grid, record.weights[k, i], target, rng_phase
         )
-        noise_var = float(pair.noise_var[i]) if tables.options.noise else 0.0
-        rng_noise = substream(config.master_seed, trial, _STREAM_NOISE, pair.tx, pair.rx, int(a), int(b))
+        noise_var = float(record.noise_var[k, i]) if tables.options.noise else 0.0
+        rng_noise = np.random.Generator(np.random.Philox(key=noise_keys[i]))
         rx_frame = synth_rx_frame(tx_frame, reflections, params, noise_var, rng_noise)
         processed = remove_data(rx_frame, tx_frame)
-        peak = matched_point_value(processed, float(pair.matched_delay[i]), config.doppler_hz, params)
-        estimates[i] = peak * pair.est_scale[i]
+        peak = matched_point_value(processed, float(record.matched_delay[k, i]), config.doppler_hz, params)
+        estimates[i] = peak * record.est_scale[k, i]
+    return estimates
+
+
+def _reference_estimates(config, tables, params, trial, target, illuminated_by, records):
+    """Frame-level RCS estimates, shape (L, n_p), of every listener of each record."""
+    estimates = []
+    for record in records:
+        tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, record.tx))
+        lit_target = target if illuminated_by[record.tx] else None
+        rows = [
+            _estimate_pair_reference(config, tables, params, record, k, trial, lit_target, tx_frame)
+            for k in range(len(record.rx))
+        ]
+        estimates.append(np.stack(rows))
     return estimates
 
 
@@ -366,27 +482,12 @@ def run_trial(
     U = config.uav_count
 
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
-    fast = tables.options.fast_path
     params = OfdmParams.from_config(config)
-    if fast:
-        target_rows = {}
-        for tx in np.flatnonzero(illuminated_by):
-            target_rows.update(_target_couplings(config, tables, params, int(tx), target))
-    else:
-        tx_frames = {}
-        for tx in range(U):
-            rng_tx = substream(config.master_seed, trial, _STREAM_TXDATA, tx)
-            tx_frames[tx] = synth_tx_frame(params, rng_tx)
-
+    records = tables.transmitters
+    estimate = _closed_form_estimates if tables.options.fast_path else _reference_estimates
     maps = np.full((U, L, L), np.nan)
-    for pair in tables.pairs:
-        if fast:
-            target_row = target_rows.get((pair.tx, pair.rx))
-            est = _closed_form_estimates(config, tables, params, pair, trial, target_row)
-        else:
-            lit_target = target if illuminated_by[pair.tx] else None
-            est = _estimate_pair_reference(config, tables, params, pair, trial, lit_target, tx_frames[pair.tx])
-        maps[pair.rx, pair.cells[:, 0], pair.cells[:, 1]] = est
+    for record, est in zip(records, estimate(config, tables, params, trial, target, illuminated_by, records)):
+        maps[record.rx[:, None], record.cells[:, 0], record.cells[:, 1]] = est
 
     local_maps = [LocalRcsMap(owner=u, values=maps[u]) for u in range(U)]
     true_cell = cell_of_point(tables.grid, target[0], target[1])
@@ -431,19 +532,21 @@ def estimate_cell(
         raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
     if not tables.compatible_with(config):
         raise ConfigError("tables were built for a different scenario geometry")
-    pair = next((p for p in tables.pairs if p.tx == tx and p.rx == listener), None)
-    if pair is None:
+    record = next((r for r in tables.transmitters if r.tx == tx), None)
+    if record is None:
         raise ValueError(f"UAV {tx} has no intended cells to estimate")
-    matches = np.flatnonzero((pair.cells[:, 0] == cell[0]) & (pair.cells[:, 1] == cell[1]))
+    matches = np.flatnonzero((record.cells[:, 0] == cell[0]) & (record.cells[:, 1] == cell[1]))
     if len(matches) == 0:
         raise ValueError(f"cell {cell} is not intended for UAV {tx}")
+    rows = np.flatnonzero(record.rx == listener)
+    if len(rows) == 0:
+        raise ValueError(f"UAV {listener} is not a listener of UAV {tx}")
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
     params = OfdmParams.from_config(config)
-    target_rows = _target_couplings(config, tables, params, tx, target) if illuminated_by[tx] else {}
-    values = _closed_form_estimates(config, tables, params, pair, trial, target_rows.get((tx, listener)))
+    (values,) = _closed_form_estimates(config, tables, params, trial, target, illuminated_by, [record])
     return RcsEstimate(
         cell=(int(cell[0]), int(cell[1])),
-        value_m2=float(values[matches[0]]),
+        value_m2=float(values[rows[0], matches[0]]),
         transmitter=tx,
         listener=listener,
     )

@@ -266,25 +266,29 @@ def closed_form_peaks(
     zeta,
     params: OfdmParams,
     noise_variance=0.0,
-    rng: np.random.Generator | None = None,
+    noise_draws: np.ndarray | None = None,
 ) -> np.ndarray:
     """Periodogram value at the matched point of every cell, in closed form.
 
     Equals frame synthesis + data removal + matched_point_value without
     building a frame: the coherent sum over reflections of
-    coupling[r, p] e^{-j zeta_r} (see matched_coupling) costs O(reflections)
-    per cell instead of O(reflections * N * M). With a generator, noise enters
-    as one complex Gaussian draw per cell of variance N*M*noise_variance on
-    the un-normalized sum, drawn as standard_normal((2, cells)); this matches
-    the reference path in distribution. Noiseless results equal the
-    reference path to rounding.
+    coupling[..., r, p] e^{-j zeta[..., r]} (see matched_coupling) costs
+    O(reflections) per cell instead of O(reflections * N * M). Leading axes
+    of ``coupling`` (reflections, cells) and ``zeta`` (reflections,) are
+    batch axes, e.g. one per listener. With ``noise_draws``, standard normal
+    draws of shape (..., 2, cells), noise enters as one complex Gaussian per
+    cell of variance N*M*noise_variance on the un-normalized sum, cell p
+    taking draws[..., 0, p] + j draws[..., 1, p]; this matches the reference
+    path in distribution. Noiseless results equal the reference path to
+    rounding.
     """
     N = params.symbols
     M = params.subcarriers
-    total = np.exp(-1j * np.asarray(zeta, dtype=float)) @ coupling
-    if rng is not None:
-        draws = rng.standard_normal((2, total.shape[0]))
-        total = total + np.sqrt(N * M * noise_variance / 2.0) * (draws[0] + 1j * draws[1])
+    phases = np.exp(-1j * np.asarray(zeta, dtype=float))
+    total = (phases[..., None, :] @ coupling)[..., 0, :]
+    if noise_draws is not None:
+        noise = noise_draws[..., 0, :] + 1j * noise_draws[..., 1, :]
+        total = total + np.sqrt(N * M * noise_variance / 2.0) * noise
     elif np.any(noise_variance):
-        raise ValueError("noise requires a random generator")
+        raise ValueError("noise requires standard normal draws")
     return np.abs(total) ** 2 / (N * M)

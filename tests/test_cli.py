@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from uavsense import ScenarioConfig
@@ -13,7 +14,7 @@ from uavsense.cli import (
     write_results_json,
 )
 from uavsense.config import RunOptions, parse_config_text
-from uavsense.engine import SweepRow
+from uavsense.engine import RNG_SCHEME, SweepRow
 
 HEADER = "sweep_param,sweep_value,beamformer,fusion,sigma_G_dBsm,delta,trials,hits,p_detect,ci95_halfwidth,seed"
 
@@ -91,6 +92,11 @@ class TestManifest:
         assert manifest["results"][0]["seed"] == 424242
         assert "config_text" in manifest
 
+    def test_records_numpy_version_and_rng_scheme(self):
+        manifest = build_manifest(ScenarioConfig(), RunOptions(), [_row()], [])
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["rng_scheme"] == RNG_SCHEME
+
     def test_json_rejects_empty(self, tmp_path):
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):
@@ -152,6 +158,23 @@ class TestRunCommand:
             code = main(["run", "--config", cfg_path, "--trials", "1", "--fast-path", flag, "--out", str(out)])
             assert code == 0
         assert out_fast.read_bytes() == out_ref.read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_workers_give_serial_bytes(self, tmp_path, command):
+        # Worker processes receive the per-transmitter tables by pickling.
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -10\nsweep.deltas = 0\n"
+        cfg_path = _write_config(tmp_path, text)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{command}-{workers}.csv"
+            assert main([command, "--config", cfg_path, "--trials", "6", "--workers", workers, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_workers_below_one_exit_code(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path)
+        assert main(["run", "--config", cfg_path, "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
 
 
 class TestSweepCommand:

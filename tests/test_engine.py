@@ -17,7 +17,36 @@ from uavsense import (
     run_trial,
     sweep,
 )
-from uavsense.engine import _config_for_sweep_point, substream
+from uavsense.engine import (
+    _config_for_sweep_point,
+    _philox_uniform,
+    _standard_normals,
+    _stream_keys,
+    substream,
+)
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _path_words(seed: int, *path: int) -> tuple[int, int]:
+    """The two key words of a substream path as Python ints, hashed in pure Python."""
+    acc = seed & _MASK64
+    for part in path:
+        acc = _splitmix64(acc ^ _splitmix64(part))
+    return acc, _splitmix64(acc ^ 0xA5A5A5A5A5A5A5A5)
+
+
+# Seeds whose key words for the path (0, 2, 1, 3) are (>= 2**63, >= 2**63):
+# both low, each mixed order, and both high.
+KEY_CASES = {2: (False, False), 0: (False, True), 14: (True, False), 1: (True, True)}
+KEY_PATH = (0, 2, 1, 3)
 
 
 class TestSubstream:
@@ -32,6 +61,45 @@ class TestSubstream:
         c = substream(43, 1, 2, 3).uniform(size=5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed, high", KEY_CASES.items())
+    def test_stream_keys_follow_numpy_tuple_parsing(self, seed, high):
+        # numpy parses Philox(key=(k0, k1)) with np.asarray: a tuple with
+        # exactly one word >= 2**63 becomes float64, rounding both words.
+        words = _path_words(seed, *KEY_PATH)
+        assert tuple(w >= 2**63 for w in words) == high
+        parsed = np.random.Philox(key=words).state["state"]["key"]
+        assert np.array_equal(_stream_keys(seed, *KEY_PATH), parsed)
+        assert np.array_equal(substream(seed, *KEY_PATH).bit_generator.state["state"]["key"], parsed)
+        exact = np.array(words, dtype=np.uint64)
+        assert np.array_equal(parsed, exact) == (high[0] == high[1])
+
+    def test_stream_keys_broadcast_over_ids(self):
+        tx = np.array([[0], [3]])
+        rx = np.array([1, 2, 5])
+        keys = _stream_keys(77, 4, 2, tx, rx)
+        assert keys.shape == (2, 3, 2)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(keys[i, j], _stream_keys(77, 4, 2, int(tx[i, 0]), int(rx[j])))
+
+    @pytest.mark.parametrize("count", [1, 4, 5, 38])
+    def test_vectorized_uniform_equals_numpy_philox(self, count):
+        keys = np.stack([_stream_keys(seed, *KEY_PATH) for seed in KEY_CASES])
+        got = _philox_uniform(keys, count, 2.0 * math.pi)
+        for seed, row in zip(KEY_CASES, got):
+            generator = np.random.Generator(np.random.Philox(key=_path_words(seed, *KEY_PATH)))
+            assert np.array_equal(row, generator.uniform(0.0, 2.0 * math.pi, size=count))
+
+    def test_reused_generator_noise_equals_fresh_substreams(self):
+        paths = [(3, 3, 0, 1), (3, 3, 2, 1), (3, 3, 0, 1), (0, 3, 7, 9)]
+        keys = np.stack([_stream_keys(5, *path) for path in paths])
+        generator = np.random.Generator(np.random.Philox(key=0))
+        generator.uniform(size=3)  # a used generator starts each key afresh
+        draws = _standard_normals(generator, keys, (2, 7))
+        assert draws.shape == (4, 2, 7)
+        for path, row in zip(paths, draws):
+            assert np.array_equal(row, substream(5, *path).standard_normal((2, 7)))
 
 
 class TestRunTrial:
@@ -88,7 +156,7 @@ class TestRunTrial:
         for u, local in enumerate(out.local_maps):
             for a, b in tables.cell_sets[u].intended:
                 assert math.isnan(local.values[a, b])
-        assert all(pair.tx != pair.rx for pair in tables.pairs)
+        assert all(record.tx not in record.rx for record in tables.transmitters)
 
     def test_fast_matches_reference_noiseless(self, small_config):
         fast_tables = build_tables(small_config, RunOptions(noise=False, fast_path=True))
@@ -117,20 +185,23 @@ class TestRunTrial:
     def test_estimate_cell_matches_trial_map(self, small_config):
         tables = build_tables(small_config, RunOptions())
         out = run_trial(small_config, 3, tables=tables, collect_maps=True)
-        pair = tables.pairs[5]
-        a, b = map(int, pair.cells[0])
-        single = estimate_cell(small_config, tables, pair.tx, pair.rx, (a, b), 3)
-        assert single.value_m2 == out.local_maps[pair.rx].values[a, b]
-        assert (single.transmitter, single.listener) == (pair.tx, pair.rx)
+        record = tables.transmitters[1]
+        tx, rx = record.tx, int(record.rx[2])
+        a, b = map(int, record.cells[0])
+        single = estimate_cell(small_config, tables, tx, rx, (a, b), 3)
+        assert single.value_m2 == out.local_maps[rx].values[a, b]
+        assert (single.transmitter, single.listener) == (tx, rx)
 
     def test_estimate_cell_guards(self, small_config):
         tables = build_tables(small_config, RunOptions())
         with pytest.raises(ValueError, match="half-duplex"):
             estimate_cell(small_config, tables, 1, 1, (0, 0), 0)
+        record = tables.transmitters[0]
         with pytest.raises(ValueError, match="not intended"):
-            pair = tables.pairs[0]
-            far = tuple(tables.cell_sets[(pair.tx + 1) % 4].intended[0])
-            estimate_cell(small_config, tables, pair.tx, pair.rx, far, 0)
+            far = tuple(tables.cell_sets[(record.tx + 1) % 4].intended[0])
+            estimate_cell(small_config, tables, record.tx, int(record.rx[0]), far, 0)
+        with pytest.raises(ValueError, match="not a listener"):
+            estimate_cell(small_config, tables, record.tx, 9, tuple(record.cells[0]), 0)
 
 
 class TestMonteCarlo:

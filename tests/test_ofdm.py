@@ -57,7 +57,8 @@ def direct_periodogram(frame, n_pad, m_pad):
 
 
 def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, noise_variance=0.0, rng=None):
-    """RCS estimate of one cell through matched_coupling and closed_form_peaks."""
+    """RCS estimate of one cell through matched_coupling and closed_form_peaks;
+    noise, if any, is drawn from `rng` as standard_normal((2, 1))."""
     params = OfdmParams.from_config(cfg)
     coupling = matched_coupling(
         [r.amplitude for r in reflections],
@@ -69,7 +70,8 @@ def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, no
         params,
     )
     zeta = [r.phase for r in reflections]
-    peak = closed_form_peaks(coupling, zeta, params, noise_variance, rng)[0]
+    draws = None if rng is None else rng.standard_normal((2, 1))
+    peak = closed_form_peaks(coupling, zeta, params, noise_variance, draws)[0]
     return estimate_rcs(peak, cfg, d1, d2)
 
 
@@ -123,30 +125,31 @@ class TestBuildReflections:
         dep = deploy_uavs(cfg, grid)
         sets = classify_cells(cfg, 0, grid, dep)
         tables = build_tables(cfg, RunOptions())
-        pair = next(p for p in tables.pairs if p.tx == 0 and p.rx == 1)
-        return cfg, grid, dep, sets, pair
+        record = next(r for r in tables.transmitters if r.tx == 0)
+        weights = record.weights[list(record.rx).index(1)]  # (n_p, n^2) of listener 1
+        return cfg, grid, dep, sets, weights
 
     def test_component_count_without_target(self, rng):
-        cfg, grid, dep, sets, pair = self._scene()
+        cfg, grid, dep, sets, weights = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            pair.weights[0], None, rng,
+            weights[0], None, rng,
         )
         assert len(refl) == len(sets.illuminated)
 
     def test_component_count_with_target(self, rng):
-        cfg, grid, dep, sets, pair = self._scene()
+        cfg, grid, dep, sets, weights = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            pair.weights[0], np.array([13.0, 11.0, 0.0]), rng,
+            weights[0], np.array([13.0, 11.0, 0.0]), rng,
         )
         assert len(refl) == len(sets.illuminated) + 1
 
     def test_phases_reproducible_and_in_range(self):
-        cfg, grid, dep, sets, pair = self._scene()
+        cfg, grid, dep, sets, weights = self._scene()
         make = lambda: build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            pair.weights[0], None,
+            weights[0], None,
             substream(7, 0, 2, 0, 1),
         )
         first, second = make(), make()
@@ -154,27 +157,27 @@ class TestBuildReflections:
         assert [r.phase for r in first] == [r.phase for r in second]
 
     def test_components_follow_scalar_geometry(self, rng):
-        cfg, grid, dep, sets, pair = self._scene()
+        cfg, grid, dep, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         refl = build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, pair.weights[0], target, rng,
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, rng,
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
         for r, point in zip(refl, points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
             d1, d2 = path_distances(dep.positions[0], point, dep.positions[1])
-            gain = pair.weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
+            gain = weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
             assert r.amplitude == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
             assert r.gain == pytest.approx(gain, rel=1e-12)
             assert r.delay_s == pytest.approx((d1 + d2) / C0, rel=1e-12)
             assert r.doppler_hz == cfg.doppler_hz
 
     def test_half_duplex_guard(self, rng):
-        cfg, grid, dep, sets, pair = self._scene()
+        cfg, grid, dep, sets, weights = self._scene()
         with pytest.raises(ValueError, match="half-duplex"):
             build_reflections(
                 cfg, 1, 1, dep.positions[1], dep.positions[1], sets, grid,
-                pair.weights[0], None, rng,
+                weights[0], None, rng,
             )
 
 
@@ -428,13 +431,28 @@ class TestFastCellEstimate:
         params = OfdmParams.from_config(cfg)
         coupling = np.array([[1.0 + 0.5j, 0.2j, -0.3], [0.4, 1.1 - 0.2j, 0.9j]])
         zeta = [0.3, 2.2]
-        together = closed_form_peaks(coupling, zeta, params, 0.5, np.random.default_rng(4))
         draws = np.random.default_rng(4).standard_normal((2, 3))
+        together = closed_form_peaks(coupling, zeta, params, 0.5, draws)
         for p in range(3):
             total = np.exp(-1j * np.array(zeta)) @ coupling[:, p] + math.sqrt(16 * 8 * 0.5 / 2) * (
                 draws[0, p] + 1j * draws[1, p]
             )
             assert together[p] == pytest.approx(abs(total) ** 2 / (8 * 16), rel=1e-12)
+
+    def test_listener_axis_equals_one_call_per_listener(self):
+        # A leading axis over listeners, noise included, gives each row the
+        # value of a call on that row alone, bit for bit.
+        params = small_params()
+        rng = np.random.default_rng(9)
+        coupling = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
+        noise_var = rng.uniform(0.1, 1.0, (3, 4))
+        draws = rng.standard_normal((3, 2, 4))
+        together = closed_form_peaks(coupling, zeta, params, noise_var, draws)
+        assert together.shape == (3, 4)
+        for k in range(3):
+            alone = closed_form_peaks(coupling[k], zeta[k], params, noise_var[k], draws[k])
+            assert np.array_equal(together[k], alone)
 
 
 def test_noise_only_reference_mean(rng):
