@@ -205,8 +205,6 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
         opt_updates["fast_path"] = args.fast_path == "on"
     if opt_updates:
         options = replace(options, **opt_updates)
-    if args.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {args.workers}")
     return config, options, sweep_spec
 
 
@@ -231,7 +229,7 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
 
 def _cmd_run(args) -> int:
     config, options, _ = _load_config(args)
-    stats = run_monte_carlo_all_fusions(config, options, workers=args.workers)[options.fusion]
+    stats = run_monte_carlo_all_fusions(config, options)[options.fusion]
     rows = [
         SweepRow(
             sweep_param="none",
@@ -259,7 +257,7 @@ def _cmd_sweep(args) -> int:
     if sweep_spec is None:
         print("sweep needs --preset or a config file with a sweep section", file=sys.stderr)
         return 2
-    rows, errors = sweep(sweep_spec, config, options, workers=args.workers)
+    rows, errors = sweep(sweep_spec, config, options)
     if not rows:
         print("no valid sweep points", file=sys.stderr)
         return 1
@@ -345,7 +343,6 @@ def main(argv=None) -> int:
         p.add_argument("--beamformer", choices=("ls", "capon"))
         p.add_argument("--fusion", choices=("avg", "prenorm"))
         p.add_argument("--fast-path", dest="fast_path", choices=("on", "off"))
-        p.add_argument("--workers", type=int, default=1, help="worker processes splitting the trials (default 1)")
 
     p_run = sub.add_parser("run", help="one Monte Carlo batch at a fixed configuration")
     add_common(p_run)

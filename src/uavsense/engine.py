@@ -3,7 +3,7 @@
 Every random quantity comes from a counter-style substream derived from
 (master_seed, trial, stream tag, ids), so outcomes are a pure function of the
 configuration and trial index. The fast path computes the same streams in
-bulk (keys of all pairs at once, a vectorized Philox for the phases).
+bulk: the keys of all pairs at once, then one reused generator reset to each.
 Trials are independent work units; parallel and serial execution agree bit
 for bit.
 """
@@ -89,13 +89,6 @@ _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 # to a stream's bytes gets a new name.
 RNG_SCHEME = "splitmix64-path/philox4x64-10/v1"
 
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
-
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer on uint64 arrays (wrapping arithmetic); a cheap,
@@ -104,6 +97,14 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def _words(part) -> np.ndarray:
+    # A path part as uint64, wrapping modulo 2**64: negative ids and ids of
+    # 2**64 or more name the stream of their residue.
+    if np.ndim(part) == 0:
+        return np.asarray(int(part) & _MASK64, dtype=np.uint64)
+    return np.asarray(part).astype(np.uint64)
 
 
 def _stream_keys(master_seed: int, trial, tag, *ids) -> np.ndarray:
@@ -116,7 +117,7 @@ def _stream_keys(master_seed: int, trial, tag, *ids) -> np.ndarray:
     before the cast to uint64. Keys whose words are both below 2**63, or both
     at or above it, are exact.
     """
-    path = np.stack(np.broadcast_arrays(*(np.asarray(part, dtype=np.uint64) for part in (trial, tag, *ids))))
+    path = np.stack(np.broadcast_arrays(*(_words(part) for part in (trial, tag, *ids))))
     shape = path.shape[1:]
     acc = np.full(path[0].size, master_seed & _MASK64, dtype=np.uint64)
     for hashed in _mix64(path.reshape(len(path), -1)):
@@ -133,55 +134,28 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_keys(master_seed, *path)))
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Low and high words of the 128-bit product a * m, from 32-bit halves.
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LOW32, a >> _U32
-    t = a_lo * m_lo
-    u = a_hi * m_lo + (t >> _U32)
-    v = a_lo * m_hi + (u & _LOW32)
-    return a * np.uint64(m), a_hi * m_hi + (u >> _U32) + (v >> _U32)
+def _keyed_draws(generator: np.random.Generator, keys: np.ndarray, method: str, shape: tuple) -> np.ndarray:
+    """``substream`` draws of ``method(shape)`` (an ``out``-taking Generator
+    method) for every key row of a (K, 2) array, shape (K, *shape).
 
-
-def _philox_uniform(keys: np.ndarray, count: int, high: float) -> np.ndarray:
-    """The first `count` draws of ``Generator(Philox(key=k)).uniform(0, high)``
-    for every key row of a (K, 2) array, shape (K, count).
-
-    Philox4x64-10 evaluated for all keys and blocks at once: numpy's Philox
-    starts its counter at 0 and increments it before each block, so block b
-    enciphers the counter (b + 1, 0, 0, 0); each block yields four words, and
-    a word x becomes the draw 0.0 + high * ((x >> 11) * 2**-53).
+    The Philox under `generator` is reset to each key in turn, with the
+    counter and buffer of a new generator; a reset is much cheaper than
+    constructing one.
     """
-    blocks = -(-count // 4)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
-        lo0, hi0 = _mulhilo(c0, _PHILOX_M0)
-        lo1, hi1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
-    return 0.0 + high * ((words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0))
-
-
-def _standard_normals(generator: np.random.Generator, keys: np.ndarray, shape: tuple) -> np.ndarray:
-    """``substream`` draws of standard_normal(shape) for every key row of a
-    (K, 2) array, shape (K, *shape). The Philox under `generator` is reset to
-    each key in turn, with the counter and buffer of a new generator."""
-    fresh = {
+    state = {
         "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    counter = np.zeros(4, dtype=np.uint64)
     out = np.empty((len(keys),) + tuple(shape))
-    for key, draws in zip(keys, out):
-        generator.bit_generator.state = dict(fresh, state={"counter": counter, "key": key})
-        generator.standard_normal(out=draws)
+    draw = getattr(generator, method)
+    for key, row in zip(keys, out):
+        state["state"]["key"] = key
+        generator.bit_generator.state = state
+        draw(out=row)
     return out
 
 
@@ -384,17 +358,18 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
     Reflections follow the order of build_reflections: ground cells first,
     the target last when the transmitter illuminates it. Each (tx, rx) pair
     draws its phases from substream(seed, trial, PHASE, tx, rx) and its noise
-    from substream(seed, trial, NOISE, tx, rx); the phases of all pairs come
-    from one vectorized Philox call and share its longest length.
+    from substream(seed, trial, NOISE, tx, rx); every pair draws the longest
+    phase length and uses its prefix.
     """
     tx_ids = np.concatenate([np.full(len(r.rx), r.tx) for r in records])
     rx_ids = np.concatenate([r.rx for r in records])
     lengths = [r.ground_coupling.shape[1] + int(illuminated_by[r.tx]) for r in records]
+    generator = np.random.Generator(np.random.Philox(key=0))
     keys = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx_ids, rx_ids)
-    zeta = _philox_uniform(keys, max(lengths), 2.0 * math.pi)
+    # uniform(0, 2 pi) is 0.0 + 2 pi * random(): the same bytes
+    zeta = 2.0 * math.pi * _keyed_draws(generator, keys, "random", (max(lengths),))
     if tables.options.noise:
         noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx_ids, rx_ids)
-        generator = np.random.Generator(np.random.Philox(key=0))
     estimates = []
     start = 0
     for record, length in zip(records, lengths):
@@ -405,7 +380,7 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
             target_rows = _target_couplings(config, tables, params, record, target)
             coupling = np.concatenate([coupling, target_rows[:, None, :]], axis=1)
         if tables.options.noise:
-            draws = _standard_normals(generator, noise_keys[rows], (2, len(record.cells)))
+            draws = _keyed_draws(generator, noise_keys[rows], "standard_normal", (2, len(record.cells)))
             peaks = closed_form_peaks(coupling, zeta[rows, :length], params, record.noise_var, draws)
         else:
             peaks = closed_form_peaks(coupling, zeta[rows, :length], params)

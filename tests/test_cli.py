@@ -159,23 +159,6 @@ class TestRunCommand:
             assert code == 0
         assert out_fast.read_bytes() == out_ref.read_bytes()
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_workers_give_serial_bytes(self, tmp_path, command):
-        # Worker processes receive the per-transmitter tables by pickling.
-        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -10\nsweep.deltas = 0\n"
-        cfg_path = _write_config(tmp_path, text)
-        outputs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"{command}-{workers}.csv"
-            assert main([command, "--config", cfg_path, "--trials", "6", "--workers", workers, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_workers_below_one_exit_code(self, tmp_path, capsys):
-        cfg_path = _write_config(tmp_path)
-        assert main(["run", "--config", cfg_path, "--workers", "0"]) == 2
-        assert "workers" in capsys.readouterr().err
-
 
 class TestSweepCommand:
     def test_presets_build(self):

@@ -19,8 +19,7 @@ from uavsense import (
 )
 from uavsense.engine import (
     _config_for_sweep_point,
-    _philox_uniform,
-    _standard_normals,
+    _keyed_draws,
     _stream_keys,
     substream,
 )
@@ -83,20 +82,31 @@ class TestSubstream:
             for j in range(3):
                 assert np.array_equal(keys[i, j], _stream_keys(77, 4, 2, int(tx[i, 0]), int(rx[j])))
 
+    def test_negative_and_large_ids_wrap_modulo_2_64(self):
+        # Ids are hashed modulo 2**64, like the pure-Python reference.
+        for path in [(-1, 2), (2**64 + 5, 2), (3, -7, 2**70)]:
+            parsed = np.random.Philox(key=_path_words(9, *path)).state["state"]["key"]
+            assert np.array_equal(substream(9, *path).bit_generator.state["state"]["key"], parsed)
+        assert np.array_equal(_stream_keys(9, -1, 2), _stream_keys(9, 2**64 - 1, 2))
+        wrapped = np.array([2**64 - 1, 1], dtype=np.uint64)
+        assert np.array_equal(_stream_keys(9, 0, 2, np.array([-1, 1])), _stream_keys(9, 0, 2, wrapped))
+
     @pytest.mark.parametrize("count", [1, 4, 5, 38])
-    def test_vectorized_uniform_equals_numpy_philox(self, count):
+    def test_reused_generator_phases_equal_numpy_uniform(self, count):
+        # The fast path scales random() by 2 pi in place of uniform(0, 2 pi).
         keys = np.stack([_stream_keys(seed, *KEY_PATH) for seed in KEY_CASES])
-        got = _philox_uniform(keys, count, 2.0 * math.pi)
+        generator = np.random.Generator(np.random.Philox(key=0))
+        got = 2.0 * math.pi * _keyed_draws(generator, keys, "random", (count,))
         for seed, row in zip(KEY_CASES, got):
-            generator = np.random.Generator(np.random.Philox(key=_path_words(seed, *KEY_PATH)))
-            assert np.array_equal(row, generator.uniform(0.0, 2.0 * math.pi, size=count))
+            fresh = np.random.Generator(np.random.Philox(key=_path_words(seed, *KEY_PATH)))
+            assert np.array_equal(row, fresh.uniform(0.0, 2.0 * math.pi, size=count))
 
     def test_reused_generator_noise_equals_fresh_substreams(self):
         paths = [(3, 3, 0, 1), (3, 3, 2, 1), (3, 3, 0, 1), (0, 3, 7, 9)]
         keys = np.stack([_stream_keys(5, *path) for path in paths])
         generator = np.random.Generator(np.random.Philox(key=0))
         generator.uniform(size=3)  # a used generator starts each key afresh
-        draws = _standard_normals(generator, keys, (2, 7))
+        draws = _keyed_draws(generator, keys, "standard_normal", (2, 7))
         assert draws.shape == (4, 2, 7)
         for path, row in zip(paths, draws):
             assert np.array_equal(row, substream(5, *path).standard_normal((2, 7)))
