@@ -140,17 +140,14 @@ def ls_beamformer(mesh: AoAMesh, n: int, iterations: int = 10, tol: float = 1e-1
     return BeamformerWeights(weights=w, design="ls", intended=intended, fit_residual=residual)
 
 
-def capon_beamformer(intended: AoA, n: int, loading: float = 1e-2) -> BeamformerWeights:
+def capon_beamformer(intended: AoA, n: int) -> BeamformerWeights:
     """Minimum-variance distortionless weights for the single-direction model.
 
-    The modeled covariance R = g g^H + loading * I of the intended direction
-    gives R^-1 g = g / (loading + g^H g), so R^-1 g / (g^H R^-1 g) equals
-    g / (g^H g) exactly for every loading > 0; no system is solved, and
-    ``loading`` is validated but does not change the weights. They satisfy
-    w^H g(intended) = 1.
+    The modeled covariance R = g g^H + eps * I of the intended direction gives
+    R^-1 g = g / (eps + g^H g), so R^-1 g / (g^H R^-1 g) equals g / (g^H g)
+    exactly for every loading eps > 0; no system is solved and no loading is
+    needed. The weights satisfy w^H g(intended) = 1.
     """
-    if loading <= 0:
-        raise ValueError(f"diagonal loading must be positive, got {loading}")
     g = steering_vector(intended, n)
     w = g / np.vdot(g, g).real
     return BeamformerWeights(weights=w, design="capon", intended=intended)

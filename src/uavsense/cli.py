@@ -6,10 +6,12 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -131,11 +133,18 @@ def render_results_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Environment variables that set the BLAS thread count; LS table builds run
+# many times slower or faster depending on them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
     return {
         "tool": "uavsense",
         "version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": config.master_seed,
@@ -146,7 +155,6 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
             "fusion": options.fusion,
             "fast_path": options.fast_path,
             "noise": options.noise,
-            "capon_loading": options.capon_loading,
             "ls_iterations": options.ls_iterations,
         },
         "errors": errors,

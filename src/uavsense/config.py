@@ -172,7 +172,6 @@ class RunOptions:
     fusion: str = "avg"  # "avg" or "prenorm"
     fast_path: bool = True
     noise: bool = True
-    capon_loading: float = 1e-2  # validated only: Capon weights g / (g^H g) do not depend on it
     ls_iterations: int = 10
 
     def __post_init__(self):
@@ -180,8 +179,6 @@ class RunOptions:
             raise ConfigError(f"beamformer: must be 'ls' or 'capon', got {self.beamformer!r}")
         if self.fusion not in ("avg", "prenorm"):
             raise ConfigError(f"fusion: must be 'avg' or 'prenorm', got {self.fusion!r}")
-        if not self.capon_loading > 0:
-            raise ConfigError(f"capon_loading: must be positive, got {self.capon_loading!r}")
         if self.ls_iterations < 0:
             raise ConfigError(f"ls_iterations: must be >= 0, got {self.ls_iterations!r}")
 
@@ -264,7 +261,6 @@ _OPTION_KEYS = {
     "run.fusion": ("fusion", str),
     "run.fast_path": ("fast_path", lambda s: _parse_onoff("run.fast_path", s)),
     "run.noise": ("noise", lambda s: _parse_onoff("run.noise", s)),
-    "run.capon_loading": ("capon_loading", float),
     "run.ls_iterations": ("ls_iterations", int),
 }
 
@@ -389,7 +385,6 @@ def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: Sweep
     lines.append(f"run.fusion = {options.fusion}")
     lines.append(f"run.fast_path = {'on' if options.fast_path else 'off'}")
     lines.append(f"run.noise = {'on' if options.noise else 'off'}")
-    lines.append(f"run.capon_loading = {options.capon_loading!r}")
     lines.append(f"run.ls_iterations = {options.ls_iterations}")
     if sweep is not None:
         lines.append(f"sweep.parameter = {sweep.parameter}")

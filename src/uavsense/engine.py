@@ -78,7 +78,7 @@ _MASK64 = (1 << 64) - 1
 
 # RunOptions fields that shape a trial run on given tables; tables carry the
 # options they were built with, and a caller's options must agree on these.
-_TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise", "capon_loading", "ls_iterations")
+_TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise", "ls_iterations")
 
 # Config fields that may change between a table build and a run (RCS values,
 # trial count, master seed); every other field shapes the tables.
@@ -261,12 +261,21 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     params = OfdmParams.from_config(config)
     noise_w = config.noise_density_w_hz * config.bandwidth_hz
 
-    def design(direction: AoA) -> np.ndarray:
-        if options.beamformer == "capon":
-            return capon_beamformer(direction, n, loading=options.capon_loading).weights
-        return ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
+    # A design is a pure function of its intended AoA, and the uniform
+    # deployment repeats (listener, cell) offsets, so each distinct direction is
+    # designed once, keyed on the exact bits of (theta, phi).
+    designs: dict[bytes, np.ndarray] = {}
 
-    # Intended sets never overlap, so each (listener, cell) is designed once.
+    def design(theta: float, phi: float) -> np.ndarray:
+        key = np.array([theta, phi]).tobytes()
+        if key not in designs:
+            direction = AoA(theta, phi)
+            if options.beamformer == "capon":
+                designs[key] = capon_beamformer(direction, n).weights
+            else:
+                designs[key] = ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
+        return designs[key]
+
     transmitters = []
     for tx in range(U):
         intended = cell_sets[tx].intended
@@ -297,7 +306,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
 
             toward = aoa(rx_pos, p_points)
-            w_stack = np.stack([design(AoA(t, f)) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
+            w_stack = np.stack([design(t, f) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
             chi = w_stack.conj() @ steering_matrix(aoa(rx_pos, q_points), n)  # (n_p, n_q)
             record.ground_coupling[k] = matched_coupling(
                 reflection_amplitude(config, 1.0, d1_q, d2_q),

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from uavsense import ScenarioConfig
 from uavsense.cli import (
@@ -92,10 +93,19 @@ class TestManifest:
         assert manifest["results"][0]["seed"] == 424242
         assert "config_text" in manifest
 
-    def test_records_numpy_version_and_rng_scheme(self):
+    def test_records_numpy_version_and_rng_scheme(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         manifest = build_manifest(ScenarioConfig(), RunOptions(), [_row()], [])
         assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
         assert manifest["rng_scheme"] == RNG_SCHEME
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_json_rejects_empty(self, tmp_path):
         cfg = ScenarioConfig()

@@ -90,6 +90,12 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config_text("scenario.ground_rcs_dbsm = -30\nscenario.ground_rcs_m2 = 0.001\n")
 
 
+def test_removed_capon_loading_key_rejected():
+    # A removed key fails by name instead of being silently ignored.
+    with pytest.raises(ConfigError, match="run.capon_loading: unknown"):
+        parse_config_text("run.capon_loading = 0.01\n")
+
+
 def test_parse_constraint_violation_names_field():
     with pytest.raises(ConfigError, match="uav_count"):
         parse_config_text("scenario.uav_count = 15\n")
@@ -148,5 +154,3 @@ def test_run_options_validation():
         RunOptions(beamformer="mvdr")
     with pytest.raises(ConfigError, match="fusion"):
         RunOptions(fusion="median")
-    with pytest.raises(ConfigError, match="capon_loading"):
-        RunOptions(capon_loading=0.0)

@@ -17,6 +17,9 @@ from uavsense import (
     run_trial,
     sweep,
 )
+from uavsense import engine
+from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer
+from uavsense.geometry import aoa
 from uavsense.engine import (
     _config_for_sweep_point,
     _keyed_draws,
@@ -110,6 +113,35 @@ class TestSubstream:
         assert draws.shape == (4, 2, 7)
         for path, row in zip(paths, draws):
             assert np.array_equal(row, substream(5, *path).standard_normal((2, 7)))
+
+
+class TestBuildTables:
+    @pytest.mark.parametrize("beamformer", ["capon", "ls"])
+    def test_each_distinct_direction_designed_once(self, small_config, monkeypatch, beamformer):
+        name = f"{beamformer}_beamformer"
+        calls = []
+
+        def counting(*args, original=getattr(engine, name), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+        options = RunOptions(beamformer=beamformer)
+        tables = build_tables(small_config, options)
+        n = small_config.array_side
+        pairs, directions = 0, set()
+        for record in tables.transmitters:
+            for k, rx in enumerate(record.rx):
+                for i, (a, b) in enumerate(record.cells):
+                    d = aoa(tables.deployment.positions[rx], tables.grid.centers[a, b])
+                    pairs += 1
+                    directions.add(np.array([d.theta, d.phi]).tobytes())
+                    if beamformer == "capon":
+                        fresh = capon_beamformer(d, n).weights
+                    else:
+                        fresh = ls_beamformer(aoa_mesh(d, n), n, iterations=options.ls_iterations).weights
+                    assert record.weights[k, i].tobytes() == fresh.tobytes()
+        assert len(calls) == len(directions) < pairs
 
 
 class TestRunTrial:
@@ -250,7 +282,6 @@ class TestMonteCarlo:
             ("noise", False),
             ("fast_path", False),
             ("beamformer", "ls"),
-            ("capon_loading", 1e-3),
             ("ls_iterations", 3),
         ],
     )
