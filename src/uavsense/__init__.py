@@ -36,10 +36,7 @@ from .geometry import (
     path_distances,
 )
 from .beamforming import (
-    AoAMesh,
-    BeamformerWeights,
     aoa_mesh,
-    beam_pattern,
     capon_beamformer,
     ls_beamformer,
     steering_matrix,
@@ -47,7 +44,6 @@ from .beamforming import (
 )
 from .ofdm import (
     OfdmParams,
-    RcsEstimate,
     ReflectionComponent,
     build_reflections,
     closed_form_peaks,
@@ -63,7 +59,6 @@ from .ofdm import (
 )
 from .fusion import (
     DetectionResult,
-    FusedMap,
     LocalRcsMap,
     detect,
     detection_delta,
@@ -77,7 +72,6 @@ from .engine import (
     SweepRow,
     TrialOutcome,
     build_tables,
-    estimate_cell,
     run_monte_carlo,
     run_monte_carlo_all_fusions,
     run_trial,

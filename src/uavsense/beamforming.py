@@ -1,4 +1,4 @@
-"""Steering vectors, beam patterns, and the two receive beamformer designs.
+"""Steering vectors and the two receive beamformer designs.
 
 The receive gain convention is Hermitian throughout: the gain of a reflection
 with steering vector g under weights w is w^H g, so a distortionless design
@@ -8,7 +8,6 @@ has w^H g(intended) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -16,12 +15,8 @@ import scipy.linalg
 from .geometry import AoA
 
 __all__ = [
-    "SteeringOrder",
-    "BeamformerWeights",
-    "AoAMesh",
     "steering_vector",
     "steering_matrix",
-    "beam_pattern",
     "aoa_mesh",
     "ls_beamformer",
     "capon_beamformer",
@@ -29,33 +24,6 @@ __all__ = [
 
 # Diagonal loading applied when the LS normal matrix is singular.
 _LS_LOADING = 1e-9
-
-
-@dataclass(frozen=True)
-class BeamformerWeights:
-    """Receive weights for the n x n array, flattened row-major over (i, j)."""
-
-    weights: np.ndarray  # (n*n,) complex
-    design: str  # "ls" or "capon"
-    intended: AoA
-    fit_residual: float | None = None  # pre-normalization LS residual ||A w - v||^2
-
-
-@dataclass(frozen=True)
-class AoAMesh:
-    """Evenly wrapped (elevation, azimuth) mesh centred on the intended AoA.
-
-    n elevations by 4n azimuths, raveled elevation-major, with the desired
-    response 1 at the intended (first) mesh point and 0 elsewhere. The modular
-    wrap can duplicate the first elevation/azimuth at the far end; duplicates
-    are kept as written.
-    """
-
-    elevations: np.ndarray  # (n,)
-    azimuths: np.ndarray  # (4n,)
-    theta: np.ndarray  # (4n^2,) raveled
-    phi: np.ndarray  # (4n^2,)
-    desired: np.ndarray  # (4n^2,) real
 
 
 def steering_matrix(directions: AoA, n: int) -> np.ndarray:
@@ -83,40 +51,35 @@ def steering_vector(direction: AoA, n: int) -> np.ndarray:
     return steering_matrix(direction, n)[:, 0]
 
 
-def beam_pattern(matrix: np.ndarray, weights: BeamformerWeights | np.ndarray) -> np.ndarray:
-    """Complex gain w^H g at every AoA column of the steering matrix."""
-    w = weights.weights if isinstance(weights, BeamformerWeights) else np.asarray(weights)
-    if matrix.shape[0] != w.shape[0]:
-        raise ValueError(f"steering matrix has {matrix.shape[0]} rows, weights have {w.shape[0]} entries")
-    return w.conj() @ matrix
+def aoa_mesh(intended: AoA, n: int) -> AoA:
+    """The heuristic design mesh of n elevations x 4n azimuths, raveled
+    elevation-major into (4n^2,) arrays; the intended AoA is the first point.
 
-
-def aoa_mesh(intended: AoA, n: int) -> AoAMesh:
-    """Build the heuristic design mesh of n elevations x 4n azimuths."""
+    The modular wrap can duplicate the first elevation/azimuth at the far
+    end; duplicates are kept as written.
+    """
     if n < 2:
         raise ValueError(f"array side must be >= 2 for the design mesh, got {n}")
     i = np.arange(n)
     j = np.arange(4 * n)
     elevations = np.mod(intended.theta + i * math.pi / (2.0 * (n - 1)), math.pi / 2.0)
     azimuths = np.mod(intended.phi + j * 2.0 * math.pi / (4.0 * n - 1.0), 2.0 * math.pi)
-    theta = np.repeat(elevations, 4 * n)
-    phi = np.tile(azimuths, n)
-    desired = np.zeros(4 * n * n)
-    desired[0] = 1.0
-    return AoAMesh(elevations=elevations, azimuths=azimuths, theta=theta, phi=phi, desired=desired)
+    return AoA(theta=np.repeat(elevations, 4 * n), phi=np.tile(azimuths, n))
 
 
-def ls_beamformer(mesh: AoAMesh, n: int, iterations: int = 10, tol: float = 1e-10) -> BeamformerWeights:
-    """Constrained least-squares design over the AoA mesh.
+def ls_beamformer(mesh: AoA, n: int, iterations: int = 10, tol: float = 1e-10) -> np.ndarray:
+    """Constrained least-squares weights (n^2,) over the AoA mesh.
 
     Minimizes ||A w - v||_2^2 where row h of A is the conjugated steering
-    vector of mesh AoA h and v is the one-hot desired response, then rescales
-    to ||w||_2 = 1. Solved through the normal equations with a Cholesky
-    factorization (diagonal loading if singular) plus an iterative refinement
-    loop that never lets the residual grow.
+    vector of mesh AoA h and v is the desired response, 1 at the intended
+    (first) mesh point and 0 elsewhere, then rescales to ||w||_2 = 1. Solved
+    through the normal equations with a Cholesky factorization (diagonal
+    loading if singular) plus an iterative refinement loop that never lets the
+    residual grow.
     """
-    response_matrix = steering_matrix(AoA(mesh.theta, mesh.phi), n).conj().T  # (H', n^2)
-    v = mesh.desired.astype(complex)
+    response_matrix = steering_matrix(mesh, n).conj().T  # (H', n^2)
+    v = np.zeros(response_matrix.shape[0], dtype=complex)
+    v[0] = 1.0
     normal = response_matrix.conj().T @ response_matrix
     rhs = response_matrix.conj().T @ v
     try:
@@ -135,13 +98,11 @@ def ls_beamformer(mesh: AoAMesh, n: int, iterations: int = 10, tol: float = 1e-1
         w, residual = candidate, cand_residual
         if improved < tol:
             break
-    w = w / np.linalg.norm(w)
-    intended = AoA(theta=float(mesh.elevations[0]), phi=float(mesh.azimuths[0]))
-    return BeamformerWeights(weights=w, design="ls", intended=intended, fit_residual=residual)
+    return w / np.linalg.norm(w)
 
 
-def capon_beamformer(intended: AoA, n: int) -> BeamformerWeights:
-    """Minimum-variance distortionless weights for the single-direction model.
+def capon_beamformer(intended: AoA, n: int) -> np.ndarray:
+    """Minimum-variance distortionless weights (n^2,) for the single-direction model.
 
     The modeled covariance R = g g^H + eps * I of the intended direction gives
     R^-1 g = g / (eps + g^H g), so R^-1 g / (g^H R^-1 g) equals g / (g^H g)
@@ -149,5 +110,4 @@ def capon_beamformer(intended: AoA, n: int) -> BeamformerWeights:
     needed. The weights satisfy w^H g(intended) = 1.
     """
     g = steering_vector(intended, n)
-    w = g / np.vdot(g, g).real
-    return BeamformerWeights(weights=w, design="capon", intended=intended)
+    return g / np.vdot(g, g).real

@@ -1,4 +1,4 @@
-"""Command-line surface: run / sweep / selftest, CSV and JSON result emission."""
+"""Command-line surface: run / sweep, CSV and JSON result emission."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy
@@ -24,20 +24,7 @@ from .config import (
     parse_config_file,
     render_config_text,
 )
-from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_vector
-from .engine import RNG_SCHEME, SweepRow, run_monte_carlo_all_fusions, sweep
-from .geometry import AoA
-from .ofdm import (
-    OfdmParams,
-    ReflectionComponent,
-    estimate_rcs,
-    matched_point_value,
-    periodogram_grid,
-    reflection_amplitude,
-    remove_data,
-    synth_rx_frame,
-    synth_tx_frame,
-)
+from .engine import RNG_SCHEME, SweepRow, run_monte_carlo_all_fusions, sweep, sweep_rows
 
 __all__ = ["main", "build_preset", "write_results_csv", "write_results_json", "PRESETS"]
 
@@ -150,13 +137,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "master_seed": config.master_seed,
         "config": config_as_dict(config),
         "config_text": render_config_text(config, options, sweep_spec),
-        "options": {
-            "beamformer": options.beamformer,
-            "fusion": options.fusion,
-            "fast_path": options.fast_path,
-            "noise": options.noise,
-            "ls_iterations": options.ls_iterations,
-        },
+        "options": asdict(options),
         "errors": errors,
         "results": [
             {
@@ -238,22 +219,8 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
 def _cmd_run(args) -> int:
     config, options, _ = _load_config(args)
     stats = run_monte_carlo_all_fusions(config, options)[options.fusion]
-    rows = [
-        SweepRow(
-            sweep_param="none",
-            sweep_value=0.0,
-            beamformer=options.beamformer,
-            fusion=options.fusion,
-            sigma_g_dbsm=10.0 * math.log10(config.ground_rcs_m2),
-            delta=delta,
-            trials=stats.trials,
-            hits=stats.hits[delta],
-            p_detect=stats.p_detect(delta),
-            ci95_halfwidth=stats.ci95_halfwidth(delta),
-            seed=config.master_seed,
-        )
-        for delta in DELTAS
-    ]
+    sigma_g_dbsm = 10.0 * math.log10(config.ground_rcs_m2)
+    rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma_g_dbsm, config.master_seed)
     _emit(args, config, options, rows, [])
     return 0
 
@@ -271,67 +238,6 @@ def _cmd_sweep(args) -> int:
         return 1
     _emit(args, config, options, rows, errors, sweep_spec)
     return 0
-
-
-def _selftest_periodogram() -> str | None:
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        frame = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        fast = periodogram_grid(frame, 16, 16)
-        k = np.arange(8)
-        n_idx = np.arange(16)
-        f_sym = np.exp(-2j * np.pi * np.outer(n_idx, k) / 16.0)
-        f_sub = np.exp(2j * np.pi * np.outer(k, n_idx) / 16.0)
-        direct = np.abs(f_sym @ frame @ f_sub) ** 2 / frame.size
-        if not np.allclose(fast, direct, rtol=1e-9, atol=1e-12):
-            return "fast periodogram deviates from the direct double sum"
-    return None
-
-
-def _selftest_beamformers() -> str | None:
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        direction = AoA(theta=rng.uniform(0, np.pi / 2 * 0.99), phi=rng.uniform(0, 2 * np.pi))
-        g = steering_vector(direction, 8)
-        w = capon_beamformer(direction, 8).weights
-        if abs(w.conj() @ g - 1.0) > 1e-12:
-            return "capon weights break the unit-gain constraint"
-        wls = ls_beamformer(aoa_mesh(direction, 8), 8).weights
-        if abs(np.linalg.norm(wls) - 1.0) > 1e-9:
-            return "ls weights are not unit-norm"
-    return None
-
-
-def _selftest_roundtrip() -> str | None:
-    config = ScenarioConfig()
-    params = OfdmParams.from_config(config)
-    rng = np.random.default_rng(3)
-    tx = synth_tx_frame(params, rng)
-    d1 = d2 = 150.0
-    b = reflection_amplitude(config, config.target_rcs_m2, d1, d2)
-    tau = (d1 + d2) / 299792458.0
-    refl = [ReflectionComponent(amplitude=b, gain=1.0 + 0j, delay_s=tau, doppler_hz=0.0, phase=0.0)]
-    rx = synth_rx_frame(tx, refl, params)
-    peak = matched_point_value(remove_data(rx, tx), tau, 0.0, params)
-    sigma = estimate_rcs(peak, config, d1, d2)
-    if abs(sigma - config.target_rcs_m2) > 1e-6 * config.target_rcs_m2:
-        return f"RCS roundtrip returned {sigma} for {config.target_rcs_m2}"
-    return None
-
-
-def _cmd_selftest(args) -> int:
-    checks = [
-        ("periodogram transform equivalence", _selftest_periodogram),
-        ("beamformer constraints", _selftest_beamformers),
-        ("rcs estimate roundtrip", _selftest_roundtrip),
-    ]
-    failed = False
-    for name, check in checks:
-        error = check()
-        status = "ok" if error is None else f"FAIL ({error})"
-        print(f"selftest {name}: {status}")
-        failed = failed or error is not None
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -357,15 +263,12 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="parameter sweep, by preset or config sweep section")
     add_common(p_sweep)
     p_sweep.add_argument("--preset", choices=PRESETS)
-    p_self = sub.add_parser("selftest", help="run the built-in oracle checks")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_selftest(args)
+        return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

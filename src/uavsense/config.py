@@ -114,6 +114,8 @@ class ScenarioConfig:
         ]:
             if not (isinstance(value, int) and value >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {value!r}")
+        if self.array_side < 2:
+            raise ConfigError(f"array_side: must be >= 2 for a beam width, got {self.array_side}")
         if not math.isfinite(self.doppler_hz):
             raise ConfigError(f"doppler_hz: must be finite, got {self.doppler_hz!r}")
         if self.ground_rcs_m2 >= self.target_rcs_m2:

@@ -39,7 +39,6 @@ from .geometry import (
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from .ofdm import (
     OfdmParams,
-    RcsEstimate,
     build_reflections,
     closed_form_peaks,
     estimate_rcs,
@@ -58,11 +57,11 @@ __all__ = [
     "SweepRow",
     "ScenarioTables",
     "build_tables",
-    "estimate_cell",
     "run_trial",
     "run_monte_carlo",
     "run_monte_carlo_all_fusions",
     "sweep",
+    "sweep_rows",
     "substream",
 ]
 
@@ -164,8 +163,8 @@ class TrialOutcome:
     trial: int
     target_xy: tuple[float, float]
     detections: dict  # fusion method -> DetectionResult
-    local_maps: list | None = None
-    fused_maps: dict | None = None
+    local_maps: list | None = None  # LocalRcsMap of each UAV
+    fused_maps: dict | None = None  # fusion method -> (L, L) fused map
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,35 @@ class SweepRow:
     p_detect: float
     ci95_halfwidth: float
     seed: int
+
+
+def sweep_rows(
+    stats: DetectionStats,
+    deltas,
+    sweep_param: str,
+    sweep_value: float,
+    beamformer: str,
+    fusion: str,
+    sigma_g_dbsm: float,
+    seed: int,
+) -> list[SweepRow]:
+    """One result row per delta of a batch's detection statistics."""
+    return [
+        SweepRow(
+            sweep_param=sweep_param,
+            sweep_value=float(sweep_value),
+            beamformer=beamformer,
+            fusion=fusion,
+            sigma_g_dbsm=float(sigma_g_dbsm),
+            delta=delta,
+            trials=stats.trials,
+            hits=stats.hits[delta],
+            p_detect=stats.p_detect(delta),
+            ci95_halfwidth=stats.ci95_halfwidth(delta),
+            seed=seed,
+        )
+        for delta in deltas
+    ]
 
 
 @dataclass
@@ -238,6 +266,8 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     design only; RCS values, seeds, and trial counts can change without a
     rebuild (ground amplitudes are stored for unit RCS).
     """
+    if config.uav_count < 2:
+        raise ConfigError(f"uav_count: half-duplex sensing needs at least 2 UAVs, got {config.uav_count}")
     grid = build_grid(config)
     deployment = deploy_uavs(config, grid)
     U = config.uav_count
@@ -271,9 +301,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         if key not in designs:
             direction = AoA(theta, phi)
             if options.beamformer == "capon":
-                designs[key] = capon_beamformer(direction, n).weights
+                designs[key] = capon_beamformer(direction, n)
             else:
-                designs[key] = ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations).weights
+                designs[key] = ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations)
         return designs[key]
 
     transmitters = []
@@ -361,8 +391,8 @@ def _target_couplings(config, tables, params, record, target) -> np.ndarray:
     )
 
 
-def _closed_form_estimates(config, tables, params, trial, target, illuminated_by, records):
-    """Fast-path RCS estimates, shape (L, n_p), of every listener of each record.
+def _closed_form_estimates(config, tables, params, trial, target, illuminated_by):
+    """Fast-path RCS estimates, shape (L, n_p), of every listener of each transmitter.
 
     Reflections follow the order of build_reflections: ground cells first,
     the target last when the transmitter illuminates it. Each (tx, rx) pair
@@ -370,6 +400,7 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
     from substream(seed, trial, NOISE, tx, rx); every pair draws the longest
     phase length and uses its prefix.
     """
+    records = tables.transmitters
     tx_ids = np.concatenate([np.full(len(r.rx), r.tx) for r in records])
     rx_ids = np.concatenate([r.rx for r in records])
     lengths = [r.ground_coupling.shape[1] + int(illuminated_by[r.tx]) for r in records]
@@ -427,10 +458,10 @@ def _estimate_pair_reference(config, tables, params, record, k, trial, target, t
     return estimates
 
 
-def _reference_estimates(config, tables, params, trial, target, illuminated_by, records):
-    """Frame-level RCS estimates, shape (L, n_p), of every listener of each record."""
+def _reference_estimates(config, tables, params, trial, target, illuminated_by):
+    """Frame-level RCS estimates, shape (L, n_p), of every listener of each transmitter."""
     estimates = []
-    for record in records:
+    for record in tables.transmitters:
         tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, record.tx))
         lit_target = target if illuminated_by[record.tx] else None
         rows = [
@@ -467,18 +498,16 @@ def run_trial(
 
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
     params = OfdmParams.from_config(config)
-    records = tables.transmitters
     estimate = _closed_form_estimates if tables.options.fast_path else _reference_estimates
     maps = np.full((U, L, L), np.nan)
-    for record, est in zip(records, estimate(config, tables, params, trial, target, illuminated_by, records)):
+    for record, est in zip(tables.transmitters, estimate(config, tables, params, trial, target, illuminated_by)):
         maps[record.rx[:, None], record.cells[:, 0], record.cells[:, 1]] = est
 
-    local_maps = [LocalRcsMap(owner=u, values=maps[u]) for u in range(U)]
     true_cell = cell_of_point(tables.grid, target[0], target[1])
     detections = {}
     fused_maps = {}
     for method in FUSION_METHODS:
-        fused = fuse(local_maps, method=method)
+        fused = fuse(maps, method=method)
         detected = detect(fused)
         center = tables.grid.centers[detected[0], detected[1]]
         delta_star = detection_delta(target, center, config.cell_size_m)
@@ -493,46 +522,8 @@ def run_trial(
         trial=trial,
         target_xy=(float(target[0]), float(target[1])),
         detections=detections,
-        local_maps=local_maps if collect_maps else None,
+        local_maps=[LocalRcsMap(owner=u, values=maps[u]) for u in range(U)] if collect_maps else None,
         fused_maps=fused_maps if collect_maps else None,
-    )
-
-
-def estimate_cell(
-    config: ScenarioConfig,
-    tables: ScenarioTables,
-    tx: int,
-    listener: int,
-    cell: tuple[int, int],
-    trial: int,
-    target_override=None,
-) -> RcsEstimate:
-    """Fast-path RCS estimate of one intended cell for one listener.
-
-    Returns exactly the value run_trial would place in the listener's local
-    map for that cell on the same trial.
-    """
-    if tx == listener:
-        raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
-    if not tables.compatible_with(config):
-        raise ConfigError("tables were built for a different scenario geometry")
-    record = next((r for r in tables.transmitters if r.tx == tx), None)
-    if record is None:
-        raise ValueError(f"UAV {tx} has no intended cells to estimate")
-    matches = np.flatnonzero((record.cells[:, 0] == cell[0]) & (record.cells[:, 1] == cell[1]))
-    if len(matches) == 0:
-        raise ValueError(f"cell {cell} is not intended for UAV {tx}")
-    rows = np.flatnonzero(record.rx == listener)
-    if len(rows) == 0:
-        raise ValueError(f"UAV {listener} is not a listener of UAV {tx}")
-    target, illuminated_by = _trial_target(config, tables, trial, target_override)
-    params = OfdmParams.from_config(config)
-    (values,) = _closed_form_estimates(config, tables, params, trial, target, illuminated_by, [record])
-    return RcsEstimate(
-        cell=(int(cell[0]), int(cell[1])),
-        value_m2=float(values[rows[0], matches[0]]),
-        transmitter=tx,
-        listener=listener,
     )
 
 
@@ -677,21 +668,8 @@ def sweep(
                     sigma_report = sigma_dbsm
                 stats = run_monte_carlo_all_fusions(config, options, workers, tables)
                 for fusion in spec.fusions:
-                    for delta in spec.deltas:
-                        st = stats[fusion]
-                        rows.append(
-                            SweepRow(
-                                sweep_param=spec.parameter,
-                                sweep_value=float(value),
-                                beamformer=beamformer,
-                                fusion=fusion,
-                                sigma_g_dbsm=float(sigma_report),
-                                delta=delta,
-                                trials=st.trials,
-                                hits=st.hits[delta],
-                                p_detect=st.p_detect(delta),
-                                ci95_halfwidth=st.ci95_halfwidth(delta),
-                                seed=config.master_seed,
-                            )
-                        )
+                    rows += sweep_rows(
+                        stats[fusion], spec.deltas, spec.parameter, value, beamformer, fusion, sigma_report,
+                        config.master_seed,
+                    )
     return rows, errors

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "LocalRcsMap",
-    "FusedMap",
     "DetectionResult",
     "normalize_map",
     "fuse",
@@ -31,12 +30,6 @@ class LocalRcsMap:
 
 
 @dataclass(frozen=True)
-class FusedMap:
-    values: np.ndarray
-    method: str  # "avg" or "prenorm"
-
-
-@dataclass(frozen=True)
 class DetectionResult:
     detected_cell: tuple[int, int]
     true_cell: tuple[int, int]
@@ -44,45 +37,41 @@ class DetectionResult:
     hits: tuple[bool, bool, bool]  # delta = 0, 1, 2
 
 
-def normalize_map(local: LocalRcsMap) -> LocalRcsMap:
-    """Rescale finite entries to [0, 1]; a constant map maps to all zeros."""
-    values = local.values
-    finite = np.isfinite(values)
-    if not finite.any():
-        return LocalRcsMap(owner=local.owner, values=values.copy())
-    lo = np.nanmin(values)
-    hi = np.nanmax(values)
-    out = np.full_like(values, np.nan)
-    if hi == lo:
-        out[finite] = 0.0
-    else:
-        out[finite] = (values[finite] - lo) / (hi - lo)
-    return LocalRcsMap(owner=local.owner, values=out)
+def normalize_map(values: np.ndarray) -> np.ndarray:
+    """Rescale the finite entries of each map (the last two axes) to [0, 1].
+
+    A constant map maps to all zeros; no-estimate cells, and so an all-NaN
+    map, stay NaN.
+    """
+    estimated = ~np.isnan(values)
+    lo = np.min(values, axis=(-2, -1), keepdims=True, initial=np.inf, where=estimated)
+    hi = np.max(values, axis=(-2, -1), keepdims=True, initial=-np.inf, where=estimated)
+    span = hi - lo
+    scaled = np.divide(values - lo, span, out=np.zeros_like(values), where=span > 0)
+    return np.where(np.isfinite(values), scaled, np.nan)
 
 
-def fuse(maps: list[LocalRcsMap], method: str = "avg") -> FusedMap:
-    """Average the local maps cell by cell over the maps that estimated each cell.
+def fuse(maps: np.ndarray, method: str = "avg") -> np.ndarray:
+    """Average a (U, L, L) stack of local maps cell by cell over the maps that
+    estimated each cell, giving the (L, L) fused map.
 
     "prenorm" rescales every local map to [0, 1] before averaging. A fused
     cell is NaN exactly when no local map holds an estimate for it.
     """
-    if not maps:
+    if len(maps) == 0:
         raise ValueError("at least one local map is required")
     if method == "prenorm":
-        maps = [normalize_map(m) for m in maps]
+        maps = normalize_map(maps)
     elif method != "avg":
         raise ValueError(f"unknown fusion method {method!r}")
-    stack = np.stack([m.values for m in maps])
-    finite = np.isfinite(stack)
+    finite = np.isfinite(maps)
     counts = finite.sum(axis=0)
-    sums = np.where(finite, stack, 0.0).sum(axis=0)
-    fused = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-    return FusedMap(values=fused, method=method)
+    sums = np.where(finite, maps, 0.0).sum(axis=0)
+    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
 
-def detect(fused: FusedMap | np.ndarray) -> tuple[int, int]:
+def detect(values: np.ndarray) -> tuple[int, int]:
     """Cell of highest fused estimate; ties break to the smallest row-major index."""
-    values = fused.values if isinstance(fused, FusedMap) else fused
     if not np.isfinite(values).any():
         raise ValueError("no cell carries an estimate")
     flat = np.where(np.isfinite(values), values, -np.inf)

@@ -24,7 +24,6 @@ from .beamforming import steering_matrix
 __all__ = [
     "OfdmParams",
     "ReflectionComponent",
-    "RcsEstimate",
     "synth_tx_frame",
     "reflection_amplitude",
     "build_reflections",
@@ -77,14 +76,6 @@ class ReflectionComponent:
     delay_s: float
     doppler_hz: float
     phase: float
-
-
-@dataclass(frozen=True)
-class RcsEstimate:
-    cell: tuple[int, int]
-    value_m2: float
-    transmitter: int
-    listener: int
 
 
 def synth_tx_frame(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ class TestManifest:
             "MKL_NUM_THREADS": None,
         }
 
+    def test_options_record_every_run_option(self):
+        options = RunOptions(beamformer="ls", fusion="prenorm", noise=False, ls_iterations=3)
+        manifest = build_manifest(ScenarioConfig(), options, [_row()], [])
+        assert list(manifest["options"]) == [f.name for f in fields(RunOptions)]
+        assert all(manifest["options"][f.name] == getattr(options, f.name) for f in fields(RunOptions))
+
     def test_json_rejects_empty(self, tmp_path):
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):
@@ -153,6 +160,18 @@ class TestRunCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("scenario.uav_count = 15\n")
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side"),
+            ("scenario.uav_count = 1\nscenario.grid_side = 4\nscenario.array_side = 4\n", "uav_count"),
+        ],
+    )
+    def test_config_without_a_sensing_pair_exit_code(self, tmp_path, capsys, text, field):
+        cfg_path = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path)
@@ -214,10 +233,11 @@ class TestSweepCommand:
         assert len(lines) == 3
 
 
-def test_selftest_exit_zero(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok") == 3
+def test_selftest_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_parse_defaults_give_table_values():

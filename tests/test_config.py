@@ -60,6 +60,7 @@ def test_db_conversions():
         (dict(altitude_m=50.0), "altitude_m"),
         (dict(master_seed=-1), "master_seed"),
         (dict(trials=0), "trials"),
+        (dict(array_side=1), "array_side"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):

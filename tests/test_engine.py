@@ -11,7 +11,6 @@ from uavsense import (
     SweepSpec,
     build_tables,
     derive_altitude,
-    estimate_cell,
     run_monte_carlo,
     run_monte_carlo_all_fusions,
     run_trial,
@@ -137,9 +136,9 @@ class TestBuildTables:
                     pairs += 1
                     directions.add(np.array([d.theta, d.phi]).tobytes())
                     if beamformer == "capon":
-                        fresh = capon_beamformer(d, n).weights
+                        fresh = capon_beamformer(d, n)
                     else:
-                        fresh = ls_beamformer(aoa_mesh(d, n), n, iterations=options.ls_iterations).weights
+                        fresh = ls_beamformer(aoa_mesh(d, n), n, iterations=options.ls_iterations)
                     assert record.weights[k, i].tobytes() == fresh.tobytes()
         assert len(calls) == len(directions) < pairs
 
@@ -205,8 +204,8 @@ class TestRunTrial:
         ref_tables = build_tables(small_config, RunOptions(noise=False, fast_path=False))
         a = run_trial(small_config, 2, tables=fast_tables, collect_maps=True)
         b = run_trial(small_config, 2, tables=ref_tables, collect_maps=True)
-        va = a.fused_maps["avg"].values
-        vb = b.fused_maps["avg"].values
+        va = a.fused_maps["avg"]
+        vb = b.fused_maps["avg"]
         finite = np.isfinite(va)
         assert np.array_equal(finite, np.isfinite(vb))
         assert np.allclose(va[finite], vb[finite], rtol=1e-9)
@@ -223,27 +222,6 @@ class TestRunTrial:
         louder = replace(small_config, ground_rcs_m2=0.1, master_seed=77)
         out = run_trial(louder, 0, tables=tables)
         assert out.detections["avg"] is not None
-
-    def test_estimate_cell_matches_trial_map(self, small_config):
-        tables = build_tables(small_config, RunOptions())
-        out = run_trial(small_config, 3, tables=tables, collect_maps=True)
-        record = tables.transmitters[1]
-        tx, rx = record.tx, int(record.rx[2])
-        a, b = map(int, record.cells[0])
-        single = estimate_cell(small_config, tables, tx, rx, (a, b), 3)
-        assert single.value_m2 == out.local_maps[rx].values[a, b]
-        assert (single.transmitter, single.listener) == (tx, rx)
-
-    def test_estimate_cell_guards(self, small_config):
-        tables = build_tables(small_config, RunOptions())
-        with pytest.raises(ValueError, match="half-duplex"):
-            estimate_cell(small_config, tables, 1, 1, (0, 0), 0)
-        record = tables.transmitters[0]
-        with pytest.raises(ValueError, match="not intended"):
-            far = tuple(tables.cell_sets[(record.tx + 1) % 4].intended[0])
-            estimate_cell(small_config, tables, record.tx, int(record.rx[0]), far, 0)
-        with pytest.raises(ValueError, match="not a listener"):
-            estimate_cell(small_config, tables, record.tx, 9, tuple(record.cells[0]), 0)
 
 
 class TestMonteCarlo:
@@ -351,6 +329,14 @@ class TestSweep:
         assert len(errors) == 1
         assert "7.0" in errors[0]
         assert {r.sweep_value for r in rows} == {10.0}
+
+    def test_single_element_array_point_reported(self, small_config):
+        spec = SweepSpec(parameter="antennas", values=(1.0, 4.0), sigma_g_dbsm=(-30.0,), deltas=(0,))
+        rows, errors = sweep(spec, replace(small_config, trials=2))
+        assert len(errors) == 1
+        assert errors[0].startswith("antennas=1.0: array_side")
+        assert {r.sweep_value for r in rows} == {4.0}
+        assert len(rows) == 1
 
     def test_row_axes(self, small_config):
         cfg = replace(small_config, trials=2)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uavsense import (
-    LocalRcsMap,
     chebyshev_cell_distance,
     detect,
     detection_delta,
@@ -12,79 +11,93 @@ from uavsense import (
 )
 
 
-def local(values, owner=0):
-    return LocalRcsMap(owner=owner, values=np.asarray(values, dtype=float))
+def stack(*maps):
+    """A (U, L, L) stack of local maps."""
+    return np.array(maps, dtype=float)
 
 
 class TestNormalizeMap:
     def test_three_values(self):
-        out = normalize_map(local([[2.0, 4.0, 6.0]]))
-        assert np.allclose(out.values, [[0.0, 0.5, 1.0]])
+        out = normalize_map(stack([2.0, 4.0, 6.0]))
+        assert np.allclose(out, [[0.0, 0.5, 1.0]])
 
     def test_endpoints(self, rng):
         values = rng.uniform(1.0, 9.0, size=(6, 6))
         values[0, 0] = np.nan
-        out = normalize_map(local(values)).values
+        out = normalize_map(values)
         assert np.nanmin(out) == 0.0
         assert np.nanmax(out) == 1.0
         assert np.isnan(out[0, 0])
 
     def test_constant_map(self):
-        out = normalize_map(local([[5.0, 5.0]]))
-        assert np.allclose(out.values, 0.0)
+        out = normalize_map(stack([5.0, 5.0]))
+        assert np.allclose(out, 0.0)
 
     def test_all_nan_passthrough(self):
-        out = normalize_map(local([[np.nan, np.nan]]))
-        assert np.all(np.isnan(out.values))
+        out = normalize_map(stack([np.nan, np.nan]))
+        assert np.all(np.isnan(out))
 
     def test_idempotent(self, rng):
         values = rng.uniform(0.0, 3.0, size=(4, 4))
-        once = normalize_map(local(values))
+        once = normalize_map(values)
         twice = normalize_map(once)
-        assert np.allclose(once.values, twice.values)
+        assert np.allclose(once, twice)
+
+    def test_stack_equals_map_by_map(self, rng):
+        # Each map of a stack is rescaled on its own, byte for byte as alone;
+        # constant and all-NaN maps raise no floating-point warning.
+        maps = rng.uniform(0.0, 5.0, size=(4, 3, 3))
+        maps[0, 1, 2] = np.nan
+        maps[1] = 2.5
+        maps[2] = np.nan
+        with np.errstate(all="raise"):
+            out = normalize_map(maps)
+            for u in range(len(maps)):
+                assert normalize_map(maps[u]).tobytes() == out[u].tobytes()
+        assert np.all(out[1] == 0.0)
+        assert np.all(np.isnan(out[2]))
 
 
 class TestFuse:
     def test_mean_of_two(self):
-        fused = fuse([local([[1.0]]), local([[3.0]], owner=1)])
-        assert fused.values[0, 0] == 2.0
+        fused = fuse(stack([[1.0]], [[3.0]]))
+        assert fused[0, 0] == 2.0
 
     def test_single_contributor(self):
-        fused = fuse([local([[np.nan, 2.0]]), local([[4.0, np.nan]], owner=1)])
-        assert np.allclose(fused.values, [[4.0, 2.0]])
+        fused = fuse(stack([[np.nan, 2.0]], [[4.0, np.nan]]))
+        assert np.allclose(fused, [[4.0, 2.0]])
 
     def test_nan_only_where_nobody_estimates(self):
-        fused = fuse([local([[np.nan, 1.0]]), local([[np.nan, 2.0]], owner=1)])
-        assert np.isnan(fused.values[0, 0])
-        assert fused.values[0, 1] == 1.5
+        fused = fuse(stack([[np.nan, 1.0]], [[np.nan, 2.0]]))
+        assert np.isnan(fused[0, 0])
+        assert fused[0, 1] == 1.5
 
     def test_prenorm_shared_argmax(self):
         # Two maps on different scales with co-located maxima fuse to a
         # maximum of exactly 1 at the shared argmax cell.
         a = np.arange(9.0).reshape(3, 3) * 10 / 8
         b = np.arange(9.0).reshape(3, 3) * 1000 / 8
-        fused = fuse([local(a), local(b, owner=1)], method="prenorm")
-        assert fused.values[2, 2] == pytest.approx(1.0)
-        assert np.nanmax(fused.values) == pytest.approx(1.0)
+        fused = fuse(stack(a, b), method="prenorm")
+        assert fused[2, 2] == pytest.approx(1.0)
+        assert np.nanmax(fused) == pytest.approx(1.0)
         assert detect(fused) == (2, 2)
 
     def test_requires_maps(self):
         with pytest.raises(ValueError):
-            fuse([])
+            fuse(np.empty((0, 2, 2)))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            fuse([local([[1.0]])], method="median")
+            fuse(stack([[1.0]]), method="median")
 
     def test_scale_invariance_of_average_argmax(self, rng):
-        maps = [local(rng.uniform(0, 5, size=(5, 5)), owner=i) for i in range(4)]
-        scaled = [local(7.3 * m.values, owner=m.owner) for m in maps]
-        assert detect(fuse(maps)) == detect(fuse(scaled))
+        maps = rng.uniform(0, 5, size=(4, 5, 5))
+        assert detect(fuse(maps)) == detect(fuse(7.3 * maps))
 
     def test_consistency_when_maps_agree(self, rng):
         values = rng.uniform(0, 1, size=(5, 5))
         values[3, 1] = 2.0
-        maps = [local(values.copy(), owner=i) for i in range(3)]
+        maps = stack(values, values, values)
         assert detect(fuse(maps, "avg")) == (3, 1)
         assert detect(fuse(maps, "prenorm")) == (3, 1)
 
