@@ -44,7 +44,7 @@ from .beamforming import (
 )
 from .ofdm import (
     OfdmParams,
-    ReflectionComponent,
+    Reflections,
     build_reflections,
     closed_form_peaks,
     dirichlet_kernel,

@@ -335,11 +335,21 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             d2_p = np.linalg.norm(rx_pos - p_points, axis=1)
             tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
 
+            with np.errstate(over="ignore", divide="ignore"):
+                amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
+                record.est_scale[k] = estimate_rcs(1.0, config, d1_p, d2_p)
+            scales = np.concatenate([amplitude, record.est_scale[k]])
+            if not np.all((scales > 0) & (scales < np.inf)):
+                raise ConfigError(
+                    f"carrier_frequency_hz: a wavelength of {config.wavelength_m!r} m with transmit_power_w = "
+                    f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
+                    "amplitudes or RCS scales of this geometry outside the positive finite floats"
+                )
             toward = aoa(rx_pos, p_points)
             w_stack = np.stack([design(t, f) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
             chi = w_stack.conj() @ steering_matrix(aoa(rx_pos, q_points), n)  # (n_p, n_q)
             record.ground_coupling[k] = matched_coupling(
-                reflection_amplitude(config, 1.0, d1_q, d2_q),
+                amplitude,
                 chi.T,
                 (d1_q + d2_q) / SPEED_OF_LIGHT,
                 config.doppler_hz,
@@ -348,7 +358,6 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                 params,
             )
             record.matched_delay[k] = tau_p
-            record.est_scale[k] = estimate_rcs(1.0, config, d1_p, d2_p)
             record.noise_var[k] = noise_w * np.sum(np.abs(w_stack) ** 2, axis=1)
             record.weights[k] = w_stack
         transmitters.append(record)
@@ -428,47 +437,38 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
     return estimates
 
 
-def _estimate_pair_reference(config, tables, params, record, k, trial, target, tx_frame):
-    """Full frame-level pipeline for every intended cell of one listener (row
-    k of the transmitter's record).
-
-    Every cell redraws the pair's phases from a new generator on the
-    substream (trial, PHASE, tx, rx), and its noise from (trial, NOISE, tx,
-    rx, a, b); the keys of all cells are derived in one call.
-    """
-    tx, rx = record.tx, int(record.rx[k])
-    tx_pos = tables.deployment.positions[tx]
-    rx_pos = tables.deployment.positions[rx]
-    sets = tables.cell_sets[tx]
-    phase_key = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx, rx)
-    a, b = record.cells.T
-    noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx, rx, a, b)
-    estimates = np.empty(len(record.cells))
-    for i in range(len(record.cells)):
-        rng_phase = np.random.Generator(np.random.Philox(key=phase_key))
-        reflections = build_reflections(
-            config, tx, rx, tx_pos, rx_pos, sets, tables.grid, record.weights[k, i], target, rng_phase
-        )
-        noise_var = float(record.noise_var[k, i]) if tables.options.noise else 0.0
-        rng_noise = np.random.Generator(np.random.Philox(key=noise_keys[i]))
-        rx_frame = synth_rx_frame(tx_frame, reflections, params, noise_var, rng_noise)
-        processed = remove_data(rx_frame, tx_frame)
-        peak = matched_point_value(processed, float(record.matched_delay[k, i]), config.doppler_hz, params)
-        estimates[i] = peak * record.est_scale[k, i]
-    return estimates
-
-
 def _reference_estimates(config, tables, params, trial, target, illuminated_by):
-    """Frame-level RCS estimates, shape (L, n_p), of every listener of each transmitter."""
+    """Frame-level RCS estimates, shape (L, n_p), of every listener of each transmitter.
+
+    Each (tx, rx) pair builds its reflections once, with phases from
+    substream(seed, trial, PHASE, tx, rx) and one gain row per intended cell,
+    and synthesizes the frames of all its cells as one stack; the frame of
+    cell (a, b) takes its noise from substream(seed, trial, NOISE, tx, rx, a,
+    b). Frames are held for one pair at a time.
+    """
+    positions = tables.deployment.positions
+    generator = np.random.Generator(np.random.Philox(key=0))
     estimates = []
     for record in tables.transmitters:
-        tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, record.tx))
-        lit_target = target if illuminated_by[record.tx] else None
-        rows = [
-            _estimate_pair_reference(config, tables, params, record, k, trial, lit_target, tx_frame)
-            for k in range(len(record.rx))
-        ]
-        estimates.append(np.stack(rows))
+        tx = record.tx
+        tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
+        lit_target = target if illuminated_by[tx] else None
+        phase_keys = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx, record.rx)
+        noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx, record.rx[:, None], *record.cells.T)
+        peaks = np.empty(record.matched_delay.shape)
+        for k, rx in enumerate(record.rx):
+            reflections = build_reflections(
+                config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
+                record.weights[k], lit_target, np.random.Generator(np.random.Philox(key=phase_keys[k])),
+            )
+            if tables.options.noise:
+                draws = _keyed_draws(generator, noise_keys[k], "standard_normal", (2,) + tx_frame.shape)
+                rx_frames = synth_rx_frame(tx_frame, reflections, params, record.noise_var[k], draws)
+            else:
+                rx_frames = synth_rx_frame(tx_frame, reflections, params)
+            processed = remove_data(rx_frames, tx_frame)
+            peaks[k] = matched_point_value(processed, record.matched_delay[k], config.doppler_hz, params)
+        estimates.append(peaks * record.est_scale)
     return estimates
 
 

@@ -23,7 +23,7 @@ from .beamforming import steering_matrix
 
 __all__ = [
     "OfdmParams",
-    "ReflectionComponent",
+    "Reflections",
     "synth_tx_frame",
     "reflection_amplitude",
     "build_reflections",
@@ -67,15 +67,15 @@ class OfdmParams:
 
 
 @dataclass(frozen=True)
-class ReflectionComponent:
-    """One reflection in the received frame: amplitude, beamformed gain,
-    bistatic delay, Doppler, and the random phase of the reflector."""
+class Reflections:
+    """The reflections in a received frame as arrays over r: amplitude, delay, Doppler and
+    random phase of shape (R,), and the beamformed gain (..., R), one row per weight vector."""
 
-    amplitude: float
-    gain: complex
-    delay_s: float
-    doppler_hz: float
-    phase: float
+    amplitude: np.ndarray
+    gain: np.ndarray
+    delay_s: np.ndarray
+    doppler_hz: np.ndarray
+    phase: np.ndarray
 
 
 def synth_tx_frame(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
@@ -104,12 +104,13 @@ def build_reflections(
     weights: np.ndarray,
     target_pos: np.ndarray | None,
     rng: np.random.Generator,
-) -> list[ReflectionComponent]:
-    """Reflection components seen by `listener` while `tx` illuminates.
+) -> Reflections:
+    """Reflections seen by `listener` while `tx` illuminates.
 
-    One ground component per illuminated cell (in row-major cell order), plus
-    one target component appended iff ``target_pos`` is given (the target was
-    illuminated). ``weights`` is the listener's (n^2,) receive weight vector.
+    One ground reflection per illuminated cell (in row-major cell order), plus
+    one target reflection appended iff ``target_pos`` is given (the target was
+    illuminated). ``weights`` is one (n^2,) receive weight vector or a stack,
+    e.g. (n_p, n^2) for the listener's intended cells, with one gain row each.
     Phases are drawn i.i.d. uniform on [0, 2*pi) in that order, so a reused
     stream reproduces identical phases.
     """
@@ -121,53 +122,52 @@ def build_reflections(
     if target_pos is not None:
         points = np.vstack([points, target_pos])
         rcs = np.append(rcs, config.target_rcs_m2)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(points))
     d1 = np.linalg.norm(points - tx_pos, axis=1)
     d2 = np.linalg.norm(rx_pos - points, axis=1)
-    amplitudes = reflection_amplitude(config, rcs, d1, d2)
-    gains = weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side)
-    delays = (d1 + d2) / SPEED_OF_LIGHT
-    return [
-        ReflectionComponent(float(b), complex(g), float(tau), config.doppler_hz, float(zeta))
-        for b, g, tau, zeta in zip(amplitudes, gains, delays, phases)
-    ]
+    return Reflections(
+        amplitude=reflection_amplitude(config, rcs, d1, d2),
+        gain=weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side),
+        delay_s=(d1 + d2) / SPEED_OF_LIGHT,
+        doppler_hz=np.full(len(points), config.doppler_hz),
+        phase=rng.uniform(0.0, 2.0 * math.pi, size=len(points)),
+    )
 
 
 def synth_rx_frame(
     tx_frame: np.ndarray,
-    reflections: list[ReflectionComponent],
+    reflections: Reflections,
     params: OfdmParams,
-    noise_variance: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise_variance=0.0,
+    noise_draws: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Received frame: the superposition of all reflections plus noise.
+    """Received frames, shape (..., N, M): the superposition of all reflections plus noise.
 
     Element (k, l) is
-    sum_r b_r chi_r tx[k, l] e^{+j 2 pi f_r T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z[k, l]
-    with z circularly-symmetric complex Gaussian of the given per-sample variance.
+    sum_r b_r chi_r tx[k, l] e^{+j 2 pi f_r T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z[k, l],
+    the rank-R product D (N x R) diag(b chi e^{-j zeta}) E (R x M) times the
+    data, one frame per leading row of the gain. With standard normal
+    ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]).
     """
     N, M = tx_frame.shape
     if (N, M) != (params.symbols, params.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
     k = np.arange(N)[:, None]
     l = np.arange(M)[None, :]
-    rx = np.zeros((N, M), dtype=complex)
-    for r in reflections:
-        doppler_ramp = np.exp(2j * math.pi * r.doppler_hz * params.symbol_duration_s * k)
-        delay_ramp = np.exp(-2j * math.pi * r.delay_s * params.subcarrier_spacing_hz * l)
-        rx += (r.amplitude * r.gain * np.exp(-1j * r.phase)) * doppler_ramp * delay_ramp
-    rx *= tx_frame
-    if noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("noise requires a random generator")
-        scale = math.sqrt(noise_variance / 2.0)
-        rx += scale * (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
+    doppler_ramps = np.exp(2j * math.pi * reflections.doppler_hz * params.symbol_duration_s * k)  # (N, R)
+    delay_ramps = np.exp(-2j * math.pi * reflections.delay_s[:, None] * params.subcarrier_spacing_hz * l)  # (R, M)
+    weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (..., R)
+    rx = ((doppler_ramps * weighted[..., None, :]) @ delay_ramps) * tx_frame
+    if noise_draws is not None:
+        scale = np.sqrt(np.asarray(noise_variance) / 2.0)[..., None, None]
+        rx = rx + scale * (noise_draws[..., 0, :, :] + 1j * noise_draws[..., 1, :, :])
+    elif np.any(noise_variance):
+        raise ValueError("noise requires standard normal draws")
     return rx
 
 
 def remove_data(rx_frame: np.ndarray, tx_frame: np.ndarray) -> np.ndarray:
-    """Element-wise division removing the transmitted data from the frame."""
-    if rx_frame.shape != tx_frame.shape:
+    """Element-wise division removing the transmitted data from each (N, M) frame of a stack."""
+    if rx_frame.shape[-2:] != tx_frame.shape:
         raise ValueError("frame shapes differ")
     if np.any(tx_frame == 0):
         raise ValueError("transmit frame contains zero symbols")
@@ -190,17 +190,17 @@ def periodogram_grid(frame: np.ndarray, padded_symbols: int, padded_subcarriers:
     return np.abs(spectrum) ** 2 / (N * M)
 
 
-def matched_point_value(frame: np.ndarray, delay_s: float, doppler_hz: float, params: OfdmParams) -> float:
+def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, params: OfdmParams):
     """Periodogram value at the exact continuous delay-Doppler point.
 
     Correlates the processed frame against the phase ramps of a hypothetical
     reflection with the given delay and Doppler; equals the grid periodogram
-    wherever the point falls on an integer bin.
+    wherever the point falls on an integer bin. Frames (..., N, M) take delays (...,).
     """
-    N, M = frame.shape
+    N, M = frame.shape[-2:]
     sym = np.exp(-2j * math.pi * doppler_hz * params.symbol_duration_s * np.arange(N))
-    sub = np.exp(2j * math.pi * delay_s * params.subcarrier_spacing_hz * np.arange(M))
-    return float(np.abs(sym @ frame @ sub) ** 2 / (N * M))
+    sub = np.exp(2j * math.pi * np.asarray(delay_s)[..., None] * params.subcarrier_spacing_hz * np.arange(M))
+    return np.abs(np.sum((sym @ frame) * sub, axis=-1)) ** 2 / (N * M)
 
 
 def estimate_rcs(peak_value, config: ScenarioConfig, d1, d2):

@@ -38,7 +38,7 @@ from uavsense import (
 )
 from uavsense.cli import main
 from uavsense.config import SPEED_OF_LIGHT
-from uavsense.ofdm import OfdmParams, ReflectionComponent
+from uavsense.ofdm import OfdmParams, Reflections
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -55,7 +55,13 @@ def test_criterion_1_rcs_roundtrip():
     d1, d2 = 170.0, 210.0
     b = reflection_amplitude(cfg, cfg.target_rcs_m2, d1, d2)
     tau = (d1 + d2) / SPEED_OF_LIGHT
-    refl = [ReflectionComponent(amplitude=b, gain=1.0 + 0j, delay_s=tau, doppler_hz=0.0, phase=0.0)]
+    refl = Reflections(
+        amplitude=np.array([b]),
+        gain=np.array([1.0 + 0j]),
+        delay_s=np.array([tau]),
+        doppler_hz=np.array([0.0]),
+        phase=np.array([0.0]),
+    )
     frame = remove_data(synth_rx_frame(tx, refl, params), tx)
     sigma = estimate_rcs(matched_point_value(frame, tau, 0.0, params), cfg, d1, d2)
     elapsed = time.perf_counter() - start
@@ -90,7 +96,7 @@ def test_criterion_2_periodogram_oracle():
         doppler = n_hat / (NP * params.symbol_duration_s)
         delay = m_hat / (MP * params.subcarrier_spacing_hz)
         tx = synth_tx_frame(params, rng)
-        refl = [ReflectionComponent(1.0, 1.0, delay, doppler, 0.7)]
+        refl = Reflections(np.array([1.0]), np.array([1.0]), np.array([delay]), np.array([doppler]), np.array([0.7]))
         grid = periodogram_grid(remove_data(synth_rx_frame(tx, refl, params), tx), NP, MP)
         ok_argmax &= np.unravel_index(np.argmax(grid), grid.shape) == (n_hat, m_hat)
     elapsed = time.perf_counter() - start
@@ -153,34 +159,35 @@ def test_criterion_4_fast_reference_equivalence():
     d1, d2 = 170.0, 210.0
     tau = (d1 + d2) / SPEED_OF_LIGHT
     b_amp = reflection_amplitude(cfg, 1e-3, d1, d2)
-    reflections = [
-        ReflectionComponent(b_amp, 1.0, tau, 0.0, 0.3),
-        ReflectionComponent(0.7 * b_amp, 0.4 - 0.2j, tau * 1.001, 0.0, 2.1),
-    ]
+    reflections = Reflections(
+        amplitude=np.array([b_amp, 0.7 * b_amp]),
+        gain=np.array([1.0, 0.4 - 0.2j]),
+        delay_s=np.array([tau, tau * 1.001]),
+        doppler_hz=np.array([0.0, 0.0]),
+        phase=np.array([0.3, 2.1]),
+    )
     nm = params.symbols * params.subcarriers
-    coherent = sum(
-        r.amplitude * r.gain * np.exp(-1j * r.phase)
-        for r in reflections
-    )  # rough scale only
+    coherent = np.sum(reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase))  # rough scale only
     noise_var = nm * abs(coherent) ** 2  # noise comparable to the signal term
     draws = 10_000
     gen_ref = np.random.default_rng(17)
     tx = synth_tx_frame(params, gen_ref)
     ref_values = np.empty(draws)
     for i in range(draws):
-        frame = remove_data(synth_rx_frame(tx, reflections, params, noise_var, gen_ref), tx)
+        draws_ref = gen_ref.standard_normal((2, params.symbols, params.subcarriers))
+        frame = remove_data(synth_rx_frame(tx, reflections, params, noise_var, draws_ref), tx)
         ref_values[i] = matched_point_value(frame, tau, 0.0, params)
     gen_fast = np.random.default_rng(18)
     coupling = matched_coupling(
-        [r.amplitude for r in reflections],
-        np.reshape([r.gain for r in reflections], (-1, 1)),
-        [r.delay_s for r in reflections],
-        [r.doppler_hz for r in reflections],
+        reflections.amplitude,
+        np.reshape(reflections.gain, (-1, 1)),
+        reflections.delay_s,
+        reflections.doppler_hz,
         [tau],
         0.0,
         params,
     )
-    zeta = [r.phase for r in reflections]
+    zeta = reflections.phase
     fast_values = np.array(
         [
             closed_form_peaks(coupling, zeta, params, noise_var, gen_fast.standard_normal((2, 1)))[0]

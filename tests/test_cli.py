@@ -173,6 +173,11 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
         assert f"configuration error: {field}" in capsys.readouterr().err
 
+    def test_carrier_out_of_float_range_exit_code(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.carrier_frequency_hz = 1e-150\n")
+        assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
+        assert "configuration error: carrier_frequency_hz" in capsys.readouterr().err
+
     def test_unwritable_output_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

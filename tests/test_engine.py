@@ -19,6 +19,14 @@ from uavsense import (
 from uavsense import engine
 from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer
 from uavsense.geometry import aoa
+from uavsense.ofdm import (
+    OfdmParams,
+    build_reflections,
+    matched_point_value,
+    remove_data,
+    synth_rx_frame,
+    synth_tx_frame,
+)
 from uavsense.engine import (
     _config_for_sweep_point,
     _keyed_draws,
@@ -142,6 +150,15 @@ class TestBuildTables:
                     assert record.weights[k, i].tobytes() == fresh.tobytes()
         assert len(calls) == len(directions) < pairs
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("carrier_hz", [1e-150, 1e160, 1e300])
+    def test_carrier_out_of_float_range_rejected(self, small_config, carrier_hz):
+        # The squared wavelength or the two-hop amplitudes overflow or underflow
+        # at these accepted frequencies, which made every estimate NaN or inf.
+        config = replace(small_config, carrier_frequency_hz=carrier_hz)
+        with pytest.raises(ConfigError, match="^carrier_frequency_hz: .*transmit_power_w"):
+            build_tables(config, RunOptions())
+
 
 class TestRunTrial:
     def test_single_cell_blocks_detect_trivially(self):
@@ -209,6 +226,31 @@ class TestRunTrial:
         finite = np.isfinite(va)
         assert np.array_equal(finite, np.isfinite(vb))
         assert np.allclose(va[finite], vb[finite], rtol=1e-9)
+
+    def test_reference_cell_equals_its_own_noise_substream(self, small_config):
+        # One (pair, cell) rebuilt alone, with a fresh generator on each of its
+        # substreams, gives the estimate of the pair's stacked frames.
+        trial = 3
+        tables = build_tables(small_config, RunOptions(noise=True, fast_path=False))
+        outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
+        target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
+        params = OfdmParams.from_config(small_config)
+        seed = small_config.master_seed
+        record = tables.transmitters[1]
+        k, i = 2, len(record.cells) - 1
+        tx, rx, (a, b) = record.tx, int(record.rx[k]), record.cells[i]
+        positions = tables.deployment.positions
+        tx_frame = synth_tx_frame(params, substream(seed, trial, engine._STREAM_TXDATA, tx))
+        reflections = build_reflections(
+            small_config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
+            record.weights[k, i], target if illuminated_by[tx] else None,
+            substream(seed, trial, engine._STREAM_PHASE, tx, rx),
+        )
+        draws = substream(seed, trial, engine._STREAM_NOISE, tx, rx, a, b).standard_normal((2, 8, 16))
+        frame = remove_data(synth_rx_frame(tx_frame, reflections, params, record.noise_var[k, i], draws), tx_frame)
+        peak = matched_point_value(frame, record.matched_delay[k, i], small_config.doppler_hz, params)
+        expected = peak * record.est_scale[k, i]
+        assert outcome.local_maps[rx].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_incompatible_tables_rejected(self, small_config):
         tables = build_tables(small_config, RunOptions())

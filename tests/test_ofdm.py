@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from uavsense import (
     ScenarioConfig,
@@ -24,7 +25,7 @@ from uavsense import (
     synth_tx_frame,
 )
 from uavsense.config import RunOptions
-from uavsense.ofdm import OfdmParams, ReflectionComponent, build_reflections, dirichlet_kernel
+from uavsense.ofdm import OfdmParams, Reflections, build_reflections, dirichlet_kernel
 from uavsense.engine import substream
 
 C0 = 299792458.0
@@ -56,20 +57,26 @@ def direct_periodogram(frame, n_pad, m_pad):
     return out
 
 
+def reflections_of(*rows):
+    """Reflections from (amplitude, gain, delay_s, doppler_hz, phase) rows."""
+    columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 5
+    return Reflections(*columns)
+
+
 def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, noise_variance=0.0, rng=None):
     """RCS estimate of one cell through matched_coupling and closed_form_peaks;
     noise, if any, is drawn from `rng` as standard_normal((2, 1))."""
     params = OfdmParams.from_config(cfg)
     coupling = matched_coupling(
-        [r.amplitude for r in reflections],
-        np.reshape([r.gain for r in reflections], (-1, 1)),
-        [r.delay_s for r in reflections],
-        [r.doppler_hz for r in reflections],
+        reflections.amplitude,
+        np.reshape(reflections.gain, (-1, 1)),
+        reflections.delay_s,
+        reflections.doppler_hz,
         [matched_delay],
         matched_doppler,
         params,
     )
-    zeta = [r.phase for r in reflections]
+    zeta = reflections.phase
     draws = None if rng is None else rng.standard_normal((2, 1))
     peak = closed_form_peaks(coupling, zeta, params, noise_variance, draws)[0]
     return estimate_rcs(peak, cfg, d1, d2)
@@ -135,7 +142,7 @@ class TestBuildReflections:
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
             weights[0], None, rng,
         )
-        assert len(refl) == len(sets.illuminated)
+        assert len(refl.phase) == len(sets.illuminated)
 
     def test_component_count_with_target(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
@@ -143,7 +150,7 @@ class TestBuildReflections:
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
             weights[0], np.array([13.0, 11.0, 0.0]), rng,
         )
-        assert len(refl) == len(sets.illuminated) + 1
+        assert len(refl.phase) == len(sets.illuminated) + 1
 
     def test_phases_reproducible_and_in_range(self):
         cfg, grid, dep, sets, weights = self._scene()
@@ -153,8 +160,8 @@ class TestBuildReflections:
             substream(7, 0, 2, 0, 1),
         )
         first, second = make(), make()
-        assert all(0 <= r.phase < 2 * math.pi for r in first)
-        assert [r.phase for r in first] == [r.phase for r in second]
+        assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
+        assert np.array_equal(first.phase, second.phase)
 
     def test_components_follow_scalar_geometry(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
@@ -163,14 +170,14 @@ class TestBuildReflections:
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, rng,
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
-        for r, point in zip(refl, points):
+        for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
             d1, d2 = path_distances(dep.positions[0], point, dep.positions[1])
             gain = weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
-            assert r.amplitude == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
-            assert r.gain == pytest.approx(gain, rel=1e-12)
-            assert r.delay_s == pytest.approx((d1 + d2) / C0, rel=1e-12)
-            assert r.doppler_hz == cfg.doppler_hz
+            assert refl.amplitude[r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
+            assert refl.gain[r] == pytest.approx(gain, rel=1e-12)
+            assert refl.delay_s[r] == pytest.approx((d1 + d2) / C0, rel=1e-12)
+            assert refl.doppler_hz[r] == cfg.doppler_hz
 
     def test_half_duplex_guard(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
@@ -180,17 +187,31 @@ class TestBuildReflections:
                 weights[0], None, rng,
             )
 
+    def test_weight_stack_gives_one_gain_row_per_vector(self):
+        cfg, grid, dep, sets, weights = self._scene()
+        target = np.array([13.0, 11.0, 0.0])
+        build = lambda w: build_reflections(
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, w, target, substream(7, 0, 2, 0, 1)
+        )
+        stacked = build(weights)
+        assert stacked.gain.shape == (len(weights), len(sets.illuminated) + 1)
+        for row, w in zip(stacked.gain, weights):
+            alone = build(w)
+            assert np.allclose(row, alone.gain, rtol=1e-12, atol=0.0)
+            for name in ("amplitude", "delay_s", "doppler_hz", "phase"):
+                assert np.array_equal(getattr(stacked, name), getattr(alone, name))
+
 
 class TestRxFrame:
     def test_no_reflections_no_noise(self, rng):
         params = small_params()
         tx = synth_tx_frame(params, rng)
-        assert np.all(synth_rx_frame(tx, [], params) == 0)
+        assert np.all(synth_rx_frame(tx, reflections_of(), params) == 0)
 
     def test_single_matched_reflection_scales_tx(self, rng):
         params = small_params()
         tx = synth_tx_frame(params, rng)
-        refl = [ReflectionComponent(amplitude=0.3, gain=1.0, delay_s=0.0, doppler_hz=0.0, phase=0.0)]
+        refl = reflections_of((0.3, 1.0, 0.0, 0.0, 0.0))
         assert np.allclose(synth_rx_frame(tx, refl, params), 0.3 * tx)
 
     def test_quarter_cycle_subcarrier_ramp(self, rng):
@@ -198,7 +219,7 @@ class TestRxFrame:
         params = small_params()
         tau = 0.25 / params.subcarrier_spacing_hz
         tx = synth_tx_frame(params, rng)
-        refl = [ReflectionComponent(amplitude=1.0, gain=1.0, delay_s=tau, doppler_hz=0.0, phase=0.0)]
+        refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
         processed = remove_data(synth_rx_frame(tx, refl, params), tx)
         l = np.arange(params.subcarriers)
         expected = np.exp(-1j * math.pi * l / 2)
@@ -208,8 +229,41 @@ class TestRxFrame:
     def test_noise_variance(self):
         params = small_params(16, 64)
         tx = np.ones((16, 64), dtype=complex)
-        rx = synth_rx_frame(tx, [], params, noise_variance=2.5, rng=np.random.default_rng(3))
+        rx = synth_rx_frame(
+            tx, reflections_of(), params, noise_variance=2.5,
+            noise_draws=np.random.default_rng(3).standard_normal((2, 16, 64)),
+        )
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(2.5, rel=0.1)
+
+
+    def test_gain_stack_equals_one_frame_per_row(self, rng):
+        # Frames of a gain stack, each with its own noise variance and draws,
+        # equal one call per row; data removal and the matched point follow.
+        params = small_params()
+        tx = synth_tx_frame(params, rng)
+        stacked = Reflections(
+            amplitude=rng.uniform(0.5, 1.5, 5),
+            gain=rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)),
+            delay_s=rng.uniform(0.0, 2e-6, 5),
+            doppler_hz=rng.uniform(-3000.0, 3000.0, 5),
+            phase=rng.uniform(0.0, 2 * math.pi, 5),
+        )
+        noise_var = rng.uniform(0.1, 1.0, 3)
+        draws = rng.standard_normal((3, 2, 8, 16))
+        delays = rng.uniform(0.0, 2e-6, 3)
+        frames = remove_data(synth_rx_frame(tx, stacked, params, noise_var, draws), tx)
+        values = matched_point_value(frames, delays, 1000.0, params)
+        assert frames.shape == (3, 8, 16) and values.shape == (3,)
+        for p in range(3):
+            row = Reflections(stacked.amplitude, stacked.gain[p], stacked.delay_s, stacked.doppler_hz, stacked.phase)
+            alone = remove_data(synth_rx_frame(tx, row, params, noise_var[p], draws[p]), tx)
+            assert np.allclose(frames[p], alone, rtol=1e-12, atol=0.0)
+            assert values[p] == pytest.approx(matched_point_value(alone, delays[p], 1000.0, params), rel=1e-12)
+
+    def test_noise_requires_draws(self, rng):
+        params = small_params()
+        with pytest.raises(ValueError, match="draws"):
+            synth_rx_frame(synth_tx_frame(params, rng), reflections_of(), params, noise_variance=1.0)
 
 
 class TestRemoveData:
@@ -219,7 +273,7 @@ class TestRemoveData:
 
     def test_data_independence(self, rng):
         params = small_params()
-        refl = [ReflectionComponent(1.0, 0.8 - 0.1j, 1e-7, 0.0, 0.4)]
+        refl = reflections_of((1.0, 0.8 - 0.1j, 1e-7, 0.0, 0.4))
         frames = []
         for seed in (1, 2):
             tx = synth_tx_frame(params, np.random.default_rng(seed))
@@ -271,7 +325,7 @@ class TestPeriodogramGrid:
             doppler = n_hat / (16 * params.symbol_duration_s)
             delay = m_hat / (32 * params.subcarrier_spacing_hz)
             tx = synth_tx_frame(params, rng)
-            refl = [ReflectionComponent(1.0, 1.0, delay, doppler, 0.9)]
+            refl = reflections_of((1.0, 1.0, delay, doppler, 0.9))
             P = periodogram_grid(remove_data(synth_rx_frame(tx, refl, params), tx), 16, 32)
             assert np.unravel_index(np.argmax(P), P.shape) == (n_hat, m_hat)
 
@@ -286,7 +340,7 @@ class TestMatchedPoint:
         tx = synth_tx_frame(params, rng)
         amp = 2.5e-7
         tau = 1.3e-6
-        refl = [ReflectionComponent(amp, 1.0, tau, 0.0, 1.1)]
+        refl = reflections_of((amp, 1.0, tau, 0.0, 1.1))
         value = matched_point_value(remove_data(synth_rx_frame(tx, refl, params), tx), tau, 0.0, params)
         assert value == pytest.approx(params.symbols * params.subcarriers * amp**2, rel=1e-9)
 
@@ -295,7 +349,7 @@ class TestMatchedPoint:
         tx = synth_tx_frame(params, rng)
         amp, tau = 1.0, 8e-7
         offset = 0.37 / params.subcarrier_spacing_hz
-        refl = [ReflectionComponent(amp, 1.0, tau, 0.0, 0.0)]
+        refl = reflections_of((amp, 1.0, tau, 0.0, 0.0))
         value = matched_point_value(
             remove_data(synth_rx_frame(tx, refl, params), tx), tau + offset, 0.0, params
         )
@@ -330,7 +384,7 @@ class TestEstimateRcs:
         d1, d2 = 180.0, 230.0
         b = reflection_amplitude(cfg, 10.0, d1, d2)
         tau = (d1 + d2) / C0
-        refl = [ReflectionComponent(b, 1.0, tau, 0.0, 0.0)]
+        refl = reflections_of((b, 1.0, tau, 0.0, 0.0))
         peak = matched_point_value(remove_data(synth_rx_frame(tx, refl, params), tx), tau, 0.0, params)
         assert estimate_rcs(peak, cfg, d1, d2) == pytest.approx(10.0, rel=1e-6)
 
@@ -369,16 +423,18 @@ class TestFastCellEstimate:
         params = OfdmParams.from_config(cfg)
         d1, d2 = 120.0, 140.0
         tau = (d1 + d2) / C0
-        reflections = [
-            ReflectionComponent(
-                amplitude=float(rng.uniform(1e-8, 1e-6)),
-                gain=complex(rng.standard_normal(), rng.standard_normal()),
-                delay_s=tau + float(rng.uniform(-2e-8, 2e-8)),
-                doppler_hz=0.0,
-                phase=float(rng.uniform(0, 2 * math.pi)),
-            )
-            for _ in range(17)
-        ]
+        reflections = reflections_of(
+            *[
+                (
+                    float(rng.uniform(1e-8, 1e-6)),
+                    complex(rng.standard_normal(), rng.standard_normal()),
+                    tau + float(rng.uniform(-2e-8, 2e-8)),
+                    0.0,
+                    float(rng.uniform(0, 2 * math.pi)),
+                )
+                for _ in range(17)
+            ]
+        )
         peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(0))
         expected = estimate_rcs(peak, cfg, d1, d2)
         got = closed_form_rcs(cfg, reflections, tau, 0.0, d1, d2)
@@ -387,7 +443,7 @@ class TestFastCellEstimate:
     def test_matched_kernel_is_frame_size(self):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
         tau = 2e-6
-        refl = [ReflectionComponent(1.0, 1.0, tau, 0.0, 0.0)]
+        refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
         got = closed_form_rcs(cfg, refl, tau, 0.0, 100.0, 100.0)
         # K = N M at zero mismatch, so the peak is N M and sigma follows Eq.-style inversion
         assert got == pytest.approx(estimate_rcs(8 * 16, cfg, 100.0, 100.0), rel=1e-12)
@@ -397,10 +453,10 @@ class TestFastCellEstimate:
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
         params = OfdmParams.from_config(cfg)
         tau = 1e-6
-        reflections = [
-            ReflectionComponent(1e-7, 1.0, tau, 4000.0, 0.2),
-            ReflectionComponent(3e-7, 0.5 + 0.5j, tau * 1.02, -2500.0, 1.5),
-        ]
+        reflections = reflections_of(
+            (1e-7, 1.0, tau, 4000.0, 0.2),
+            (3e-7, 0.5 + 0.5j, tau * 1.02, -2500.0, 1.5),
+        )
         peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(1))
         got = closed_form_rcs(cfg, reflections, tau, cfg.doppler_hz, 100.0, 100.0)
         assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
@@ -413,8 +469,9 @@ class TestFastCellEstimate:
         rng = np.random.default_rng(12)
         n = cfg.symbols_per_frame * cfg.subcarriers
         scale = estimate_rcs(1.0, cfg, 100.0, 100.0)
+        empty = reflections_of()
         values = [
-            closed_form_rcs(cfg, [], 0.0, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
+            closed_form_rcs(cfg, empty, 0.0, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
             for _ in range(10_000)
         ]
         assert np.mean(values) == pytest.approx(noise_var, rel=0.05)
@@ -464,7 +521,8 @@ def test_noise_only_reference_mean(rng):
     total = 0.0
     draws = 10_000
     for _ in range(draws):
-        frame = remove_data(synth_rx_frame(tx, [], params, noise_var, gen), tx)
+        rx = synth_rx_frame(tx, reflections_of(), params, noise_var, gen.standard_normal((2, 4, 4)))
+        frame = remove_data(rx, tx)
         total += matched_point_value(frame, 3e-7, 0.0, params)
     assert total / draws == pytest.approx(noise_var, rel=0.05)
 
@@ -485,7 +543,32 @@ def test_rcs_estimator_median_near_truth_at_high_snr():
     estimates = []
     for _ in range(1000):
         tx = synth_tx_frame(params, gen)
-        refl = [ReflectionComponent(b, 1.0, tau, 0.0, float(gen.uniform(0, 2 * math.pi)))]
-        frame = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen), tx)
+        refl = reflections_of((b, 1.0, tau, 0.0, float(gen.uniform(0, 2 * math.pi))))
+        frame = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen.standard_normal((2, 8, 16))), tx)
         estimates.append(estimate_rcs(matched_point_value(frame, tau, 0.0, params), cfg, d1, d2))
     assert np.median(estimates) == pytest.approx(sigma, rel=0.10)
+
+
+@pytest.mark.parametrize("with_signal", [False, True])
+def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
+    # The closed form's one complex Gaussian per cell against full noisy
+    # frames: 5000 matched-point values a side, two-sample Kolmogorov-Smirnov.
+    cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
+    params = OfdmParams.from_config(cfg)
+    tau = 1.2e-6
+    refl = reflections_of((1.0, 1.0, tau, 0.0, 0.3), (0.7, 0.4 - 0.2j, tau * 1.001, 0.0, 2.1))
+    if not with_signal:
+        refl = reflections_of()
+    noise_var = 128.0  # the same order as the signal's matched value N M |sum b chi e^{-j zeta}|^2, about 89
+    draws = 5000
+    gen_ref = np.random.default_rng(61)
+    tx = synth_tx_frame(params, gen_ref)
+    frames = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
+    ref_values = matched_point_value(frames, tau, 0.0, params)
+    coupling = matched_coupling(
+        refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, refl.doppler_hz, [tau], 0.0, params
+    )
+    fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
+    fast_values = closed_form_peaks(coupling, refl.phase, params, noise_var, fast_draws)[:, 0]
+    assert ref_values.shape == fast_values.shape == (draws,)
+    assert ks_2samp(ref_values, fast_values).pvalue > 0.01
