@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import scipy
@@ -28,10 +28,8 @@ from .engine import RNG_SCHEME, SweepRow, run_monte_carlo_all_fusions, sweep, sw
 
 __all__ = ["main", "build_preset", "write_results_csv", "write_results_json", "PRESETS"]
 
-_CSV_HEADER = (
-    "sweep_param,sweep_value,beamformer,fusion,sigma_G_dBsm,delta,trials,hits,"
-    "p_detect,ci95_halfwidth,seed"
-)
+# Result columns: (SweepRow field, CSV and JSON name), in CSV order.
+_RESULT_COLUMNS = [(f.name, "sigma_G_dBsm" if f.name == "sigma_g_dbsm" else f.name) for f in fields(SweepRow)]
 
 PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7")
 
@@ -98,25 +96,9 @@ def _fmt(value) -> str:
 
 def render_results_csv(rows: list[SweepRow]) -> str:
     """Plot-ready CSV; floats carry 17 significant digits so values round-trip."""
-    lines = [_CSV_HEADER]
+    lines = [",".join(column for _, column in _RESULT_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.sweep_param,
-                    _fmt(r.sweep_value),
-                    r.beamformer,
-                    r.fusion,
-                    _fmt(r.sigma_g_dbsm),
-                    str(r.delta),
-                    str(r.trials),
-                    str(r.hits),
-                    _fmt(r.p_detect),
-                    _fmt(r.ci95_halfwidth),
-                    str(r.seed),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name, _ in _RESULT_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -139,22 +121,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "config_text": render_config_text(config, options, sweep_spec),
         "options": asdict(options),
         "errors": errors,
-        "results": [
-            {
-                "sweep_param": r.sweep_param,
-                "sweep_value": r.sweep_value,
-                "beamformer": r.beamformer,
-                "fusion": r.fusion,
-                "sigma_G_dBsm": r.sigma_g_dbsm,
-                "delta": r.delta,
-                "trials": r.trials,
-                "hits": r.hits,
-                "p_detect": r.p_detect,
-                "ci95_halfwidth": r.ci95_halfwidth,
-                "seed": r.seed,
-            }
-            for r in rows
-        ],
+        "results": [{column: getattr(r, name) for name, column in _RESULT_COLUMNS} for r in rows],
     }
 
 

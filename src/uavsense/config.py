@@ -174,15 +174,12 @@ class RunOptions:
     fusion: str = "avg"  # "avg" or "prenorm"
     fast_path: bool = True
     noise: bool = True
-    ls_iterations: int = 10
 
     def __post_init__(self):
         if self.beamformer not in ("ls", "capon"):
             raise ConfigError(f"beamformer: must be 'ls' or 'capon', got {self.beamformer!r}")
         if self.fusion not in ("avg", "prenorm"):
             raise ConfigError(f"fusion: must be 'avg' or 'prenorm', got {self.fusion!r}")
-        if self.ls_iterations < 0:
-            raise ConfigError(f"ls_iterations: must be >= 0, got {self.ls_iterations!r}")
 
 
 _SWEEP_PARAMS = (
@@ -263,7 +260,6 @@ _OPTION_KEYS = {
     "run.fusion": ("fusion", str),
     "run.fast_path": ("fast_path", lambda s: _parse_onoff("run.fast_path", s)),
     "run.noise": ("noise", lambda s: _parse_onoff("run.noise", s)),
-    "run.ls_iterations": ("ls_iterations", int),
 }
 
 _SWEEP_KEYS = {
@@ -387,7 +383,6 @@ def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: Sweep
     lines.append(f"run.fusion = {options.fusion}")
     lines.append(f"run.fast_path = {'on' if options.fast_path else 'off'}")
     lines.append(f"run.noise = {'on' if options.noise else 'off'}")
-    lines.append(f"run.ls_iterations = {options.ls_iterations}")
     if sweep is not None:
         lines.append(f"sweep.parameter = {sweep.parameter}")
         lines.append("sweep.values = " + ", ".join(repr(v) for v in sweep.values))

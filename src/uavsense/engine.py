@@ -11,6 +11,7 @@ for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -77,7 +78,7 @@ _MASK64 = (1 << 64) - 1
 
 # RunOptions fields that shape a trial run on given tables; tables carry the
 # options they were built with, and a caller's options must agree on these.
-_TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise", "ls_iterations")
+_TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise")
 
 # Config fields that may change between a table build and a run (RCS values,
 # trial count, master seed); every other field shapes the tables.
@@ -290,77 +291,75 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
 
     params = OfdmParams.from_config(config)
     noise_w = config.noise_density_w_hz * config.bandwidth_hz
+    positions = deployment.positions
 
-    # A design is a pure function of its intended AoA, and the uniform
-    # deployment repeats (listener, cell) offsets, so each distinct direction is
-    # designed once, keyed on the exact bits of (theta, phi).
-    designs: dict[bytes, np.ndarray] = {}
-
-    def design(theta: float, phi: float) -> np.ndarray:
-        key = np.array([theta, phi]).tobytes()
-        if key not in designs:
-            direction = AoA(theta, phi)
-            if options.beamformer == "capon":
-                designs[key] = capon_beamformer(direction, n)
-            else:
-                designs[key] = ls_beamformer(aoa_mesh(direction, n), n, iterations=options.ls_iterations)
-        return designs[key]
-
-    transmitters = []
+    # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
+    staged, angles = [], []
     for tx in range(U):
         intended = cell_sets[tx].intended
         if len(intended) == 0:
             continue
         illuminated = cell_sets[tx].illuminated
-        tx_pos = deployment.positions[tx]
-        q_points = grid.centers[illuminated[:, 0], illuminated[:, 1]]  # (n_q, 3)
-        d1_q = np.linalg.norm(q_points - tx_pos, axis=1)
-        p_points = grid.centers[intended[:, 0], intended[:, 1]]  # (n_p, 3)
-        d1_p = np.linalg.norm(p_points - tx_pos, axis=1)
         listeners = np.array([rx for rx in range(U) if rx != tx])
-        n_l, n_q, n_p = len(listeners), len(q_points), len(p_points)
-        record = _TransmitterTables(
-            tx=tx,
-            rx=listeners,
-            cells=intended,
-            matched_delay=np.empty((n_l, n_p)),
-            est_scale=np.empty((n_l, n_p)),
-            noise_var=np.empty((n_l, n_p)),
-            ground_coupling=np.empty((n_l, n_q, n_p), dtype=complex),
-            weights=np.empty((n_l, n_p, n * n), dtype=complex),
-        )
-        for k, rx in enumerate(listeners):
-            rx_pos = deployment.positions[rx]
-            d2_q = np.linalg.norm(rx_pos - q_points, axis=1)
-            d2_p = np.linalg.norm(rx_pos - p_points, axis=1)
-            tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-
-            with np.errstate(over="ignore", divide="ignore"):
-                amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
-                record.est_scale[k] = estimate_rcs(1.0, config, d1_p, d2_p)
-            scales = np.concatenate([amplitude, record.est_scale[k]])
-            if not np.all((scales > 0) & (scales < np.inf)):
-                raise ConfigError(
-                    f"carrier_frequency_hz: a wavelength of {config.wavelength_m!r} m with transmit_power_w = "
-                    f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
-                    "amplitudes or RCS scales of this geometry outside the positive finite floats"
-                )
-            toward = aoa(rx_pos, p_points)
-            w_stack = np.stack([design(t, f) for t, f in zip(toward.theta, toward.phi)])  # (n_p, n^2)
-            chi = w_stack.conj() @ steering_matrix(aoa(rx_pos, q_points), n)  # (n_p, n_q)
-            record.ground_coupling[k] = matched_coupling(
-                amplitude,
-                chi.T,
-                (d1_q + d2_q) / SPEED_OF_LIGHT,
-                config.doppler_hz,
-                tau_p,
-                config.doppler_hz,
-                params,
+        rx_pos = positions[listeners][:, None]  # (L, 1, 3)
+        q_points = grid.centers[illuminated[:, 0], illuminated[:, 1]]  # (n_q, 3)
+        d1_q = np.linalg.norm(q_points - positions[tx], axis=1)
+        d2_q = np.linalg.norm(rx_pos - q_points, axis=-1)  # (L, n_q)
+        p_points = grid.centers[intended[:, 0], intended[:, 1]]  # (n_p, 3)
+        d1_p = np.linalg.norm(p_points - positions[tx], axis=1)
+        d2_p = np.linalg.norm(rx_pos - p_points, axis=-1)  # (L, n_p)
+        with np.errstate(over="ignore", divide="ignore"):
+            amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
+            est_scale = estimate_rcs(1.0, config, d1_p, d2_p)
+        scales = np.concatenate([amplitude, est_scale], axis=1)
+        if not np.all((scales > 0) & (scales < np.inf)):
+            raise ConfigError(
+                f"carrier_frequency_hz: a wavelength of {config.wavelength_m!r} m with transmit_power_w = "
+                f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
+                "amplitudes or RCS scales of this geometry outside the positive finite floats"
             )
-            record.matched_delay[k] = tau_p
-            record.noise_var[k] = noise_w * np.sum(np.abs(w_stack) ** 2, axis=1)
-            record.weights[k] = w_stack
-        transmitters.append(record)
+        tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
+        tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
+        staged.append((tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p, est_scale))
+        toward = aoa(rx_pos, p_points)  # (L, n_p)
+        angles.append(np.stack([toward.theta, toward.phi], axis=-1).reshape(-1, 2))
+
+    # A design is a pure function of its intended AoA, and the uniform
+    # deployment repeats (listener, cell) offsets, so each distinct direction is
+    # designed once, keyed on the exact bits of (theta, phi) (so -0.0 and 0.0 stay apart).
+    keys, inverse = np.unique(np.concatenate(angles).view(np.uint64), axis=0, return_inverse=True)
+    directions = [AoA(theta, phi) for theta, phi in keys.view(np.float64)]
+    if options.beamformer == "capon":
+        designs = np.stack([capon_beamformer(direction, n) for direction in directions])
+    else:
+        designs = np.stack([ls_beamformer(aoa_mesh(direction, n), n) for direction in directions])
+
+    transmitters = []
+    start = 0
+    for tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p, est_scale in staged:
+        n_l, n_p = tau_p.shape
+        weights = designs[inverse[start : start + n_l * n_p]].reshape(n_l, n_p, n * n)
+        start += n_l * n_p
+        # matmul hands a stack to BLAS only when it is contiguous; a strided
+        # operand is summed in another order.
+        ground = steering_matrix(aoa(rx_pos, q_points), n).reshape(n * n, n_l, -1).transpose(1, 0, 2)
+        chi = weights.conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
+        del ground  # released before the temporaries of matched_coupling
+        coupling = matched_coupling(
+            amplitude, chi.transpose(0, 2, 1), tau_q, config.doppler_hz, tau_p[:, None], config.doppler_hz, params
+        )
+        transmitters.append(
+            _TransmitterTables(
+                tx=tx,
+                rx=listeners,
+                cells=intended,
+                matched_delay=tau_p,
+                est_scale=est_scale,
+                noise_var=noise_w * np.sum(np.abs(weights) ** 2, axis=-1),
+                ground_coupling=np.ascontiguousarray(coupling),  # the transposed chi can leave it strided
+                weights=weights,
+            )
+        )
     return ScenarioTables(
         config=config,
         options=options,
@@ -557,7 +556,8 @@ def run_monte_carlo_all_fusions(
 
     Given tables are used as they are; `options`, if also given, must agree
     with the options the tables were built with (fusion aside). Tables are
-    built once here and shared with every worker process.
+    built once here and shared with every worker process. At most
+    ``os.cpu_count()`` worker processes start, however large `workers` is.
     """
     if config.trials < 1:
         raise ConfigError("trials: must be >= 1")
@@ -566,6 +566,7 @@ def run_monte_carlo_all_fusions(
     elif options is not None:
         _check_options(options, tables)
     trial_ids = list(range(config.trials))
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         counts = _count_hits(config, trial_ids, tables)
     else:

@@ -241,15 +241,18 @@ def matched_coupling(
     phase-ramp sums, so reflection r contributes
     b_r chi_rp D_N((f_p - f_r) T_o) D_M((tau_r - tau_p) df) e^{-j zeta_r}
     to the coherent sum of cell p. This returns that product without the
-    random phase. ``amplitude``, ``delay_s`` and ``doppler_hz`` are per
-    reflection (scalars broadcast), ``matched_delay_s`` is per cell (or per
-    reflection and cell), and ``gain`` broadcasts to (reflections, cells).
+    random phase, shape (..., reflections, cells). ``amplitude``,
+    ``delay_s`` and ``doppler_hz`` are per reflection, (..., reflections)
+    (scalars broadcast), ``matched_delay_s`` is per cell (..., 1, cells) or
+    per reflection and cell, and ``gain`` broadcasts to (..., reflections,
+    cells). Leading axes are batch axes, e.g. one per listener; without
+    them, ``matched_delay_s`` may be a plain (cells,) row.
     """
-    doppler_mismatch = matched_doppler_hz - np.reshape(doppler_hz, (-1, 1))
-    delay_mismatch = np.reshape(delay_s, (-1, 1)) - np.asarray(matched_delay_s)
+    doppler_mismatch = matched_doppler_hz - np.asarray(doppler_hz)[..., None]
+    delay_mismatch = np.asarray(delay_s)[..., None] - np.asarray(matched_delay_s)
     kernel_sym = dirichlet_kernel(doppler_mismatch * params.symbol_duration_s, params.symbols)
     kernel_sub = dirichlet_kernel(delay_mismatch * params.subcarrier_spacing_hz, params.subcarriers)
-    return np.reshape(amplitude, (-1, 1)) * gain * (kernel_sym * kernel_sub)
+    return np.asarray(amplitude)[..., None] * gain * (kernel_sym * kernel_sub)
 
 
 def closed_form_peaks(

@@ -109,7 +109,7 @@ class TestManifest:
         }
 
     def test_options_record_every_run_option(self):
-        options = RunOptions(beamformer="ls", fusion="prenorm", noise=False, ls_iterations=3)
+        options = RunOptions(beamformer="ls", fusion="prenorm", noise=False)
         manifest = build_manifest(ScenarioConfig(), options, [_row()], [])
         assert list(manifest["options"]) == [f.name for f in fields(RunOptions)]
         assert all(manifest["options"][f.name] == getattr(options, f.name) for f in fields(RunOptions))

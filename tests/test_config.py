@@ -93,8 +93,9 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 def test_removed_capon_loading_key_rejected():
     # A removed key fails by name instead of being silently ignored.
-    with pytest.raises(ConfigError, match="run.capon_loading: unknown"):
-        parse_config_text("run.capon_loading = 0.01\n")
+    for key, value in [("run.capon_loading", "0.01"), ("run.ls_iterations", "10")]:
+        with pytest.raises(ConfigError, match=f"{key}: unknown"):
+            parse_config_text(f"{key} = {value}\n")
 
 
 def test_parse_constraint_violation_names_field():

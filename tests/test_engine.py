@@ -17,12 +17,16 @@ from uavsense import (
     sweep,
 )
 from uavsense import engine
-from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer
+from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
+from uavsense.config import SPEED_OF_LIGHT
 from uavsense.geometry import aoa
 from uavsense.ofdm import (
     OfdmParams,
     build_reflections,
+    estimate_rcs,
+    matched_coupling,
     matched_point_value,
+    reflection_amplitude,
     remove_data,
     synth_rx_frame,
     synth_tx_frame,
@@ -146,9 +150,45 @@ class TestBuildTables:
                     if beamformer == "capon":
                         fresh = capon_beamformer(d, n)
                     else:
-                        fresh = ls_beamformer(aoa_mesh(d, n), n, iterations=options.ls_iterations)
+                        fresh = ls_beamformer(aoa_mesh(d, n), n)
                     assert record.weights[k, i].tobytes() == fresh.tobytes()
         assert len(calls) == len(directions) < pairs
+
+    @pytest.mark.parametrize("beamformer", ["capon", "ls"])
+    def test_listener_rows_equal_per_listener_oracle(self, small_config, beamformer):
+        # Each listener's row of each record, rebuilt from the public kernels
+        # one listener at a time, equals the broadcast build bit for bit.
+        config = small_config
+        tables = build_tables(config, RunOptions(beamformer=beamformer))
+        params = OfdmParams.from_config(config)
+        positions = tables.deployment.positions
+        noise_w = config.noise_density_w_hz * config.bandwidth_hz
+        for record in tables.transmitters:
+            illuminated = tables.cell_sets[record.tx].illuminated
+            q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
+            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
+            d1_q = np.linalg.norm(q_points - positions[record.tx], axis=1)
+            d1_p = np.linalg.norm(p_points - positions[record.tx], axis=1)
+            for k, rx in enumerate(record.rx):
+                d2_q = np.linalg.norm(positions[rx] - q_points, axis=1)
+                d2_p = np.linalg.norm(positions[rx] - p_points, axis=1)
+                tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
+                weights = record.weights[k]
+                chi = weights.conj() @ steering_matrix(aoa(positions[rx], q_points), config.array_side)
+                coupling = matched_coupling(
+                    reflection_amplitude(config, 1.0, d1_q, d2_q),
+                    chi.T,
+                    (d1_q + d2_q) / SPEED_OF_LIGHT,
+                    config.doppler_hz,
+                    tau_p,
+                    config.doppler_hz,
+                    params,
+                )
+                assert record.matched_delay[k].tobytes() == tau_p.tobytes()
+                assert record.est_scale[k].tobytes() == estimate_rcs(1.0, config, d1_p, d2_p).tobytes()
+                noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=1)
+                assert record.noise_var[k].tobytes() == noise_var.tobytes()
+                assert record.ground_coupling[k].tobytes() == coupling.tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("carrier_hz", [1e-150, 1e160, 1e300])
@@ -296,13 +336,40 @@ class TestMonteCarlo:
         parallel = run_monte_carlo_all_fusions(small_config, workers=2, tables=tables)
         assert serial == parallel == run_monte_carlo_all_fusions(small_config, RunOptions(noise=False))
 
+    def test_worker_processes_bounded_by_cpu_count(self, small_config, monkeypatch):
+        # Every worker process starts at once, so a huge `workers` must not
+        # ask for that many. The fake pool maps in this process.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        tables = build_tables(small_config, RunOptions())
+        serial = run_monte_carlo_all_fusions(small_config, tables=tables)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        assert run_monte_carlo_all_fusions(small_config, workers=10**5, tables=tables) == serial
+        assert started == [3]
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+        assert run_monte_carlo_all_fusions(small_config, workers=10**5, tables=tables) == serial
+        assert started == [3]
+
     @pytest.mark.parametrize(
         "field, value",
         [
             ("noise", False),
             ("fast_path", False),
             ("beamformer", "ls"),
-            ("ls_iterations", 3),
         ],
     )
     def test_options_disagreeing_with_tables_rejected(self, small_config, field, value):

@@ -511,6 +511,22 @@ class TestFastCellEstimate:
             alone = closed_form_peaks(coupling[k], zeta[k], params, noise_var[k], draws[k])
             assert np.array_equal(together[k], alone)
 
+    def test_batched_coupling_equals_one_call_per_batch(self):
+        # Leading batch axes on every per-reflection and per-cell argument
+        # give each batch row the value of a call on that row alone, bit for bit.
+        params = small_params()
+        rng = np.random.default_rng(17)
+        amplitude = rng.uniform(1e-8, 1e-6, (3, 5))
+        gain = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        delay = rng.uniform(1e-6, 2e-6, (3, 5))
+        matched_delay = rng.uniform(1e-6, 2e-6, (3, 4))
+        together = matched_coupling(amplitude, gain, delay, 150.0, matched_delay[:, None], 0.0, params)
+        alone = [
+            matched_coupling(amplitude[k], gain[k], delay[k], 150.0, matched_delay[k], 0.0, params) for k in range(3)
+        ]
+        assert together.shape == (3, 5, 4)
+        assert together.tobytes() == np.stack(alone).tobytes()
+
 
 def test_noise_only_reference_mean(rng):
     # Reference-path version of the noise immunity check on a small frame.
