@@ -47,6 +47,7 @@ from .ofdm import (
     Reflections,
     build_reflections,
     closed_form_peaks,
+    coherent_peaks,
     dirichlet_kernel,
     estimate_rcs,
     matched_coupling,

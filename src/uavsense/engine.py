@@ -1,11 +1,11 @@
 """Protocol orchestration: per-trial sensing rounds, Monte Carlo batches, sweeps.
 
-Every random quantity comes from a counter-style substream derived from
-(master_seed, trial, stream tag, ids), so outcomes are a pure function of the
-configuration and trial index. The fast path computes the same streams in
-bulk: the keys of all pairs at once, then one reused generator reset to each.
-Trials are independent work units; parallel and serial execution agree bit
-for bit.
+Every random quantity comes from a counter-based substream keyed by
+(master_seed, trial, stream tag, ids...), so outcomes are a pure function of
+the configuration and trial index. A fast-path trial draws its target, all
+its phases and all its noise from one key each, as blocks over the
+scenario's (transmitter, listener) pairs. Trials are independent work units;
+parallel and serial execution agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from .geometry import (
     deploy_uavs,
     derive_altitude,
     footprint_radius,
-    path_distances,
 )
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from .ofdm import (
     OfdmParams,
     build_reflections,
-    closed_form_peaks,
+    coherent_peaks,
     estimate_rcs,
     matched_coupling,
     matched_point_value,
@@ -87,7 +86,7 @@ _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 
 # Name of the random-number scheme below, recorded in run manifests; any change
 # to a stream's bytes gets a new name.
-RNG_SCHEME = "splitmix64-path/philox4x64-10/v1"
+RNG_SCHEME = "splitmix64-path/philox4x64-10/v2-trial-blocks"
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -110,53 +109,22 @@ def _words(part) -> np.ndarray:
 def _stream_keys(master_seed: int, trial, tag, *ids) -> np.ndarray:
     """Philox keys of the substreams at (trial, tag, *ids), shape broadcast(ids) + (2,).
 
-    The path is hashed with SplitMix64. The two words are then what
-    ``np.random.Philox(key=(k0, k1))`` stores for Python ints k0 and k1: numpy
-    parses the tuple with ``np.asarray``, which gives float64 when exactly one
-    word is >= 2**63, so both words of such a key are rounded to float64
-    before the cast to uint64. Keys whose words are both below 2**63, or both
-    at or above it, are exact.
+    The path is hashed with SplitMix64 into two exact uint64 words.
     """
     path = np.stack(np.broadcast_arrays(*(_words(part) for part in (trial, tag, *ids))))
     shape = path.shape[1:]
     acc = np.full(path[0].size, master_seed & _MASK64, dtype=np.uint64)
     for hashed in _mix64(path.reshape(len(path), -1)):
         acc = _mix64(acc ^ hashed)
-    keys = np.stack([acc, _mix64(acc ^ np.uint64(0xA5A5A5A5A5A5A5A5))], axis=1)
-    top = keys >> np.uint64(63)
-    mixed = top[:, :1] != top[:, 1:]
-    keys = np.where(mixed, keys.astype(np.float64).astype(np.uint64), keys)
-    return keys.reshape(shape + (2,))
+    return np.stack([acc, _mix64(acc ^ np.uint64(0xA5A5A5A5A5A5A5A5))], axis=1).reshape(shape + (2,))
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for a (trial, tag, ids...) path under one seed."""
-    return np.random.Generator(np.random.Philox(key=_stream_keys(master_seed, *path)))
+    """Independent generator for a (trial, tag, ids...) path under one seed.
 
-
-def _keyed_draws(generator: np.random.Generator, keys: np.ndarray, method: str, shape: tuple) -> np.ndarray:
-    """``substream`` draws of ``method(shape)`` (an ``out``-taking Generator
-    method) for every key row of a (K, 2) array, shape (K, *shape).
-
-    The Philox under `generator` is reset to each key in turn, with the
-    counter and buffer of a new generator; a reset is much cheaper than
-    constructing one.
+    The key goes to Philox as a uint64 array, which numpy stores exactly.
     """
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    out = np.empty((len(keys),) + tuple(shape))
-    draw = getattr(generator, method)
-    for key, row in zip(keys, out):
-        state["state"]["key"] = key
-        generator.bit_generator.state = state
-        draw(out=row)
-    return out
+    return np.random.Generator(np.random.Philox(key=_stream_keys(master_seed, *path)))
 
 
 @dataclass(frozen=True)
@@ -229,23 +197,24 @@ def sweep_rows(
 
 @dataclass
 class _TransmitterTables:
-    """Static factors of one active transmitter and all its listeners, reused
-    across trials. Every listener shares the transmitter's illuminated and
-    intended cells; rows follow `rx`."""
+    """One active transmitter and its listeners. Every listener shares the
+    transmitter's illuminated and intended cells."""
 
     tx: int
     rx: np.ndarray  # (L,) listeners, ascending
     cells: np.ndarray  # (n_p, 2) intended cells, row-major order
-    matched_delay: np.ndarray  # (L, n_p)
-    est_scale: np.ndarray  # (L, n_p) maps matched power to sigma-hat
-    noise_var: np.ndarray  # (L, n_p) per-sample variance N0 BW ||w||^2
-    ground_coupling: np.ndarray  # (L, n_q, n_p) matched_coupling of the ground at unit RCS
-    weights: np.ndarray  # (L, n_p, n^2) receive weights per listener and intended cell
+    pairs: slice  # rows of its (tx, rx) pairs, in the order of rx, in the pair-major arrays
 
 
 @dataclass
 class ScenarioTables:
-    """Everything static for one (scenario geometry, beamformer) combination."""
+    """Everything static for one (scenario geometry, beamformer) combination.
+
+    Pair-major arrays have one row per (transmitter, listener) pair, in the
+    order of `transmitters` and their listeners. Every transmitter has the
+    same number n_p of intended cells (the blocks are congruent and no two
+    intended sets overlap), so only the ground cells need padding.
+    """
 
     config: ScenarioConfig
     options: RunOptions
@@ -254,6 +223,16 @@ class ScenarioTables:
     cell_sets: list
     footprints: np.ndarray  # (U,) ground radii
     transmitters: list  # _TransmitterTables of each UAV with intended cells, ascending
+    pair_tx: np.ndarray  # (P,) transmitter of each pair
+    pair_rx: np.ndarray  # (P,) listener of each pair
+    matched_delay: np.ndarray  # (P, n_p)
+    est_scale: np.ndarray  # (P, n_p) maps matched power to sigma-hat
+    noise_var: np.ndarray  # (P, n_p) per-sample variance N0 BW ||w||^2
+    weights: np.ndarray  # (P, n_p, n^2) receive weights per pair and intended cell
+    # (P, n_q_max, n_p) matched_coupling of the ground at unit RCS, in illuminated-cell
+    # order; rows past a transmitter's own n_q are zero, so they add +0.0 to any sum.
+    ground_coupling: np.ndarray
+    map_index: np.ndarray  # (P, n_p) flat index of each (listener, cell) in the (U, L, L) map stack
 
     def compatible_with(self, config: ScenarioConfig) -> bool:
         shaping = [f.name for f in fields(config) if f.name not in _RUN_FIELDS]
@@ -294,7 +273,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     positions = deployment.positions
 
     # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
-    staged, angles = [], []
+    staged, angles, delays, scales = [], [], [], []
     for tx in range(U):
         intended = cell_sets[tx].intended
         if len(intended) == 0:
@@ -310,9 +289,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         d2_p = np.linalg.norm(rx_pos - p_points, axis=-1)  # (L, n_p)
         with np.errstate(over="ignore", divide="ignore"):
             amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
-            est_scale = estimate_rcs(1.0, config, d1_p, d2_p)
-        scales = np.concatenate([amplitude, est_scale], axis=1)
-        if not np.all((scales > 0) & (scales < np.inf)):
+            scale = estimate_rcs(1.0, config, d1_p, d2_p)
+        both = np.concatenate([amplitude, scale], axis=1)
+        if not np.all((both > 0) & (both < np.inf)):
             raise ConfigError(
                 f"carrier_frequency_hz: a wavelength of {config.wavelength_m!r} m with transmit_power_w = "
                 f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
@@ -320,7 +299,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             )
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
         tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-        staged.append((tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p, est_scale))
+        staged.append((tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p))
+        delays.append(tau_p)
+        scales.append(scale)
         toward = aoa(rx_pos, p_points)  # (L, n_p)
         angles.append(np.stack([toward.theta, toward.phi], axis=-1).reshape(-1, 2))
 
@@ -334,32 +315,27 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     else:
         designs = np.stack([ls_beamformer(aoa_mesh(direction, n), n) for direction in directions])
 
-    transmitters = []
-    start = 0
-    for tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p, est_scale in staged:
-        n_l, n_p = tau_p.shape
-        weights = designs[inverse[start : start + n_l * n_p]].reshape(n_l, n_p, n * n)
-        start += n_l * n_p
+    # Pair-major tables; the design stage's inverse index already runs over
+    # (transmitter, listener, cell).
+    matched_delay = np.concatenate(delays)
+    est_scale = np.concatenate(scales)
+    weights = designs[inverse].reshape(matched_delay.shape + (n * n,))
+    noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=-1)
+    n_q_max = max(len(cell_sets[tx].illuminated) for tx, *_ in staged)
+    ground_coupling = np.zeros((len(weights), n_q_max, matched_delay.shape[1]), dtype=complex)
+    transmitters, start = [], 0
+    for tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p in staged:
+        rows = slice(start, start + len(listeners))
+        start = rows.stop
         # matmul hands a stack to BLAS only when it is contiguous; a strided
         # operand is summed in another order.
-        ground = steering_matrix(aoa(rx_pos, q_points), n).reshape(n * n, n_l, -1).transpose(1, 0, 2)
-        chi = weights.conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
+        ground = steering_matrix(aoa(rx_pos, q_points), n).reshape(n * n, len(listeners), -1).transpose(1, 0, 2)
+        chi = weights[rows].conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
         del ground  # released before the temporaries of matched_coupling
-        coupling = matched_coupling(
+        ground_coupling[rows, : len(q_points)] = matched_coupling(
             amplitude, chi.transpose(0, 2, 1), tau_q, config.doppler_hz, tau_p[:, None], config.doppler_hz, params
         )
-        transmitters.append(
-            _TransmitterTables(
-                tx=tx,
-                rx=listeners,
-                cells=intended,
-                matched_delay=tau_p,
-                est_scale=est_scale,
-                noise_var=noise_w * np.sum(np.abs(weights) ** 2, axis=-1),
-                ground_coupling=np.ascontiguousarray(coupling),  # the transposed chi can leave it strided
-                weights=weights,
-            )
-        )
+        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=rows))
     return ScenarioTables(
         config=config,
         options=options,
@@ -368,6 +344,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         cell_sets=cell_sets,
         footprints=footprints,
         transmitters=transmitters,
+        pair_tx=np.concatenate([np.full(len(r.rx), r.tx) for r in transmitters]),
+        pair_rx=np.concatenate([r.rx for r in transmitters]),
+        matched_delay=matched_delay,
+        est_scale=est_scale,
+        noise_var=noise_var,
+        weights=weights,
+        ground_coupling=ground_coupling,
+        map_index=np.concatenate([(r.rx[:, None] * L + r.cells[:, 0]) * L + r.cells[:, 1] for r in transmitters]),
     )
 
 
@@ -382,93 +366,86 @@ def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, ta
     return target, np.hypot(target[0] - proj[:, 0], target[1] - proj[:, 1]) <= tables.footprints
 
 
-def _target_couplings(config, tables, params, record, target) -> np.ndarray:
-    """The target's matched_coupling row for every listener of an illuminating
-    transmitter, shape (L, n_p); one call covers all listeners."""
+def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trial: int) -> np.ndarray:
+    """The trial's reflection phases, uniform on [0, 2 pi), shape (P, n_q_max + 1).
+
+    Row p holds pair p's ground phases in illuminated-cell order from column
+    0 and its target phase in the last column. Both paths read this block.
+    """
+    pairs, n_q_max, _ = tables.ground_coupling.shape
+    return substream(config.master_seed, trial, _STREAM_PHASE).uniform(0.0, 2.0 * math.pi, size=(pairs, n_q_max + 1))
+
+
+def _target_couplings(config, tables, params, rows, target) -> np.ndarray:
+    """The target's matched_coupling row for each pair in `rows`, shape (len(rows), n_p)."""
     positions = tables.deployment.positions
-    g_target = steering_matrix(aoa(positions[record.rx], target), config.array_side)  # (n^2, L)
-    d1, d2 = np.array([path_distances(positions[record.tx], target, positions[rx]) for rx in record.rx]).T
+    tx_pos, rx_pos = positions[tables.pair_tx[rows]], positions[tables.pair_rx[rows]]
+    g_target = steering_matrix(aoa(rx_pos, target), config.array_side)  # (n^2, rows)
+    d1 = np.linalg.norm(target - tx_pos, axis=1)
+    d2 = np.linalg.norm(rx_pos - target, axis=1)
     return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-        (record.weights.conj() @ g_target.T[:, :, None])[:, :, 0],
+        (tables.weights[rows].conj() @ g_target.T[:, :, None])[:, :, 0],
         (d1 + d2) / SPEED_OF_LIGHT,
         config.doppler_hz,
-        record.matched_delay,
+        tables.matched_delay[rows],
         config.doppler_hz,
         params,
     )
 
 
 def _closed_form_estimates(config, tables, params, trial, target, illuminated_by):
-    """Fast-path RCS estimates, shape (L, n_p), of every listener of each transmitter.
+    """Fast-path RCS estimates of every pair, shape (P, n_p).
 
-    Reflections follow the order of build_reflections: ground cells first,
-    the target last when the transmitter illuminates it. Each (tx, rx) pair
-    draws its phases from substream(seed, trial, PHASE, tx, rx) and its noise
-    from substream(seed, trial, NOISE, tx, rx); every pair draws the longest
-    phase length and uses its prefix.
+    The ground sum of all pairs is one contraction of the trial's phase block
+    with the padded ground coupling; the target rows are added for the pairs
+    of illuminating transmitters, and the noise of every (pair, cell) is one
+    complex Gaussian from one (P, 2, n_p) block of substream(seed, trial, NOISE).
     """
-    records = tables.transmitters
-    tx_ids = np.concatenate([np.full(len(r.rx), r.tx) for r in records])
-    rx_ids = np.concatenate([r.rx for r in records])
-    lengths = [r.ground_coupling.shape[1] + int(illuminated_by[r.tx]) for r in records]
-    generator = np.random.Generator(np.random.Philox(key=0))
-    keys = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx_ids, rx_ids)
-    # uniform(0, 2 pi) is 0.0 + 2 pi * random(): the same bytes
-    zeta = 2.0 * math.pi * _keyed_draws(generator, keys, "random", (max(lengths),))
-    if tables.options.noise:
-        noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx_ids, rx_ids)
-    estimates = []
-    start = 0
-    for record, length in zip(records, lengths):
-        rows = slice(start, start + len(record.rx))
-        start = rows.stop
-        coupling = math.sqrt(config.ground_rcs_m2) * record.ground_coupling
-        if illuminated_by[record.tx]:
-            target_rows = _target_couplings(config, tables, params, record, target)
-            coupling = np.concatenate([coupling, target_rows[:, None, :]], axis=1)
-        if tables.options.noise:
-            draws = _keyed_draws(generator, noise_keys[rows], "standard_normal", (2, len(record.cells)))
-            peaks = closed_form_peaks(coupling, zeta[rows, :length], params, record.noise_var, draws)
-        else:
-            peaks = closed_form_peaks(coupling, zeta[rows, :length], params)
-        estimates.append(peaks * record.est_scale)
-    return estimates
+    phases = np.exp(-1j * _phase_block(config, tables, trial))
+    total = math.sqrt(config.ground_rcs_m2) * (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
+    lit = np.flatnonzero(illuminated_by[tables.pair_tx])
+    total[lit] += phases[lit, -1:] * _target_couplings(config, tables, params, lit, target)
+    if not tables.options.noise:
+        return coherent_peaks(total, params) * tables.est_scale
+    draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(total), 2, total.shape[1]))
+    return coherent_peaks(total, params, tables.noise_var, draws) * tables.est_scale
 
 
 def _reference_estimates(config, tables, params, trial, target, illuminated_by):
-    """Frame-level RCS estimates, shape (L, n_p), of every listener of each transmitter.
+    """Frame-level RCS estimates of every pair, shape (P, n_p).
 
-    Each (tx, rx) pair builds its reflections once, with phases from
-    substream(seed, trial, PHASE, tx, rx) and one gain row per intended cell,
-    and synthesizes the frames of all its cells as one stack; the frame of
-    cell (a, b) takes its noise from substream(seed, trial, NOISE, tx, rx, a,
-    b). Frames are held for one pair at a time.
+    Each (tx, rx) pair builds its reflections once, with its row of the
+    trial's phase block and one gain row per intended cell, and synthesizes
+    the frames of all its cells as one stack, taking their noise as one
+    (n_p, 2, N, M) draw from substream(seed, trial, NOISE, tx, rx). Frames
+    are held for one pair at a time.
     """
     positions = tables.deployment.positions
-    generator = np.random.Generator(np.random.Philox(key=0))
-    estimates = []
+    zeta = _phase_block(config, tables, trial)
+    peaks = np.empty(tables.est_scale.shape)
     for record in tables.transmitters:
         tx = record.tx
         tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
-        lit_target = target if illuminated_by[tx] else None
-        phase_keys = _stream_keys(config.master_seed, trial, _STREAM_PHASE, tx, record.rx)
-        noise_keys = _stream_keys(config.master_seed, trial, _STREAM_NOISE, tx, record.rx[:, None], *record.cells.T)
-        peaks = np.empty(record.matched_delay.shape)
-        for k, rx in enumerate(record.rx):
+        columns = np.arange(len(tables.cell_sets[tx].illuminated))
+        lit_target = None
+        if illuminated_by[tx]:
+            lit_target, columns = target, np.append(columns, -1)
+        for p in range(record.pairs.start, record.pairs.stop):
+            rx = tables.pair_rx[p]
             reflections = build_reflections(
                 config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-                record.weights[k], lit_target, np.random.Generator(np.random.Philox(key=phase_keys[k])),
+                tables.weights[p], lit_target, zeta[p, columns],
             )
             if tables.options.noise:
-                draws = _keyed_draws(generator, noise_keys[k], "standard_normal", (2,) + tx_frame.shape)
-                rx_frames = synth_rx_frame(tx_frame, reflections, params, record.noise_var[k], draws)
+                noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
+                draws = noise.standard_normal((len(record.cells), 2) + tx_frame.shape)
+                rx_frames = synth_rx_frame(tx_frame, reflections, params, tables.noise_var[p], draws)
             else:
                 rx_frames = synth_rx_frame(tx_frame, reflections, params)
             processed = remove_data(rx_frames, tx_frame)
-            peaks[k] = matched_point_value(processed, record.matched_delay[k], config.doppler_hz, params)
-        estimates.append(peaks * record.est_scale)
-    return estimates
+            peaks[p] = matched_point_value(processed, tables.matched_delay[p], config.doppler_hz, params)
+    return peaks * tables.est_scale
 
 
 def run_trial(
@@ -498,9 +475,9 @@ def run_trial(
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
     params = OfdmParams.from_config(config)
     estimate = _closed_form_estimates if tables.options.fast_path else _reference_estimates
-    maps = np.full((U, L, L), np.nan)
-    for record, est in zip(tables.transmitters, estimate(config, tables, params, trial, target, illuminated_by)):
-        maps[record.rx[:, None], record.cells[:, 0], record.cells[:, 1]] = est
+    maps = np.full(U * L * L, np.nan)
+    maps[tables.map_index] = estimate(config, tables, params, trial, target, illuminated_by)
+    maps = maps.reshape(U, L, L)
 
     true_cell = cell_of_point(tables.grid, target[0], target[1])
     detections = {}

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import diric
 
 from .config import SPEED_OF_LIGHT, ScenarioConfig
 from .geometry import CellGrid, CellSets, aoa
@@ -35,6 +34,7 @@ __all__ = [
     "dirichlet_kernel",
     "matched_coupling",
     "closed_form_peaks",
+    "coherent_peaks",
 ]
 
 
@@ -103,7 +103,7 @@ def build_reflections(
     grid: CellGrid,
     weights: np.ndarray,
     target_pos: np.ndarray | None,
-    rng: np.random.Generator,
+    phase: np.ndarray,
 ) -> Reflections:
     """Reflections seen by `listener` while `tx` illuminates.
 
@@ -111,8 +111,7 @@ def build_reflections(
     one target reflection appended iff ``target_pos`` is given (the target was
     illuminated). ``weights`` is one (n^2,) receive weight vector or a stack,
     e.g. (n_p, n^2) for the listener's intended cells, with one gain row each.
-    Phases are drawn i.i.d. uniform on [0, 2*pi) in that order, so a reused
-    stream reproduces identical phases.
+    ``phase`` gives the random phase of each reflection in that order.
     """
     if tx == listener:
         raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
@@ -122,6 +121,8 @@ def build_reflections(
     if target_pos is not None:
         points = np.vstack([points, target_pos])
         rcs = np.append(rcs, config.target_rcs_m2)
+    if np.shape(phase) != (len(points),):
+        raise ValueError(f"{len(points)} reflections need one phase each, got shape {np.shape(phase)}")
     d1 = np.linalg.norm(points - tx_pos, axis=1)
     d2 = np.linalg.norm(rx_pos - points, axis=1)
     return Reflections(
@@ -129,7 +130,7 @@ def build_reflections(
         gain=weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side),
         delay_s=(d1 + d2) / SPEED_OF_LIGHT,
         doppler_hz=np.full(len(points), config.doppler_hz),
-        phase=rng.uniform(0.0, 2.0 * math.pi, size=len(points)),
+        phase=np.asarray(phase, dtype=float),
     )
 
 
@@ -219,11 +220,16 @@ def estimate_rcs(peak_value, config: ScenarioConfig, d1, d2):
 def dirichlet_kernel(x: np.ndarray | float, length: int) -> np.ndarray | complex:
     """Geometric phase-ramp sum sum_{l=0}^{length-1} e^{-j 2 pi x l}.
 
-    Equals length at integer x and rolls off as the periodic sinc in between.
+    Equals length at integer x and rolls off as the periodic sinc in between,
+    sin(length pi x) / sin(pi x); where |sin(pi x)| < 1e-7 it takes the limit
+    length (-1)^(round(x) (length - 1)), the rule of scipy.special.diric.
     """
     x = np.asarray(x, dtype=float)
-    magnitude = length * diric(2.0 * math.pi * x, length)
-    return magnitude * np.exp(-1j * math.pi * x * (length - 1))
+    half = math.pi * x
+    denominator = np.sin(half)
+    ratio = np.asarray((-1.0) ** (np.round(half / math.pi) * (length - 1)))
+    np.divide(np.sin(length * half), length * denominator, out=ratio, where=np.abs(denominator) >= 1e-7)
+    return length * ratio * np.exp(-1j * math.pi * x * (length - 1))
 
 
 def matched_coupling(
@@ -276,10 +282,15 @@ def closed_form_peaks(
     path in distribution. Noiseless results equal the reference path to
     rounding.
     """
+    phases = np.exp(-1j * np.asarray(zeta, dtype=float))
+    return coherent_peaks((phases[..., None, :] @ coupling)[..., 0, :], params, noise_variance, noise_draws)
+
+
+def coherent_peaks(total: np.ndarray, params: OfdmParams, noise_variance=0.0, noise_draws=None) -> np.ndarray:
+    """closed_form_peaks from the noiseless coherent sums ``total`` (..., cells)
+    over the reflections, with the same noise convention."""
     N = params.symbols
     M = params.subcarriers
-    phases = np.exp(-1j * np.asarray(zeta, dtype=float))
-    total = (phases[..., None, :] @ coupling)[..., 0, :]
     if noise_draws is not None:
         noise = noise_draws[..., 0, :] + 1j * noise_draws[..., 1, :]
         total = total + np.sqrt(N * M * noise_variance / 2.0) * noise

@@ -167,6 +167,7 @@ class TestRunCommand:
             (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side"),
             ("scenario.uav_count = 1\nscenario.grid_side = 4\nscenario.array_side = 4\n", "uav_count"),
         ],
+        ids=["array_side_1", "one_uav"],
     )
     def test_config_without_a_sensing_pair_exit_code(self, tmp_path, capsys, text, field):
         cfg_path = _write_config(tmp_path, text)

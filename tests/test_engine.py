@@ -23,6 +23,7 @@ from uavsense.geometry import aoa
 from uavsense.ofdm import (
     OfdmParams,
     build_reflections,
+    closed_form_peaks,
     estimate_rcs,
     matched_coupling,
     matched_point_value,
@@ -33,7 +34,7 @@ from uavsense.ofdm import (
 )
 from uavsense.engine import (
     _config_for_sweep_point,
-    _keyed_draws,
+    _phase_block,
     _stream_keys,
     substream,
 )
@@ -76,54 +77,35 @@ class TestSubstream:
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed, high", KEY_CASES.items())
-    def test_stream_keys_follow_numpy_tuple_parsing(self, seed, high):
-        # numpy parses Philox(key=(k0, k1)) with np.asarray: a tuple with
-        # exactly one word >= 2**63 becomes float64, rounding both words.
+    def test_stream_keys_are_exact_substream_keys(self, seed, high):
+        # Keys reach Philox as uint64 arrays, so both words are exact in
+        # every case, the mixed ones that a (k0, k1) tuple would round included.
         words = _path_words(seed, *KEY_PATH)
         assert tuple(w >= 2**63 for w in words) == high
-        parsed = np.random.Philox(key=words).state["state"]["key"]
-        assert np.array_equal(_stream_keys(seed, *KEY_PATH), parsed)
-        assert np.array_equal(substream(seed, *KEY_PATH).bit_generator.state["state"]["key"], parsed)
         exact = np.array(words, dtype=np.uint64)
-        assert np.array_equal(parsed, exact) == (high[0] == high[1])
+        assert _stream_keys(seed, *KEY_PATH).tobytes() == exact.tobytes()
+        stored = substream(seed, *KEY_PATH).bit_generator.state["state"]["key"]
+        assert stored.dtype == np.uint64 and stored.tobytes() == exact.tobytes()
 
     def test_stream_keys_broadcast_over_ids(self):
-        tx = np.array([[0], [3]])
-        rx = np.array([1, 2, 5])
+        # Every row is the key of its own path, bit for bit the key substream stores.
+        tx = np.array([[0], [3], [2**64 - 1]], dtype=np.uint64)
+        rx = np.array([1, 2, 5, 2**63 + 7], dtype=np.uint64)
         keys = _stream_keys(77, 4, 2, tx, rx)
-        assert keys.shape == (2, 3, 2)
-        for i in range(2):
-            for j in range(3):
-                assert np.array_equal(keys[i, j], _stream_keys(77, 4, 2, int(tx[i, 0]), int(rx[j])))
+        assert keys.shape == (3, 4, 2)
+        for i, j in np.ndindex(keys.shape[:2]):
+            assert np.array_equal(keys[i, j], _stream_keys(77, 4, 2, int(tx[i, 0]), int(rx[j])))
+            stored = substream(77, 4, 2, int(tx[i, 0]), int(rx[j])).bit_generator.state["state"]["key"]
+            assert stored.tobytes() == keys[i, j].tobytes()
 
     def test_negative_and_large_ids_wrap_modulo_2_64(self):
         # Ids are hashed modulo 2**64, like the pure-Python reference.
         for path in [(-1, 2), (2**64 + 5, 2), (3, -7, 2**70)]:
-            parsed = np.random.Philox(key=_path_words(9, *path)).state["state"]["key"]
-            assert np.array_equal(substream(9, *path).bit_generator.state["state"]["key"], parsed)
+            exact = np.array(_path_words(9, *path), dtype=np.uint64)
+            assert np.array_equal(substream(9, *path).bit_generator.state["state"]["key"], exact)
         assert np.array_equal(_stream_keys(9, -1, 2), _stream_keys(9, 2**64 - 1, 2))
         wrapped = np.array([2**64 - 1, 1], dtype=np.uint64)
         assert np.array_equal(_stream_keys(9, 0, 2, np.array([-1, 1])), _stream_keys(9, 0, 2, wrapped))
-
-    @pytest.mark.parametrize("count", [1, 4, 5, 38])
-    def test_reused_generator_phases_equal_numpy_uniform(self, count):
-        # The fast path scales random() by 2 pi in place of uniform(0, 2 pi).
-        keys = np.stack([_stream_keys(seed, *KEY_PATH) for seed in KEY_CASES])
-        generator = np.random.Generator(np.random.Philox(key=0))
-        got = 2.0 * math.pi * _keyed_draws(generator, keys, "random", (count,))
-        for seed, row in zip(KEY_CASES, got):
-            fresh = np.random.Generator(np.random.Philox(key=_path_words(seed, *KEY_PATH)))
-            assert np.array_equal(row, fresh.uniform(0.0, 2.0 * math.pi, size=count))
-
-    def test_reused_generator_noise_equals_fresh_substreams(self):
-        paths = [(3, 3, 0, 1), (3, 3, 2, 1), (3, 3, 0, 1), (0, 3, 7, 9)]
-        keys = np.stack([_stream_keys(5, *path) for path in paths])
-        generator = np.random.Generator(np.random.Philox(key=0))
-        generator.uniform(size=3)  # a used generator starts each key afresh
-        draws = _keyed_draws(generator, keys, "standard_normal", (2, 7))
-        assert draws.shape == (4, 2, 7)
-        for path, row in zip(paths, draws):
-            assert np.array_equal(row, substream(5, *path).standard_normal((2, 7)))
 
 
 class TestBuildTables:
@@ -151,7 +133,7 @@ class TestBuildTables:
                         fresh = capon_beamformer(d, n)
                     else:
                         fresh = ls_beamformer(aoa_mesh(d, n), n)
-                    assert record.weights[k, i].tobytes() == fresh.tobytes()
+                    assert tables.weights[record.pairs][k, i].tobytes() == fresh.tobytes()
         assert len(calls) == len(directions) < pairs
 
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
@@ -173,7 +155,8 @@ class TestBuildTables:
                 d2_q = np.linalg.norm(positions[rx] - q_points, axis=1)
                 d2_p = np.linalg.norm(positions[rx] - p_points, axis=1)
                 tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-                weights = record.weights[k]
+                p = record.pairs.start + k
+                weights = tables.weights[p]
                 chi = weights.conj() @ steering_matrix(aoa(positions[rx], q_points), config.array_side)
                 coupling = matched_coupling(
                     reflection_amplitude(config, 1.0, d1_q, d2_q),
@@ -184,11 +167,29 @@ class TestBuildTables:
                     config.doppler_hz,
                     params,
                 )
-                assert record.matched_delay[k].tobytes() == tau_p.tobytes()
-                assert record.est_scale[k].tobytes() == estimate_rcs(1.0, config, d1_p, d2_p).tobytes()
+                assert tables.matched_delay[p].tobytes() == tau_p.tobytes()
+                assert tables.est_scale[p].tobytes() == estimate_rcs(1.0, config, d1_p, d2_p).tobytes()
                 noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=1)
-                assert record.noise_var[k].tobytes() == noise_var.tobytes()
-                assert record.ground_coupling[k].tobytes() == coupling.tobytes()
+                assert tables.noise_var[p].tobytes() == noise_var.tobytes()
+                ground = tables.ground_coupling[p]
+                assert ground[: len(q_points)].tobytes() == coupling.tobytes()
+                assert not np.any(ground[len(q_points) :])
+
+    def test_pair_major_rows_follow_the_records(self, small_config):
+        tables = build_tables(small_config, RunOptions())
+        L = small_config.grid_side
+        pairs = sum(len(record.rx) for record in tables.transmitters)
+        assert tables.ground_coupling.shape[0] == pairs == len(tables.pair_tx) == len(tables.map_index)
+        assert tables.ground_coupling.shape[1] == max(len(s.illuminated) for s in tables.cell_sets)
+        assert [record.pairs.start for record in tables.transmitters[1:]] == [
+            record.pairs.stop for record in tables.transmitters[:-1]
+        ]
+        for record in tables.transmitters:
+            assert np.all(tables.pair_tx[record.pairs] == record.tx)
+            assert np.array_equal(tables.pair_rx[record.pairs], record.rx)
+            rx, a, b = np.unravel_index(tables.map_index[record.pairs], (small_config.uav_count, L, L))
+            assert np.array_equal(rx, np.repeat(record.rx[:, None], len(record.cells), axis=1))
+            assert np.array_equal(np.stack([a[0], b[0]], axis=1), record.cells)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("carrier_hz", [1e-150, 1e160, 1e300])
@@ -267,9 +268,10 @@ class TestRunTrial:
         assert np.array_equal(finite, np.isfinite(vb))
         assert np.allclose(va[finite], vb[finite], rtol=1e-9)
 
-    def test_reference_cell_equals_its_own_noise_substream(self, small_config):
-        # One (pair, cell) rebuilt alone, with a fresh generator on each of its
-        # substreams, gives the estimate of the pair's stacked frames.
+    def test_reference_cell_equals_its_slice_of_the_pair_streams(self, small_config):
+        # One (pair, cell) rebuilt alone, from the pair's row of the trial's
+        # phase block and the cell's slice of the pair's noise substream,
+        # gives the estimate of the pair's stacked frames.
         trial = 3
         tables = build_tables(small_config, RunOptions(noise=True, fast_path=False))
         outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
@@ -278,19 +280,52 @@ class TestRunTrial:
         seed = small_config.master_seed
         record = tables.transmitters[1]
         k, i = 2, len(record.cells) - 1
+        p = record.pairs.start + k
         tx, rx, (a, b) = record.tx, int(record.rx[k]), record.cells[i]
         positions = tables.deployment.positions
         tx_frame = synth_tx_frame(params, substream(seed, trial, engine._STREAM_TXDATA, tx))
+        block = _phase_block(small_config, tables, trial)
+        phases = block[p, : len(tables.cell_sets[tx].illuminated)]
+        if illuminated_by[tx]:
+            phases = np.append(phases, block[p, -1])
         reflections = build_reflections(
             small_config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-            record.weights[k, i], target if illuminated_by[tx] else None,
-            substream(seed, trial, engine._STREAM_PHASE, tx, rx),
+            tables.weights[p, i], target if illuminated_by[tx] else None, phases,
         )
-        draws = substream(seed, trial, engine._STREAM_NOISE, tx, rx, a, b).standard_normal((2, 8, 16))
-        frame = remove_data(synth_rx_frame(tx_frame, reflections, params, record.noise_var[k, i], draws), tx_frame)
-        peak = matched_point_value(frame, record.matched_delay[k, i], small_config.doppler_hz, params)
-        expected = peak * record.est_scale[k, i]
+        noise = substream(seed, trial, engine._STREAM_NOISE, tx, rx)
+        draws = noise.standard_normal((len(record.cells), 2, 8, 16))[i]
+        frame = remove_data(synth_rx_frame(tx_frame, reflections, params, tables.noise_var[p, i], draws), tx_frame)
+        peak = matched_point_value(frame, tables.matched_delay[p, i], small_config.doppler_hz, params)
+        expected = peak * tables.est_scale[p, i]
         assert outcome.local_maps[rx].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lit", [False, True])
+    def test_fast_cell_equals_its_row_of_the_trial_blocks(self, small_config, lit):
+        # One (pair, cell) of the fast path from closed_form_peaks on the
+        # pair's unpadded ground coupling plus the target row, with the pair's
+        # rows of the trial's phase and noise blocks.
+        tables = build_tables(small_config, RunOptions(noise=True))
+        seed, params = small_config.master_seed, OfdmParams.from_config(small_config)
+        for trial in range(20):
+            target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
+            record = next((r for r in tables.transmitters if illuminated_by[r.tx] == lit), None)
+            if record is not None:
+                break
+        outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
+        k, i = 1, len(record.cells) // 2
+        p, n_q = record.pairs.start + k, len(tables.cell_sets[record.tx].illuminated)
+        coupling = math.sqrt(small_config.ground_rcs_m2) * tables.ground_coupling[p, :n_q]
+        zeta = _phase_block(small_config, tables, trial)[p]
+        if lit:
+            target_row = engine._target_couplings(small_config, tables, params, [p], target)
+            coupling, zeta = np.vstack([coupling, target_row]), np.append(zeta[:n_q], zeta[-1])
+        else:
+            zeta = zeta[:n_q]
+        draws = substream(seed, trial, engine._STREAM_NOISE).standard_normal((len(tables.pair_tx), 2, len(record.cells)))
+        peaks = closed_form_peaks(coupling, zeta, params, tables.noise_var[p], draws[p])
+        a, b = record.cells[i]
+        expected = peaks[i] * tables.est_scale[p, i]
+        assert outcome.local_maps[record.rx[k]].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_incompatible_tables_rejected(self, small_config):
         tables = build_tables(small_config, RunOptions())
@@ -386,6 +421,40 @@ class TestMonteCarlo:
         tables = build_tables(small_config, RunOptions(fusion="avg"))
         stats = run_monte_carlo(small_config, RunOptions(fusion="prenorm"), tables=tables)
         assert stats == run_monte_carlo_all_fusions(small_config, tables=tables)["prenorm"]
+
+
+class TestTrialStreams:
+    """Under rng_scheme v2 a trial's draws depend only on (master seed, trial)."""
+
+    @staticmethod
+    def _recorded(config, monkeypatch, **kwargs):
+        outcomes = {}
+
+        def recording(config, trial, *args, original=engine.run_trial, **kw):
+            outcomes[trial] = original(config, trial, *args, **kw)
+            return outcomes[trial]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_trial", recording)
+            stats = run_monte_carlo_all_fusions(config, RunOptions(), **kwargs)
+        return stats, outcomes
+
+    def test_run_trial_equals_the_trial_inside_a_batch(self, small_config, monkeypatch):
+        _, inside = self._recorded(small_config, monkeypatch)
+        assert sorted(inside) == list(range(small_config.trials))
+        for trial, outcome in inside.items():
+            alone = run_trial(small_config, trial)
+            assert (alone.target_xy, alone.detections) == (outcome.target_xy, outcome.detections)
+
+    def test_extending_trials_keeps_earlier_trials(self, small_config, monkeypatch):
+        _, short = self._recorded(small_config, monkeypatch)
+        _, longer = self._recorded(replace(small_config, trials=3 * small_config.trials), monkeypatch)
+        for trial, outcome in short.items():
+            assert (longer[trial].target_xy, longer[trial].detections) == (outcome.target_xy, outcome.detections)
+
+    def test_serial_equals_two_workers(self, small_config):
+        config = replace(small_config, trials=16, ground_rcs_m2=1.0)
+        assert run_monte_carlo_all_fusions(config, workers=1) == run_monte_carlo_all_fusions(config, workers=2)
 
 
 class TestSweepPointConfigs:

@@ -3,8 +3,10 @@
 The hit tuples depend on every random stream (target position, ground phases,
 noise) and on the whole estimator chain; the noiseless local-map values pin
 the estimator itself. Any change to either shows up here. The values were
-recorded before the estimation kernels were merged into one implementation
-per step, and must not be re-recorded to make a change pass.
+re-recorded once, with the random-number scheme v2 (one phase block and one
+noise block per trial), after the v2 kernel fed the v1 draws had reproduced
+the v1 hit counts exactly and the v1 map values to 1e-15. They must not be
+re-recorded to make a change pass; only a new random-number scheme moves them.
 """
 
 import pytest
@@ -26,37 +28,37 @@ GOLDEN_CONFIG = ScenarioConfig(
 )
 
 GOLDEN_HITS = {
-    "capon": {"avg": (21, 32, 43), "prenorm": (18, 28, 38)},
-    "ls": {"avg": (22, 33, 44), "prenorm": (19, 30, 40)},
+    "capon": {"avg": (19, 41, 46), "prenorm": (19, 40, 42)},
+    "ls": {"avg": (18, 40, 44), "prenorm": (15, 38, 41)},
 }
 
 # (listener, a, b) -> noiseless local-map value on trial 0.
 GOLDEN_MAP_VALUES = {
     "capon": {
-        (0, 4, 4): 2.2561506236111204,
-        (1, 0, 0): 0.9186897631747816,
-        (2, 7, 7): 0.11161449912355943,
-        (3, 2, 5): 25.07055435305544,
+        (0, 4, 4): 1.7327454414935286,
+        (1, 0, 0): 4.195298388551876,
+        (2, 7, 7): 2.305753316276261,
+        (3, 2, 5): 9.471863996189592,
     },
     "ls": {
-        (0, 4, 4): 32.340966025965976,
-        (1, 0, 0): 11.603991431104795,
-        (2, 7, 7): 0.8277669379864653,
-        (3, 2, 5): 289.13887145497387,
+        (0, 4, 4): 21.383878091352205,
+        (1, 0, 0): 57.954534673488936,
+        (2, 7, 7): 31.20531534212534,
+        (3, 2, 5): 105.6206679000913,
     },
 }
 
 
 # Noisy (noise on) Capon reference-path local-map values on trial 0, recorded
-# while the reference path still synthesized one frame per intended cell. The
-# frame-level rounding moves them, so they are held to the 1e-9 of acceptance
-# criterion 4.
+# with rng_scheme v2: each pair's frames take their noise from the pair's own
+# substream. Frame-level rounding depends on the BLAS, so they are held to the
+# 1e-9 of acceptance criterion 4.
 GOLDEN_REFERENCE_TARGET_XY = (17.778954355311697, 21.36676493711088)
 GOLDEN_REFERENCE_NOISY_VALUES = {
-    (0, 4, 4): 2.388119673095806,
-    (1, 0, 0): 1.000543330213541,
-    (2, 7, 7): 0.02104950709069136,
-    (3, 2, 5): 25.12061444538152,
+    (0, 4, 4): 1.4645600692070326,
+    (1, 0, 0): 4.313520834304217,
+    (2, 7, 7): 2.644016391156921,
+    (3, 2, 5): 9.136456013339295,
 }
 
 

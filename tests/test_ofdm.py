@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import diric
 from scipy.stats import ks_2samp
 
 from uavsense import (
@@ -12,6 +13,7 @@ from uavsense import (
     build_tables,
     classify_cells,
     closed_form_peaks,
+    coherent_peaks,
     deploy_uavs,
     estimate_rcs,
     matched_coupling,
@@ -26,7 +28,6 @@ from uavsense import (
 )
 from uavsense.config import RunOptions
 from uavsense.ofdm import OfdmParams, Reflections, build_reflections, dirichlet_kernel
-from uavsense.engine import substream
 
 C0 = 299792458.0
 
@@ -133,41 +134,47 @@ class TestBuildReflections:
         sets = classify_cells(cfg, 0, grid, dep)
         tables = build_tables(cfg, RunOptions())
         record = next(r for r in tables.transmitters if r.tx == 0)
-        weights = record.weights[list(record.rx).index(1)]  # (n_p, n^2) of listener 1
+        weights = tables.weights[record.pairs][list(record.rx).index(1)]  # (n_p, n^2) of listener 1
         return cfg, grid, dep, sets, weights
+
+    @staticmethod
+    def _phases(rng, count):
+        return rng.uniform(0.0, 2.0 * math.pi, count)
 
     def test_component_count_without_target(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            weights[0], None, rng,
+            weights[0], None, self._phases(rng, len(sets.illuminated)),
         )
-        assert len(refl.phase) == len(sets.illuminated)
+        assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated)
 
     def test_component_count_with_target(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
         refl = build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            weights[0], np.array([13.0, 11.0, 0.0]), rng,
+            weights[0], np.array([13.0, 11.0, 0.0]), self._phases(rng, len(sets.illuminated) + 1),
         )
-        assert len(refl.phase) == len(sets.illuminated) + 1
+        assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated) + 1
 
-    def test_phases_reproducible_and_in_range(self):
+    def test_phases_follow_reflection_order(self, rng):
+        # Phases are taken as given, one per reflection: the ground cells in
+        # illuminated order, then the target; any other count is an error.
         cfg, grid, dep, sets, weights = self._scene()
-        make = lambda: build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            weights[0], None,
-            substream(7, 0, 2, 0, 1),
-        )
-        first, second = make(), make()
-        assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
-        assert np.array_equal(first.phase, second.phase)
+        target = np.array([13.0, 11.0, 0.0])
+        phases = self._phases(rng, len(sets.illuminated) + 1)
+        refl = build_reflections(cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, phases)
+        assert np.array_equal(refl.phase, phases)
+        for wrong in (phases[:-1], np.append(phases, 0.5)):
+            with pytest.raises(ValueError, match="one phase each"):
+                build_reflections(cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, wrong)
 
     def test_components_follow_scalar_geometry(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         refl = build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, rng,
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target,
+            self._phases(rng, len(sets.illuminated) + 1),
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
         for r, point in enumerate(points):
@@ -184,14 +191,15 @@ class TestBuildReflections:
         with pytest.raises(ValueError, match="half-duplex"):
             build_reflections(
                 cfg, 1, 1, dep.positions[1], dep.positions[1], sets, grid,
-                weights[0], None, rng,
+                weights[0], None, self._phases(rng, len(sets.illuminated)),
             )
 
-    def test_weight_stack_gives_one_gain_row_per_vector(self):
+    def test_weight_stack_gives_one_gain_row_per_vector(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
+        phases = self._phases(rng, len(sets.illuminated) + 1)
         build = lambda w: build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, w, target, substream(7, 0, 2, 0, 1)
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, w, target, phases
         )
         stacked = build(weights)
         assert stacked.gain.shape == (len(weights), len(sets.illuminated) + 1)
@@ -411,6 +419,22 @@ class TestDirichletKernel:
         for x in (-1.0, 0.0, 1.0, 3.0):
             assert dirichlet_kernel(x, 16) == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("length", [4, 8, 16, 64])
+    def test_equals_scipy_diric(self, rng, length):
+        # scipy.special.diric is the oracle, bit for bit: random arguments,
+        # integers (the limit branch), points within 1e-9 of them, and -0.0.
+        x = np.concatenate(
+            [
+                rng.uniform(-3.0, 3.0, 1978),
+                np.arange(-4.0, 5.0),
+                np.arange(-4.0, 5.0) + rng.uniform(-1e-9, 1e-9, 9),
+                [-0.0, 1e-300, 0.5, -2.5],
+            ]
+        ).reshape(-1, 25)
+        expected = length * diric(2.0 * math.pi * x, length) * np.exp(-1j * math.pi * x * (length - 1))
+        assert dirichlet_kernel(x, length).tobytes() == expected.tobytes()
+        assert dirichlet_kernel(float(x[0, 0]), length) == expected[0, 0]
+
 
 class TestFastCellEstimate:
     def _reference(self, cfg, params, reflections, tau, rng_tx):
@@ -510,6 +534,23 @@ class TestFastCellEstimate:
         for k in range(3):
             alone = closed_form_peaks(coupling[k], zeta[k], params, noise_var[k], draws[k])
             assert np.array_equal(together[k], alone)
+
+    def test_coherent_peaks_of_the_phase_sum_equal_closed_form_peaks(self):
+        # The engine forms the coherent sum itself and hands it to
+        # coherent_peaks; with the same noise draws this is closed_form_peaks.
+        params = small_params()
+        rng = np.random.default_rng(23)
+        coupling = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
+        noise_var = rng.uniform(0.1, 1.0, (3, 4))
+        draws = rng.standard_normal((3, 2, 4))
+        total = (np.exp(-1j * zeta)[:, None, :] @ coupling)[:, 0, :]
+        assert np.array_equal(coherent_peaks(total, params), closed_form_peaks(coupling, zeta, params))
+        assert np.array_equal(
+            coherent_peaks(total, params, noise_var, draws), closed_form_peaks(coupling, zeta, params, noise_var, draws)
+        )
+        with pytest.raises(ValueError, match="draws"):
+            coherent_peaks(total, params, noise_var)
 
     def test_batched_coupling_equals_one_call_per_batch(self):
         # Leading batch axes on every per-reflection and per-cell argument
