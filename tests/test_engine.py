@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ class TestSubstream:
         wrapped = np.array([2**64 - 1, 1], dtype=np.uint64)
         assert np.array_equal(_stream_keys(9, 0, 2, np.array([-1, 1])), _stream_keys(9, 0, 2, wrapped))
 
+
+    @pytest.mark.parametrize("count", [1, 4, 5, 38])
+    def test_reused_generator_phases_equal_numpy_uniform(self, count):
+        # One generator per trial is reused across all pairs: the phase block
+        # is its uniform(0, 2 pi) stream laid out pair-major, count per pair.
+        pairs, trial = 3, 2
+        stub = SimpleNamespace(ground_coupling=np.empty((pairs, count - 1, 0)))
+        for seed in KEY_CASES:
+            block = _phase_block(SimpleNamespace(master_seed=seed), stub, trial)
+            key = np.array(_path_words(seed, trial, engine._STREAM_PHASE), dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert block.shape == (pairs, count)
+            assert np.array_equal(block.ravel(), fresh.uniform(0.0, 2.0 * math.pi, size=pairs * count))
 
 class TestBuildTables:
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])

@@ -27,6 +27,7 @@ from uavsense import (
     synth_tx_frame,
 )
 from uavsense.config import RunOptions
+from uavsense.engine import _phase_block
 from uavsense.ofdm import OfdmParams, Reflections, build_reflections, dirichlet_kernel
 
 C0 = 299792458.0
@@ -168,6 +169,20 @@ class TestBuildReflections:
         for wrong in (phases[:-1], np.append(phases, 0.5)):
             with pytest.raises(ValueError, match="one phase each"):
                 build_reflections(cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, wrong)
+
+    def test_phases_reproducible_and_in_range(self):
+        # The reference path gives each pair its row of the trial's phase
+        # block; drawn twice, the reflections carry the same phases in [0, 2 pi).
+        cfg, grid, dep, sets, weights = self._scene()
+        tables = build_tables(cfg, RunOptions())
+        p = np.flatnonzero((tables.pair_tx == 0) & (tables.pair_rx == 1))[0]
+        make = lambda: build_reflections(
+            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
+            weights[0], None, _phase_block(cfg, tables, 7)[p, : len(sets.illuminated)],
+        )
+        first, second = make(), make()
+        assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
+        assert np.array_equal(first.phase, second.phase)
 
     def test_components_follow_scalar_geometry(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
