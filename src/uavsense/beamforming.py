@@ -46,9 +46,10 @@ def steering_matrix(directions: AoA, n: int) -> np.ndarray:
 
 
 def steering_vector(direction: AoA, n: int) -> np.ndarray:
-    """Per-element phase signature of a plane wave from `direction`: the
-    single column of steering_matrix, shape (n^2,)."""
-    return steering_matrix(direction, n)[:, 0]
+    """Per-element phase signature of a plane wave from each direction: the columns of steering_matrix
+    as contiguous rows, (H, n^2) for H directions given as angle arrays, (n^2,) for float angles."""
+    rows = np.ascontiguousarray(steering_matrix(direction, n).T)
+    return rows if np.ndim(direction.theta) else rows[0]
 
 
 def aoa_mesh(intended: AoA, n: int) -> AoA:
@@ -102,7 +103,8 @@ def ls_beamformer(mesh: AoA, n: int, iterations: int = 10, tol: float = 1e-10) -
 
 
 def capon_beamformer(intended: AoA, n: int) -> np.ndarray:
-    """Minimum-variance distortionless weights (n^2,) for the single-direction model.
+    """Minimum-variance distortionless weights for the single-direction model, shaped like
+    steering_vector; each row of a stacked design equals its own single design bit for bit.
 
     The modeled covariance R = g g^H + eps * I of the intended direction gives
     R^-1 g = g / (eps + g^H g), so R^-1 g / (g^H R^-1 g) equals g / (g^H g)
@@ -110,4 +112,4 @@ def capon_beamformer(intended: AoA, n: int) -> np.ndarray:
     needed. The weights satisfy w^H g(intended) = 1.
     """
     g = steering_vector(intended, n)
-    return g / np.vdot(g, g).real
+    return g / (g.conj()[..., None, :] @ g[..., :, None])[..., 0].real

@@ -89,34 +89,32 @@ _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 RNG_SCHEME = "splitmix64-path/philox4x64-10/v2-trial-blocks"
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer on uint64 arrays (wrapping arithmetic); a cheap,
-    # well-mixed 64-bit hash step.
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _splitmix64(x: int) -> int:
+    # SplitMix64 finalizer on a Python int masked to 64 bits; a cheap, well-mixed hash step.
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
-def _words(part) -> np.ndarray:
-    # A path part as uint64, wrapping modulo 2**64: negative ids and ids of
-    # 2**64 or more name the stream of their residue.
-    if np.ndim(part) == 0:
-        return np.asarray(int(part) & _MASK64, dtype=np.uint64)
-    return np.asarray(part).astype(np.uint64)
+def _path_words(master_seed: int, path) -> tuple[int, int]:
+    # Parts wrap modulo 2**64: negative ids and ids of 2**64 or more name the stream of their residue.
+    acc = master_seed & _MASK64
+    for part in path:
+        acc = _splitmix64(acc ^ _splitmix64(int(part) & _MASK64))
+    return acc, _splitmix64(acc ^ 0xA5A5A5A5A5A5A5A5)
 
 
-def _stream_keys(master_seed: int, trial, tag, *ids) -> np.ndarray:
-    """Philox keys of the substreams at (trial, tag, *ids), shape broadcast(ids) + (2,).
+def _stream_keys(master_seed: int, *path) -> np.ndarray:
+    """Philox keys of the substreams at path (trial, tag, *ids), shape broadcast(ids) + (2,).
 
-    The path is hashed with SplitMix64 into two exact uint64 words.
+    The path is hashed with SplitMix64 into two exact uint64 words, one element of array ids at a time.
     """
-    path = np.stack(np.broadcast_arrays(*(_words(part) for part in (trial, tag, *ids))))
-    shape = path.shape[1:]
-    acc = np.full(path[0].size, master_seed & _MASK64, dtype=np.uint64)
-    for hashed in _mix64(path.reshape(len(path), -1)):
-        acc = _mix64(acc ^ hashed)
-    return np.stack([acc, _mix64(acc ^ np.uint64(0xA5A5A5A5A5A5A5A5))], axis=1).reshape(shape + (2,))
+    if not any(isinstance(part, np.ndarray) for part in path):
+        return np.array(_path_words(master_seed, path), dtype=np.uint64)
+    parts = np.broadcast_arrays(*(np.asarray(part, dtype=object) for part in path))
+    words = [_path_words(master_seed, element) for element in zip(*(part.flat for part in parts))]
+    return np.array(words, dtype=np.uint64).reshape(parts[0].shape + (2,))
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -309,11 +307,11 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     # deployment repeats (listener, cell) offsets, so each distinct direction is
     # designed once, keyed on the exact bits of (theta, phi) (so -0.0 and 0.0 stay apart).
     keys, inverse = np.unique(np.concatenate(angles).view(np.uint64), axis=0, return_inverse=True)
-    directions = [AoA(theta, phi) for theta, phi in keys.view(np.float64)]
+    directions = keys.view(np.float64)
     if options.beamformer == "capon":
-        designs = np.stack([capon_beamformer(direction, n) for direction in directions])
+        designs = capon_beamformer(AoA(directions[:, 0], directions[:, 1]), n)
     else:
-        designs = np.stack([ls_beamformer(aoa_mesh(direction, n), n) for direction in directions])
+        designs = np.stack([ls_beamformer(aoa_mesh(AoA(theta, phi), n), n) for theta, phi in directions])
 
     # Pair-major tables; the design stage's inverse index already runs over
     # (transmitter, listener, cell).
@@ -385,7 +383,7 @@ def _target_couplings(config, tables, params, rows, target) -> np.ndarray:
     d2 = np.linalg.norm(rx_pos - target, axis=1)
     return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-        (tables.weights[rows].conj() @ g_target.T[:, :, None])[:, :, 0],
+        (tables.weights[rows] @ g_target.T.conj()[:, :, None])[:, :, 0].conj(),
         (d1 + d2) / SPEED_OF_LIGHT,
         config.doppler_hz,
         tables.matched_delay[rows],

@@ -227,7 +227,7 @@ def dirichlet_kernel(x: np.ndarray | float, length: int) -> np.ndarray | complex
     x = np.asarray(x, dtype=float)
     half = math.pi * x
     denominator = np.sin(half)
-    ratio = np.asarray((-1.0) ** (np.round(half / math.pi) * (length - 1)))
+    ratio = np.where(np.round(half / math.pi) * (length - 1) % 2 == 0, 1.0, -1.0)
     np.divide(np.sin(length * half), length * denominator, out=ratio, where=np.abs(denominator) >= 1e-7)
     return length * ratio * np.exp(-1j * math.pi * x * (length - 1))
 

@@ -64,6 +64,13 @@ class TestSteeringVector:
         for h, d in enumerate(dirs):
             assert np.allclose(G[:, h], steering_vector(d, 4))
 
+    def test_stacked_directions_give_contiguous_rows(self, rng):
+        dirs = [random_aoa(rng) for _ in range(5)]
+        rows = steering_vector(stacked(dirs), 6)
+        assert rows.shape == (5, 36) and rows.flags.c_contiguous
+        for h, d in enumerate(dirs):
+            assert rows[h].tobytes() == steering_vector(d, 6).tobytes()
+
     def test_vectorized_matrix_matches_loop(self, rng):
         # Every column of the vectorized matrix is the steering vector of its
         # direction, here over a whole design mesh.
@@ -157,6 +164,17 @@ class TestCaponBeamformer:
             w = capon_beamformer(d, 8)
             gain = w.conj() @ steering_vector(d, 8)
             assert abs(gain - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_stacked_design_equals_single_designs(self, rng, n):
+        # One call over H directions gives the rows of H single calls, bit for bit.
+        dirs = [random_aoa(rng) for _ in range(7)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(math.pi / 2, math.pi)]
+        weights = capon_beamformer(stacked(dirs), n)
+        assert weights.shape == (len(dirs), n * n)
+        for h, d in enumerate(dirs):
+            single = capon_beamformer(d, n)
+            assert single.shape == (n * n,)
+            assert weights[h].tobytes() == single.tobytes()
 
     def test_main_lobe_dominance(self, rng):
         # Gain magnitude at the intended AoA is globally maximal; check it
