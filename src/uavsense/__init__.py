@@ -64,6 +64,7 @@ from .fusion import (
     detect,
     detection_delta,
     fuse,
+    fuse_and_detect,
     hypothesis_test,
     normalize_map,
 )

@@ -36,13 +36,10 @@ def steering_matrix(directions: AoA, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"array side must be >= 1, got {n}")
-    theta = np.ravel(directions.theta)
     phi = np.ravel(directions.phi)
-    st = np.sin(theta)
-    idx = np.arange(n)[:, None]
-    ramp_i = np.exp(idx * (-1j * math.pi * st * np.sin(phi)))  # (n, H)
-    ramp_j = np.exp(idx * (-1j * math.pi * st * np.cos(phi)))
-    return (ramp_i[:, None, :] * ramp_j[None, :, :]).reshape(n * n, -1)
+    scale = -1j * math.pi * np.sin(np.ravel(directions.theta))
+    ramps = np.exp(np.arange(n)[:, None, None] * (scale * np.array([np.sin(phi), np.cos(phi)])))  # (n, 2, H)
+    return (ramps[:, None, 0, :] * ramps[None, :, 1, :]).reshape(n * n, -1)
 
 
 def steering_vector(direction: AoA, n: int) -> np.ndarray:

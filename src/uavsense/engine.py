@@ -49,7 +49,7 @@ from .ofdm import (
     synth_rx_frame,
     synth_tx_frame,
 )
-from .fusion import DetectionResult, LocalRcsMap, detect, detection_delta, fuse
+from .fusion import FUSION_METHODS, DetectionResult, LocalRcsMap, detection_delta, fuse_and_detect
 
 __all__ = [
     "TrialOutcome",
@@ -64,8 +64,6 @@ __all__ = [
     "sweep_rows",
     "substream",
 ]
-
-FUSION_METHODS = ("avg", "prenorm")
 
 # Stream tags for the counter-based substream split.
 _STREAM_TARGET = 1
@@ -82,6 +80,7 @@ _TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise")
 # Config fields that may change between a table build and a run (RCS values,
 # trial count, master seed); every other field shapes the tables.
 _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
+_SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FIELDS)
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
@@ -226,6 +225,7 @@ class ScenarioTables:
     matched_delay: np.ndarray  # (P, n_p)
     est_scale: np.ndarray  # (P, n_p) maps matched power to sigma-hat
     noise_var: np.ndarray  # (P, n_p) per-sample variance N0 BW ||w||^2
+    noise_scale: np.ndarray  # (P, n_p) noise deviation per part of a matched sum, sqrt(N M noise_var / 2)
     weights: np.ndarray  # (P, n_p, n^2) receive weights per pair and intended cell
     # (P, n_q_max, n_p) matched_coupling of the ground at unit RCS, in illuminated-cell
     # order; rows past a transmitter's own n_q are zero, so they add +0.0 to any sum.
@@ -233,8 +233,7 @@ class ScenarioTables:
     map_index: np.ndarray  # (P, n_p) flat index of each (listener, cell) in the (U, L, L) map stack
 
     def compatible_with(self, config: ScenarioConfig) -> bool:
-        shaping = [f.name for f in fields(config) if f.name not in _RUN_FIELDS]
-        return all(getattr(self.config, name) == getattr(config, name) for name in shaping)
+        return config is self.config or all(getattr(self.config, name) == getattr(config, name) for name in _SHAPING)
 
 
 def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
@@ -331,7 +330,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         chi = weights[rows].conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
         del ground  # released before the temporaries of matched_coupling
         ground_coupling[rows, : len(q_points)] = matched_coupling(
-            amplitude, chi.transpose(0, 2, 1), tau_q, config.doppler_hz, tau_p[:, None], config.doppler_hz, params
+            amplitude, chi.transpose(0, 2, 1), tau_q, tau_p[:, None], params
         )
         transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=rows))
     return ScenarioTables(
@@ -347,6 +346,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         matched_delay=matched_delay,
         est_scale=est_scale,
         noise_var=noise_var,
+        noise_scale=np.sqrt(config.symbols_per_frame * config.subcarriers * noise_var / 2.0),
         weights=weights,
         ground_coupling=ground_coupling,
         map_index=np.concatenate([(r.rx[:, None] * L + r.cells[:, 0]) * L + r.cells[:, 1] for r in transmitters]),
@@ -375,19 +375,22 @@ def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trial: int) -> 
 
 
 def _target_couplings(config, tables, params, rows, target) -> np.ndarray:
-    """The target's matched_coupling row for each pair in `rows`, shape (len(rows), n_p)."""
+    """The target's matched_coupling row for each pair in `rows` (ascending), shape (len(rows), n_p).
+    Distances and steering vectors are computed once per UAV and read per pair."""
     positions = tables.deployment.positions
-    tx_pos, rx_pos = positions[tables.pair_tx[rows]], positions[tables.pair_rx[rows]]
-    g_target = steering_matrix(aoa(rx_pos, target), config.array_side)  # (n^2, rows)
-    d1 = np.linalg.norm(target - tx_pos, axis=1)
-    d2 = np.linalg.norm(rx_pos - target, axis=1)
+    distance = np.linalg.norm(positions - target, axis=1)
+    toward = steering_matrix(aoa(positions, target), config.array_side).T.conj()[:, :, None]  # (U, n^2, 1)
+    tx, rx = tables.pair_tx[rows], tables.pair_rx[rows]
+    d1, d2 = distance[tx], distance[rx]
+    # Weights are read in place, one run of consecutive pair rows (a transmitter's block) at a time.
+    flat = np.asarray(rows).tolist()
+    cuts = [0, *(k for k in range(1, len(flat)) if flat[k] != flat[k - 1] + 1), len(flat)]
+    gain = np.concatenate([tables.weights[flat[a] : flat[b - 1] + 1] @ toward[rx[a:b]] for a, b in zip(cuts, cuts[1:])])
     return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-        (tables.weights[rows] @ g_target.T.conj()[:, :, None])[:, :, 0].conj(),
+        gain[:, :, 0].conj(),
         (d1 + d2) / SPEED_OF_LIGHT,
-        config.doppler_hz,
         tables.matched_delay[rows],
-        config.doppler_hz,
         params,
     )
 
@@ -401,13 +404,15 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
     complex Gaussian from one (P, 2, n_p) block of substream(seed, trial, NOISE).
     """
     phases = np.exp(-1j * _phase_block(config, tables, trial))
-    total = math.sqrt(config.ground_rcs_m2) * (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
+    total = (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
+    total *= math.sqrt(config.ground_rcs_m2)
     lit = np.flatnonzero(illuminated_by[tables.pair_tx])
-    total[lit] += phases[lit, -1:] * _target_couplings(config, tables, params, lit, target)
+    if lit.size:
+        total[lit] += phases[lit, -1:] * _target_couplings(config, tables, params, lit, target)
     if not tables.options.noise:
         return coherent_peaks(total, params) * tables.est_scale
     draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(total), 2, total.shape[1]))
-    return coherent_peaks(total, params, tables.noise_var, draws) * tables.est_scale
+    return coherent_peaks(total, params, noise_draws=draws, noise_scale=tables.noise_scale) * tables.est_scale
 
 
 def _reference_estimates(config, tables, params, trial, target, illuminated_by):
@@ -463,10 +468,8 @@ def run_trial(
     """
     if tables is None:
         tables = build_tables(config, options or RunOptions())
-    elif not tables.compatible_with(config):
-        raise ConfigError("tables were built for a different scenario geometry")
-    elif options is not None:
-        _check_options(options, tables)
+    else:
+        _check_tables(config, options, tables)
     L = config.grid_side
     U = config.uav_count
 
@@ -478,11 +481,8 @@ def run_trial(
     maps = maps.reshape(U, L, L)
 
     true_cell = cell_of_point(tables.grid, target[0], target[1])
-    detections = {}
-    fused_maps = {}
-    for method in FUSION_METHODS:
-        fused = fuse(maps, method=method)
-        detected = detect(fused)
+    detections, fused_maps = {}, {}
+    for method, (fused, detected) in fuse_and_detect(maps).items():
         center = tables.grid.centers[detected[0], detected[1]]
         delta_star = detection_delta(target, center, config.cell_size_m)
         detections[method] = DetectionResult(
@@ -501,7 +501,11 @@ def run_trial(
     )
 
 
-def _check_options(options: RunOptions, tables: ScenarioTables) -> None:
+def _check_tables(config: ScenarioConfig, options: RunOptions | None, tables: ScenarioTables) -> None:
+    if not tables.compatible_with(config):
+        raise ConfigError("tables were built for a different scenario geometry")
+    if options is None:
+        return
     for name in _TABLE_OPTION_FIELDS:
         given, built = getattr(options, name), getattr(tables.options, name)
         if given != built:
@@ -538,8 +542,8 @@ def run_monte_carlo_all_fusions(
         raise ConfigError("trials: must be >= 1")
     if tables is None:
         tables = build_tables(config, options or RunOptions())
-    elif options is not None:
-        _check_options(options, tables)
+    else:
+        _check_tables(config, options, tables)
     trial_ids = list(range(config.trials))
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FUSION_METHODS = ("avg", "prenorm")
+
 __all__ = [
     "LocalRcsMap",
     "DetectionResult",
     "normalize_map",
     "fuse",
     "detect",
+    "fuse_and_detect",
     "hypothesis_test",
     "detection_delta",
 ]
@@ -37,18 +40,31 @@ class DetectionResult:
     hits: tuple[bool, bool, bool]  # delta = 0, 1, 2
 
 
+def _rescaled(values: np.ndarray) -> np.ndarray:
+    """(values - min) / (max - min) of each map over its non-NaN entries; 0.0 on a map whose span is not positive."""
+    lo = np.fmin.reduce(values, axis=(-2, -1), keepdims=True)
+    if not lo.all():  # a zero minimum: its sign reaches -0.0 entries, so keep the masked reduction's sign
+        lo = np.min(values, axis=(-2, -1), keepdims=True, initial=np.inf, where=~np.isnan(values))
+    span = np.fmax.reduce(values, axis=(-2, -1), keepdims=True) - lo
+    rising = span > 0
+    if rising.all():
+        return (values - lo) / span
+    return np.where(rising, values - lo, 0.0) / np.where(rising, span, 1.0)
+
+
 def normalize_map(values: np.ndarray) -> np.ndarray:
     """Rescale the finite entries of each map (the last two axes) to [0, 1].
 
     A constant map maps to all zeros; no-estimate cells, and so an all-NaN
     map, stay NaN.
     """
-    estimated = ~np.isnan(values)
-    lo = np.min(values, axis=(-2, -1), keepdims=True, initial=np.inf, where=estimated)
-    hi = np.max(values, axis=(-2, -1), keepdims=True, initial=-np.inf, where=estimated)
-    span = hi - lo
-    scaled = np.divide(values - lo, span, out=np.zeros_like(values), where=span > 0)
-    return np.where(np.isfinite(values), scaled, np.nan)
+    return np.where(np.isfinite(values), _rescaled(values), np.nan)
+
+
+def _average(values: np.ndarray, finite: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean over the maps (axis -3) of the finite entries of each cell; NaN where counts is 0."""
+    sums = np.where(finite, values, 0.0).sum(axis=-3)
+    return np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
 
 
 def fuse(maps: np.ndarray, method: str = "avg") -> np.ndarray:
@@ -65,9 +81,7 @@ def fuse(maps: np.ndarray, method: str = "avg") -> np.ndarray:
     elif method != "avg":
         raise ValueError(f"unknown fusion method {method!r}")
     finite = np.isfinite(maps)
-    counts = finite.sum(axis=0)
-    sums = np.where(finite, maps, 0.0).sum(axis=0)
-    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+    return _average(maps, finite, finite.sum(axis=0))
 
 
 def detect(values: np.ndarray) -> tuple[int, int]:
@@ -77,6 +91,19 @@ def detect(values: np.ndarray) -> tuple[int, int]:
     flat = np.where(np.isfinite(values), values, -np.inf)
     idx = int(np.argmax(flat))
     return np.unravel_index(idx, values.shape)
+
+
+def fuse_and_detect(maps: np.ndarray) -> dict:
+    """{method: (fuse(maps, method), detect of it)} for each of FUSION_METHODS, in one pass sharing the finite
+    mask and the counts; byte for byte the separate calls when no map holds -inf and no finite range or sum
+    overflows (any stack of nonnegative RCS estimates), as each fused cell is then finite exactly where estimated."""
+    finite = np.isfinite(maps)
+    counts = finite.sum(axis=0)
+    if not counts.any():
+        raise ValueError("no cell carries an estimate")
+    fused = _average(np.array([maps, _rescaled(maps)]), finite, counts)
+    rows, cols = np.unravel_index(np.fmax(fused, -np.inf).reshape(len(fused), -1).argmax(axis=1), counts.shape)
+    return {method: (fused[k], (rows[k], cols[k])) for k, method in enumerate(FUSION_METHODS)}
 
 
 def hypothesis_test(target_pos, cell_center, cell_size: float, delta: int = 0) -> bool:

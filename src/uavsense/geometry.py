@@ -32,13 +32,14 @@ __all__ = [
     "cell_of_point",
 ]
 
+
 # Element-wise libm angles. numpy's float64 arctan and arctan2 take SIMD paths
 # on some CPUs and its hypot is not CPython's, so they differ from math in the
 # last bit from machine to machine; a Capon design turns a last-bit change of
 # its direction into relative changes near 1e-11 of low-gain estimates.
-_hypot = np.vectorize(math.hypot, otypes=[float])
-_atan = np.vectorize(math.atan, otypes=[float])
-_atan2 = np.vectorize(math.atan2, otypes=[float])
+def _libm(fn, shape, *args: list) -> np.ndarray:
+    return np.fromiter(map(fn, *args), dtype=float, count=math.prod(shape)).reshape(shape)
+
 
 # Absolute slack for closed containment tests; geometric thresholds that are
 # algebraically exact (inscribed square == block edge) must not fail to rounding.
@@ -78,16 +79,7 @@ class CellSets:
 
     intended: np.ndarray
     clutter: np.ndarray
-
-    @property
-    def illuminated(self) -> np.ndarray:
-        if len(self.intended) == 0:
-            return self.clutter
-        if len(self.clutter) == 0:
-            return self.intended
-        both = np.vstack([self.intended, self.clutter])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        return both[order]
+    illuminated: np.ndarray
 
 
 def build_grid(config: ScenarioConfig) -> CellGrid:
@@ -179,9 +171,11 @@ def classify_cells(config: ScenarioConfig, uav: int, grid: CellGrid, deployment:
     tol = _GEOM_EPS * max(1.0, radius)
     inside_square = np.maximum(dx, dy) + d / 2.0 <= half_square + tol
     inside_circle = np.hypot(dx, dy) <= radius + tol
-    intended = np.argwhere(inside_square)
-    clutter = np.argwhere(inside_circle & ~inside_square)
-    return CellSets(intended=intended, clutter=clutter)
+    return CellSets(
+        intended=np.argwhere(inside_square),
+        clutter=np.argwhere(inside_circle & ~inside_square),
+        illuminated=np.argwhere(inside_circle | inside_square),
+    )
 
 
 def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
@@ -194,14 +188,14 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
     """
     observer = np.asarray(observer, dtype=float)
     point = np.asarray(point, dtype=float)
-    dz = observer[..., 2] - point[..., 2]
-    if np.any(dz <= 0):
+    offset = point - observer
+    dx, dy, dz = offset[..., 0], offset[..., 1], -offset[..., 2]
+    if (dz <= 0).any():
         raise ValueError("observed point must lie below the observer")
-    dx = point[..., 0] - observer[..., 0]
-    dy = point[..., 1] - observer[..., 1]
-    rho = _hypot(dx, dy)
-    theta = _atan(rho / dz)
-    phi = np.where(rho == 0.0, 0.0, _atan2(dy, dx) % (2.0 * math.pi))
+    x, y = dx.ravel().tolist(), dy.ravel().tolist()
+    rho = _libm(math.hypot, dz.shape, x, y)
+    theta = _libm(math.atan, dz.shape, (rho / dz).ravel().tolist())
+    phi = np.where(rho == 0.0, 0.0, _libm(math.atan2, dz.shape, y, x) % (2.0 * math.pi))
     if theta.ndim == 0:
         return AoA(theta=float(theta), phi=float(phi))
     return AoA(theta=theta, phi=phi)

@@ -68,13 +68,13 @@ class OfdmParams:
 
 @dataclass(frozen=True)
 class Reflections:
-    """The reflections in a received frame as arrays over r: amplitude, delay, Doppler and
-    random phase of shape (R,), and the beamformed gain (..., R), one row per weight vector."""
+    """The reflections in a received frame as arrays over r: amplitude, delay and random phase of shape
+    (R,), and the beamformed gain (..., R), one row per weight vector; all share the scenario Doppler."""
 
     amplitude: np.ndarray
     gain: np.ndarray
     delay_s: np.ndarray
-    doppler_hz: np.ndarray
+    doppler_hz: float
     phase: np.ndarray
 
 
@@ -86,7 +86,7 @@ def synth_tx_frame(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
 
 def reflection_amplitude(config: ScenarioConfig, rcs_m2, d1, d2):
     """Two-hop amplitude attenuation sqrt(P G sigma lambda^2 / ((4 pi)^3 d1^2 d2^2)), element-wise."""
-    if np.any(np.asarray(d1) <= 0) or np.any(np.asarray(d2) <= 0):
+    if (np.fmin(d1, d2) <= 0).any():
         raise ValueError("propagation distances must be positive")
     lam = config.wavelength_m
     num = config.transmit_power_w * config.transmit_gain * rcs_m2 * lam * lam
@@ -129,7 +129,7 @@ def build_reflections(
         amplitude=reflection_amplitude(config, rcs, d1, d2),
         gain=weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side),
         delay_s=(d1 + d2) / SPEED_OF_LIGHT,
-        doppler_hz=np.full(len(points), config.doppler_hz),
+        doppler_hz=config.doppler_hz,
         phase=np.asarray(phase, dtype=float),
     )
 
@@ -227,38 +227,32 @@ def dirichlet_kernel(x: np.ndarray | float, length: int) -> np.ndarray | complex
     x = np.asarray(x, dtype=float)
     half = math.pi * x
     denominator = np.sin(half)
-    ratio = np.where(np.round(half / math.pi) * (length - 1) % 2 == 0, 1.0, -1.0)
-    np.divide(np.sin(length * half), length * denominator, out=ratio, where=np.abs(denominator) >= 1e-7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.asarray(np.sin(length * half) / (length * denominator))
+    limit = np.abs(denominator) < 1e-7
+    if limit.any():
+        ratio[limit] = np.where(np.round(half[limit] / math.pi) * (length - 1) % 2 == 0, 1.0, -1.0)
     return length * ratio * np.exp(-1j * math.pi * x * (length - 1))
 
 
-def matched_coupling(
-    amplitude,
-    gain,
-    delay_s,
-    doppler_hz,
-    matched_delay_s,
-    matched_doppler_hz,
-    params: OfdmParams,
-) -> np.ndarray:
+def matched_coupling(amplitude, gain, delay_s, matched_delay_s, params: OfdmParams) -> np.ndarray:
     """Matched-point response of each reflection (rows) at each cell (columns).
 
     The matched correlation of one reflection separates into two geometric
     phase-ramp sums, so reflection r contributes
     b_r chi_rp D_N((f_p - f_r) T_o) D_M((tau_r - tau_p) df) e^{-j zeta_r}
-    to the coherent sum of cell p. This returns that product without the
-    random phase, shape (..., reflections, cells). ``amplitude``,
-    ``delay_s`` and ``doppler_hz`` are per reflection, (..., reflections)
-    (scalars broadcast), ``matched_delay_s`` is per cell (..., 1, cells) or
-    per reflection and cell, and ``gain`` broadcasts to (..., reflections,
-    cells). Leading axes are batch axes, e.g. one per listener; without
-    them, ``matched_delay_s`` may be a plain (cells,) row.
+    to the coherent sum of cell p. Every reflection and every matched point
+    carry the one scenario Doppler, so the symbol-axis sum is D_N(0) = N.
+    This returns that product without the random phase, shape (...,
+    reflections, cells). ``amplitude`` and ``delay_s`` are per reflection,
+    (..., reflections) (scalars broadcast), ``matched_delay_s`` is per cell
+    (..., 1, cells) or per reflection and cell, and ``gain`` broadcasts to
+    (..., reflections, cells). Leading axes are batch axes, e.g. one per
+    listener; without them, ``matched_delay_s`` may be a plain (cells,) row.
     """
-    doppler_mismatch = matched_doppler_hz - np.asarray(doppler_hz)[..., None]
     delay_mismatch = np.asarray(delay_s)[..., None] - np.asarray(matched_delay_s)
-    kernel_sym = dirichlet_kernel(doppler_mismatch * params.symbol_duration_s, params.symbols)
     kernel_sub = dirichlet_kernel(delay_mismatch * params.subcarrier_spacing_hz, params.subcarriers)
-    return np.asarray(amplitude)[..., None] * gain * (kernel_sym * kernel_sub)
+    return np.asarray(amplitude)[..., None] * gain * (params.symbols * kernel_sub)
 
 
 def closed_form_peaks(
@@ -286,14 +280,17 @@ def closed_form_peaks(
     return coherent_peaks((phases[..., None, :] @ coupling)[..., 0, :], params, noise_variance, noise_draws)
 
 
-def coherent_peaks(total: np.ndarray, params: OfdmParams, noise_variance=0.0, noise_draws=None) -> np.ndarray:
+def coherent_peaks(total, params: OfdmParams, noise_variance=0.0, noise_draws=None, *, noise_scale=None) -> np.ndarray:
     """closed_form_peaks from the noiseless coherent sums ``total`` (..., cells)
-    over the reflections, with the same noise convention."""
+    over the reflections, with the same noise convention; ``noise_scale`` may
+    give the noise deviation per part, sqrt(N M noise_variance / 2), precomputed."""
     N = params.symbols
     M = params.subcarriers
     if noise_draws is not None:
-        noise = noise_draws[..., 0, :] + 1j * noise_draws[..., 1, :]
-        total = total + np.sqrt(N * M * noise_variance / 2.0) * noise
+        if noise_scale is None:
+            noise_scale = np.sqrt(N * M * np.asarray(noise_variance) / 2.0)
+        total = total + noise_scale * noise_draws[..., 0, :]
+        total.imag += noise_scale * noise_draws[..., 1, :]
     elif np.any(noise_variance):
         raise ValueError("noise requires standard normal draws")
     return np.abs(total) ** 2 / (N * M)

@@ -182,9 +182,7 @@ def test_criterion_4_fast_reference_equivalence():
         reflections.amplitude,
         np.reshape(reflections.gain, (-1, 1)),
         reflections.delay_s,
-        reflections.doppler_hz,
         [tau],
-        0.0,
         params,
     )
     zeta = reflections.phase

@@ -196,9 +196,7 @@ class TestBuildTables:
                     reflection_amplitude(config, 1.0, d1_q, d2_q),
                     chi.T,
                     (d1_q + d2_q) / SPEED_OF_LIGHT,
-                    config.doppler_hz,
                     tau_p,
-                    config.doppler_hz,
                     params,
                 )
                 assert tables.matched_delay[p].tobytes() == tau_p.tobytes()
@@ -366,6 +364,16 @@ class TestRunTrial:
         other = replace(small_config, area_side_m=80.0)
         with pytest.raises(ConfigError):
             run_trial(other, 0, tables=tables)
+
+    @pytest.mark.parametrize("entry", ["run_trial", "workers=1", "workers=2"])
+    def test_geometry_mismatch_raises_on_every_entry_point(self, small_config, entry):
+        tables = build_tables(small_config, RunOptions())
+        other = replace(small_config, grid_side=4, area_side_m=20.0)
+        with pytest.raises(ConfigError, match="tables were built for a different scenario geometry"):
+            if entry == "run_trial":
+                run_trial(other, 0, tables=tables)
+            else:
+                run_monte_carlo_all_fusions(other, workers=int(entry[-1]), tables=tables)
 
     def test_rcs_override_without_rebuild(self, small_config):
         # Ground/target RCS and seeds may change on shared tables.

@@ -6,6 +6,7 @@ from uavsense import (
     detect,
     detection_delta,
     fuse,
+    fuse_and_detect,
     hypothesis_test,
     normalize_map,
 )
@@ -42,6 +43,19 @@ class TestNormalizeMap:
         once = normalize_map(values)
         twice = normalize_map(once)
         assert np.allclose(once, twice)
+
+    def test_equals_masked_reduction_form(self, rng):
+        # The fmin/fmax reductions give the bytes of the masked min/max form,
+        # signed zeros, constant, all-NaN and infinite maps included.
+        for _ in range(400):
+            maps = rng.choice([0.0, -0.0, 0.5, 2.0, -1.0, np.nan, np.inf], size=(rng.integers(1, 5), 4, 6))
+            estimated = ~np.isnan(maps)
+            with np.errstate(invalid="ignore"):
+                lo = np.min(maps, axis=(-2, -1), keepdims=True, initial=np.inf, where=estimated)
+                span = np.max(maps, axis=(-2, -1), keepdims=True, initial=-np.inf, where=estimated) - lo
+                scaled = np.divide(maps - lo, span, out=np.zeros_like(maps), where=span > 0)
+                expected = np.where(np.isfinite(maps), scaled, np.nan)
+                assert normalize_map(maps).tobytes() == expected.tobytes()
 
     def test_stack_equals_map_by_map(self, rng):
         # Each map of a stack is rescaled on its own, byte for byte as alone;
@@ -100,6 +114,50 @@ class TestFuse:
         maps = stack(values, values, values)
         assert detect(fuse(maps, "avg")) == (3, 1)
         assert detect(fuse(maps, "prenorm")) == (3, 1)
+
+
+class TestFuseAndDetect:
+    @staticmethod
+    def _stacks(rng):
+        """Random stacks with NaN cells and signed zeros, and stacks holding an
+        all-NaN map, a constant map and a map with a single estimate."""
+        base = rng.uniform(0.0, 4.0, size=(5, 6, 6))
+        base[rng.random(base.shape) < 0.3] = np.nan
+        all_nan, constant, single = base.copy(), base.copy(), base.copy()
+        all_nan[1] = np.nan
+        constant[2] = np.where(np.isnan(constant[2]), np.nan, 1.5)
+        single[3] = np.nan
+        single[3, 4, 1] = 0.75
+        stacks = [base, all_nan, constant, single, rng.choice([0.0, -0.0, np.nan], size=(4, 5, 5))]
+        for _ in range(200):
+            U, L = rng.integers(1, 6), rng.integers(1, 8)
+            if rng.random() < 0.5:
+                maps = rng.choice([0.0, -0.0, 0.25, 1.0, 3.5, -2.0], size=(U, L, L))
+            else:
+                maps = rng.uniform(-2.0, 5.0, size=(U, L, L))
+            maps[rng.random(maps.shape) < rng.uniform(0.0, 0.9)] = np.nan
+            stacks.append(maps)
+        return stacks
+
+    def test_equals_fuse_then_detect_per_method(self, rng):
+        # One pass gives each method's fused map and detection byte for byte
+        # as fuse(maps, method) followed by detect.
+        checked = 0
+        for maps in self._stacks(rng):
+            if not np.isfinite(maps).any():
+                continue
+            results = fuse_and_detect(maps)
+            assert list(results) == ["avg", "prenorm"]
+            for method, (fused, cell) in results.items():
+                expected = fuse(maps, method)
+                assert fused.shape == expected.shape and fused.tobytes() == expected.tobytes()
+                assert cell == detect(expected)
+            checked += 1
+        assert checked > 150
+
+    def test_no_estimate_rejected_like_detect(self):
+        with pytest.raises(ValueError, match="no cell carries an estimate"):
+            fuse_and_detect(np.full((3, 2, 2), np.nan))
 
 
 class TestDetect:

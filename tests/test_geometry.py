@@ -176,6 +176,20 @@ class TestClassifyCells:
             )
         assert np.all(seen == 1)
 
+    @pytest.mark.parametrize("altitude", [None, 5.0, 20.0, 100.0, 400.0])
+    def test_illuminated_is_the_row_major_union(self, altitude):
+        # classify_cells stores the union of the intended and clutter cells
+        # once, in row-major order: the lexsorted stack of the two sets.
+        cfg = _config() if altitude is None else _config(altitude_mode="explicit", altitude_m=altitude)
+        grid = build_grid(cfg)
+        dep = deploy_uavs(cfg, grid)
+        for u in range(cfg.uav_count):
+            sets = classify_cells(cfg, u, grid, dep)
+            both = np.vstack([sets.intended, sets.clutter])
+            expected = both[np.lexsort((both[:, 1], both[:, 0]))]
+            assert sets.illuminated.dtype == expected.dtype and sets.illuminated.shape == expected.shape
+            assert sets.illuminated.tobytes() == expected.tobytes()
+
 
 class TestAoa:
     def test_right_triangle(self):

@@ -65,7 +65,7 @@ def reflections_of(*rows):
     return Reflections(*columns)
 
 
-def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, noise_variance=0.0, rng=None):
+def closed_form_rcs(cfg, reflections, matched_delay, d1, d2, noise_variance=0.0, rng=None):
     """RCS estimate of one cell through matched_coupling and closed_form_peaks;
     noise, if any, is drawn from `rng` as standard_normal((2, 1))."""
     params = OfdmParams.from_config(cfg)
@@ -73,9 +73,7 @@ def closed_form_rcs(cfg, reflections, matched_delay, matched_doppler, d1, d2, no
         reflections.amplitude,
         np.reshape(reflections.gain, (-1, 1)),
         reflections.delay_s,
-        reflections.doppler_hz,
         [matched_delay],
-        matched_doppler,
         params,
     )
     zeta = reflections.phase
@@ -192,6 +190,7 @@ class TestBuildReflections:
             self._phases(rng, len(sets.illuminated) + 1),
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
+        assert refl.doppler_hz == cfg.doppler_hz
         for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
             d1, d2 = path_distances(dep.positions[0], point, dep.positions[1])
@@ -199,7 +198,6 @@ class TestBuildReflections:
             assert refl.amplitude[r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
             assert refl.gain[r] == pytest.approx(gain, rel=1e-12)
             assert refl.delay_s[r] == pytest.approx((d1 + d2) / C0, rel=1e-12)
-            assert refl.doppler_hz[r] == cfg.doppler_hz
 
     def test_half_duplex_guard(self, rng):
         cfg, grid, dep, sets, weights = self._scene()
@@ -451,6 +449,17 @@ class TestDirichletKernel:
         assert dirichlet_kernel(float(x[0, 0]), length) == expected[0, 0]
 
 
+    @pytest.mark.parametrize("symbols", [1, 8, 16])
+    def test_folded_symbol_kernel_keeps_power_bytes(self, rng, symbols):
+        # Every reflection shares the matched Doppler, so the symbol-axis
+        # kernel is D_N(0) = N; the folded product has the same |.|^2 bytes.
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 1000), np.arange(-3.0, 4.0), [-0.0, 1e-9, 0.5]])
+        for subcarriers in (16, 25, 64):
+            folded = symbols * dirichlet_kernel(x, subcarriers)
+            product = dirichlet_kernel(0.0, symbols) * dirichlet_kernel(x, subcarriers)
+            assert (np.abs(folded) ** 2).tobytes() == (np.abs(product) ** 2).tobytes()
+
+
 class TestFastCellEstimate:
     def _reference(self, cfg, params, reflections, tau, rng_tx):
         tx = synth_tx_frame(params, rng_tx)
@@ -476,29 +485,31 @@ class TestFastCellEstimate:
         )
         peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(0))
         expected = estimate_rcs(peak, cfg, d1, d2)
-        got = closed_form_rcs(cfg, reflections, tau, 0.0, d1, d2)
+        got = closed_form_rcs(cfg, reflections, tau, d1, d2)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_matched_kernel_is_frame_size(self):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
         tau = 2e-6
         refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
-        got = closed_form_rcs(cfg, refl, tau, 0.0, 100.0, 100.0)
+        got = closed_form_rcs(cfg, refl, tau, 100.0, 100.0)
         # K = N M at zero mismatch, so the peak is N M and sigma follows Eq.-style inversion
         assert got == pytest.approx(estimate_rcs(8 * 16, cfg, 100.0, 100.0), rel=1e-12)
 
-    def test_mixed_doppler_equivalence(self, rng):
-        # The product-kernel closed form stays exact for per-reflection Doppler.
-        cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
-        params = OfdmParams.from_config(cfg)
-        tau = 1e-6
-        reflections = reflections_of(
-            (1e-7, 1.0, tau, 4000.0, 0.2),
-            (3e-7, 0.5 + 0.5j, tau * 1.02, -2500.0, 1.5),
-        )
-        peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(1))
-        got = closed_form_rcs(cfg, reflections, tau, cfg.doppler_hz, 100.0, 100.0)
-        assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
+    def test_shared_doppler_equivalence(self):
+        # The closed form folds the symbol-axis sum to N; frames with the
+        # scenario's nonzero Doppler ramps, matched at that Doppler, agree.
+        for doppler in (4000.0, -2500.0):
+            cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16, doppler_hz=doppler)
+            params = OfdmParams.from_config(cfg)
+            tau = 1e-6
+            reflections = reflections_of(
+                (1e-7, 1.0, tau, doppler, 0.2),
+                (3e-7, 0.5 + 0.5j, tau * 1.02, doppler, 1.5),
+            )
+            peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(1))
+            got = closed_form_rcs(cfg, reflections, tau, 100.0, 100.0)
+            assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
 
     def test_noise_only_mean_matches_variance(self):
         # Expected matched-point value under pure noise is the per-sample
@@ -510,7 +521,7 @@ class TestFastCellEstimate:
         scale = estimate_rcs(1.0, cfg, 100.0, 100.0)
         empty = reflections_of()
         values = [
-            closed_form_rcs(cfg, empty, 0.0, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
+            closed_form_rcs(cfg, empty, 0.0, 100.0, 100.0, noise_variance=noise_var, rng=rng) / scale
             for _ in range(10_000)
         ]
         assert np.mean(values) == pytest.approx(noise_var, rel=0.05)
@@ -567,6 +578,20 @@ class TestFastCellEstimate:
         with pytest.raises(ValueError, match="draws"):
             coherent_peaks(total, params, noise_var)
 
+    def test_precomputed_noise_scale_equals_complex_noise(self):
+        # The deviation sqrt(N M noise_variance / 2) given up front adds the
+        # same noise, byte for byte, as the variance and as one complex sum.
+        params = small_params()
+        rng = np.random.default_rng(31)
+        total = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        noise_var = rng.uniform(0.1, 1.0, (3, 4))
+        draws = rng.standard_normal((3, 2, 4))
+        nm = params.symbols * params.subcarriers
+        scale = np.sqrt(nm * noise_var / 2.0)
+        complex_form = np.abs(total + scale * (draws[:, 0] + 1j * draws[:, 1])) ** 2 / nm
+        assert coherent_peaks(total, params, noise_var, draws).tobytes() == complex_form.tobytes()
+        assert coherent_peaks(total, params, noise_draws=draws, noise_scale=scale).tobytes() == complex_form.tobytes()
+
     def test_batched_coupling_equals_one_call_per_batch(self):
         # Leading batch axes on every per-reflection and per-cell argument
         # give each batch row the value of a call on that row alone, bit for bit.
@@ -576,10 +601,8 @@ class TestFastCellEstimate:
         gain = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
         delay = rng.uniform(1e-6, 2e-6, (3, 5))
         matched_delay = rng.uniform(1e-6, 2e-6, (3, 4))
-        together = matched_coupling(amplitude, gain, delay, 150.0, matched_delay[:, None], 0.0, params)
-        alone = [
-            matched_coupling(amplitude[k], gain[k], delay[k], 150.0, matched_delay[k], 0.0, params) for k in range(3)
-        ]
+        together = matched_coupling(amplitude, gain, delay, matched_delay[:, None], params)
+        alone = [matched_coupling(amplitude[k], gain[k], delay[k], matched_delay[k], params) for k in range(3)]
         assert together.shape == (3, 5, 4)
         assert together.tobytes() == np.stack(alone).tobytes()
 
@@ -637,9 +660,7 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     tx = synth_tx_frame(params, gen_ref)
     frames = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
     ref_values = matched_point_value(frames, tau, 0.0, params)
-    coupling = matched_coupling(
-        refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, refl.doppler_hz, [tau], 0.0, params
-    )
+    coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], params)
     fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
     fast_values = closed_form_peaks(coupling, refl.phase, params, noise_var, fast_draws)[:, 0]
     assert ref_values.shape == fast_values.shape == (draws,)
