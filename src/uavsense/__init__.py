@@ -43,7 +43,6 @@ from .beamforming import (
     steering_vector,
 )
 from .ofdm import (
-    OfdmParams,
     Reflections,
     build_reflections,
     closed_form_peaks,

@@ -24,6 +24,10 @@ __all__ = [
 
 # Diagonal loading applied when the LS normal matrix is singular.
 _LS_LOADING = 1e-9
+# Iterative refinement of the LS solve: at most this many steps, stopping once
+# a step lowers the residual by less than the tolerance.
+_LS_REFINE_STEPS = 10
+_LS_REFINE_TOL = 1e-10
 
 
 def steering_matrix(directions: AoA, n: int) -> np.ndarray:
@@ -65,7 +69,7 @@ def aoa_mesh(intended: AoA, n: int) -> AoA:
     return AoA(theta=np.repeat(elevations, 4 * n), phi=np.tile(azimuths, n))
 
 
-def ls_beamformer(mesh: AoA, n: int, iterations: int = 10, tol: float = 1e-10) -> np.ndarray:
+def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
     """Constrained least-squares weights (n^2,) over the AoA mesh.
 
     Minimizes ||A w - v||_2^2 where row h of A is the conjugated steering
@@ -86,7 +90,7 @@ def ls_beamformer(mesh: AoA, n: int, iterations: int = 10, tol: float = 1e-10) -
         factor = scipy.linalg.cho_factor(normal + _LS_LOADING * np.eye(normal.shape[0]))
     w = scipy.linalg.cho_solve(factor, rhs)
     residual = float(np.sum(np.abs(response_matrix @ w - v) ** 2))
-    for _ in range(iterations):
+    for _ in range(_LS_REFINE_STEPS):
         correction = scipy.linalg.cho_solve(factor, rhs - normal @ w)
         candidate = w + correction
         cand_residual = float(np.sum(np.abs(response_matrix @ candidate - v) ** 2))
@@ -94,7 +98,7 @@ def ls_beamformer(mesh: AoA, n: int, iterations: int = 10, tol: float = 1e-10) -
             break
         improved = residual - cand_residual
         w, residual = candidate, cand_residual
-        if improved < tol:
+        if improved < _LS_REFINE_TOL:
             break
     return w / np.linalg.norm(w)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -15,12 +14,15 @@ import scipy
 
 from . import __version__
 from .config import (
+    BEAMFORMERS,
     DELTAS,
+    FUSION_METHODS,
     ConfigError,
     RunOptions,
     ScenarioConfig,
     SweepSpec,
     config_as_dict,
+    m2_to_dbsm,
     parse_config_file,
     render_config_text,
 )
@@ -186,7 +188,7 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
 def _cmd_run(args) -> int:
     config, options, _ = _load_config(args)
     stats = run_monte_carlo_all_fusions(config, options)[options.fusion]
-    sigma_g_dbsm = 10.0 * math.log10(config.ground_rcs_m2)
+    sigma_g_dbsm = m2_to_dbsm(config.ground_rcs_m2)
     rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma_g_dbsm, config.master_seed)
     _emit(args, config, options, rows, [])
     return 0
@@ -221,8 +223,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--beamformer", choices=("ls", "capon"))
-        p.add_argument("--fusion", choices=("avg", "prenorm"))
+        p.add_argument("--beamformer", choices=BEAMFORMERS)
+        p.add_argument("--fusion", choices=FUSION_METHODS)
         p.add_argument("--fast-path", dest="fast_path", choices=("on", "off"))
 
     p_run = sub.add_parser("run", help="one Monte Carlo batch at a fixed configuration")

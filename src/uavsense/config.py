@@ -14,6 +14,8 @@ from scipy.constants import c as SPEED_OF_LIGHT
 __all__ = [
     "SPEED_OF_LIGHT",
     "DELTAS",
+    "BEAMFORMERS",
+    "FUSION_METHODS",
     "ConfigError",
     "ScenarioConfig",
     "RunOptions",
@@ -48,6 +50,11 @@ def w_per_hz_to_dbm_per_hz(value_w_hz: float) -> float:
 # Hit distances (Chebyshev cells between detected and true cell) that every
 # Monte Carlo batch counts; sweeps may report any subset of them.
 DELTAS = (0, 1, 2)
+
+# Receive beamformer designs and fusion-center methods, by their option tags;
+# fusion.fuse_and_detect stacks its fused maps in the order of FUSION_METHODS.
+BEAMFORMERS = ("ls", "capon")
+FUSION_METHODS = ("avg", "prenorm")
 
 
 class ConfigError(ValueError):
@@ -176,9 +183,9 @@ class RunOptions:
     noise: bool = True
 
     def __post_init__(self):
-        if self.beamformer not in ("ls", "capon"):
+        if self.beamformer not in BEAMFORMERS:
             raise ConfigError(f"beamformer: must be 'ls' or 'capon', got {self.beamformer!r}")
-        if self.fusion not in ("avg", "prenorm"):
+        if self.fusion not in FUSION_METHODS:
             raise ConfigError(f"fusion: must be 'avg' or 'prenorm', got {self.fusion!r}")
 
 
@@ -208,10 +215,10 @@ class SweepSpec:
         if not self.values:
             raise ConfigError("sweep.values: at least one value required")
         for tag in self.beamformers:
-            if tag not in ("ls", "capon"):
+            if tag not in BEAMFORMERS:
                 raise ConfigError(f"sweep.beamformers: unknown tag {tag!r}")
         for tag in self.fusions:
-            if tag not in ("avg", "prenorm"):
+            if tag not in FUSION_METHODS:
                 raise ConfigError(f"sweep.fusions: unknown tag {tag!r}")
         for d in self.deltas:
             if not (isinstance(d, int) and d in DELTAS):
@@ -354,31 +361,13 @@ def parse_config_file(path, overrides: dict[str, str] | None = None):
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:
     """Canonical flat rendering; feeding it back reproduces identical runs."""
     lines = []
-    for name in (
-        "transmit_power_w",
-        "transmit_gain",
-        "area_side_m",
-        "uav_count",
-        "noise_density_w_hz",
-        "ground_rcs_m2",
-        "target_rcs_m2",
-        "symbols_per_frame",
-        "subcarriers",
-        "array_side",
-        "carrier_frequency_hz",
-        "bandwidth_hz",
-        "cp_duration_s",
-        "grid_side",
-        "doppler_hz",
-        "altitude_mode",
-    ):
-        value = getattr(config, name)
-        rendered = value if isinstance(value, str) else repr(value)
-        lines.append(f"scenario.{name} = {rendered}")
-    if config.altitude_m is not None:
-        lines.append(f"scenario.altitude_m = {config.altitude_m!r}")
-    lines.append(f"run.trials = {config.trials}")
-    lines.append(f"run.master_seed = {config.master_seed}")
+    for f in fields(ScenarioConfig):
+        value = getattr(config, f.name)
+        if f.name in ("trials", "master_seed"):
+            lines.append(f"run.{f.name} = {value}")
+        elif value is not None:
+            rendered = value if isinstance(value, str) else repr(value)
+            lines.append(f"scenario.{f.name} = {rendered}")
     lines.append(f"run.beamformer = {options.beamformer}")
     lines.append(f"run.fusion = {options.fusion}")
     lines.append(f"run.fast_path = {'on' if options.fast_path else 'off'}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import (
     DELTAS,
+    FUSION_METHODS,
     SPEED_OF_LIGHT,
     ConfigError,
     RunOptions,
@@ -38,7 +39,6 @@ from .geometry import (
 )
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from .ofdm import (
-    OfdmParams,
     build_reflections,
     coherent_peaks,
     estimate_rcs,
@@ -49,7 +49,7 @@ from .ofdm import (
     synth_rx_frame,
     synth_tx_frame,
 )
-from .fusion import FUSION_METHODS, DetectionResult, LocalRcsMap, detection_delta, fuse_and_detect
+from .fusion import DetectionResult, LocalRcsMap, detection_delta, fuse_and_detect
 
 __all__ = [
     "TrialOutcome",
@@ -104,24 +104,13 @@ def _path_words(master_seed: int, path) -> tuple[int, int]:
     return acc, _splitmix64(acc ^ 0xA5A5A5A5A5A5A5A5)
 
 
-def _stream_keys(master_seed: int, *path) -> np.ndarray:
-    """Philox keys of the substreams at path (trial, tag, *ids), shape broadcast(ids) + (2,).
-
-    The path is hashed with SplitMix64 into two exact uint64 words, one element of array ids at a time.
-    """
-    if not any(isinstance(part, np.ndarray) for part in path):
-        return np.array(_path_words(master_seed, path), dtype=np.uint64)
-    parts = np.broadcast_arrays(*(np.asarray(part, dtype=object) for part in path))
-    words = [_path_words(master_seed, element) for element in zip(*(part.flat for part in parts))]
-    return np.array(words, dtype=np.uint64).reshape(parts[0].shape + (2,))
-
-
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent generator for a (trial, tag, ids...) path under one seed.
 
-    The key goes to Philox as a uint64 array, which numpy stores exactly.
+    The path is hashed with SplitMix64 into two uint64 words; they reach
+    Philox as a uint64 key array, which numpy stores exactly.
     """
-    return np.random.Generator(np.random.Philox(key=_stream_keys(master_seed, *path)))
+    return np.random.Generator(np.random.Philox(key=np.array(_path_words(master_seed, path), dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +254,6 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     if all(len(s.intended) == 0 for s in cell_sets):
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
 
-    params = OfdmParams.from_config(config)
     noise_w = config.noise_density_w_hz * config.bandwidth_hz
     positions = deployment.positions
 
@@ -330,7 +318,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         chi = weights[rows].conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
         del ground  # released before the temporaries of matched_coupling
         ground_coupling[rows, : len(q_points)] = matched_coupling(
-            amplitude, chi.transpose(0, 2, 1), tau_q, tau_p[:, None], params
+            amplitude, chi.transpose(0, 2, 1), tau_q, tau_p[:, None], config
         )
         transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=rows))
     return ScenarioTables(
@@ -374,28 +362,26 @@ def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trial: int) -> 
     return substream(config.master_seed, trial, _STREAM_PHASE).uniform(0.0, 2.0 * math.pi, size=(pairs, n_q_max + 1))
 
 
-def _target_couplings(config, tables, params, rows, target) -> np.ndarray:
-    """The target's matched_coupling row for each pair in `rows` (ascending), shape (len(rows), n_p).
+def _target_couplings(config, tables, rows, target, illuminated_by) -> np.ndarray:
+    """The target's matched_coupling row for each pair in `rows`, the ascending pair rows of the
+    transmitters that `illuminated_by` marks, shape (len(rows), n_p).
     Distances and steering vectors are computed once per UAV and read per pair."""
     positions = tables.deployment.positions
     distance = np.linalg.norm(positions - target, axis=1)
     toward = steering_matrix(aoa(positions, target), config.array_side).T.conj()[:, :, None]  # (U, n^2, 1)
-    tx, rx = tables.pair_tx[rows], tables.pair_rx[rows]
-    d1, d2 = distance[tx], distance[rx]
-    # Weights are read in place, one run of consecutive pair rows (a transmitter's block) at a time.
-    flat = np.asarray(rows).tolist()
-    cuts = [0, *(k for k in range(1, len(flat)) if flat[k] != flat[k - 1] + 1), len(flat)]
-    gain = np.concatenate([tables.weights[flat[a] : flat[b - 1] + 1] @ toward[rx[a:b]] for a, b in zip(cuts, cuts[1:])])
+    d1, d2 = distance[tables.pair_tx[rows]], distance[tables.pair_rx[rows]]
+    # Weights are read in place, one transmitter's block of pair rows at a time.
+    gain = np.concatenate([tables.weights[r.pairs] @ toward[r.rx] for r in tables.transmitters if illuminated_by[r.tx]])
     return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
         gain[:, :, 0].conj(),
         (d1 + d2) / SPEED_OF_LIGHT,
         tables.matched_delay[rows],
-        params,
+        config,
     )
 
 
-def _closed_form_estimates(config, tables, params, trial, target, illuminated_by):
+def _closed_form_estimates(config, tables, trial, target, illuminated_by):
     """Fast-path RCS estimates of every pair, shape (P, n_p).
 
     The ground sum of all pairs is one contraction of the trial's phase block
@@ -408,14 +394,14 @@ def _closed_form_estimates(config, tables, params, trial, target, illuminated_by
     total *= math.sqrt(config.ground_rcs_m2)
     lit = np.flatnonzero(illuminated_by[tables.pair_tx])
     if lit.size:
-        total[lit] += phases[lit, -1:] * _target_couplings(config, tables, params, lit, target)
+        total[lit] += phases[lit, -1:] * _target_couplings(config, tables, lit, target, illuminated_by)
     if not tables.options.noise:
-        return coherent_peaks(total, params) * tables.est_scale
+        return coherent_peaks(total, config) * tables.est_scale
     draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(total), 2, total.shape[1]))
-    return coherent_peaks(total, params, noise_draws=draws, noise_scale=tables.noise_scale) * tables.est_scale
+    return coherent_peaks(total, config, tables.noise_scale, draws) * tables.est_scale
 
 
-def _reference_estimates(config, tables, params, trial, target, illuminated_by):
+def _reference_estimates(config, tables, trial, target, illuminated_by):
     """Frame-level RCS estimates of every pair, shape (P, n_p).
 
     Each (tx, rx) pair builds its reflections once, with its row of the
@@ -429,7 +415,7 @@ def _reference_estimates(config, tables, params, trial, target, illuminated_by):
     peaks = np.empty(tables.est_scale.shape)
     for record in tables.transmitters:
         tx = record.tx
-        tx_frame = synth_tx_frame(params, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
+        tx_frame = synth_tx_frame(config, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
         columns = np.arange(len(tables.cell_sets[tx].illuminated))
         lit_target = None
         if illuminated_by[tx]:
@@ -443,11 +429,11 @@ def _reference_estimates(config, tables, params, trial, target, illuminated_by):
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
                 draws = noise.standard_normal((len(record.cells), 2) + tx_frame.shape)
-                rx_frames = synth_rx_frame(tx_frame, reflections, params, tables.noise_var[p], draws)
+                rx_frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws)
             else:
-                rx_frames = synth_rx_frame(tx_frame, reflections, params)
+                rx_frames = synth_rx_frame(tx_frame, reflections, config)
             processed = remove_data(rx_frames, tx_frame)
-            peaks[p] = matched_point_value(processed, tables.matched_delay[p], config.doppler_hz, params)
+            peaks[p] = matched_point_value(processed, tables.matched_delay[p], config.doppler_hz, config)
     return peaks * tables.est_scale
 
 
@@ -474,10 +460,9 @@ def run_trial(
     U = config.uav_count
 
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
-    params = OfdmParams.from_config(config)
     estimate = _closed_form_estimates if tables.options.fast_path else _reference_estimates
     maps = np.full(U * L * L, np.nan)
-    maps[tables.map_index] = estimate(config, tables, params, trial, target, illuminated_by)
+    maps[tables.map_index] = estimate(config, tables, trial, target, illuminated_by)
     maps = maps.reshape(U, L, L)
 
     true_cell = cell_of_point(tables.grid, target[0], target[1])

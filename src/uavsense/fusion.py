@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FUSION_METHODS = ("avg", "prenorm")
+from .config import FUSION_METHODS
 
 __all__ = [
     "LocalRcsMap",

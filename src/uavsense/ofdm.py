@@ -21,7 +21,6 @@ from .geometry import CellGrid, CellSets, aoa
 from .beamforming import steering_matrix
 
 __all__ = [
-    "OfdmParams",
     "Reflections",
     "synth_tx_frame",
     "reflection_amplitude",
@@ -39,34 +38,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OfdmParams:
-    """Frame dimensions and timing for one OFDM sensing frame."""
-
-    symbols: int  # N
-    subcarriers: int  # M
-    subcarrier_spacing_hz: float
-    cp_duration_s: float
-
-    def __post_init__(self):
-        if self.symbols < 1 or self.subcarriers < 1:
-            raise ValueError("frame must have at least one symbol and one subcarrier")
-
-    @property
-    def symbol_duration_s(self) -> float:
-        """Total symbol duration T_o = 1/df + T_CP."""
-        return 1.0 / self.subcarrier_spacing_hz + self.cp_duration_s
-
-    @classmethod
-    def from_config(cls, config: ScenarioConfig) -> "OfdmParams":
-        return cls(
-            symbols=config.symbols_per_frame,
-            subcarriers=config.subcarriers,
-            subcarrier_spacing_hz=config.subcarrier_spacing_hz,
-            cp_duration_s=config.cp_duration_s,
-        )
-
-
-@dataclass(frozen=True)
 class Reflections:
     """The reflections in a received frame as arrays over r: amplitude, delay and random phase of shape
     (R,), and the beamformed gain (..., R), one row per weight vector; all share the scenario Doppler."""
@@ -78,9 +49,9 @@ class Reflections:
     phase: np.ndarray
 
 
-def synth_tx_frame(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
+def synth_tx_frame(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw an N x M frame of unit-modulus QPSK symbols."""
-    quadrant = rng.integers(0, 4, size=(params.symbols, params.subcarriers))
+    quadrant = rng.integers(0, 4, size=(config.symbols_per_frame, config.subcarriers))
     return np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * quadrant))
 
 
@@ -137,7 +108,7 @@ def build_reflections(
 def synth_rx_frame(
     tx_frame: np.ndarray,
     reflections: Reflections,
-    params: OfdmParams,
+    config: ScenarioConfig,
     noise_variance=0.0,
     noise_draws: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -150,12 +121,12 @@ def synth_rx_frame(
     ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]).
     """
     N, M = tx_frame.shape
-    if (N, M) != (params.symbols, params.subcarriers):
+    if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
     k = np.arange(N)[:, None]
     l = np.arange(M)[None, :]
-    doppler_ramps = np.exp(2j * math.pi * reflections.doppler_hz * params.symbol_duration_s * k)  # (N, R)
-    delay_ramps = np.exp(-2j * math.pi * reflections.delay_s[:, None] * params.subcarrier_spacing_hz * l)  # (R, M)
+    doppler_ramps = np.exp(2j * math.pi * reflections.doppler_hz * config.symbol_duration_s * k)  # (N, R)
+    delay_ramps = np.exp(-2j * math.pi * reflections.delay_s[:, None] * config.subcarrier_spacing_hz * l)  # (R, M)
     weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (..., R)
     rx = ((doppler_ramps * weighted[..., None, :]) @ delay_ramps) * tx_frame
     if noise_draws is not None:
@@ -191,7 +162,7 @@ def periodogram_grid(frame: np.ndarray, padded_symbols: int, padded_subcarriers:
     return np.abs(spectrum) ** 2 / (N * M)
 
 
-def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, params: OfdmParams):
+def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, config: ScenarioConfig):
     """Periodogram value at the exact continuous delay-Doppler point.
 
     Correlates the processed frame against the phase ramps of a hypothetical
@@ -199,8 +170,8 @@ def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, params: O
     wherever the point falls on an integer bin. Frames (..., N, M) take delays (...,).
     """
     N, M = frame.shape[-2:]
-    sym = np.exp(-2j * math.pi * doppler_hz * params.symbol_duration_s * np.arange(N))
-    sub = np.exp(2j * math.pi * np.asarray(delay_s)[..., None] * params.subcarrier_spacing_hz * np.arange(M))
+    sym = np.exp(-2j * math.pi * doppler_hz * config.symbol_duration_s * np.arange(N))
+    sub = np.exp(2j * math.pi * np.asarray(delay_s)[..., None] * config.subcarrier_spacing_hz * np.arange(M))
     return np.abs(np.sum((sym @ frame) * sub, axis=-1)) ** 2 / (N * M)
 
 
@@ -235,7 +206,7 @@ def dirichlet_kernel(x: np.ndarray | float, length: int) -> np.ndarray | complex
     return length * ratio * np.exp(-1j * math.pi * x * (length - 1))
 
 
-def matched_coupling(amplitude, gain, delay_s, matched_delay_s, params: OfdmParams) -> np.ndarray:
+def matched_coupling(amplitude, gain, delay_s, matched_delay_s, config: ScenarioConfig) -> np.ndarray:
     """Matched-point response of each reflection (rows) at each cell (columns).
 
     The matched correlation of one reflection separates into two geometric
@@ -251,14 +222,14 @@ def matched_coupling(amplitude, gain, delay_s, matched_delay_s, params: OfdmPara
     listener; without them, ``matched_delay_s`` may be a plain (cells,) row.
     """
     delay_mismatch = np.asarray(delay_s)[..., None] - np.asarray(matched_delay_s)
-    kernel_sub = dirichlet_kernel(delay_mismatch * params.subcarrier_spacing_hz, params.subcarriers)
-    return np.asarray(amplitude)[..., None] * gain * (params.symbols * kernel_sub)
+    kernel_sub = dirichlet_kernel(delay_mismatch * config.subcarrier_spacing_hz, config.subcarriers)
+    return np.asarray(amplitude)[..., None] * gain * (config.symbols_per_frame * kernel_sub)
 
 
 def closed_form_peaks(
     coupling: np.ndarray,
     zeta,
-    params: OfdmParams,
+    config: ScenarioConfig,
     noise_variance=0.0,
     noise_draws: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -276,21 +247,19 @@ def closed_form_peaks(
     path in distribution. Noiseless results equal the reference path to
     rounding.
     """
+    if noise_draws is None and np.any(noise_variance):
+        raise ValueError("noise requires standard normal draws")
     phases = np.exp(-1j * np.asarray(zeta, dtype=float))
-    return coherent_peaks((phases[..., None, :] @ coupling)[..., 0, :], params, noise_variance, noise_draws)
+    total = (phases[..., None, :] @ coupling)[..., 0, :]
+    noise_scale = np.sqrt(config.symbols_per_frame * config.subcarriers * np.asarray(noise_variance) / 2.0)
+    return coherent_peaks(total, config, noise_scale, noise_draws)
 
 
-def coherent_peaks(total, params: OfdmParams, noise_variance=0.0, noise_draws=None, *, noise_scale=None) -> np.ndarray:
+def coherent_peaks(total, config: ScenarioConfig, noise_scale=0.0, noise_draws=None) -> np.ndarray:
     """closed_form_peaks from the noiseless coherent sums ``total`` (..., cells)
-    over the reflections, with the same noise convention; ``noise_scale`` may
-    give the noise deviation per part, sqrt(N M noise_variance / 2), precomputed."""
-    N = params.symbols
-    M = params.subcarriers
+    over the reflections. With ``noise_draws``, each part of cell p gains
+    ``noise_scale`` times its draw, the deviation sqrt(N M noise_variance / 2)."""
     if noise_draws is not None:
-        if noise_scale is None:
-            noise_scale = np.sqrt(N * M * np.asarray(noise_variance) / 2.0)
         total = total + noise_scale * noise_draws[..., 0, :]
         total.imag += noise_scale * noise_draws[..., 1, :]
-    elif np.any(noise_variance):
-        raise ValueError("noise requires standard normal draws")
-    return np.abs(total) ** 2 / (N * M)
+    return np.abs(total) ** 2 / (config.symbols_per_frame * config.subcarriers)

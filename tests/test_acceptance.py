@@ -38,7 +38,7 @@ from uavsense import (
 )
 from uavsense.cli import main
 from uavsense.config import SPEED_OF_LIGHT
-from uavsense.ofdm import OfdmParams, Reflections
+from uavsense.ofdm import Reflections
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -50,8 +50,7 @@ def test_criterion_1_rcs_roundtrip():
     """Noiseless single reflection with unit beam gain recovers sigma = 10 m^2."""
     start = time.perf_counter()
     cfg = ScenarioConfig()
-    params = OfdmParams.from_config(cfg)
-    tx = synth_tx_frame(params, np.random.default_rng(1))
+    tx = synth_tx_frame(cfg, np.random.default_rng(1))
     d1, d2 = 170.0, 210.0
     b = reflection_amplitude(cfg, cfg.target_rcs_m2, d1, d2)
     tau = (d1 + d2) / SPEED_OF_LIGHT
@@ -62,8 +61,8 @@ def test_criterion_1_rcs_roundtrip():
         doppler_hz=np.array([0.0]),
         phase=np.array([0.0]),
     )
-    frame = remove_data(synth_rx_frame(tx, refl, params), tx)
-    sigma = estimate_rcs(matched_point_value(frame, tau, 0.0, params), cfg, d1, d2)
+    frame = remove_data(synth_rx_frame(tx, refl, cfg), tx)
+    sigma = estimate_rcs(matched_point_value(frame, tau, 0.0, cfg), cfg, d1, d2)
     elapsed = time.perf_counter() - start
     rel = abs(sigma - 10.0) / 10.0
     _report(
@@ -90,14 +89,14 @@ def test_criterion_2_periodogram_oracle():
         worst = max(worst, float(np.max(np.abs(fast - direct) / np.maximum(direct, 1e-300))))
     ok_equiv = worst < 1e-9
 
-    params = OfdmParams(symbols=N, subcarriers=M, subcarrier_spacing_hz=3.125e6, cp_duration_s=2.3e-6)
+    cfg = ScenarioConfig(symbols_per_frame=N, subcarriers=M, bandwidth_hz=M * 3.125e6)
     ok_argmax = True
     for n_hat, m_hat in [(0, 0), (1, 3), (5, 9), (12, 15), (15, 1)]:
-        doppler = n_hat / (NP * params.symbol_duration_s)
-        delay = m_hat / (MP * params.subcarrier_spacing_hz)
-        tx = synth_tx_frame(params, rng)
+        doppler = n_hat / (NP * cfg.symbol_duration_s)
+        delay = m_hat / (MP * cfg.subcarrier_spacing_hz)
+        tx = synth_tx_frame(cfg, rng)
         refl = Reflections(np.array([1.0]), np.array([1.0]), np.array([delay]), np.array([doppler]), np.array([0.7]))
-        grid = periodogram_grid(remove_data(synth_rx_frame(tx, refl, params), tx), NP, MP)
+        grid = periodogram_grid(remove_data(synth_rx_frame(tx, refl, cfg), tx), NP, MP)
         ok_argmax &= np.unravel_index(np.argmax(grid), grid.shape) == (n_hat, m_hat)
     elapsed = time.perf_counter() - start
     _report(
@@ -155,7 +154,6 @@ def test_criterion_4_fast_reference_equivalence():
     ok_maps = worst < 1e-9
 
     # Noisy matched-point distributions, 10 000 draws per path.
-    params = OfdmParams.from_config(cfg)
     d1, d2 = 170.0, 210.0
     tau = (d1 + d2) / SPEED_OF_LIGHT
     b_amp = reflection_amplitude(cfg, 1e-3, d1, d2)
@@ -166,29 +164,29 @@ def test_criterion_4_fast_reference_equivalence():
         doppler_hz=np.array([0.0, 0.0]),
         phase=np.array([0.3, 2.1]),
     )
-    nm = params.symbols * params.subcarriers
+    nm = cfg.symbols_per_frame * cfg.subcarriers
     coherent = np.sum(reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase))  # rough scale only
     noise_var = nm * abs(coherent) ** 2  # noise comparable to the signal term
     draws = 10_000
     gen_ref = np.random.default_rng(17)
-    tx = synth_tx_frame(params, gen_ref)
+    tx = synth_tx_frame(cfg, gen_ref)
     ref_values = np.empty(draws)
     for i in range(draws):
-        draws_ref = gen_ref.standard_normal((2, params.symbols, params.subcarriers))
-        frame = remove_data(synth_rx_frame(tx, reflections, params, noise_var, draws_ref), tx)
-        ref_values[i] = matched_point_value(frame, tau, 0.0, params)
+        draws_ref = gen_ref.standard_normal((2, cfg.symbols_per_frame, cfg.subcarriers))
+        frame = remove_data(synth_rx_frame(tx, reflections, cfg, noise_var, draws_ref), tx)
+        ref_values[i] = matched_point_value(frame, tau, 0.0, cfg)
     gen_fast = np.random.default_rng(18)
     coupling = matched_coupling(
         reflections.amplitude,
         np.reshape(reflections.gain, (-1, 1)),
         reflections.delay_s,
         [tau],
-        params,
+        cfg,
     )
     zeta = reflections.phase
     fast_values = np.array(
         [
-            closed_form_peaks(coupling, zeta, params, noise_var, gen_fast.standard_normal((2, 1)))[0]
+            closed_form_peaks(coupling, zeta, cfg, noise_var, gen_fast.standard_normal((2, 1)))[0]
             for _ in range(draws)
         ]
     )

@@ -1,3 +1,5 @@
+from dataclasses import MISSING, fields
+
 import pytest
 
 from uavsense import ConfigError, ScenarioConfig, dbsm_to_m2, m2_to_dbsm
@@ -128,6 +130,46 @@ def test_render_parse_roundtrip_is_exact():
     assert cfg2 == cfg
     assert opts2 == opts
     assert sweep2 == sweep
+
+
+def test_render_parse_roundtrip_with_every_field_changed():
+    # Every field is away from its default, so a field left out of the
+    # rendering would parse back as its default and fail the comparison.
+    cfg = ScenarioConfig(
+        transmit_power_w=0.37,
+        transmit_gain=2.5,
+        area_side_m=81.0,
+        uav_count=9,
+        noise_density_w_hz=dbm_per_hz_to_w_per_hz(-171.3),
+        ground_rcs_m2=dbsm_to_m2(-21.7),
+        target_rcs_m2=dbsm_to_m2(7.1),
+        symbols_per_frame=12,
+        subcarriers=48,
+        array_side=5,
+        carrier_frequency_hz=5.8e9,
+        bandwidth_hz=120.0e6,
+        cp_duration_s=1.7e-6,
+        grid_side=9,
+        doppler_hz=-312.75,
+        altitude_mode="explicit",
+        altitude_m=55.5,
+        trials=13,
+        master_seed=2**64 - 3,
+    )
+    opts = RunOptions(beamformer="ls", fusion="prenorm", fast_path=False, noise=False)
+    sweep = SweepSpec(
+        parameter="antennas",
+        values=(4.0, 6.0),
+        beamformers=("ls", "capon"),
+        fusions=("prenorm",),
+        sigma_g_dbsm=(-12.5, 0.25),
+        deltas=(1,),
+    )
+    for obj in (cfg, opts, sweep):
+        for f in fields(obj):
+            if f.default is not MISSING:
+                assert getattr(obj, f.name) != f.default, f.name
+    assert parse_config_text(render_config_text(cfg, opts, sweep)) == (cfg, opts, sweep)
 
 
 def test_sweep_section_requires_parameter_and_values():

@@ -22,7 +22,6 @@ from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, stee
 from uavsense.config import SPEED_OF_LIGHT
 from uavsense.geometry import aoa
 from uavsense.ofdm import (
-    OfdmParams,
     build_reflections,
     closed_form_peaks,
     estimate_rcs,
@@ -36,7 +35,6 @@ from uavsense.ofdm import (
 from uavsense.engine import (
     _config_for_sweep_point,
     _phase_block,
-    _stream_keys,
     substream,
 )
 
@@ -84,29 +82,21 @@ class TestSubstream:
         words = _path_words(seed, *KEY_PATH)
         assert tuple(w >= 2**63 for w in words) == high
         exact = np.array(words, dtype=np.uint64)
-        assert _stream_keys(seed, *KEY_PATH).tobytes() == exact.tobytes()
         stored = substream(seed, *KEY_PATH).bit_generator.state["state"]["key"]
         assert stored.dtype == np.uint64 and stored.tobytes() == exact.tobytes()
-
-    def test_stream_keys_broadcast_over_ids(self):
-        # Every row is the key of its own path, bit for bit the key substream stores.
-        tx = np.array([[0], [3], [2**64 - 1]], dtype=np.uint64)
-        rx = np.array([1, 2, 5, 2**63 + 7], dtype=np.uint64)
-        keys = _stream_keys(77, 4, 2, tx, rx)
-        assert keys.shape == (3, 4, 2)
-        for i, j in np.ndindex(keys.shape[:2]):
-            assert np.array_equal(keys[i, j], _stream_keys(77, 4, 2, int(tx[i, 0]), int(rx[j])))
-            stored = substream(77, 4, 2, int(tx[i, 0]), int(rx[j])).bit_generator.state["state"]["key"]
-            assert stored.tobytes() == keys[i, j].tobytes()
 
     def test_negative_and_large_ids_wrap_modulo_2_64(self):
         # Ids are hashed modulo 2**64, like the pure-Python reference.
         for path in [(-1, 2), (2**64 + 5, 2), (3, -7, 2**70)]:
             exact = np.array(_path_words(9, *path), dtype=np.uint64)
             assert np.array_equal(substream(9, *path).bit_generator.state["state"]["key"], exact)
-        assert np.array_equal(_stream_keys(9, -1, 2), _stream_keys(9, 2**64 - 1, 2))
-        wrapped = np.array([2**64 - 1, 1], dtype=np.uint64)
-        assert np.array_equal(_stream_keys(9, 0, 2, np.array([-1, 1])), _stream_keys(9, 0, 2, wrapped))
+        for path, wrapped in [
+            ((-1, 2), (2**64 - 1, 2)),
+            ((0, 2, np.int64(-1)), (0, 2, np.uint64(2**64 - 1))),
+            ((0, 2, 1), (0, 2, 2**64 + 1)),
+        ]:
+            key = substream(9, *path).bit_generator.state["state"]["key"]
+            assert np.array_equal(key, substream(9, *wrapped).bit_generator.state["state"]["key"])
 
     @pytest.mark.parametrize(
         "seed, path, words",
@@ -124,7 +114,6 @@ class TestSubstream:
     def test_pinned_key_words(self, seed, path, words):
         # Literal words of rng_scheme v2: any change to the path hash moves a
         # stream, and must come with a new RNG_SCHEME.
-        assert _stream_keys(seed, *path).tolist() == list(words)
         assert substream(seed, *path).bit_generator.state["state"]["key"].tolist() == list(words)
 
     @pytest.mark.parametrize("count", [1, 4, 5, 38])
@@ -176,7 +165,6 @@ class TestBuildTables:
         # one listener at a time, equals the broadcast build bit for bit.
         config = small_config
         tables = build_tables(config, RunOptions(beamformer=beamformer))
-        params = OfdmParams.from_config(config)
         positions = tables.deployment.positions
         noise_w = config.noise_density_w_hz * config.bandwidth_hz
         for record in tables.transmitters:
@@ -197,7 +185,7 @@ class TestBuildTables:
                     chi.T,
                     (d1_q + d2_q) / SPEED_OF_LIGHT,
                     tau_p,
-                    params,
+                    config,
                 )
                 assert tables.matched_delay[p].tobytes() == tau_p.tobytes()
                 assert tables.est_scale[p].tobytes() == estimate_rcs(1.0, config, d1_p, d2_p).tobytes()
@@ -308,14 +296,13 @@ class TestRunTrial:
         tables = build_tables(small_config, RunOptions(noise=True, fast_path=False))
         outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
         target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
-        params = OfdmParams.from_config(small_config)
         seed = small_config.master_seed
         record = tables.transmitters[1]
         k, i = 2, len(record.cells) - 1
         p = record.pairs.start + k
         tx, rx, (a, b) = record.tx, int(record.rx[k]), record.cells[i]
         positions = tables.deployment.positions
-        tx_frame = synth_tx_frame(params, substream(seed, trial, engine._STREAM_TXDATA, tx))
+        tx_frame = synth_tx_frame(small_config, substream(seed, trial, engine._STREAM_TXDATA, tx))
         block = _phase_block(small_config, tables, trial)
         phases = block[p, : len(tables.cell_sets[tx].illuminated)]
         if illuminated_by[tx]:
@@ -326,8 +313,8 @@ class TestRunTrial:
         )
         noise = substream(seed, trial, engine._STREAM_NOISE, tx, rx)
         draws = noise.standard_normal((len(record.cells), 2, 8, 16))[i]
-        frame = remove_data(synth_rx_frame(tx_frame, reflections, params, tables.noise_var[p, i], draws), tx_frame)
-        peak = matched_point_value(frame, tables.matched_delay[p, i], small_config.doppler_hz, params)
+        frame = remove_data(synth_rx_frame(tx_frame, reflections, small_config, tables.noise_var[p, i], draws), tx_frame)
+        peak = matched_point_value(frame, tables.matched_delay[p, i], small_config.doppler_hz, small_config)
         expected = peak * tables.est_scale[p, i]
         assert outcome.local_maps[rx].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -337,7 +324,7 @@ class TestRunTrial:
         # pair's unpadded ground coupling plus the target row, with the pair's
         # rows of the trial's phase and noise blocks.
         tables = build_tables(small_config, RunOptions(noise=True))
-        seed, params = small_config.master_seed, OfdmParams.from_config(small_config)
+        seed = small_config.master_seed
         for trial in range(20):
             target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
             record = next((r for r in tables.transmitters if illuminated_by[r.tx] == lit), None)
@@ -349,12 +336,13 @@ class TestRunTrial:
         coupling = math.sqrt(small_config.ground_rcs_m2) * tables.ground_coupling[p, :n_q]
         zeta = _phase_block(small_config, tables, trial)[p]
         if lit:
-            target_row = engine._target_couplings(small_config, tables, params, [p], target)
+            rows = np.flatnonzero(illuminated_by[tables.pair_tx])
+            target_row = engine._target_couplings(small_config, tables, rows, target, illuminated_by)[rows == p]
             coupling, zeta = np.vstack([coupling, target_row]), np.append(zeta[:n_q], zeta[-1])
         else:
             zeta = zeta[:n_q]
         draws = substream(seed, trial, engine._STREAM_NOISE).standard_normal((len(tables.pair_tx), 2, len(record.cells)))
-        peaks = closed_form_peaks(coupling, zeta, params, tables.noise_var[p], draws[p])
+        peaks = closed_form_peaks(coupling, zeta, small_config, tables.noise_var[p], draws[p])
         a, b = record.cells[i]
         expected = peaks[i] * tables.est_scale[p, i]
         assert outcome.local_maps[record.rx[k]].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)

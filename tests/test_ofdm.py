@@ -28,19 +28,14 @@ from uavsense import (
 )
 from uavsense.config import RunOptions
 from uavsense.engine import _phase_block
-from uavsense.ofdm import OfdmParams, Reflections, build_reflections, dirichlet_kernel
+from uavsense.ofdm import Reflections, build_reflections, dirichlet_kernel
 
 C0 = 299792458.0
 
 
-def small_params(N=8, M=16):
-    cfg = ScenarioConfig()
-    return OfdmParams(
-        symbols=N,
-        subcarriers=M,
-        subcarrier_spacing_hz=cfg.subcarrier_spacing_hz,
-        cp_duration_s=cfg.cp_duration_s,
-    )
+def frame_config(N=8, M=16):
+    """An N x M frame at the default subcarrier spacing, 3.125 MHz exactly for M a power of two."""
+    return ScenarioConfig(symbols_per_frame=N, subcarriers=M, bandwidth_hz=M * 3.125e6)
 
 
 def direct_periodogram(frame, n_pad, m_pad):
@@ -68,17 +63,16 @@ def reflections_of(*rows):
 def closed_form_rcs(cfg, reflections, matched_delay, d1, d2, noise_variance=0.0, rng=None):
     """RCS estimate of one cell through matched_coupling and closed_form_peaks;
     noise, if any, is drawn from `rng` as standard_normal((2, 1))."""
-    params = OfdmParams.from_config(cfg)
     coupling = matched_coupling(
         reflections.amplitude,
         np.reshape(reflections.gain, (-1, 1)),
         reflections.delay_s,
         [matched_delay],
-        params,
+        cfg,
     )
     zeta = reflections.phase
     draws = None if rng is None else rng.standard_normal((2, 1))
-    peak = closed_form_peaks(coupling, zeta, params, noise_variance, draws)[0]
+    peak = closed_form_peaks(coupling, zeta, cfg, noise_variance, draws)[0]
     return estimate_rcs(peak, cfg, d1, d2)
 
 
@@ -89,18 +83,18 @@ def geometric_ramp_sum(x, length):
 
 class TestTxFrame:
     def test_unit_modulus(self, rng):
-        frame = synth_tx_frame(small_params(), rng)
+        frame = synth_tx_frame(frame_config(), rng)
         assert np.allclose(np.abs(frame), 1.0)
 
     def test_deterministic_per_seed(self):
-        params = small_params()
-        f1 = synth_tx_frame(params, np.random.default_rng(5))
-        f2 = synth_tx_frame(params, np.random.default_rng(5))
+        cfg = frame_config()
+        f1 = synth_tx_frame(cfg, np.random.default_rng(5))
+        f2 = synth_tx_frame(cfg, np.random.default_rng(5))
         assert np.array_equal(f1, f2)
 
     def test_default_frame_size(self, rng):
-        params = OfdmParams.from_config(ScenarioConfig())
-        frame = synth_tx_frame(params, rng)
+        cfg = ScenarioConfig()
+        frame = synth_tx_frame(cfg, rng)
         assert frame.shape == (16, 64)
         assert frame.size == 1024
 
@@ -225,33 +219,33 @@ class TestBuildReflections:
 
 class TestRxFrame:
     def test_no_reflections_no_noise(self, rng):
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
-        assert np.all(synth_rx_frame(tx, reflections_of(), params) == 0)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
+        assert np.all(synth_rx_frame(tx, reflections_of(), cfg) == 0)
 
     def test_single_matched_reflection_scales_tx(self, rng):
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
         refl = reflections_of((0.3, 1.0, 0.0, 0.0, 0.0))
-        assert np.allclose(synth_rx_frame(tx, refl, params), 0.3 * tx)
+        assert np.allclose(synth_rx_frame(tx, refl, cfg), 0.3 * tx)
 
     def test_quarter_cycle_subcarrier_ramp(self, rng):
         # tau*df = 0.25 puts the phase ramp e^{-j pi l / 2} across subcarriers.
-        params = small_params()
-        tau = 0.25 / params.subcarrier_spacing_hz
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tau = 0.25 / cfg.subcarrier_spacing_hz
+        tx = synth_tx_frame(cfg, rng)
         refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
-        processed = remove_data(synth_rx_frame(tx, refl, params), tx)
-        l = np.arange(params.subcarriers)
+        processed = remove_data(synth_rx_frame(tx, refl, cfg), tx)
+        l = np.arange(cfg.subcarriers)
         expected = np.exp(-1j * math.pi * l / 2)
-        for k in range(params.symbols):
+        for k in range(cfg.symbols_per_frame):
             assert np.allclose(processed[k], expected)
 
     def test_noise_variance(self):
-        params = small_params(16, 64)
+        cfg = frame_config(16, 64)
         tx = np.ones((16, 64), dtype=complex)
         rx = synth_rx_frame(
-            tx, reflections_of(), params, noise_variance=2.5,
+            tx, reflections_of(), cfg, noise_variance=2.5,
             noise_draws=np.random.default_rng(3).standard_normal((2, 16, 64)),
         )
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(2.5, rel=0.1)
@@ -260,8 +254,8 @@ class TestRxFrame:
     def test_gain_stack_equals_one_frame_per_row(self, rng):
         # Frames of a gain stack, each with its own noise variance and draws,
         # equal one call per row; data removal and the matched point follow.
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
         stacked = Reflections(
             amplitude=rng.uniform(0.5, 1.5, 5),
             gain=rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)),
@@ -272,38 +266,38 @@ class TestRxFrame:
         noise_var = rng.uniform(0.1, 1.0, 3)
         draws = rng.standard_normal((3, 2, 8, 16))
         delays = rng.uniform(0.0, 2e-6, 3)
-        frames = remove_data(synth_rx_frame(tx, stacked, params, noise_var, draws), tx)
-        values = matched_point_value(frames, delays, 1000.0, params)
+        frames = remove_data(synth_rx_frame(tx, stacked, cfg, noise_var, draws), tx)
+        values = matched_point_value(frames, delays, 1000.0, cfg)
         assert frames.shape == (3, 8, 16) and values.shape == (3,)
         for p in range(3):
             row = Reflections(stacked.amplitude, stacked.gain[p], stacked.delay_s, stacked.doppler_hz, stacked.phase)
-            alone = remove_data(synth_rx_frame(tx, row, params, noise_var[p], draws[p]), tx)
+            alone = remove_data(synth_rx_frame(tx, row, cfg, noise_var[p], draws[p]), tx)
             assert np.allclose(frames[p], alone, rtol=1e-12, atol=0.0)
-            assert values[p] == pytest.approx(matched_point_value(alone, delays[p], 1000.0, params), rel=1e-12)
+            assert values[p] == pytest.approx(matched_point_value(alone, delays[p], 1000.0, cfg), rel=1e-12)
 
     def test_noise_requires_draws(self, rng):
-        params = small_params()
+        cfg = frame_config()
         with pytest.raises(ValueError, match="draws"):
-            synth_rx_frame(synth_tx_frame(params, rng), reflections_of(), params, noise_variance=1.0)
+            synth_rx_frame(synth_tx_frame(cfg, rng), reflections_of(), cfg, noise_variance=1.0)
 
 
 class TestRemoveData:
     def test_identity(self, rng):
-        tx = synth_tx_frame(small_params(), rng)
+        tx = synth_tx_frame(frame_config(), rng)
         assert np.allclose(remove_data(tx, tx), 1.0)
 
     def test_data_independence(self, rng):
-        params = small_params()
+        cfg = frame_config()
         refl = reflections_of((1.0, 0.8 - 0.1j, 1e-7, 0.0, 0.4))
         frames = []
         for seed in (1, 2):
-            tx = synth_tx_frame(params, np.random.default_rng(seed))
-            frames.append(remove_data(synth_rx_frame(tx, refl, params), tx))
+            tx = synth_tx_frame(cfg, np.random.default_rng(seed))
+            frames.append(remove_data(synth_rx_frame(tx, refl, cfg), tx))
         assert np.allclose(frames[0], frames[1], rtol=1e-12)
 
     def test_linearity(self, rng):
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
         rx1 = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         rx2 = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         assert np.allclose(remove_data(rx1 + rx2, tx), remove_data(rx1, tx) + remove_data(rx2, tx))
@@ -341,13 +335,13 @@ class TestPeriodogramGrid:
         assert np.sum(P) == pytest.approx(expected)
 
     def test_argmax_at_exact_bins(self, rng):
-        params = small_params()
+        cfg = frame_config()
         for n_hat, m_hat in [(0, 0), (3, 5), (15, 1), (9, 31)]:
-            doppler = n_hat / (16 * params.symbol_duration_s)
-            delay = m_hat / (32 * params.subcarrier_spacing_hz)
-            tx = synth_tx_frame(params, rng)
+            doppler = n_hat / (16 * cfg.symbol_duration_s)
+            delay = m_hat / (32 * cfg.subcarrier_spacing_hz)
+            tx = synth_tx_frame(cfg, rng)
             refl = reflections_of((1.0, 1.0, delay, doppler, 0.9))
-            P = periodogram_grid(remove_data(synth_rx_frame(tx, refl, params), tx), 16, 32)
+            P = periodogram_grid(remove_data(synth_rx_frame(tx, refl, cfg), tx), 16, 32)
             assert np.unravel_index(np.argmax(P), P.shape) == (n_hat, m_hat)
 
     def test_rejects_short_padding(self):
@@ -357,42 +351,42 @@ class TestPeriodogramGrid:
 
 class TestMatchedPoint:
     def test_coherent_gain(self, rng):
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
         amp = 2.5e-7
         tau = 1.3e-6
         refl = reflections_of((amp, 1.0, tau, 0.0, 1.1))
-        value = matched_point_value(remove_data(synth_rx_frame(tx, refl, params), tx), tau, 0.0, params)
-        assert value == pytest.approx(params.symbols * params.subcarriers * amp**2, rel=1e-9)
+        value = matched_point_value(remove_data(synth_rx_frame(tx, refl, cfg), tx), tau, 0.0, cfg)
+        assert value == pytest.approx(cfg.symbols_per_frame * cfg.subcarriers * amp**2, rel=1e-9)
 
     def test_delay_offset_follows_ramp_sum(self, rng):
-        params = small_params()
-        tx = synth_tx_frame(params, rng)
+        cfg = frame_config()
+        tx = synth_tx_frame(cfg, rng)
         amp, tau = 1.0, 8e-7
-        offset = 0.37 / params.subcarrier_spacing_hz
+        offset = 0.37 / cfg.subcarrier_spacing_hz
         refl = reflections_of((amp, 1.0, tau, 0.0, 0.0))
         value = matched_point_value(
-            remove_data(synth_rx_frame(tx, refl, params), tx), tau + offset, 0.0, params
+            remove_data(synth_rx_frame(tx, refl, cfg), tx), tau + offset, 0.0, cfg
         )
-        M, N = params.subcarriers, params.symbols
-        ramp = geometric_ramp_sum(-offset * params.subcarrier_spacing_hz, M)
+        M, N = cfg.subcarriers, cfg.symbols_per_frame
+        ramp = geometric_ramp_sum(-offset * cfg.subcarrier_spacing_hz, M)
         expected = N * amp**2 * abs(ramp) ** 2 / M
         assert value == pytest.approx(expected, rel=1e-9)
 
     def test_zero_frame(self):
-        params = small_params()
-        assert matched_point_value(np.zeros((8, 16)), 1e-6, 0.0, params) == 0.0
+        cfg = frame_config()
+        assert matched_point_value(np.zeros((8, 16)), 1e-6, 0.0, cfg) == 0.0
 
     def test_equals_grid_at_integer_bins(self, rng):
-        params = small_params()
+        cfg = frame_config()
         frame = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         P = periodogram_grid(frame, 8, 16)
         for n_hat, m_hat in [(0, 0), (2, 7), (5, 15)]:
             value = matched_point_value(
                 frame,
-                m_hat / (16 * params.subcarrier_spacing_hz),
-                n_hat / (8 * params.symbol_duration_s),
-                params,
+                m_hat / (16 * cfg.subcarrier_spacing_hz),
+                n_hat / (8 * cfg.symbol_duration_s),
+                cfg,
             )
             assert value == pytest.approx(P[n_hat, m_hat], rel=1e-9)
 
@@ -400,13 +394,12 @@ class TestMatchedPoint:
 class TestEstimateRcs:
     def test_roundtrip(self, rng):
         cfg = ScenarioConfig()
-        params = OfdmParams.from_config(cfg)
-        tx = synth_tx_frame(params, rng)
+        tx = synth_tx_frame(cfg, rng)
         d1, d2 = 180.0, 230.0
         b = reflection_amplitude(cfg, 10.0, d1, d2)
         tau = (d1 + d2) / C0
         refl = reflections_of((b, 1.0, tau, 0.0, 0.0))
-        peak = matched_point_value(remove_data(synth_rx_frame(tx, refl, params), tx), tau, 0.0, params)
+        peak = matched_point_value(remove_data(synth_rx_frame(tx, refl, cfg), tx), tau, 0.0, cfg)
         assert estimate_rcs(peak, cfg, d1, d2) == pytest.approx(10.0, rel=1e-6)
 
     def test_zero_peak(self):
@@ -461,14 +454,13 @@ class TestDirichletKernel:
 
 
 class TestFastCellEstimate:
-    def _reference(self, cfg, params, reflections, tau, rng_tx):
-        tx = synth_tx_frame(params, rng_tx)
-        frame = remove_data(synth_rx_frame(tx, reflections, params), tx)
-        return matched_point_value(frame, tau, cfg.doppler_hz, params)
+    def _reference(self, cfg, reflections, tau, rng_tx):
+        tx = synth_tx_frame(cfg, rng_tx)
+        frame = remove_data(synth_rx_frame(tx, reflections, cfg), tx)
+        return matched_point_value(frame, tau, cfg.doppler_hz, cfg)
 
     def test_noiseless_equivalence(self, rng):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
-        params = OfdmParams.from_config(cfg)
         d1, d2 = 120.0, 140.0
         tau = (d1 + d2) / C0
         reflections = reflections_of(
@@ -483,7 +475,7 @@ class TestFastCellEstimate:
                 for _ in range(17)
             ]
         )
-        peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(0))
+        peak = self._reference(cfg, reflections, tau, np.random.default_rng(0))
         expected = estimate_rcs(peak, cfg, d1, d2)
         got = closed_form_rcs(cfg, reflections, tau, d1, d2)
         assert got == pytest.approx(expected, rel=1e-9)
@@ -501,13 +493,12 @@ class TestFastCellEstimate:
         # scenario's nonzero Doppler ramps, matched at that Doppler, agree.
         for doppler in (4000.0, -2500.0):
             cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16, doppler_hz=doppler)
-            params = OfdmParams.from_config(cfg)
             tau = 1e-6
             reflections = reflections_of(
                 (1e-7, 1.0, tau, doppler, 0.2),
                 (3e-7, 0.5 + 0.5j, tau * 1.02, doppler, 1.5),
             )
-            peak = self._reference(cfg, params, reflections, tau, np.random.default_rng(1))
+            peak = self._reference(cfg, reflections, tau, np.random.default_rng(1))
             got = closed_form_rcs(cfg, reflections, tau, 100.0, 100.0)
             assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
 
@@ -529,17 +520,16 @@ class TestFastCellEstimate:
     def test_noise_requires_rng(self):
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):
-            closed_form_peaks(np.zeros((0, 1)), [], OfdmParams.from_config(cfg), noise_variance=1.0)
+            closed_form_peaks(np.zeros((0, 1)), [], cfg, noise_variance=1.0)
 
     def test_cells_share_phases_and_draw_noise_per_cell(self):
         # Several cells at once equal one call per cell, noise included: the
         # (2, cells) draw gives cell p the pair (draws[0, p], draws[1, p]).
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
-        params = OfdmParams.from_config(cfg)
         coupling = np.array([[1.0 + 0.5j, 0.2j, -0.3], [0.4, 1.1 - 0.2j, 0.9j]])
         zeta = [0.3, 2.2]
         draws = np.random.default_rng(4).standard_normal((2, 3))
-        together = closed_form_peaks(coupling, zeta, params, 0.5, draws)
+        together = closed_form_peaks(coupling, zeta, cfg, 0.5, draws)
         for p in range(3):
             total = np.exp(-1j * np.array(zeta)) @ coupling[:, p] + math.sqrt(16 * 8 * 0.5 / 2) * (
                 draws[0, p] + 1j * draws[1, p]
@@ -549,76 +539,76 @@ class TestFastCellEstimate:
     def test_listener_axis_equals_one_call_per_listener(self):
         # A leading axis over listeners, noise included, gives each row the
         # value of a call on that row alone, bit for bit.
-        params = small_params()
+        cfg = frame_config()
         rng = np.random.default_rng(9)
         coupling = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
         zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
         noise_var = rng.uniform(0.1, 1.0, (3, 4))
         draws = rng.standard_normal((3, 2, 4))
-        together = closed_form_peaks(coupling, zeta, params, noise_var, draws)
+        together = closed_form_peaks(coupling, zeta, cfg, noise_var, draws)
         assert together.shape == (3, 4)
         for k in range(3):
-            alone = closed_form_peaks(coupling[k], zeta[k], params, noise_var[k], draws[k])
+            alone = closed_form_peaks(coupling[k], zeta[k], cfg, noise_var[k], draws[k])
             assert np.array_equal(together[k], alone)
 
     def test_coherent_peaks_of_the_phase_sum_equal_closed_form_peaks(self):
         # The engine forms the coherent sum itself and hands it to
         # coherent_peaks; with the same noise draws this is closed_form_peaks.
-        params = small_params()
+        cfg = frame_config()
         rng = np.random.default_rng(23)
         coupling = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
         zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
         noise_var = rng.uniform(0.1, 1.0, (3, 4))
         draws = rng.standard_normal((3, 2, 4))
         total = (np.exp(-1j * zeta)[:, None, :] @ coupling)[:, 0, :]
-        assert np.array_equal(coherent_peaks(total, params), closed_form_peaks(coupling, zeta, params))
+        scale = np.sqrt(cfg.symbols_per_frame * cfg.subcarriers * noise_var / 2.0)
+        assert np.array_equal(coherent_peaks(total, cfg), closed_form_peaks(coupling, zeta, cfg))
         assert np.array_equal(
-            coherent_peaks(total, params, noise_var, draws), closed_form_peaks(coupling, zeta, params, noise_var, draws)
+            coherent_peaks(total, cfg, scale, draws), closed_form_peaks(coupling, zeta, cfg, noise_var, draws)
         )
         with pytest.raises(ValueError, match="draws"):
-            coherent_peaks(total, params, noise_var)
+            closed_form_peaks(coupling, zeta, cfg, noise_var)
 
     def test_precomputed_noise_scale_equals_complex_noise(self):
-        # The deviation sqrt(N M noise_variance / 2) given up front adds the
-        # same noise, byte for byte, as the variance and as one complex sum.
-        params = small_params()
+        # The deviation sqrt(N M noise_variance / 2) adds the same noise,
+        # byte for byte, as one complex sum.
+        cfg = frame_config()
         rng = np.random.default_rng(31)
         total = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         noise_var = rng.uniform(0.1, 1.0, (3, 4))
         draws = rng.standard_normal((3, 2, 4))
-        nm = params.symbols * params.subcarriers
+        nm = cfg.symbols_per_frame * cfg.subcarriers
         scale = np.sqrt(nm * noise_var / 2.0)
         complex_form = np.abs(total + scale * (draws[:, 0] + 1j * draws[:, 1])) ** 2 / nm
-        assert coherent_peaks(total, params, noise_var, draws).tobytes() == complex_form.tobytes()
-        assert coherent_peaks(total, params, noise_draws=draws, noise_scale=scale).tobytes() == complex_form.tobytes()
+        assert coherent_peaks(total, cfg, scale, draws).tobytes() == complex_form.tobytes()
 
     def test_batched_coupling_equals_one_call_per_batch(self):
         # Leading batch axes on every per-reflection and per-cell argument
         # give each batch row the value of a call on that row alone, bit for bit.
-        params = small_params()
+        cfg = frame_config()
         rng = np.random.default_rng(17)
         amplitude = rng.uniform(1e-8, 1e-6, (3, 5))
         gain = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
         delay = rng.uniform(1e-6, 2e-6, (3, 5))
         matched_delay = rng.uniform(1e-6, 2e-6, (3, 4))
-        together = matched_coupling(amplitude, gain, delay, matched_delay[:, None], params)
-        alone = [matched_coupling(amplitude[k], gain[k], delay[k], matched_delay[k], params) for k in range(3)]
+        together = matched_coupling(amplitude, gain, delay, matched_delay[:, None], cfg)
+        alone = [matched_coupling(amplitude[k], gain[k], delay[k], matched_delay[k], cfg) for k in range(3)]
         assert together.shape == (3, 5, 4)
         assert together.tobytes() == np.stack(alone).tobytes()
 
 
 def test_noise_only_reference_mean(rng):
     # Reference-path version of the noise immunity check on a small frame.
-    params = small_params(4, 4)
-    tx = synth_tx_frame(params, rng)
+    cfg = frame_config(4, 4)
+    tx = synth_tx_frame(cfg, rng)
     noise_var = 0.8
     gen = np.random.default_rng(5)
     total = 0.0
     draws = 10_000
     for _ in range(draws):
-        rx = synth_rx_frame(tx, reflections_of(), params, noise_var, gen.standard_normal((2, 4, 4)))
+        rx = synth_rx_frame(tx, reflections_of(), cfg, noise_var, gen.standard_normal((2, 4, 4)))
         frame = remove_data(rx, tx)
-        total += matched_point_value(frame, 3e-7, 0.0, params)
+        total += matched_point_value(frame, 3e-7, 0.0, cfg)
     assert total / draws == pytest.approx(noise_var, rel=0.05)
 
 
@@ -626,21 +616,20 @@ def test_rcs_estimator_median_near_truth_at_high_snr():
     # Post-processing SNR of ~13 dB; the median estimate over 1000 noisy
     # frames stays within 10% of the true RCS.
     cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
-    params = OfdmParams.from_config(cfg)
     d1 = d2 = 150.0
     sigma = 10.0
     b = reflection_amplitude(cfg, sigma, d1, d2)
     tau = (d1 + d2) / C0
-    nm = params.symbols * params.subcarriers
+    nm = cfg.symbols_per_frame * cfg.subcarriers
     snr = 20.0
     noise_var = nm * b * b / snr
     gen = np.random.default_rng(44)
     estimates = []
     for _ in range(1000):
-        tx = synth_tx_frame(params, gen)
+        tx = synth_tx_frame(cfg, gen)
         refl = reflections_of((b, 1.0, tau, 0.0, float(gen.uniform(0, 2 * math.pi))))
-        frame = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen.standard_normal((2, 8, 16))), tx)
-        estimates.append(estimate_rcs(matched_point_value(frame, tau, 0.0, params), cfg, d1, d2))
+        frame = remove_data(synth_rx_frame(tx, refl, cfg, noise_var, gen.standard_normal((2, 8, 16))), tx)
+        estimates.append(estimate_rcs(matched_point_value(frame, tau, 0.0, cfg), cfg, d1, d2))
     assert np.median(estimates) == pytest.approx(sigma, rel=0.10)
 
 
@@ -649,7 +638,6 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     # The closed form's one complex Gaussian per cell against full noisy
     # frames: 5000 matched-point values a side, two-sample Kolmogorov-Smirnov.
     cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
-    params = OfdmParams.from_config(cfg)
     tau = 1.2e-6
     refl = reflections_of((1.0, 1.0, tau, 0.0, 0.3), (0.7, 0.4 - 0.2j, tau * 1.001, 0.0, 2.1))
     if not with_signal:
@@ -657,11 +645,11 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     noise_var = 128.0  # the same order as the signal's matched value N M |sum b chi e^{-j zeta}|^2, about 89
     draws = 5000
     gen_ref = np.random.default_rng(61)
-    tx = synth_tx_frame(params, gen_ref)
-    frames = remove_data(synth_rx_frame(tx, refl, params, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
-    ref_values = matched_point_value(frames, tau, 0.0, params)
-    coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], params)
+    tx = synth_tx_frame(cfg, gen_ref)
+    frames = remove_data(synth_rx_frame(tx, refl, cfg, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
+    ref_values = matched_point_value(frames, tau, 0.0, cfg)
+    coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], cfg)
     fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
-    fast_values = closed_form_peaks(coupling, refl.phase, params, noise_var, fast_draws)[:, 0]
+    fast_values = closed_form_peaks(coupling, refl.phase, cfg, noise_var, fast_draws)[:, 0]
     assert ref_values.shape == fast_values.shape == (draws,)
     assert ks_2samp(ref_values, fast_values).pvalue > 0.01
