@@ -298,7 +298,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     if options.beamformer == "capon":
         designs = capon_beamformer(AoA(directions[:, 0], directions[:, 1]), n)
     else:
-        designs = np.stack([ls_beamformer(aoa_mesh(AoA(theta, phi), n), n) for theta, phi in directions])
+        meshes = aoa_mesh(AoA(directions[:, 0], directions[:, 1]), n)
+        designs = np.stack([ls_beamformer(AoA(theta, phi), n) for theta, phi in zip(meshes.theta, meshes.phi)])
+        del meshes  # (K, 4n^2) angles each, released before the coupling tables are built
 
     # Pair-major tables; the design stage's inverse index already runs over
     # (transmitter, listener, cell).

@@ -40,16 +40,17 @@ class DetectionResult:
     hits: tuple[bool, bool, bool]  # delta = 0, 1, 2
 
 
-def _rescaled(values: np.ndarray) -> np.ndarray:
-    """(values - min) / (max - min) of each map over its non-NaN entries; 0.0 on a map whose span is not positive."""
+def _rescaled(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(values - min) / (max - min) of each map over its non-NaN entries; 0.0 on a map whose span is not positive.
+    Written into `out` when given."""
     lo = np.fmin.reduce(values, axis=(-2, -1), keepdims=True)
     if not lo.all():  # a zero minimum: its sign reaches -0.0 entries, so keep the masked reduction's sign
         lo = np.min(values, axis=(-2, -1), keepdims=True, initial=np.inf, where=~np.isnan(values))
     span = np.fmax.reduce(values, axis=(-2, -1), keepdims=True) - lo
     rising = span > 0
     if rising.all():
-        return (values - lo) / span
-    return np.where(rising, values - lo, 0.0) / np.where(rising, span, 1.0)
+        return np.divide(np.subtract(values, lo, out=out), span, out=out)
+    return np.divide(np.where(rising, values - lo, 0.0), np.where(rising, span, 1.0), out=out)
 
 
 def normalize_map(values: np.ndarray) -> np.ndarray:
@@ -61,9 +62,9 @@ def normalize_map(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(values), _rescaled(values), np.nan)
 
 
-def _average(values: np.ndarray, finite: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean over the maps (axis -3) of the finite entries of each cell; NaN where counts is 0."""
-    sums = np.where(finite, values, 0.0).sum(axis=-3)
+def _average(zeroed: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean over the maps (axis -3) of maps whose no-estimate cells hold 0.0; NaN where counts is 0."""
+    sums = zeroed.sum(axis=-3)
     return np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
 
 
@@ -81,7 +82,7 @@ def fuse(maps: np.ndarray, method: str = "avg") -> np.ndarray:
     elif method != "avg":
         raise ValueError(f"unknown fusion method {method!r}")
     finite = np.isfinite(maps)
-    return _average(maps, finite, finite.sum(axis=0))
+    return _average(np.where(finite, maps, 0.0), finite.sum(axis=0))
 
 
 def detect(values: np.ndarray) -> tuple[int, int]:
@@ -101,7 +102,11 @@ def fuse_and_detect(maps: np.ndarray) -> dict:
     counts = finite.sum(axis=0)
     if not counts.any():
         raise ValueError("no cell carries an estimate")
-    fused = _average(np.array([maps, _rescaled(maps)]), finite, counts)
+    stack = np.empty((2,) + maps.shape)
+    stack[0] = maps
+    _rescaled(maps, out=stack[1])
+    np.copyto(stack, 0.0, where=~finite)
+    fused = _average(stack, counts)
     rows, cols = np.unravel_index(np.fmax(fused, -np.inf).reshape(len(fused), -1).argmax(axis=1), counts.shape)
     return {method: (fused[k], (rows[k], cols[k])) for k, method in enumerate(FUSION_METHODS)}
 

@@ -26,6 +26,12 @@ def desired_response(mesh):
     return v
 
 
+def scale_free_residual(A, w):
+    """min over complex c of ||c A w - v||^2 for the one-hot v at mesh point 0."""
+    response = A @ w
+    return 1.0 - abs(response[0]) ** 2 / np.vdot(response, response).real
+
+
 def stacked(directions):
     """One AoA holding the angles of several directions as arrays."""
     return AoA(theta=np.array([d.theta for d in directions]), phi=np.array([d.phi for d in directions]))
@@ -99,6 +105,17 @@ class TestAoAMesh:
             assert len(mesh.theta) == 4 * n * n
             assert len(mesh.phi) == 4 * n * n
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_stacked_directions_give_rows_of_single_meshes(self, rng, n):
+        dirs = [random_aoa(rng) for _ in range(6)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(math.pi / 2, math.pi)]
+        mesh = aoa_mesh(stacked(dirs), n)
+        assert mesh.theta.shape == mesh.phi.shape == (len(dirs), 4 * n * n)
+        for k, d in enumerate(dirs):
+            single = aoa_mesh(d, n)
+            assert single.theta.shape == (4 * n * n,)
+            assert mesh.theta[k].tobytes() == single.theta.tobytes()
+            assert mesh.phi[k].tobytes() == single.phi.tobytes()
+
     def test_first_point_is_intended_with_unit_response(self):
         mesh = aoa_mesh(AoA(0.7, 2.2), 4)
         assert mesh.theta[0] == pytest.approx(0.7)
@@ -129,32 +146,46 @@ class TestLsBeamformer:
             res_base = np.sum(np.abs(A @ baseline - v) ** 2)
             assert res_ls <= res_base
 
-    def test_fit_residual_matches_dense_oracle(self, rng):
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12])
+    def test_fit_residual_matches_dense_oracle(self, rng, n):
         # The least-squares solution is unique, so the unit-norm weights equal
         # the normalized dense lstsq solution.
         for _ in range(10):
-            mesh = aoa_mesh(random_aoa(rng), 6)
-            w = ls_beamformer(mesh, 6)
-            A = steering_matrix(mesh, 6).conj().T
+            mesh = aoa_mesh(random_aoa(rng), n)
+            w = ls_beamformer(mesh, n)
+            A = steering_matrix(mesh, n).conj().T
             oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
             assert np.max(np.abs(w - oracle / np.linalg.norm(oracle))) < 1e-10
+
+    def test_fit_at_side_16_matches_dense_oracle(self, rng):
+        # At n = 16 the normal matrix conditions the weights to about 1e-9 in
+        # any kernel, so the check is the fit: the residual after the best
+        # complex rescaling equals the dense lstsq solution's.
+        for _ in range(3):
+            mesh = aoa_mesh(random_aoa(rng), 16)
+            A = steering_matrix(mesh, 16).conj().T
+            oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
+            expected = scale_free_residual(A, oracle)
+            assert abs(scale_free_residual(A, ls_beamformer(mesh, 16)) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    def test_non_finite_mesh_angle_raises(self, field):
+        mesh = aoa_mesh(AoA(0.4, 1.0), 4)
+        getattr(mesh, field)[5] = np.nan
+        with pytest.raises(ValueError):
+            ls_beamformer(mesh, 4)
 
     def test_refinement_never_worse_than_plain_solve(self, rng):
         d = random_aoa(rng)
         mesh = aoa_mesh(d, 8)
         A = steering_matrix(mesh, 8).conj().T
 
-        def scale_free_residual(w):
-            # min over complex c of ||c A w - v||^2 for the one-hot v at mesh point 0
-            response = A @ w
-            return 1.0 - abs(response[0]) ** 2 / np.vdot(response, response).real
-
         v = np.zeros(A.shape[0], dtype=complex)
         v[0] = 1.0
         plain = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A.conj().T @ A), A.conj().T @ v)
         plain /= np.linalg.norm(plain)
         refined = ls_beamformer(mesh, 8)
-        assert scale_free_residual(refined) <= scale_free_residual(plain) + 1e-12
+        assert scale_free_residual(A, refined) <= scale_free_residual(A, plain) + 1e-12
 
 
 class TestCaponBeamformer:
