@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from .ofdm import (
+    Reflections,
     build_reflections,
     coherent_peaks,
     estimate_rcs,
@@ -81,6 +82,11 @@ _TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise")
 # trial count, master seed); every other field shapes the tables.
 _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 _SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FIELDS)
+
+# Directions per LS design-mesh block in build_tables. A block of 64 at n = 8
+# holds 128 KiB per angle array; one (K, 4n^2) stack of all K directions is
+# megabytes, and freeing it leaves the allocator holding that much heap.
+_LS_MESH_CHUNK = 64
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
@@ -298,9 +304,12 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     if options.beamformer == "capon":
         designs = capon_beamformer(AoA(directions[:, 0], directions[:, 1]), n)
     else:
-        meshes = aoa_mesh(AoA(directions[:, 0], directions[:, 1]), n)
-        designs = np.stack([ls_beamformer(AoA(theta, phi), n) for theta, phi in zip(meshes.theta, meshes.phi)])
-        del meshes  # (K, 4n^2) angles each, released before the coupling tables are built
+        designs = np.empty((len(directions), n * n), dtype=complex)
+        for start in range(0, len(directions), _LS_MESH_CHUNK):
+            chunk = directions[start : start + _LS_MESH_CHUNK]
+            meshes = aoa_mesh(AoA(chunk[:, 0], chunk[:, 1]), n)
+            for k, (theta, phi) in enumerate(zip(meshes.theta, meshes.phi), start):
+                designs[k] = ls_beamformer(AoA(theta, phi), n)
 
     # Pair-major tables; the design stage's inverse index already runs over
     # (transmitter, listener, cell).
@@ -406,27 +415,30 @@ def _closed_form_estimates(config, tables, trial, target, illuminated_by):
 def _reference_estimates(config, tables, trial, target, illuminated_by):
     """Frame-level RCS estimates of every pair, shape (P, n_p).
 
-    Each (tx, rx) pair builds its reflections once, with its row of the
-    trial's phase block and one gain row per intended cell, and synthesizes
-    the frames of all its cells as one stack, taking their noise as one
-    (n_p, 2, N, M) draw from substream(seed, trial, NOISE, tx, rx). Frames
-    are held for one pair at a time.
+    Each transmitter builds the reflections of all its listeners once, with
+    their rows of the trial's phase block and one gain row per intended cell.
+    Each (tx, rx) pair then synthesizes the frames of all its cells as one
+    stack, taking their noise as one (n_p, 2, N, M) draw from
+    substream(seed, trial, NOISE, tx, rx). Frames are held for one pair at a time.
     """
     positions = tables.deployment.positions
     zeta = _phase_block(config, tables, trial)
     peaks = np.empty(tables.est_scale.shape)
     for record in tables.transmitters:
-        tx = record.tx
+        tx, rows = record.tx, record.pairs
         tx_frame = synth_tx_frame(config, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
         columns = np.arange(len(tables.cell_sets[tx].illuminated))
         lit_target = None
         if illuminated_by[tx]:
             lit_target, columns = target, np.append(columns, -1)
-        for p in range(record.pairs.start, record.pairs.stop):
-            rx = tables.pair_rx[p]
-            reflections = build_reflections(
-                config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-                tables.weights[p], lit_target, zeta[p, columns],
+        built = build_reflections(
+            config, tx, record.rx, positions[tx], positions[record.rx], tables.cell_sets[tx], tables.grid,
+            tables.weights[rows], lit_target, zeta[rows, columns],
+        )
+        for i, rx in enumerate(record.rx):
+            p = rows.start + i
+            reflections = Reflections(
+                built.amplitude[i], built.gain[i], built.delay_s[i], built.doppler_hz, built.phase[i]
             )
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)

@@ -40,7 +40,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Reflections:
     """The reflections in a received frame as arrays over r: amplitude, delay and random phase of shape
-    (R,), and the beamformed gain (..., R), one row per weight vector; all share the scenario Doppler."""
+    (R,), and the beamformed gain (..., R), one row per weight vector; all share the scenario Doppler.
+    A build for a stack of L listeners has a leading listener axis on every array."""
 
     amplitude: np.ndarray
     gain: np.ndarray
@@ -67,7 +68,7 @@ def reflection_amplitude(config: ScenarioConfig, rcs_m2, d1, d2):
 def build_reflections(
     config: ScenarioConfig,
     tx: int,
-    listener: int,
+    listener: int | np.ndarray,
     tx_pos: np.ndarray,
     rx_pos: np.ndarray,
     cell_sets: CellSets,
@@ -83,23 +84,35 @@ def build_reflections(
     illuminated). ``weights`` is one (n^2,) receive weight vector or a stack,
     e.g. (n_p, n^2) for the listener's intended cells, with one gain row each.
     ``phase`` gives the random phase of each reflection in that order.
+
+    A stack of L listeners, with positions (L, 3), weights (L, n_p, n^2) and
+    phases (L, R), gives amplitude, delay and phase (L, R) and gain
+    (L, n_p, R); row i equals the build of listener i alone bit for bit, since
+    a single listener is built as a stack of one.
     """
-    if tx == listener:
+    if np.any(np.asarray(listener) == tx):
         raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
+    lead = np.shape(listener)
+    rx_pos = np.reshape(rx_pos, (-1, 3))  # (L, 3)
     cells = cell_sets.illuminated
     points = grid.centers[cells[:, 0], cells[:, 1]]
     rcs = np.full(len(points), config.ground_rcs_m2)
     if target_pos is not None:
         points = np.vstack([points, target_pos])
         rcs = np.append(rcs, config.target_rcs_m2)
-    if np.shape(phase) != (len(points),):
+    if np.shape(phase) != lead + (len(points),):
         raise ValueError(f"{len(points)} reflections need one phase each, got shape {np.shape(phase)}")
-    d1 = np.linalg.norm(points - tx_pos, axis=1)
-    d2 = np.linalg.norm(rx_pos - points, axis=1)
+    n = config.array_side
+    d1 = np.linalg.norm(points - tx_pos, axis=1)  # (R,)
+    d2 = np.linalg.norm(rx_pos[:, None] - points, axis=-1)  # (L, R)
+    # matmul hands a stack to BLAS only when it is contiguous; a strided
+    # operand is summed in another order.
+    steering = steering_matrix(aoa(rx_pos[:, None], points), n).reshape(n * n, len(rx_pos), -1).transpose(1, 0, 2)
+    gain = weights.conj() @ np.ascontiguousarray(steering)  # (L, ..., R)
     return Reflections(
-        amplitude=reflection_amplitude(config, rcs, d1, d2),
-        gain=weights.conj() @ steering_matrix(aoa(rx_pos, points), config.array_side),
-        delay_s=(d1 + d2) / SPEED_OF_LIGHT,
+        amplitude=reflection_amplitude(config, rcs, d1, d2).reshape(lead + d1.shape),
+        gain=gain.reshape(lead + gain.shape[1:]),
+        delay_s=((d1 + d2) / SPEED_OF_LIGHT).reshape(lead + d1.shape),
         doppler_hz=config.doppler_hz,
         phase=np.asarray(phase, dtype=float),
     )
@@ -115,23 +128,35 @@ def synth_rx_frame(
     """Received frames, shape (..., N, M): the superposition of all reflections plus noise.
 
     Element (k, l) is
-    sum_r b_r chi_r tx[k, l] e^{+j 2 pi f_r T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z[k, l],
-    the rank-R product D (N x R) diag(b chi e^{-j zeta}) E (R x M) times the
-    data, one frame per leading row of the gain. With standard normal
-    ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]).
+    sum_r b_r chi_r tx[k, l] e^{+j 2 pi f_D T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z[k, l],
+    one frame per leading row of the gain. Every reflection shares the one
+    Doppler f_D (``doppler_hz`` may repeat it per reflection; distinct values
+    raise ValueError), so the sum over reflections is one row over subcarriers,
+    times the symbol ramp and the data, the same for every row: O(R M + N M)
+    per frame, not the O(N R M) of a rank-R product. With standard normal
+    ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]),
+    added in place.
     """
     N, M = tx_frame.shape
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
-    k = np.arange(N)[:, None]
-    l = np.arange(M)[None, :]
-    doppler_ramps = np.exp(2j * math.pi * reflections.doppler_hz * config.symbol_duration_s * k)  # (N, R)
-    delay_ramps = np.exp(-2j * math.pi * reflections.delay_s[:, None] * config.subcarrier_spacing_hz * l)  # (R, M)
+    dopplers = set(np.ravel(reflections.doppler_hz).tolist())
+    if len(dopplers) > 1:
+        raise ValueError(f"doppler_hz: the reflections share one Doppler, got {len(dopplers)} distinct values")
+    doppler = dopplers.pop() if dopplers else 0.0  # no reflections sum to zero under any ramp
+    symbol_ramp = np.exp(2j * math.pi * doppler * config.symbol_duration_s * np.arange(N))  # (N,)
+    delay_ramps = np.exp(
+        -2j * math.pi * reflections.delay_s[:, None] * config.subcarrier_spacing_hz * np.arange(M)
+    )  # (R, M)
     weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (..., R)
-    rx = ((doppler_ramps * weighted[..., None, :]) @ delay_ramps) * tx_frame
+    rx = (weighted @ delay_ramps)[..., None, :] * (symbol_ramp[:, None] * tx_frame)
     if noise_draws is not None:
         scale = np.sqrt(np.asarray(noise_variance) / 2.0)[..., None, None]
-        rx = rx + scale * (noise_draws[..., 0, :, :] + 1j * noise_draws[..., 1, :, :])
+        noisy = np.broadcast_shapes(rx.shape, scale.shape, noise_draws.shape[:-3] + (N, M))
+        if rx.shape != noisy:  # more noise rows than gain rows, e.g. many noisy copies of one frame
+            rx = np.broadcast_to(rx, noisy).copy()
+        rx.real += scale * noise_draws[..., 0, :, :]
+        rx.imag += scale * noise_draws[..., 1, :, :]
     elif np.any(noise_variance):
         raise ValueError("noise requires standard normal draws")
     return rx

@@ -20,7 +20,7 @@ from uavsense import (
 from uavsense import engine
 from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
 from uavsense.config import SPEED_OF_LIGHT
-from uavsense.geometry import aoa
+from uavsense.geometry import AoA, aoa
 from uavsense.ofdm import (
     build_reflections,
     closed_form_peaks,
@@ -158,6 +158,24 @@ class TestBuildTables:
         # A Capon call designs a whole stack of directions; an LS call designs one.
         designed = sum(np.size(args[0].theta) for args in calls) if beamformer == "capon" else len(calls)
         assert designed == len(directions) < pairs
+
+    def test_ls_designs_across_mesh_blocks_equal_single_designs(self):
+        # build_tables meshes the LS directions in blocks; every weight equals
+        # the design of its own direction's mesh, bit for bit, in every block.
+        config = ScenarioConfig(array_side=3)
+        tables = build_tables(config, RunOptions(beamformer="ls"))
+        n = config.array_side
+        designs = {}
+        for record in tables.transmitters:
+            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
+            toward = aoa(tables.deployment.positions[record.rx][:, None], p_points)
+            directions = np.stack([toward.theta, toward.phi], axis=-1).reshape(-1, 2)
+            for (theta, phi), weights in zip(directions, tables.weights[record.pairs].reshape(-1, n * n)):
+                key = np.array([theta, phi]).tobytes()
+                if key not in designs:
+                    designs[key] = ls_beamformer(aoa_mesh(AoA(theta, phi), n), n)
+                assert weights.tobytes() == designs[key].tobytes()
+        assert len(designs) > 2 * engine._LS_MESH_CHUNK
 
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
     def test_listener_rows_equal_per_listener_oracle(self, small_config, beamformer):

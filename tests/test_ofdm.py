@@ -216,6 +216,45 @@ class TestBuildReflections:
             for name in ("amplitude", "delay_s", "doppler_hz", "phase"):
                 assert np.array_equal(getattr(stacked, name), getattr(alone, name))
 
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_listener_stack_rows_equal_single_builds(self, rng, with_target):
+        # One build for every listener of transmitter 0 has a leading listener
+        # axis; row i equals the build of listener i alone, bit for bit.
+        cfg, grid, dep, sets, _ = self._scene()
+        tables = build_tables(cfg, RunOptions())
+        record = next(r for r in tables.transmitters if r.tx == 0)
+        target = np.array([13.0, 11.0, 0.0]) if with_target else None
+        count = len(sets.illuminated) + with_target
+        phases = self._phases(rng, (len(record.rx), count))
+        weights = tables.weights[record.pairs]
+        stacked = build_reflections(
+            cfg, 0, record.rx, dep.positions[0], dep.positions[record.rx], sets, grid, weights, target, phases
+        )
+        assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(record.rx), count)
+        assert stacked.gain.shape == (len(record.rx), len(record.cells), count)
+        for i, rx in enumerate(record.rx):
+            alone = build_reflections(
+                cfg, 0, int(rx), dep.positions[0], dep.positions[rx], sets, grid, weights[i], target, phases[i]
+            )
+            for name in ("amplitude", "gain", "delay_s", "phase"):
+                assert getattr(stacked, name)[i].tobytes() == getattr(alone, name).tobytes()
+            assert stacked.doppler_hz == alone.doppler_hz == cfg.doppler_hz
+
+    def test_listener_stack_guards(self, rng):
+        cfg, grid, dep, sets, weights = self._scene()
+        listeners = np.array([1, 2])
+        stack = np.stack([weights, weights])
+        with pytest.raises(ValueError, match="half-duplex"):
+            build_reflections(
+                cfg, 2, listeners, dep.positions[2], dep.positions[listeners], sets, grid, stack, None,
+                self._phases(rng, (2, len(sets.illuminated))),
+            )
+        with pytest.raises(ValueError, match="one phase each"):
+            build_reflections(
+                cfg, 0, listeners, dep.positions[0], dep.positions[listeners], sets, grid, stack, None,
+                self._phases(rng, len(sets.illuminated)),
+            )
+
 
 class TestRxFrame:
     def test_no_reflections_no_noise(self, rng):
@@ -260,7 +299,7 @@ class TestRxFrame:
             amplitude=rng.uniform(0.5, 1.5, 5),
             gain=rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)),
             delay_s=rng.uniform(0.0, 2e-6, 5),
-            doppler_hz=rng.uniform(-3000.0, 3000.0, 5),
+            doppler_hz=rng.uniform(-3000.0, 3000.0),
             phase=rng.uniform(0.0, 2 * math.pi, 5),
         )
         noise_var = rng.uniform(0.1, 1.0, 3)
@@ -274,6 +313,36 @@ class TestRxFrame:
             alone = remove_data(synth_rx_frame(tx, row, cfg, noise_var[p], draws[p]), tx)
             assert np.allclose(frames[p], alone, rtol=1e-12, atol=0.0)
             assert values[p] == pytest.approx(matched_point_value(alone, delays[p], 1000.0, cfg), rel=1e-12)
+
+    def test_shared_doppler_equals_explicit_rank_r_sum(self, rng):
+        # Frames of a random gain stack under a shared nonzero Doppler against
+        # the sum over reflections of each one's Doppler and delay ramps.
+        cfg = frame_config()
+        N, M = cfg.symbols_per_frame, cfg.subcarriers
+        tx = synth_tx_frame(cfg, rng)
+        for doppler in (1234.5, -2750.0):
+            refl = Reflections(
+                amplitude=rng.uniform(0.5, 1.5, 7),
+                gain=rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)),
+                delay_s=rng.uniform(0.0, 2e-6, 7),
+                doppler_hz=np.full(7, doppler),
+                phase=rng.uniform(0.0, 2 * math.pi, 7),
+            )
+            k, l = np.arange(N)[:, None], np.arange(M)[None, :]
+            expected = np.zeros((3, N, M), dtype=complex)
+            for r in range(7):
+                ramp = np.exp(2j * math.pi * doppler * cfg.symbol_duration_s * k) * np.exp(
+                    -2j * math.pi * refl.delay_s[r] * cfg.subcarrier_spacing_hz * l
+                )
+                for p in range(3):
+                    expected[p] += refl.amplitude[r] * refl.gain[p, r] * np.exp(-1j * refl.phase[r]) * ramp * tx
+            assert np.allclose(synth_rx_frame(tx, refl, cfg), expected, rtol=1e-12, atol=0.0)
+
+    def test_distinct_dopplers_raise(self, rng):
+        cfg = frame_config()
+        refl = reflections_of((1.0, 1.0, 1e-7, 100.0, 0.0), (1.0, 1.0, 2e-7, 200.0, 0.0))
+        with pytest.raises(ValueError, match="doppler_hz"):
+            synth_rx_frame(synth_tx_frame(cfg, rng), refl, cfg)
 
     def test_noise_requires_draws(self, rng):
         cfg = frame_config()

@@ -1,6 +1,7 @@
 """Property tests over drawn scenarios: every configuration the validators
 accept either runs or fails with a ConfigError naming a field, every estimated
-cell is finite, and extending `trials` keeps the earlier trials.
+cell is finite, extending `trials` keeps the earlier trials, and noiseless
+fast-path maps equal the frame-level reference maps.
 
 Derandomized with a fixed example count, so every run draws the same cases.
 """
@@ -95,3 +96,53 @@ def test_accepted_configs_run_with_finite_estimates(drawn):
         extended = run_trial(longer, trial, tables=tables, collect_maps=True)
         assert (extended.target_xy, extended.detections) == (outcome.target_xy, outcome.detections)
         assert np.array_equal(np.array([m.values for m in extended.local_maps]), maps, equal_nan=True)
+
+
+@st.composite
+def small_frames(draw):
+    """Scenarios that pass the validators (4 or 9 UAVs, tiled grids, derived
+    altitude) on frames of at most 8 x 16, with a nonzero scenario Doppler."""
+    uavs_per_side = draw(st.sampled_from([2, 3]))
+    ground_dbsm = draw(st.floats(-40.0, 10.0))
+    kwargs = dict(
+        uav_count=uavs_per_side**2,
+        grid_side=uavs_per_side * draw(st.integers(1, 4)),
+        area_side_m=draw(st.floats(5.0, 300.0)),
+        array_side=draw(st.integers(2, 4)),
+        symbols_per_frame=draw(st.integers(1, 8)),
+        subcarriers=draw(st.integers(1, 16)),
+        carrier_frequency_hz=draw(st.floats(1e9, 1e11)),
+        bandwidth_hz=draw(st.floats(1e6, 4e8)),
+        cp_duration_s=draw(st.floats(1e-8, 1e-5)),
+        doppler_hz=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 5e3)),
+        ground_rcs_m2=dbsm_to_m2(ground_dbsm),
+        target_rcs_m2=dbsm_to_m2(ground_dbsm + draw(st.floats(0.5, 40.0))),
+        trials=draw(st.integers(1, 2)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return kwargs, draw(st.sampled_from(["ls", "capon"]))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(small_frames())
+def test_noiseless_fast_maps_equal_reference_maps(drawn):
+    # The closed form against frame synthesis, data removal and the matched
+    # point, to rounding: within 1e-10 of each local map's largest value.
+    kwargs, beamformer = drawn
+    config = ScenarioConfig(**kwargs)
+    try:
+        fast = build_tables(config, RunOptions(beamformer=beamformer, noise=False))
+    except ConfigError as error:
+        assert_names_a_field(error)
+        event(f"ConfigError naming {str(error).partition(':')[0]}")
+        return
+    event("ran")
+    reference = build_tables(config, RunOptions(beamformer=beamformer, fast_path=False, noise=False))
+    for trial in range(config.trials):
+        fast_maps, reference_maps = (
+            np.array([m.values for m in run_trial(config, trial, tables=tables, collect_maps=True).local_maps])
+            for tables in (fast, reference)
+        )
+        assert np.array_equal(np.isnan(fast_maps), np.isnan(reference_maps))
+        largest = np.nan_to_num(np.abs(reference_maps)).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.nan_to_num(np.abs(fast_maps - reference_maps)) <= 1e-10 * largest)
