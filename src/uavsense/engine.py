@@ -264,7 +264,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     positions = deployment.positions
 
     # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
-    staged, angles, delays, scales = [], [], [], []
+    staged, offsets, delays, scales = [], [], [], []
     for tx in range(U):
         intended = cell_sets[tx].intended
         if len(intended) == 0:
@@ -293,13 +293,23 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         staged.append((tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p))
         delays.append(tau_p)
         scales.append(scale)
-        toward = aoa(rx_pos, p_points)  # (L, n_p)
-        angles.append(np.stack([toward.theta, toward.phi], axis=-1).reshape(-1, 2))
+        offsets.append((p_points - rx_pos).reshape(-1, 3))
 
     # A design is a pure function of its intended AoA, and the uniform
     # deployment repeats (listener, cell) offsets, so each distinct direction is
     # designed once, keyed on the exact bits of (theta, phi) (so -0.0 and 0.0 stay apart).
-    keys, inverse = np.unique(np.concatenate(angles).view(np.uint64), axis=0, return_inverse=True)
+    # The LS design is also centrally symmetric: the mirrored offset (-dx, -dy, dz)
+    # has azimuth phi + pi, which conjugates every steering entry of its mesh and
+    # so its design. LS rows with dy < 0 (or dy = 0 and dx < 0) are designed at
+    # their mirror and conjugated. aoa at the origin of an offset equals aoa of
+    # its two end points bit for bit, and the default deployment mirrors exactly.
+    offsets = np.concatenate(offsets)
+    dx, dy = offsets[:, 0], offsets[:, 1]
+    mirror = ((dy < 0) | ((dy == 0) & (dx < 0))) & (options.beamformer == "ls")
+    offsets[mirror, :2] *= -1.0
+    toward = aoa(np.zeros(3), offsets)
+    bits = np.stack([toward.theta, toward.phi], axis=-1).view(np.uint64)
+    keys, inverse = np.unique(bits, axis=0, return_inverse=True)
     directions = keys.view(np.float64)
     if options.beamformer == "capon":
         designs = capon_beamformer(AoA(directions[:, 0], directions[:, 1]), n)
@@ -315,7 +325,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     # (transmitter, listener, cell).
     matched_delay = np.concatenate(delays)
     est_scale = np.concatenate(scales)
-    weights = designs[inverse].reshape(matched_delay.shape + (n * n,))
+    weights = designs[inverse]
+    np.conjugate(weights, out=weights, where=mirror[:, None])
+    weights = weights.reshape(matched_delay.shape + (n * n,))
     noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=-1)
     n_q_max = max(len(cell_sets[tx].illuminated) for tx, *_ in staged)
     ground_coupling = np.zeros((len(weights), n_q_max, matched_delay.shape[1]), dtype=complex)
@@ -615,11 +627,13 @@ def sweep(
     Returns result rows plus a list of diagnostics for sweep values whose
     configuration is invalid; invalid points are reported, never silently
     skipped. Scenario tables are shared across the sigma_G, fusion, and delta
-    axes of each sweep point.
+    axes of each sweep point, and across sweep points that shape the same
+    tables (every value of the ground_rcs axis).
     """
     base_options = base_options or RunOptions()
     rows: list[SweepRow] = []
     errors: list[str] = []
+    built: dict[str, ScenarioTables] = {}  # beamformer -> its last tables
     sigma_values = spec.sigma_g_dbsm if spec.parameter != "ground_rcs" else (None,)
     for value in spec.values:
         try:
@@ -629,11 +643,13 @@ def sweep(
             continue
         for beamformer in spec.beamformers:
             options = replace(base_options, beamformer=beamformer)
-            try:
-                tables = build_tables(point_config, options)
-            except ConfigError as exc:
-                errors.append(f"{spec.parameter}={value}, beamformer={beamformer}: {exc}")
-                continue
+            tables = built.get(beamformer)
+            if tables is None or not tables.compatible_with(point_config):
+                try:
+                    tables = built[beamformer] = build_tables(point_config, options)
+                except ConfigError as exc:
+                    errors.append(f"{spec.parameter}={value}, beamformer={beamformer}: {exc}")
+                    continue
             for sigma_dbsm in sigma_values:
                 if sigma_dbsm is None:
                     config = point_config

@@ -157,6 +157,20 @@ class TestLsBeamformer:
             oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
             assert np.max(np.abs(w - oracle / np.linalg.norm(oracle))) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_mirrored_azimuth_gives_conjugate_design(self, rng, n):
+        # Azimuth phi + pi conjugates every steering entry of the mesh while the
+        # desired response stays real, so the design is conjugated; build_tables
+        # designs one offset of each mirrored pair and conjugates it for the other.
+        for _ in range(10):
+            d = random_aoa(rng)
+            conjugated = ls_beamformer(aoa_mesh(d, n), n).conj()
+            mesh = aoa_mesh(AoA(d.theta, (d.phi + math.pi) % (2 * math.pi)), n)
+            assert np.max(np.abs(ls_beamformer(mesh, n) - conjugated)) < 1e-12
+            A = steering_matrix(mesh, n).conj().T
+            oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
+            assert np.max(np.abs(conjugated - oracle / np.linalg.norm(oracle))) < 1e-10
+
     def test_fit_at_side_16_matches_dense_oracle(self, rng):
         # At n = 16 the normal matrix conditions the weights to about 1e-9 in
         # any kernel, so the check is the fit: the residual after the best

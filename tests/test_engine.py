@@ -48,6 +48,48 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def ls_direction(rx_position, point) -> tuple[AoA, bool]:
+    """The direction whose LS design fills a (listener, cell) row, and whether the row
+    takes that design's conjugate: offsets with dy < 0, or dy = 0 and dx < 0, are
+    designed at their mirror (-dx, -dy, dz)."""
+    dx, dy, dz = point - rx_position
+    if dy < 0 or (dy == 0 and dx < 0):
+        return aoa(np.zeros(3), np.array([-dx, -dy, dz])), True
+    return aoa(rx_position, point), False
+
+
+def ls_row(rx_position, point, n, designs: dict) -> np.ndarray:
+    """The LS weights of a row, from `designs` (canonical direction bits -> design), filled as needed."""
+    d, mirrored = ls_direction(rx_position, point)
+    key = np.array([d.theta, d.phi]).tobytes()
+    if key not in designs:
+        designs[key] = ls_beamformer(aoa_mesh(d, n), n)
+    return designs[key].conj() if mirrored else designs[key]
+
+
+def build_counting_ls_designs(config, monkeypatch):
+    """LS tables of `config` and the argument tuples of every ls_beamformer call the build made."""
+    calls = []
+
+    def counting(*args, original=engine.ls_beamformer):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "ls_beamformer", counting)
+    return build_tables(config, RunOptions(beamformer="ls")), calls
+
+
+def assert_ls_rows_are_canonical_designs(tables) -> dict:
+    """Check every LS row against ls_row, bit for bit; returns the designs made (direction bits -> design)."""
+    n, designs = tables.config.array_side, {}
+    for record in tables.transmitters:
+        for k, rx in enumerate(record.rx):
+            for i, (a, b) in enumerate(record.cells):
+                expected = ls_row(tables.deployment.positions[rx], tables.grid.centers[a, b], n, designs)
+                assert tables.weights[record.pairs][k, i].tobytes() == expected.tobytes()
+    return designs
+
+
 def _path_words(seed: int, *path: int) -> tuple[int, int]:
     """The two key words of a substream path as Python ints, hashed in pure Python."""
     acc = seed & _MASK64
@@ -149,33 +191,52 @@ class TestBuildTables:
                 for i, (a, b) in enumerate(record.cells):
                     d = aoa(tables.deployment.positions[rx], tables.grid.centers[a, b])
                     pairs += 1
-                    directions.add(np.array([d.theta, d.phi]).tobytes())
                     if beamformer == "capon":
                         fresh = capon_beamformer(d, n)
                     else:
+                        # Mirrored offsets take the conjugate of their mirror's design.
+                        d, mirrored = ls_direction(tables.deployment.positions[rx], tables.grid.centers[a, b])
                         fresh = ls_beamformer(aoa_mesh(d, n), n)
+                        fresh = fresh.conj() if mirrored else fresh
+                    directions.add(np.array([d.theta, d.phi]).tobytes())
                     assert tables.weights[record.pairs][k, i].tobytes() == fresh.tobytes()
         # A Capon call designs a whole stack of directions; an LS call designs one.
         designed = sum(np.size(args[0].theta) for args in calls) if beamformer == "capon" else len(calls)
         assert designed == len(directions) < pairs
 
-    def test_ls_designs_across_mesh_blocks_equal_single_designs(self):
+    def test_ls_rows_on_a_non_dyadic_area(self, small_config, monkeypatch):
+        # On an area whose cell centres are not dyadic, mirrored offsets need
+        # not negate bit for bit; their rows still equal their canonical
+        # direction's design or its conjugate, and they share fewer designs.
+        tables, calls = build_counting_ls_designs(replace(small_config, area_side_m=100.0 / 3.0), monkeypatch)
+        designs = assert_ls_rows_are_canonical_designs(tables)
+        assert len(calls) == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
+
+    def test_ls_designs_across_mesh_blocks_equal_single_designs(self, monkeypatch):
         # build_tables meshes the LS directions in blocks; every weight equals
-        # the design of its own direction's mesh, bit for bit, in every block.
-        config = ScenarioConfig(array_side=3)
-        tables = build_tables(config, RunOptions(beamformer="ls"))
-        n = config.array_side
-        designs = {}
+        # the design of its canonical direction's mesh, or its conjugate, bit
+        # for bit, in every block. The default geometry's 6000 rows hold 1200
+        # distinct directions, 600 up to mirroring.
+        tables, calls = build_counting_ls_designs(ScenarioConfig(array_side=3), monkeypatch)
+        designs = assert_ls_rows_are_canonical_designs(tables)
+        assert len(calls) == len(designs) == 600 > 2 * engine._LS_MESH_CHUNK
+
+    def test_mirrored_offsets_take_conjugate_weights(self):
+        # The default deployment mirrors every (listener, cell) offset exactly,
+        # dy = 0 among them, so each row with dy < 0, or dy = 0 and dx < 0, is
+        # the conjugate of the row of its mirror (-dx, -dy, dz), bit for bit.
+        tables = build_tables(ScenarioConfig(array_side=2), RunOptions(beamformer="ls"))
+        rows = []
         for record in tables.transmitters:
-            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
-            toward = aoa(tables.deployment.positions[record.rx][:, None], p_points)
-            directions = np.stack([toward.theta, toward.phi], axis=-1).reshape(-1, 2)
-            for (theta, phi), weights in zip(directions, tables.weights[record.pairs].reshape(-1, n * n)):
-                key = np.array([theta, phi]).tobytes()
-                if key not in designs:
-                    designs[key] = ls_beamformer(aoa_mesh(AoA(theta, phi), n), n)
-                assert weights.tobytes() == designs[key].tobytes()
-        assert len(designs) > 2 * engine._LS_MESH_CHUNK
+            for k, rx in enumerate(record.rx):
+                for i, (a, b) in enumerate(record.cells):
+                    offset = tables.grid.centers[a, b] - tables.deployment.positions[rx]
+                    rows.append((tuple(offset), tables.weights[record.pairs][k, i]))
+        by_offset = dict(rows)  # -0.0 and 0.0 are one key
+        mirrored = [(dx, dy, dz) for (dx, dy, dz), _ in rows if dy < 0 or (dy == 0 and dx < 0)]
+        assert len(mirrored) == len(rows) // 2
+        for dx, dy, dz in mirrored:
+            assert by_offset[(dx, dy, dz)].tobytes() == by_offset[(-dx, -dy, dz)].conj().tobytes()
 
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
     def test_listener_rows_equal_per_listener_oracle(self, small_config, beamformer):
@@ -579,6 +640,25 @@ class TestSweep:
         assert {r.fusion for r in rows} == {"avg", "prenorm"}
         assert all(r.trials == 2 for r in rows)
         assert all(r.seed == cfg.master_seed for r in rows)
+
+    def test_ground_rcs_axis_builds_tables_once_per_beamformer(self, small_config, monkeypatch):
+        # Ground RCS shapes no table, so every value of its axis runs on the
+        # tables of the first, and its rows equal those of a rebuild per value.
+        config = replace(small_config, trials=3)
+        spec = SweepSpec(parameter="ground_rcs", values=(-30.0, -20.0, -10.0), beamformers=("capon", "ls"))
+        builds = []
+
+        def counting(point_config, options, original=engine.build_tables):
+            builds.append(options.beamformer)
+            return original(point_config, options)
+
+        monkeypatch.setattr(engine, "build_tables", counting)
+        rows, errors = sweep(spec, config)
+        assert not errors
+        assert builds == ["capon", "ls"]
+        rebuilt = [row for value in spec.values for row in sweep(replace(spec, values=(value,)), config)[0]]
+        assert len(builds) == 2 + 2 * len(spec.values)
+        assert rows == rebuilt
 
     def test_low_altitude_classification_regime(self):
         # Below the 3x3 threshold each intended set collapses to one cell.

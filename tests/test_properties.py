@@ -1,7 +1,8 @@
 """Property tests over drawn scenarios: every configuration the validators
 accept either runs or fails with a ConfigError naming a field, every estimated
-cell is finite, extending `trials` keeps the earlier trials, and noiseless
-fast-path maps equal the frame-level reference maps.
+cell is finite, extending `trials` keeps the earlier trials, noiseless
+fast-path maps equal the frame-level reference maps, and two worker processes
+count the same hits as one.
 
 Derandomized with a fixed example count, so every run draws the same cases.
 """
@@ -12,7 +13,15 @@ import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from uavsense import ConfigError, RunOptions, ScenarioConfig, build_tables, dbsm_to_m2, run_trial
+from uavsense import (
+    ConfigError,
+    RunOptions,
+    ScenarioConfig,
+    build_tables,
+    dbsm_to_m2,
+    run_monte_carlo_all_fusions,
+    run_trial,
+)
 
 SMALL = dict(uav_count=4, grid_side=8, area_side_m=40.0, symbols_per_frame=8, subcarriers=16, trials=2)
 FIELDS = {f.name for f in fields(ScenarioConfig)} | {f.name for f in fields(RunOptions)}
@@ -146,3 +155,23 @@ def test_noiseless_fast_maps_equal_reference_maps(drawn):
         assert np.array_equal(np.isnan(fast_maps), np.isnan(reference_maps))
         largest = np.nan_to_num(np.abs(reference_maps)).max(axis=(1, 2), keepdims=True)
         assert np.all(np.nan_to_num(np.abs(fast_maps - reference_maps)) <= 1e-10 * largest)
+
+
+@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(small_frames(), st.booleans())
+@example(({**SMALL, "array_side": 3}, "ls"), True)
+@example(({**SMALL, "array_side": 2}, "capon"), False)
+def test_two_workers_equal_serial(drawn, fast_path):
+    # Each worker runs its own share of the trials on the same tables; the
+    # summed hit counts equal a serial run's.
+    kwargs, beamformer = drawn
+    config = ScenarioConfig(**{**kwargs, "trials": 5})
+    try:
+        tables = build_tables(config, RunOptions(beamformer=beamformer, fast_path=fast_path))
+    except ConfigError as error:
+        assert_names_a_field(error)
+        event(f"ConfigError naming {str(error).partition(':')[0]}")
+        return
+    event(f"ran ({beamformer}, {'fast' if fast_path else 'reference'} path)")
+    serial = run_monte_carlo_all_fusions(config, workers=1, tables=tables)
+    assert run_monte_carlo_all_fusions(config, workers=2, tables=tables) == serial
