@@ -627,13 +627,11 @@ def sweep(
     Returns result rows plus a list of diagnostics for sweep values whose
     configuration is invalid; invalid points are reported, never silently
     skipped. Scenario tables are shared across the sigma_G, fusion, and delta
-    axes of each sweep point, and across sweep points that shape the same
-    tables (every value of the ground_rcs axis).
+    axes of each sweep point.
     """
     base_options = base_options or RunOptions()
     rows: list[SweepRow] = []
     errors: list[str] = []
-    built: dict[str, ScenarioTables] = {}  # beamformer -> its last tables
     sigma_values = spec.sigma_g_dbsm if spec.parameter != "ground_rcs" else (None,)
     for value in spec.values:
         try:
@@ -643,13 +641,11 @@ def sweep(
             continue
         for beamformer in spec.beamformers:
             options = replace(base_options, beamformer=beamformer)
-            tables = built.get(beamformer)
-            if tables is None or not tables.compatible_with(point_config):
-                try:
-                    tables = built[beamformer] = build_tables(point_config, options)
-                except ConfigError as exc:
-                    errors.append(f"{spec.parameter}={value}, beamformer={beamformer}: {exc}")
-                    continue
+            try:
+                tables = build_tables(point_config, options)
+            except ConfigError as exc:
+                errors.append(f"{spec.parameter}={value}, beamformer={beamformer}: {exc}")
+                continue
             for sigma_dbsm in sigma_values:
                 if sigma_dbsm is None:
                     config = point_config

@@ -641,25 +641,6 @@ class TestSweep:
         assert all(r.trials == 2 for r in rows)
         assert all(r.seed == cfg.master_seed for r in rows)
 
-    def test_ground_rcs_axis_builds_tables_once_per_beamformer(self, small_config, monkeypatch):
-        # Ground RCS shapes no table, so every value of its axis runs on the
-        # tables of the first, and its rows equal those of a rebuild per value.
-        config = replace(small_config, trials=3)
-        spec = SweepSpec(parameter="ground_rcs", values=(-30.0, -20.0, -10.0), beamformers=("capon", "ls"))
-        builds = []
-
-        def counting(point_config, options, original=engine.build_tables):
-            builds.append(options.beamformer)
-            return original(point_config, options)
-
-        monkeypatch.setattr(engine, "build_tables", counting)
-        rows, errors = sweep(spec, config)
-        assert not errors
-        assert builds == ["capon", "ls"]
-        rebuilt = [row for value in spec.values for row in sweep(replace(spec, values=(value,)), config)[0]]
-        assert len(builds) == 2 + 2 * len(spec.values)
-        assert rows == rebuilt
-
     def test_low_altitude_classification_regime(self):
         # Below the 3x3 threshold each intended set collapses to one cell.
         base = ScenarioConfig()

@@ -7,9 +7,11 @@ count the same hits as one.
 Derandomized with a fixed example count, so every run draws the same cases.
 """
 
+import os
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +159,9 @@ def test_noiseless_fast_maps_equal_reference_maps(drawn):
         assert np.all(np.nan_to_num(np.abs(fast_maps - reference_maps)) <= 1e-10 * largest)
 
 
+# run_monte_carlo_all_fusions starts at most os.cpu_count() workers, so on one
+# CPU workers=2 runs serially and this would compare serial with serial.
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to start two worker processes")
 @settings(max_examples=5, derandomize=True, deadline=None, database=None)
 @given(small_frames(), st.booleans())
 @example(({**SMALL, "array_side": 3}, "ls"), True)
