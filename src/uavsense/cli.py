@@ -116,6 +116,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": config.master_seed,

@@ -37,7 +37,7 @@ from .geometry import (
     derive_altitude,
     footprint_radius,
 )
-from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
+from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix, steering_vector
 from .ofdm import (
     Reflections,
     build_reflections,
@@ -83,10 +83,11 @@ _TABLE_OPTION_FIELDS = ("beamformer", "fast_path", "noise")
 _RUN_FIELDS = ("ground_rcs_m2", "target_rcs_m2", "trials", "master_seed")
 _SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FIELDS)
 
-# Directions per LS design-mesh block in build_tables. A block of 64 at n = 8
-# holds 128 KiB per angle array; one (K, 4n^2) stack of all K directions is
-# megabytes, and freeing it leaves the allocator holding that much heap.
-_LS_MESH_CHUNK = 64
+# Directions per ls_beamformer call in build_tables. A call pays its Python
+# overhead once per block, and its lag-table operands take about 100 KB per
+# direction at n = 8; blocks of 16 to 48 designed equally fast at n = 4-8, and
+# 16 keeps the temporaries smallest.
+_LS_BLOCK = 16
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
@@ -298,35 +299,48 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     # A design is a pure function of its intended AoA, and the uniform
     # deployment repeats (listener, cell) offsets, so each distinct direction is
     # designed once, keyed on the exact bits of (theta, phi) (so -0.0 and 0.0 stay apart).
-    # The LS design is also centrally symmetric: the mirrored offset (-dx, -dy, dz)
-    # has azimuth phi + pi, which conjugates every steering entry of its mesh and
-    # so its design. LS rows with dy < 0 (or dy = 0 and dx < 0) are designed at
-    # their mirror and conjugated. aoa at the origin of an offset equals aoa of
-    # its two end points bit for bit, and the default deployment mirrors exactly.
+    # The LS design also follows the square array's 8 symmetries, each of which
+    # maps the design mesh onto the image direction's mesh as a multiset. With
+    # steering entry (i, j) = x^i y^j (x the dy step, y the dx step): swapping dx
+    # and dy transposes the design; negating dx reverses it along j and
+    # multiplies it by y0^-(n-1), y0 the dx step of mesh point 0 before the
+    # flip; negating both dx and dy conjugates it. So LS rows are designed once
+    # per orbit, at the offset (max(|dx|, |dy|), min(|dx|, |dy|), dz), and each
+    # row takes its image: transposed if |dy| > |dx|, then flipped if dx < 0
+    # after the mirror, then conjugated if dy < 0 (or dy = 0 and dx < 0), so
+    # mirrored rows stay exact conjugates. aoa at the origin of an offset equals
+    # aoa of its two end points bit for bit.
     offsets = np.concatenate(offsets)
-    dx, dy = offsets[:, 0], offsets[:, 1]
-    mirror = ((dy < 0) | ((dy == 0) & (dx < 0))) & (options.beamformer == "ls")
-    offsets[mirror, :2] *= -1.0
+    if options.beamformer == "ls":
+        dx, dy = offsets[:, 0], offsets[:, 1]
+        mirror = (dy < 0) | ((dy == 0) & (dx < 0))
+        flip = np.where(mirror, dx > 0, dx < 0)
+        swap = np.abs(dy) > np.abs(dx)
+        offsets[:, :2] = np.sort(np.abs(offsets[:, :2]), axis=1)[:, ::-1]
     toward = aoa(np.zeros(3), offsets)
     bits = np.stack([toward.theta, toward.phi], axis=-1).view(np.uint64)
     keys, inverse = np.unique(bits, axis=0, return_inverse=True)
-    directions = keys.view(np.float64)
-    if options.beamformer == "capon":
-        designs = capon_beamformer(AoA(directions[:, 0], directions[:, 1]), n)
-    else:
-        designs = np.empty((len(directions), n * n), dtype=complex)
-        for start in range(0, len(directions), _LS_MESH_CHUNK):
-            chunk = directions[start : start + _LS_MESH_CHUNK]
-            meshes = aoa_mesh(AoA(chunk[:, 0], chunk[:, 1]), n)
-            for k, (theta, phi) in enumerate(zip(meshes.theta, meshes.phi), start):
-                designs[k] = ls_beamformer(AoA(theta, phi), n)
+    directions = AoA(*keys.view(np.float64).T)
 
     # Pair-major tables; the design stage's inverse index already runs over
     # (transmitter, listener, cell).
     matched_delay = np.concatenate(delays)
     est_scale = np.concatenate(scales)
-    weights = designs[inverse]
-    np.conjugate(weights, out=weights, where=mirror[:, None])
+    if options.beamformer == "capon":
+        weights = capon_beamformer(directions, n)[inverse]
+    else:
+        images = np.empty((len(keys), 2, 2, 2, n, n), dtype=complex)  # [design, swap, flip, mirror]
+        for start in range(0, len(keys), _LS_BLOCK):
+            block = slice(start, start + _LS_BLOCK)
+            mesh = aoa_mesh(AoA(directions.theta[block], directions.phi[block]), n)
+            images[block, 0, 0, 0] = ls_beamformer(mesh, n).reshape(-1, n, n)
+        images[:, 1, 0, 0] = images[:, 0, 0, 0].transpose(0, 2, 1)
+        # x^(n-1) and y^(n-1) of each design's mesh point 0; a transposed design's dx step is x.
+        ramp = steering_vector(directions, n).reshape(-1, n, n)
+        corner = np.stack([ramp[:, 0, n - 1], ramp[:, n - 1, 0]], axis=1).conj()
+        images[:, :, 1, 0] = images[:, :, 0, 0, :, ::-1] * corner[:, :, None, None]
+        images[:, :, :, 1] = images[:, :, :, 0].conj()
+        weights = images[inverse, swap.astype(int), flip.astype(int), mirror.astype(int)]
     weights = weights.reshape(matched_delay.shape + (n * n,))
     noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=-1)
     n_q_max = max(len(cell_sets[tx].illuminated) for tx, *_ in staged)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavsense import (
     AoA,
@@ -146,7 +148,7 @@ class TestLsBeamformer:
             res_base = np.sum(np.abs(A @ baseline - v) ** 2)
             assert res_ls <= res_base
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
     def test_fit_residual_matches_dense_oracle(self, rng, n):
         # The least-squares solution is unique, so the unit-norm weights equal
         # the normalized dense lstsq solution.
@@ -189,6 +191,30 @@ class TestLsBeamformer:
         with pytest.raises(ValueError):
             ls_beamformer(mesh, 4)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    def test_non_finite_angle_in_a_stack_raises(self, rng, field, value):
+        # One bad angle in any mesh of a stack, first, middle or last, fails the whole call.
+        for k in (0, 3, 6):
+            mesh = aoa_mesh(stacked([random_aoa(rng) for _ in range(7)]), 3)
+            getattr(mesh, field)[k, 17] = value
+            with pytest.raises(ValueError):
+                ls_beamformer(mesh, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_stacked_design_equals_single_designs(self, rng, n):
+        # One call over K meshes gives the rows of K single calls, bit for bit,
+        # boresight and the dense least-squares directions near it included.
+        dirs = [random_aoa(rng) for _ in range(7)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(1e-6, 2.0), AoA(0.02, 5.0)]
+        mesh = aoa_mesh(stacked(dirs), n)
+        weights = ls_beamformer(mesh, n)
+        assert weights.shape == (len(dirs), n * n)
+        for k in range(len(dirs)):
+            single = ls_beamformer(AoA(mesh.theta[k], mesh.phi[k]), n)
+            assert single.shape == (n * n,)
+            assert weights[k].tobytes() == single.tobytes()
+
     def test_refinement_never_worse_than_plain_solve(self, rng):
         d = random_aoa(rng)
         mesh = aoa_mesh(d, 8)
@@ -200,6 +226,25 @@ class TestLsBeamformer:
         plain /= np.linalg.norm(plain)
         refined = ls_beamformer(mesh, 8)
         assert scale_free_residual(A, refined) <= scale_free_residual(A, plain) + 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 4), st.floats(0.0, 0.05), st.floats(0.0, 2 * math.pi, exclude_max=True))
+# n = 2 at theta = 2e-6, where the normal matrix's condition number is about 1e11.
+@example(2, 2e-6, 0.38)
+@example(2, 0.0, 0.0)
+def test_ls_fit_near_boresight_equals_dense_least_squares(n, theta, phi):
+    # Near boresight the n = 2 mesh holds one elevation and the normal
+    # equations lose the weights; the design's fit still equals lstsq's. The
+    # fit is evaluated from A w, which cancels to about ||A|| / ||A w|| times
+    # the rounding of w, so the bound grows with that ratio.
+    mesh = aoa_mesh(AoA(theta, phi), n)
+    A = steering_matrix(mesh, n).conj().T
+    oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
+    w = ls_beamformer(mesh, n)
+    cancellation = np.linalg.norm(A) / np.linalg.norm(A @ w)
+    gap = abs(scale_free_residual(A, w) - scale_free_residual(A, oracle / np.linalg.norm(oracle)))
+    assert gap <= 1e-12 + 1e-14 * cancellation
 
 
 class TestCaponBeamformer:

@@ -108,6 +108,14 @@ class TestManifest:
             "MKL_NUM_THREADS": None,
         }
 
+    def test_json_run_records_cpu_count(self, tmp_path, monkeypatch):
+        # Unpinned BLAS threads contend for the CPUs, so the manifest records
+        # how many there were beside the thread variables.
+        monkeypatch.setattr("uavsense.cli.os.cpu_count", lambda: 3)
+        out = tmp_path / "m.json"
+        assert main(["run", "--config", _write_config(tmp_path), "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["cpu_count"] == 3
+
     def test_options_record_every_run_option(self):
         options = RunOptions(beamformer="ls", fusion="prenorm", noise=False)
         manifest = build_manifest(ScenarioConfig(), options, [_row()], [])

@@ -18,7 +18,7 @@ from uavsense import (
     sweep,
 )
 from uavsense import engine
-from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix
+from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix, steering_vector
 from uavsense.config import SPEED_OF_LIGHT
 from uavsense.geometry import AoA, aoa
 from uavsense.ofdm import (
@@ -48,45 +48,67 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def ls_direction(rx_position, point) -> tuple[AoA, bool]:
-    """The direction whose LS design fills a (listener, cell) row, and whether the row
-    takes that design's conjugate: offsets with dy < 0, or dy = 0 and dx < 0, are
-    designed at their mirror (-dx, -dy, dz)."""
+def ls_orbit(rx_position, point) -> tuple[AoA, bool, bool, bool]:
+    """The canonical direction of a (listener, cell) row's LS symmetry orbit, designed at
+    (max(|dx|, |dy|), min(|dx|, |dy|), dz), and the image the row takes of its design:
+    (direction, swap, flip, mirror). The mirror (-dx, -dy) is taken out first, for offsets
+    with dy < 0, or dy = 0 and dx < 0; flip is dx < 0 after it and swap is |dy| > |dx|."""
     dx, dy, dz = point - rx_position
-    if dy < 0 or (dy == 0 and dx < 0):
-        return aoa(np.zeros(3), np.array([-dx, -dy, dz])), True
-    return aoa(rx_position, point), False
+    mirror = bool(dy < 0 or (dy == 0 and dx < 0))
+    flip = bool(dx > 0 if mirror else dx < 0)
+    swap = bool(abs(dy) > abs(dx))
+    canonical = np.array([max(abs(dx), abs(dy)), min(abs(dx), abs(dy)), dz])
+    return aoa(np.zeros(3), canonical), swap, flip, mirror
+
+
+def ls_image(design, direction: AoA, n, swap, flip, mirror) -> np.ndarray:
+    """The orbit image of `direction`'s design: transposed (dx and dy swapped), then reversed
+    along j and multiplied by y0^-(n-1) (dx negated; y0 the dx step of mesh point 0 before the
+    flip, x0 of the canonical direction when swapped), then conjugated (dx and dy negated)."""
+    w = design.reshape(n, n)
+    ramp = steering_vector(direction, n).reshape(n, n)  # entry (i, j) = x0^i y0^j
+    if swap:
+        w = w.T
+    if flip:
+        w = w[:, ::-1] * (ramp[n - 1, 0] if swap else ramp[0, n - 1]).conjugate()
+    return (w.conj() if mirror else w).ravel()
 
 
 def ls_row(rx_position, point, n, designs: dict) -> np.ndarray:
     """The LS weights of a row, from `designs` (canonical direction bits -> design), filled as needed."""
-    d, mirrored = ls_direction(rx_position, point)
+    d, swap, flip, mirror = ls_orbit(rx_position, point)
     key = np.array([d.theta, d.phi]).tobytes()
     if key not in designs:
         designs[key] = ls_beamformer(aoa_mesh(d, n), n)
-    return designs[key].conj() if mirrored else designs[key]
+    return ls_image(designs[key], d, n, swap, flip, mirror)
 
 
 def build_counting_ls_designs(config, monkeypatch):
-    """LS tables of `config` and the argument tuples of every ls_beamformer call the build made."""
-    calls = []
+    """LS tables of `config` and the number of directions the build designed, summed over its
+    ls_beamformer calls (each call designs a block of meshes)."""
+    designed = []
 
-    def counting(*args, original=engine.ls_beamformer):
-        calls.append(args)
-        return original(*args)
+    def counting(mesh, n, original=engine.ls_beamformer):
+        designed.append(len(np.atleast_2d(mesh.theta)))
+        return original(mesh, n)
 
     monkeypatch.setattr(engine, "ls_beamformer", counting)
-    return build_tables(config, RunOptions(beamformer="ls")), calls
+    return build_tables(config, RunOptions(beamformer="ls")), sum(designed)
 
 
-def assert_ls_rows_are_canonical_designs(tables) -> dict:
-    """Check every LS row against ls_row, bit for bit; returns the designs made (direction bits -> design)."""
-    n, designs = tables.config.array_side, {}
+def assert_ls_rows_are_orbit_images(tables) -> dict:
+    """Check every LS row against ls_row, bit for bit, and against its own direction's direct
+    design to 1e-12; returns the designs made (canonical direction bits -> design)."""
+    n, designs, rows, own = tables.config.array_side, {}, [], []
     for record in tables.transmitters:
         for k, rx in enumerate(record.rx):
             for i, (a, b) in enumerate(record.cells):
-                expected = ls_row(tables.deployment.positions[rx], tables.grid.centers[a, b], n, designs)
-                assert tables.weights[record.pairs][k, i].tobytes() == expected.tobytes()
+                rx_position, point = tables.deployment.positions[rx], tables.grid.centers[a, b]
+                rows.append(tables.weights[record.pairs][k, i])
+                assert rows[-1].tobytes() == ls_row(rx_position, point, n, designs).tobytes()
+                own.append(aoa(rx_position, point))
+    direct = ls_beamformer(aoa_mesh(AoA(np.array([d.theta for d in own]), np.array([d.phi for d in own])), n), n)
+    assert np.max(np.abs(np.array(rows) - direct)) < 1e-12
     return designs
 
 
@@ -174,16 +196,23 @@ class TestSubstream:
 class TestBuildTables:
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
     def test_each_distinct_direction_designed_once(self, small_config, monkeypatch, beamformer):
-        name = f"{beamformer}_beamformer"
+        # Designs are counted by directions, not calls: a call designs a stack
+        # of directions. Capon designs each distinct direction once; LS designs
+        # one direction per orbit of the square array's symmetries, and each
+        # row is that design's image, bit for bit.
+        if beamformer == "ls":
+            tables, designed = build_counting_ls_designs(small_config, monkeypatch)
+            designs = assert_ls_rows_are_orbit_images(tables)
+            assert designed == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
+            return
         calls = []
 
-        def counting(*args, original=getattr(engine, name), **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(intended, n, original=engine.capon_beamformer):
+            calls.append(np.size(intended.theta))
+            return original(intended, n)
 
-        monkeypatch.setattr(engine, name, counting)
-        options = RunOptions(beamformer=beamformer)
-        tables = build_tables(small_config, options)
+        monkeypatch.setattr(engine, "capon_beamformer", counting)
+        tables = build_tables(small_config, RunOptions(beamformer="capon"))
         n = small_config.array_side
         pairs, directions = 0, set()
         for record in tables.transmitters:
@@ -191,35 +220,28 @@ class TestBuildTables:
                 for i, (a, b) in enumerate(record.cells):
                     d = aoa(tables.deployment.positions[rx], tables.grid.centers[a, b])
                     pairs += 1
-                    if beamformer == "capon":
-                        fresh = capon_beamformer(d, n)
-                    else:
-                        # Mirrored offsets take the conjugate of their mirror's design.
-                        d, mirrored = ls_direction(tables.deployment.positions[rx], tables.grid.centers[a, b])
-                        fresh = ls_beamformer(aoa_mesh(d, n), n)
-                        fresh = fresh.conj() if mirrored else fresh
                     directions.add(np.array([d.theta, d.phi]).tobytes())
-                    assert tables.weights[record.pairs][k, i].tobytes() == fresh.tobytes()
-        # A Capon call designs a whole stack of directions; an LS call designs one.
-        designed = sum(np.size(args[0].theta) for args in calls) if beamformer == "capon" else len(calls)
-        assert designed == len(directions) < pairs
+                    assert tables.weights[record.pairs][k, i].tobytes() == capon_beamformer(d, n).tobytes()
+        assert sum(calls) == len(directions) < pairs
 
     def test_ls_rows_on_a_non_dyadic_area(self, small_config, monkeypatch):
-        # On an area whose cell centres are not dyadic, mirrored offsets need
-        # not negate bit for bit; their rows still equal their canonical
-        # direction's design or its conjugate, and they share fewer designs.
-        tables, calls = build_counting_ls_designs(replace(small_config, area_side_m=100.0 / 3.0), monkeypatch)
-        designs = assert_ls_rows_are_canonical_designs(tables)
-        assert len(calls) == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
+        # On an area whose cell centres are not dyadic, offsets related by a
+        # symmetry need not map onto each other bit for bit; every row is still
+        # its canonical direction's orbit image, within 1e-12 of its own
+        # direction's design, and the rows share fewer designs.
+        tables, designed = build_counting_ls_designs(replace(small_config, area_side_m=100.0 / 3.0), monkeypatch)
+        designs = assert_ls_rows_are_orbit_images(tables)
+        assert designed == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
 
     def test_ls_designs_across_mesh_blocks_equal_single_designs(self, monkeypatch):
-        # build_tables meshes the LS directions in blocks; every weight equals
-        # the design of its canonical direction's mesh, or its conjugate, bit
-        # for bit, in every block. The default geometry's 6000 rows hold 1200
-        # distinct directions, 600 up to mirroring.
-        tables, calls = build_counting_ls_designs(ScenarioConfig(array_side=3), monkeypatch)
-        designs = assert_ls_rows_are_canonical_designs(tables)
-        assert len(calls) == len(designs) == 600 > 2 * engine._LS_MESH_CHUNK
+        # build_tables designs the LS directions in blocks of meshes; every
+        # weight is the orbit image of its canonical direction's single design,
+        # bit for bit, in every block. The default geometry's 6000 rows hold
+        # 1200 distinct directions, 600 up to the mirror and 165 up to the 8
+        # symmetries of the square array.
+        tables, designed = build_counting_ls_designs(ScenarioConfig(array_side=3), monkeypatch)
+        designs = assert_ls_rows_are_orbit_images(tables)
+        assert designed == len(designs) == 165 > 2 * engine._LS_BLOCK
 
     def test_mirrored_offsets_take_conjugate_weights(self):
         # The default deployment mirrors every (listener, cell) offset exactly,
