@@ -238,6 +238,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     The tables depend on the geometry, array size, OFDM timing, and beamformer
     design only; RCS values, seeds, and trial counts can change without a
     rebuild (ground amplitudes are stored for unit RCS).
+
+    The uniform scenario repeats itself, and the build computes each repeated
+    part once, byte-identical to computing it again: a beamformer per distinct
+    intended direction (LS: per symmetry orbit), and a ground-coupling block
+    per distinct pair geometry, keyed on the exact bytes of the pair's offsets
+    q - tx, q - rx, p - tx and p - rx (q the illuminated, p the intended
+    cells). The defaults build 160 blocks for their 240 pairs, 16 UAVs over an
+    8x8 grid of 40 m build 48, and a non-dyadic area side shares none.
     """
     if config.uav_count < 2:
         raise ConfigError(f"uav_count: half-duplex sensing needs at least 2 UAVs, got {config.uav_count}")
@@ -291,14 +299,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             )
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
         tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-        staged.append((tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p))
+        staged.append((tx, listeners, intended, rx_pos, q_points, p_points, amplitude, tau_q, tau_p))
         delays.append(tau_p)
         scales.append(scale)
         offsets.append((p_points - rx_pos).reshape(-1, 3))
 
     # A design is a pure function of its intended AoA, and the uniform
     # deployment repeats (listener, cell) offsets, so each distinct direction is
-    # designed once, keyed on the exact bits of (theta, phi) (so -0.0 and 0.0 stay apart).
+    # designed once, keyed on the 16 bytes of (theta, phi) (so -0.0 and 0.0 stay apart).
     # The LS design also follows the square array's 8 symmetries, each of which
     # maps the design mesh onto the image direction's mesh as a multiset. With
     # steering entry (i, j) = x^i y^j (x the dy step, y the dx step): swapping dx
@@ -318,16 +326,16 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         swap = np.abs(dy) > np.abs(dx)
         offsets[:, :2] = np.sort(np.abs(offsets[:, :2]), axis=1)[:, ::-1]
     toward = aoa(np.zeros(3), offsets)
-    bits = np.stack([toward.theta, toward.phi], axis=-1).view(np.uint64)
-    keys, inverse = np.unique(bits, axis=0, return_inverse=True)
-    directions = AoA(*keys.view(np.float64).T)
+    bits = np.stack([toward.theta, toward.phi], axis=-1).view(np.dtype((np.void, 16)))[:, 0]
+    keys, inverse = np.unique(bits, return_inverse=True)
+    directions = AoA(*keys.view(np.float64).reshape(-1, 2).T)
 
     # Pair-major tables; the design stage's inverse index already runs over
     # (transmitter, listener, cell).
     matched_delay = np.concatenate(delays)
     est_scale = np.concatenate(scales)
     if options.beamformer == "capon":
-        weights = capon_beamformer(directions, n)[inverse]
+        designs, index = capon_beamformer(directions, n), inverse
     else:
         images = np.empty((len(keys), 2, 2, 2, n, n), dtype=complex)  # [design, swap, flip, mirror]
         for start in range(0, len(keys), _LS_BLOCK):
@@ -340,23 +348,41 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         corner = np.stack([ramp[:, 0, n - 1], ramp[:, n - 1, 0]], axis=1).conj()
         images[:, :, 1, 0] = images[:, :, 0, 0, :, ::-1] * corner[:, :, None, None]
         images[:, :, :, 1] = images[:, :, :, 0].conj()
-        weights = images[inverse, swap.astype(int), flip.astype(int), mirror.astype(int)]
-    weights = weights.reshape(matched_delay.shape + (n * n,))
-    noise_var = noise_w * np.sum(np.abs(weights) ** 2, axis=-1)
+        designs = images.reshape(-1, n * n)
+        index = ((inverse * 2 + swap) * 2 + flip) * 2 + mirror
+        del images
+    # Each row is a copy of its design, so its noise variance is the design's.
+    weights = designs[index].reshape(matched_delay.shape + (n * n,))
+    noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[index].reshape(matched_delay.shape)
+    del designs  # released before the ground stage
     n_q_max = max(len(cell_sets[tx].illuminated) for tx, *_ in staged)
     ground_coupling = np.zeros((len(weights), n_q_max, matched_delay.shape[1]), dtype=complex)
+    # A pair's ground block is a function of the bytes of its offsets q - tx,
+    # q - rx, p - tx and p - rx: they fix its distances, delays, ground
+    # directions and weights. Each block is built once, stacked with the
+    # transmitter's other new listeners (every stacked row equals its own
+    # single build bit for bit), and copied to the pairs that repeat it. The
+    # key is a tuple, so offsets of different shapes never collide.
+    block_rows = {}  # pair geometry -> the pair row that builds its block
     transmitters, start = [], 0
-    for tx, listeners, intended, rx_pos, q_points, amplitude, tau_q, tau_p in staged:
+    for tx, listeners, intended, rx_pos, q_points, p_points, amplitude, tau_q, tau_p in staged:
         rows = slice(start, start + len(listeners))
         start = rows.stop
-        # matmul hands a stack to BLAS only when it is contiguous; a strided
-        # operand is summed in another order.
-        ground = steering_matrix(aoa(rx_pos, q_points), n).reshape(n * n, len(listeners), -1).transpose(1, 0, 2)
-        chi = weights[rows].conj() @ np.ascontiguousarray(ground)  # (L, n_p, n_q)
-        del ground  # released before the temporaries of matched_coupling
-        ground_coupling[rows, : len(q_points)] = matched_coupling(
-            amplitude, chi.transpose(0, 2, 1), tau_q, tau_p[:, None], config
-        )
+        pairs = np.arange(rows.start, rows.stop)
+        shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
+        keys = (shared + (q.tobytes(), p.tobytes()) for q, p in zip(q_points - rx_pos, p_points - rx_pos))
+        source = np.array([block_rows.setdefault(key, row) for row, key in zip(pairs, keys)])
+        new = source == pairs
+        if new.any():
+            # matmul hands a stack to BLAS only when it is contiguous; a strided
+            # operand is summed in another order.
+            ground = steering_matrix(aoa(rx_pos[new], q_points), n).reshape(n * n, new.sum(), -1).transpose(1, 0, 2)
+            chi = weights[pairs[new]].conj() @ np.ascontiguousarray(ground)  # (new listeners, n_p, n_q)
+            del ground  # released before the temporaries of matched_coupling
+            ground_coupling[pairs[new], : len(q_points)] = matched_coupling(
+                amplitude[new], chi.transpose(0, 2, 1), tau_q[new], tau_p[new, None], config
+            )
+        ground_coupling[pairs[~new]] = ground_coupling[source[~new]]
         transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=rows))
     return ScenarioTables(
         config=config,
@@ -640,41 +666,44 @@ def sweep(
 
     Returns result rows plus a list of diagnostics for sweep values whose
     configuration is invalid; invalid points are reported, never silently
-    skipped. Scenario tables are shared across the sigma_G, fusion, and delta
-    axes of each sweep point.
+    skipped. Runs whose configs differ only in fields that shape no table
+    (RCS values, trials, seed) share one table build per beamformer: the
+    sigma_G, fusion, and delta axes of each sweep point, and all the values
+    of a ground_rcs axis, which are its sigma_G axis. Rows come point by
+    point and beamformer-major within a point, so a ground_rcs axis gives all
+    its values for the first beamformer, then all for the next.
     """
     base_options = base_options or RunOptions()
     rows: list[SweepRow] = []
     errors: list[str] = []
-    sigma_values = spec.sigma_g_dbsm if spec.parameter != "ground_rcs" else (None,)
+    groups: dict[tuple, list] = {}  # table-shaping fields -> their runs (sweep value, sigma_G in dBsm, config)
     for value in spec.values:
         try:
             point_config = _config_for_sweep_point(spec.parameter, value, base_config)
         except ConfigError as exc:
             errors.append(f"{spec.parameter}={value}: {exc}")
             continue
+        # The values of a ground_rcs axis are its sigma_G axis.
+        for sigma in (value,) if spec.parameter == "ground_rcs" else spec.sigma_g_dbsm:
+            try:
+                config = _config_for_sweep_point("ground_rcs", sigma, point_config)
+            except ConfigError as exc:
+                errors.append(f"{spec.parameter}={value}, sigma_G={sigma} dBsm: {exc}")
+                continue
+            groups.setdefault(tuple(getattr(config, name) for name in _SHAPING), []).append((value, sigma, config))
+    for runs in groups.values():
         for beamformer in spec.beamformers:
             options = replace(base_options, beamformer=beamformer)
             try:
-                tables = build_tables(point_config, options)
+                tables = build_tables(runs[0][2], options)
             except ConfigError as exc:
-                errors.append(f"{spec.parameter}={value}, beamformer={beamformer}: {exc}")
+                values = dict.fromkeys(value for value, _, _ in runs)
+                errors += [f"{spec.parameter}={value}, beamformer={beamformer}: {exc}" for value in values]
                 continue
-            for sigma_dbsm in sigma_values:
-                if sigma_dbsm is None:
-                    config = point_config
-                    sigma_report = value
-                else:
-                    try:
-                        config = replace(point_config, ground_rcs_m2=dbsm_to_m2(sigma_dbsm))
-                    except ConfigError as exc:
-                        errors.append(f"{spec.parameter}={value}, sigma_G={sigma_dbsm} dBsm: {exc}")
-                        continue
-                    sigma_report = sigma_dbsm
+            for value, sigma, config in runs:
                 stats = run_monte_carlo_all_fusions(config, options, workers, tables)
                 for fusion in spec.fusions:
                     rows += sweep_rows(
-                        stats[fusion], spec.deltas, spec.parameter, value, beamformer, fusion, sigma_report,
-                        config.master_seed,
+                        stats[fusion], spec.deltas, spec.parameter, value, beamformer, fusion, sigma, config.master_seed
                     )
     return rows, errors

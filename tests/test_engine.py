@@ -120,6 +120,10 @@ def _path_words(seed: int, *path: int) -> tuple[int, int]:
     return acc, _splitmix64(acc ^ 0xA5A5A5A5A5A5A5A5)
 
 
+# 16 UAVs over the 8x8 grid of small_config: 240 pairs, 48 distinct pair geometries.
+SHARED_GEOMETRY = ScenarioConfig(grid_side=8, area_side_m=40.0, array_side=4, symbols_per_frame=8, subcarriers=16)
+
+
 # Seeds whose key words for the path (0, 2, 1, 3) are (>= 2**63, >= 2**63):
 # both low, each mixed order, and both high.
 KEY_CASES = {2: (False, False), 0: (False, True), 14: (True, False), 1: (True, True)}
@@ -260,11 +264,24 @@ class TestBuildTables:
         for dx, dy, dz in mirrored:
             assert by_offset[(dx, dy, dz)].tobytes() == by_offset[(-dx, -dy, dz)].conj().tobytes()
 
-    @pytest.mark.parametrize("beamformer", ["capon", "ls"])
-    def test_listener_rows_equal_per_listener_oracle(self, small_config, beamformer):
+    @pytest.mark.parametrize(
+        "geometry, beamformer",
+        [
+            pytest.param(None, "capon", id="capon"),
+            pytest.param(None, "ls", id="ls"),
+            pytest.param(SHARED_GEOMETRY, "capon", id="capon-shared-pairs"),
+            pytest.param(SHARED_GEOMETRY, "ls", id="ls-shared-pairs"),
+            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), "capon", id="capon-non-dyadic"),
+            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), "ls", id="ls-non-dyadic"),
+        ],
+    )
+    def test_listener_rows_equal_per_listener_oracle(self, small_config, geometry, beamformer):
         # Each listener's row of each record, rebuilt from the public kernels
-        # one listener at a time, equals the broadcast build bit for bit.
-        config = small_config
+        # one listener at a time, equals the broadcast build bit for bit. The
+        # 4-UAV default of this test repeats no pair geometry; the 16-UAV grid
+        # builds 48 ground blocks for its 240 pairs and copies the rest, and on
+        # the non-dyadic area every pair builds its own.
+        config = geometry or small_config
         tables = build_tables(config, RunOptions(beamformer=beamformer))
         positions = tables.deployment.positions
         noise_w = config.noise_density_w_hz * config.bandwidth_hz
@@ -295,6 +312,42 @@ class TestBuildTables:
                 ground = tables.ground_coupling[p]
                 assert ground[: len(q_points)].tobytes() == coupling.tobytes()
                 assert not np.any(ground[len(q_points) :])
+
+    @pytest.mark.parametrize(
+        "config, blocks",
+        [
+            pytest.param(ScenarioConfig(), 160, id="defaults"),
+            pytest.param(SHARED_GEOMETRY, 48, id="shared-pairs"),
+            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), 240, id="non-dyadic"),
+        ],
+    )
+    def test_one_ground_block_per_distinct_pair_geometry(self, monkeypatch, config, blocks):
+        # A pair's ground block is built once per distinct tuple of the exact
+        # bytes of its offsets q - tx, q - rx, p - tx and p - rx, and copied to
+        # the pairs that repeat it. Blocks are counted as the leading rows
+        # (listeners) of the matched_coupling calls.
+        built = []
+
+        def counting(amplitude, *args, original=engine.matched_coupling):
+            built.append(np.shape(amplitude)[0])
+            return original(amplitude, *args)
+
+        monkeypatch.setattr(engine, "matched_coupling", counting)
+        tables = build_tables(config, RunOptions(beamformer="capon"))
+        positions, geometries = tables.deployment.positions, {}
+        for record in tables.transmitters:
+            illuminated = tables.cell_sets[record.tx].illuminated
+            q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
+            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
+            for k, rx in enumerate(record.rx):
+                key = tuple(
+                    (points - positions[u]).tobytes() for points in (q_points, p_points) for u in (record.tx, rx)
+                )
+                p = record.pairs.start + k
+                first = geometries.setdefault(key, p)
+                assert tables.ground_coupling[p].tobytes() == tables.ground_coupling[first].tobytes()
+        assert len(tables.pair_tx) == 240
+        assert sum(built) == len(geometries) == blocks
 
     def test_pair_major_rows_follow_the_records(self, small_config):
         tables = build_tables(small_config, RunOptions())
@@ -662,6 +715,55 @@ class TestSweep:
         assert {r.fusion for r in rows} == {"avg", "prenorm"}
         assert all(r.trials == 2 for r in rows)
         assert all(r.seed == cfg.master_seed for r in rows)
+
+    def test_ground_rcs_axis_builds_once_per_beamformer(self, small_config, monkeypatch):
+        # Ground RCS shapes no table, so a ground_rcs axis is the sigma_G axis
+        # of one point: 2 builds for 3 values and 2 beamformers, not 6. Rows
+        # come beamformer-major and equal those of one sweep per value.
+        cfg = replace(small_config, trials=2)
+        spec = SweepSpec(
+            parameter="ground_rcs", values=(-30.0, -20.0, -10.0), beamformers=("capon", "ls"), deltas=(0, 1)
+        )
+        builds = []
+
+        def counting(config, options, original=engine.build_tables):
+            builds.append(options.beamformer)
+            return original(config, options)
+
+        monkeypatch.setattr(engine, "build_tables", counting)
+        rows, errors = sweep(spec, cfg)
+        assert not errors
+        assert builds == ["capon", "ls"]
+        assert [(r.beamformer, r.sweep_value, r.delta) for r in rows] == [
+            (b, v, d) for b in spec.beamformers for v in spec.values for d in spec.deltas
+        ]
+        assert all(r.sigma_g_dbsm == r.sweep_value for r in rows)
+        one_build_each = [replace(spec, values=(v,), beamformers=(b,)) for b in spec.beamformers for v in spec.values]
+        assert rows == [row for part in one_build_each for row in sweep(part, cfg)[0]]
+
+    def test_invalid_ground_rcs_values_reported_per_value(self, small_config):
+        # 10 and 20 dBsm are not below the 10 dBsm target RCS; each is reported
+        # and the valid values still run.
+        spec = SweepSpec(parameter="ground_rcs", values=(-30.0, 10.0, -20.0, 20.0), deltas=(0,))
+        rows, errors = sweep(spec, replace(small_config, trials=2))
+        assert [e.split(":")[0] for e in errors] == ["ground_rcs=10.0", "ground_rcs=20.0"]
+        assert all("ground_rcs_m2: must be smaller than target_rcs_m2" in e for e in errors)
+        assert [r.sweep_value for r in rows] == [-30.0, -20.0]
+
+    def test_failed_ground_rcs_build_reported_per_value(self, small_config):
+        # A geometry that cannot be built fails the one shared build of each
+        # beamformer; the error names every value it stops.
+        base = _config_for_sweep_point("altitude", 0.5 * derive_altitude(small_config, 1), small_config)
+        spec = SweepSpec(parameter="ground_rcs", values=(-30.0, -20.0), beamformers=("capon", "ls"), deltas=(0,))
+        rows, errors = sweep(spec, replace(base, trials=2))
+        assert not rows
+        assert [e.split(": ")[0] for e in errors] == [
+            "ground_rcs=-30.0, beamformer=capon",
+            "ground_rcs=-20.0, beamformer=capon",
+            "ground_rcs=-30.0, beamformer=ls",
+            "ground_rcs=-20.0, beamformer=ls",
+        ]
+        assert all(e.split(": ", 1)[1].startswith("altitude_m: no cell fits") for e in errors)
 
     def test_low_altitude_classification_regime(self):
         # Below the 3x3 threshold each intended set collapses to one cell.
