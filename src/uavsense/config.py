@@ -212,8 +212,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in _SWEEP_PARAMS:
             raise ConfigError(f"sweep.parameter: must be one of {_SWEEP_PARAMS}, got {self.parameter!r}")
-        if not self.values:
-            raise ConfigError("sweep.values: at least one value required")
+        for name in ("values", "beamformers", "fusions", "sigma_g_dbsm", "deltas"):
+            if not getattr(self, name):
+                raise ConfigError(f"sweep.{name}: at least one value required")
         for tag in self.beamformers:
             if tag not in BEAMFORMERS:
                 raise ConfigError(f"sweep.beamformers: unknown tag {tag!r}")

@@ -4,8 +4,10 @@ Every random quantity comes from a counter-based substream keyed by
 (master_seed, trial, stream tag, ids...), so outcomes are a pure function of
 the configuration and trial index. A fast-path trial draws its target, all
 its phases and all its noise from one key each, as blocks over the
-scenario's (transmitter, listener) pairs. Trials are independent work units;
-parallel and serial execution agree bit for bit.
+scenario's (transmitter, listener) pairs. No stream depends on the ground
+RCS sigma_G, so the sigma_G values of a sweep point share each trial's draws
+and kernels and give the same bytes as separate runs. Trials are independent
+work units; parallel and serial execution agree bit for bit.
 """
 
 from __future__ import annotations
@@ -444,24 +446,31 @@ def _target_couplings(config, tables, rows, target, illuminated_by) -> np.ndarra
     )
 
 
-def _closed_form_estimates(config, tables, trial, target, illuminated_by):
-    """Fast-path RCS estimates of every pair, shape (P, n_p).
+def _closed_form_estimates(config, tables, trial, target, illuminated_by, ground_rcs_m2):
+    """Fast-path RCS estimates of every pair, one (P, n_p) array per ground RCS value.
 
-    The ground sum of all pairs is one contraction of the trial's phase block
-    with the padded ground coupling; the target rows are added for the pairs
-    of illuminating transmitters, and the noise of every (pair, cell) is one
-    complex Gaussian from one (P, 2, n_p) block of substream(seed, trial, NOISE).
+    The trial's draws, phase exponentials, ground sum and target rows are
+    computed once for all the values. The ground sum of all pairs is one
+    contraction of the trial's phase block with the padded ground coupling;
+    each value scales it by its square root and adds the target rows for the
+    pairs of illuminating transmitters, and the noise of every (pair, cell) is
+    one complex Gaussian from one (P, 2, n_p) block of substream(seed, trial, NOISE).
     """
     phases = np.exp(-1j * _phase_block(config, tables, trial))
-    total = (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
-    total *= math.sqrt(config.ground_rcs_m2)
+    ground = (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
     lit = np.flatnonzero(illuminated_by[tables.pair_tx])
     if lit.size:
-        total[lit] += phases[lit, -1:] * _target_couplings(config, tables, lit, target, illuminated_by)
-    if not tables.options.noise:
-        return coherent_peaks(total, config) * tables.est_scale
-    draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(total), 2, total.shape[1]))
-    return coherent_peaks(total, config, tables.noise_scale, draws) * tables.est_scale
+        target_rows = phases[lit, -1:] * _target_couplings(config, tables, lit, target, illuminated_by)
+    draws = None
+    if tables.options.noise:
+        draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(ground), 2, ground.shape[1]))
+    estimates = []
+    for sigma in ground_rcs_m2:
+        total = ground * math.sqrt(sigma)
+        if lit.size:
+            total[lit] += target_rows
+        estimates.append(coherent_peaks(total, config, tables.noise_scale, draws) * tables.est_scale)
+    return estimates
 
 
 def _reference_estimates(config, tables, trial, target, illuminated_by):
@@ -510,25 +519,43 @@ def run_trial(
     tables: ScenarioTables | None = None,
     target_override=None,
     collect_maps: bool = False,
-) -> TrialOutcome:
+    ground_rcs_m2=None,
+) -> TrialOutcome | list[TrialOutcome]:
     """One complete sensing round: illuminate, estimate, fuse, detect.
 
     Each UAV in turn illuminates its block while every other UAV estimates the
     RCS of the illuminated intended cells; the local maps are fused and the
     argmax cell compared against the true target position. Detections are
     computed for both fusion methods since they share all estimates.
+
+    Given a sequence of ground RCS values in m^2, returns one outcome per
+    value, each byte for byte the outcome of
+    ``run_trial(replace(config, ground_rcs_m2=value), trial, ...)``. The fast
+    path draws and contracts the trial once for all of them; the reference
+    path synthesizes its frames once per value.
     """
     if tables is None:
         tables = build_tables(config, options or RunOptions())
     else:
         _check_tables(config, options, tables)
-    L = config.grid_side
-    U = config.uav_count
+    configs = [config] if ground_rcs_m2 is None else [replace(config, ground_rcs_m2=s) for s in ground_rcs_m2]
 
     target, illuminated_by = _trial_target(config, tables, trial, target_override)
-    estimate = _closed_form_estimates if tables.options.fast_path else _reference_estimates
+    if tables.options.fast_path:
+        sigmas = [c.ground_rcs_m2 for c in configs]
+        estimates = _closed_form_estimates(config, tables, trial, target, illuminated_by, sigmas)
+    else:
+        estimates = [_reference_estimates(c, tables, trial, target, illuminated_by) for c in configs]
+    outcomes = [_outcome(config, tables, trial, target, e, collect_maps) for e in estimates]
+    return outcomes[0] if ground_rcs_m2 is None else outcomes
+
+
+def _outcome(config, tables, trial, target, estimates, collect_maps) -> TrialOutcome:
+    """Local maps from the pair estimates, fused and detected by every fusion method."""
+    L = config.grid_side
+    U = config.uav_count
     maps = np.full(U * L * L, np.nan)
-    maps[tables.map_index] = estimate(config, tables, trial, target, illuminated_by)
+    maps[tables.map_index] = estimates
     maps = maps.reshape(U, L, L)
 
     true_cell = cell_of_point(tables.grid, target[0], target[1])
@@ -563,17 +590,43 @@ def _check_tables(config: ScenarioConfig, options: RunOptions | None, tables: Sc
             raise ConfigError(f"{name}: options give {given!r} but the tables were built with {built!r}")
 
 
-def _count_hits(config, trials, tables) -> dict:
-    counts = {method: np.zeros(len(DELTAS), dtype=int) for method in FUSION_METHODS}
+def _count_hits(config, trials, tables, ground_rcs_m2=None) -> np.ndarray:
+    """Hit counts of `trials`, shape (values, fusion methods, deltas): one row per
+    value of `ground_rcs_m2`, or one row for config's own value without it."""
+    counts = np.zeros((1 if ground_rcs_m2 is None else len(ground_rcs_m2), len(FUSION_METHODS), len(DELTAS)), dtype=int)
     for trial in trials:
-        outcome = run_trial(config, trial, tables=tables)
-        for method, result in outcome.detections.items():
-            counts[method] += np.asarray(result.hits, dtype=int)
+        if ground_rcs_m2 is None:
+            outcomes = [run_trial(config, trial, tables=tables)]
+        else:
+            outcomes = run_trial(config, trial, tables=tables, ground_rcs_m2=ground_rcs_m2)
+        counts += [[outcome.detections[method].hits for method in FUSION_METHODS] for outcome in outcomes]
     return counts
 
 
 def _count_hits_star(args):
     return _count_hits(*args)
+
+
+def _batch(config, tables, workers: int, ground_rcs_m2=None) -> list[dict[str, DetectionStats]]:
+    """Detection statistics of config.trials trials on `tables`, one dict per
+    value of `ground_rcs_m2` (one for config's own value without it), each
+    trial run once for all values."""
+    trial_ids = list(range(config.trials))
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        counts = _count_hits(config, trial_ids, tables, ground_rcs_m2)
+    else:
+        chunks = [trial_ids[i::workers] for i in range(workers)]
+        chunks = [c for c in chunks if c]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            counts = sum(pool.map(_count_hits_star, [(config, chunk, tables, ground_rcs_m2) for chunk in chunks]))
+    return [
+        {
+            method: DetectionStats(trials=config.trials, hits=tuple(int(h) for h in hits))
+            for method, hits in zip(FUSION_METHODS, per_value)
+        }
+        for per_value in counts
+    ]
 
 
 def run_monte_carlo_all_fusions(
@@ -595,22 +648,7 @@ def run_monte_carlo_all_fusions(
         tables = build_tables(config, options or RunOptions())
     else:
         _check_tables(config, options, tables)
-    trial_ids = list(range(config.trials))
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        counts = _count_hits(config, trial_ids, tables)
-    else:
-        chunks = [trial_ids[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        counts = {method: np.zeros(len(DELTAS), dtype=int) for method in FUSION_METHODS}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_count_hits_star, [(config, chunk, tables) for chunk in chunks]):
-                for method in counts:
-                    counts[method] += part[method]
-    return {
-        method: DetectionStats(trials=config.trials, hits=tuple(int(h) for h in counts[method]))
-        for method in FUSION_METHODS
-    }
+    return _batch(config, tables, workers)[0]
 
 
 def run_monte_carlo(
@@ -662,21 +700,25 @@ def sweep(
     base_options: RunOptions | None = None,
     workers: int = 1,
 ) -> tuple[list[SweepRow], list[str]]:
-    """Run one Monte Carlo batch per sweep combination.
+    """Run the Monte Carlo batches of every sweep combination.
 
     Returns result rows plus a list of diagnostics for sweep values whose
     configuration is invalid; invalid points are reported, never silently
-    skipped. Runs whose configs differ only in fields that shape no table
-    (RCS values, trials, seed) share one table build per beamformer: the
-    sigma_G, fusion, and delta axes of each sweep point, and all the values
-    of a ground_rcs axis, which are its sigma_G axis. Rows come point by
-    point and beamformer-major within a point, so a ground_rcs axis gives all
-    its values for the first beamformer, then all for the next.
+    skipped. Runs whose configs differ only in ground_rcs_m2 (the sigma_G
+    axis of a sweep point, or all the values of a ground_rcs axis, which are
+    its sigma_G axis) share one table build per beamformer and one batch:
+    each trial's draws, phase exponentials, ground sum and target rows are
+    computed once for all its sigma_G values, and every row has the same
+    bytes as a separate run of its value. Fusion and delta axes share the
+    batch's hit counts. Rows come point by point and beamformer-major within
+    a point, so a ground_rcs axis gives all its values for the first
+    beamformer, then all for the next.
     """
     base_options = base_options or RunOptions()
     rows: list[SweepRow] = []
     errors: list[str] = []
-    groups: dict[tuple, list] = {}  # table-shaping fields -> their runs (sweep value, sigma_G in dBsm, config)
+    # Every config field but ground_rcs_m2 -> its runs (sweep value, sigma_G in dBsm, config).
+    groups: dict[tuple, list] = {}
     for value in spec.values:
         try:
             point_config = _config_for_sweep_point(spec.parameter, value, base_config)
@@ -690,18 +732,20 @@ def sweep(
             except ConfigError as exc:
                 errors.append(f"{spec.parameter}={value}, sigma_G={sigma} dBsm: {exc}")
                 continue
-            groups.setdefault(tuple(getattr(config, name) for name in _SHAPING), []).append((value, sigma, config))
+            key = tuple(getattr(config, f.name) for f in fields(config) if f.name != "ground_rcs_m2")
+            groups.setdefault(key, []).append((value, sigma, config))
     for runs in groups.values():
+        config = runs[0][2]
+        ground_rcs_m2 = tuple(run_config.ground_rcs_m2 for _, _, run_config in runs)
         for beamformer in spec.beamformers:
             options = replace(base_options, beamformer=beamformer)
             try:
-                tables = build_tables(runs[0][2], options)
+                tables = build_tables(config, options)
             except ConfigError as exc:
                 values = dict.fromkeys(value for value, _, _ in runs)
                 errors += [f"{spec.parameter}={value}, beamformer={beamformer}: {exc}" for value in values]
                 continue
-            for value, sigma, config in runs:
-                stats = run_monte_carlo_all_fusions(config, options, workers, tables)
+            for (value, sigma, _), stats in zip(runs, _batch(config, tables, workers, ground_rcs_m2)):
                 for fusion in spec.fusions:
                     rows += sweep_rows(
                         stats[fusion], spec.deltas, spec.parameter, value, beamformer, fusion, sigma, config.master_seed

@@ -7,6 +7,7 @@ from uavsense.config import (
     RunOptions,
     SweepSpec,
     dbm_per_hz_to_w_per_hz,
+    parse_config_file,
     parse_config_text,
     render_config_text,
 )
@@ -178,6 +179,18 @@ def test_sweep_section_requires_parameter_and_values():
     _, _, sw = parse_config_text("sweep.parameter = altitude\nsweep.values = 40, 80\n")
     assert sw.parameter == "altitude"
     assert sw.values == (40.0, 80.0)
+
+
+@pytest.mark.parametrize("field", ["values", "beamformers", "fusions", "sigma_g_dbsm", "deltas"])
+def test_empty_sweep_axis_names_its_field(tmp_path, field):
+    # An empty axis would build tables and run trials only to emit no row.
+    with pytest.raises(ConfigError, match=f"sweep.{field}: at least one value"):
+        SweepSpec(**{"parameter": "altitude", "values": (40.0,), field: ()})
+    path = tmp_path / "sweep.cfg"
+    keys = {"sweep.parameter": "altitude", "sweep.values": "40", f"sweep.{field}": ""}
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    with pytest.raises(ConfigError, match=f"sweep.{field}: at least one value"):
+        parse_config_file(path)
 
 
 def test_sweep_deltas_outside_counted_distances_rejected():

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,7 +37,12 @@ from uavsense.engine import (
     _config_for_sweep_point,
     _phase_block,
     substream,
+    sweep_rows,
 )
+
+# run_monte_carlo_all_fusions starts at most os.cpu_count() workers, so on one
+# CPU a two-worker run would be a serial run.
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to start two worker processes")
 
 _MASK64 = (1 << 64) - 1
 
@@ -641,6 +647,71 @@ class TestTrialStreams:
         assert run_monte_carlo_all_fusions(config, workers=1) == run_monte_carlo_all_fusions(config, workers=2)
 
 
+def assert_same_outcome(outcome, alone):
+    """Two trial outcomes are equal byte for byte, maps included."""
+    assert (outcome.trial, outcome.target_xy, outcome.detections) == (alone.trial, alone.target_xy, alone.detections)
+    assert len(outcome.local_maps) == len(alone.local_maps)
+    for a, b in zip(outcome.local_maps, alone.local_maps):
+        assert a.owner == b.owner and a.values.tobytes() == b.values.tobytes()
+    assert outcome.fused_maps.keys() == alone.fused_maps.keys()
+    for method, fused in outcome.fused_maps.items():
+        assert fused.tobytes() == alone.fused_maps[method].tobytes()
+
+
+class TestGroundRcsValues:
+    """run_trial's ground_rcs_m2 values share one pass of the trial's draws."""
+
+    @pytest.mark.parametrize(
+        "beamformer, fast_path, noise",
+        [
+            ("capon", True, True),
+            ("capon", True, False),
+            ("ls", True, True),
+            ("ls", True, False),
+            ("capon", False, False),
+        ],
+    )
+    @pytest.mark.parametrize("values", [(1e-3, 0.1, 1.0), (0.1, 1e-3, 0.1), (0.01,)], ids=["three", "duplicate", "one"])
+    def test_each_outcome_equals_a_separate_run(self, small_config, beamformer, fast_path, noise, values):
+        tables = build_tables(small_config, RunOptions(beamformer=beamformer, fast_path=fast_path, noise=noise))
+        for trial in range(3 if fast_path else 1):
+            outcomes = run_trial(small_config, trial, tables=tables, collect_maps=True, ground_rcs_m2=values)
+            assert len(outcomes) == len(values)
+            for value, outcome in zip(values, outcomes):
+                alone = run_trial(replace(small_config, ground_rcs_m2=value), trial, tables=tables, collect_maps=True)
+                assert_same_outcome(outcome, alone)
+
+    def test_invalid_value_names_the_field(self, small_config):
+        tables = build_tables(small_config, RunOptions())
+        with pytest.raises(ConfigError, match="ground_rcs_m2"):
+            run_trial(small_config, 0, tables=tables, ground_rcs_m2=(0.1, small_config.target_rcs_m2))
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_batch_runs_each_trial_once(self, small_config, monkeypatch, fast_path):
+        # The benchmark's traced mode counts trials by run_trial calls: a batch
+        # of T trials with S values makes T calls, and on the fast path T draws
+        # each of the target, phase and noise streams.
+        trials, sigmas = 5, (-30.0, -20.0, -10.0)
+        calls = {"run_trial": 0, "substream": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        options = RunOptions(fast_path=fast_path, noise=fast_path)
+        spec = SweepSpec(parameter="antennas", values=(4.0,), sigma_g_dbsm=sigmas, deltas=(0,))
+        monkeypatch.setattr(engine, "run_trial", counting("run_trial", engine.run_trial))
+        monkeypatch.setattr(engine, "substream", counting("substream", engine.substream))
+        rows, errors = sweep(spec, replace(small_config, trials=trials), options)
+        assert not errors and len(rows) == len(sigmas)
+        assert calls["run_trial"] == trials
+        if fast_path:
+            assert calls["substream"] == 3 * trials
+
+
 class TestSweepPointConfigs:
     def test_constant_coverage_scales_area_and_altitude(self):
         base = ScenarioConfig()
@@ -740,6 +811,43 @@ class TestSweep:
         assert all(r.sigma_g_dbsm == r.sweep_value for r in rows)
         one_build_each = [replace(spec, values=(v,), beamformers=(b,)) for b in spec.beamformers for v in spec.values]
         assert rows == [row for part in one_build_each for row in sweep(part, cfg)[0]]
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_two_cpus)])
+    @pytest.mark.parametrize("parameter, values", [("antennas", (2.0, 4.0)), ("ground_rcs", (-30.0, 5.0, 0.0))])
+    def test_rows_equal_one_batch_per_sigma(self, small_config, workers, parameter, values):
+        # A batch runs a point's sigma_G values on one pass of each trial; its
+        # rows equal those of one run_monte_carlo_all_fusions call per value
+        # on the same tables. Ground RCS near the target's gives each value
+        # its own hit counts, so rows attributed to the wrong value show.
+        cfg = replace(small_config, trials=6)
+        spec = SweepSpec(
+            parameter=parameter,
+            values=values,
+            beamformers=("capon", "ls"),
+            fusions=("prenorm", "avg"),
+            sigma_g_dbsm=(0.0, -30.0, 5.0),
+            deltas=(2, 0),
+        )
+        rows, errors = sweep(spec, cfg, workers=workers)
+        assert not errors
+        if parameter == "ground_rcs":
+            points = [[(v, v) for v in values]]
+        else:
+            points = [[(v, s) for s in spec.sigma_g_dbsm] for v in values]
+        expected = []
+        for runs in points:
+            point = _config_for_sweep_point(parameter, runs[0][0], cfg)
+            for beamformer in spec.beamformers:
+                options = RunOptions(beamformer=beamformer)
+                tables = build_tables(point, options)
+                for value, sigma in runs:
+                    config = _config_for_sweep_point("ground_rcs", sigma, point)
+                    stats = run_monte_carlo_all_fusions(config, options, tables=tables)
+                    for fusion in spec.fusions:
+                        expected += sweep_rows(
+                            stats[fusion], spec.deltas, parameter, value, beamformer, fusion, sigma, cfg.master_seed
+                        )
+        assert rows == expected
 
     def test_invalid_ground_rcs_values_reported_per_value(self, small_config):
         # 10 and 20 dBsm are not below the 10 dBsm target RCS; each is reported
