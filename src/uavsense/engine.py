@@ -44,11 +44,13 @@ from .ofdm import (
     Reflections,
     build_reflections,
     coherent_peaks,
+    delay_kernel,
     estimate_rcs,
     matched_coupling,
     matched_point_value,
     reflection_amplitude,
     remove_data,
+    subcarrier_ramps,
     synth_rx_frame,
     synth_tx_frame,
 )
@@ -227,6 +229,8 @@ class ScenarioTables:
     weights: np.ndarray  # (P, n_p, n^2) receive weights per pair and intended cell
     # (P, n_q_max, n_p) matched_coupling of the ground at unit RCS, in illuminated-cell
     # order; rows past a transmitter's own n_q are zero, so they add +0.0 to any sum.
+    # Reference tables hold a zero-width (P, n_q_max, 0) array: only its shape is read,
+    # to size the phase block.
     ground_coupling: np.ndarray
     map_index: np.ndarray  # (P, n_p) flat index of each (listener, cell) in the (U, L, L) map stack
 
@@ -242,12 +246,20 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     rebuild (ground amplitudes are stored for unit RCS).
 
     The uniform scenario repeats itself, and the build computes each repeated
-    part once, byte-identical to computing it again: a beamformer per distinct
-    intended direction (LS: per symmetry orbit), and a ground-coupling block
-    per distinct pair geometry, keyed on the exact bytes of the pair's offsets
-    q - tx, q - rx, p - tx and p - rx (q the illuminated, p the intended
-    cells). The defaults build 160 blocks for their 240 pairs, 16 UAVs over an
-    8x8 grid of 40 m build 48, and a non-dyadic area side shares none.
+    part once, byte-identical to computing it again. A pair's geometry is the
+    exact bytes of its offsets q - tx, q - rx, p - tx and p - rx (q the
+    illuminated, p the intended cells); a pair that repeats an earlier pair's
+    geometry copies its weights and ground block. The defaults have 160
+    distinct pair geometries among their 240 pairs, 16 UAVs over an 8x8 grid of
+    40 m have 48, and a non-dyadic area side shares none. The rows of the
+    distinct pairs design a beamformer per distinct intended direction (LS:
+    per symmetry orbit), and the Dirichlet factor of a ground block is
+    computed once per pair of delay multisets (25 among the 160 blocks at the
+    defaults).
+
+    Reference tables (``options.fast_path`` false) skip the ground stage: the
+    frames never read a coupling, so their ``ground_coupling`` is a zero-width
+    (P, n_q_max, 0) array whose shape sizes the trial's phase block.
     """
     if config.uav_count < 2:
         raise ConfigError(f"uav_count: half-duplex sensing needs at least 2 UAVs, got {config.uav_count}")
@@ -275,7 +287,10 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     positions = deployment.positions
 
     # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
-    staged, offsets, delays, scales = [], [], [], []
+    # A pair's geometry key is a tuple of its offsets' bytes, so offsets of
+    # different shapes never collide; its source is the first pair row with its key.
+    transmitters, staged, offsets, delays, scales = [], [], [], [], []
+    geometries, source = {}, []
     for tx in range(U):
         intended = cell_sets[tx].intended
         if len(intended) == 0:
@@ -299,16 +314,24 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                 f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
                 "amplitudes or RCS scales of this geometry outside the positive finite floats"
             )
+        pairs = slice(len(source), len(source) + len(listeners))
+        shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
+        for q, p in zip(q_points - rx_pos, p_points - rx_pos):
+            source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
+        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=pairs))
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
-        tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-        staged.append((tx, listeners, intended, rx_pos, q_points, p_points, amplitude, tau_q, tau_p))
-        delays.append(tau_p)
+        staged.append((pairs, rx_pos, q_points, amplitude, tau_q))
+        delays.append((d1_p + d2_p) / SPEED_OF_LIGHT)
         scales.append(scale)
-        offsets.append((p_points - rx_pos).reshape(-1, 3))
+        offsets.append(p_points - rx_pos)
+    source = np.array(source)
+    new = source == np.arange(len(source))
+    del geometries  # its keys hold every distinct pair's offsets; released before the later stages
 
     # A design is a pure function of its intended AoA, and the uniform
-    # deployment repeats (listener, cell) offsets, so each distinct direction is
-    # designed once, keyed on the 16 bytes of (theta, phi) (so -0.0 and 0.0 stay apart).
+    # deployment repeats (listener, cell) offsets, so each distinct direction of
+    # the new pairs' rows is designed once, keyed on the 16 bytes of
+    # (theta, phi) (so -0.0 and 0.0 stay apart).
     # The LS design also follows the square array's 8 symmetries, each of which
     # maps the design mesh onto the image direction's mesh as a multiset. With
     # steering entry (i, j) = x^i y^j (x the dy step, y the dx step): swapping dx
@@ -320,7 +343,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     # after the mirror, then conjugated if dy < 0 (or dy = 0 and dx < 0), so
     # mirrored rows stay exact conjugates. aoa at the origin of an offset equals
     # aoa of its two end points bit for bit.
-    offsets = np.concatenate(offsets)
+    offsets = np.concatenate(offsets)[new].reshape(-1, 3)
     if options.beamformer == "ls":
         dx, dy = offsets[:, 0], offsets[:, 1]
         mirror = (dy < 0) | ((dy == 0) & (dx < 0))
@@ -332,8 +355,8 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     keys, inverse = np.unique(bits, return_inverse=True)
     directions = AoA(*keys.view(np.float64).reshape(-1, 2).T)
 
-    # Pair-major tables; the design stage's inverse index already runs over
-    # (transmitter, listener, cell).
+    # Pair-major tables; the design stage's inverse index runs over the new
+    # pairs' (listener, cell) rows, and each pair reads its source's.
     matched_delay = np.concatenate(delays)
     est_scale = np.concatenate(scales)
     if options.beamformer == "capon":
@@ -353,39 +376,18 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         designs = images.reshape(-1, n * n)
         index = ((inverse * 2 + swap) * 2 + flip) * 2 + mirror
         del images
+    index = index.reshape(-1, matched_delay.shape[1])[(np.cumsum(new) - 1)[source]]
     # Each row is a copy of its design, so its noise variance is the design's.
-    weights = designs[index].reshape(matched_delay.shape + (n * n,))
-    noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[index].reshape(matched_delay.shape)
+    weights = designs[index]
+    noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[index]
     del designs  # released before the ground stage
-    n_q_max = max(len(cell_sets[tx].illuminated) for tx, *_ in staged)
-    ground_coupling = np.zeros((len(weights), n_q_max, matched_delay.shape[1]), dtype=complex)
-    # A pair's ground block is a function of the bytes of its offsets q - tx,
-    # q - rx, p - tx and p - rx: they fix its distances, delays, ground
-    # directions and weights. Each block is built once, stacked with the
-    # transmitter's other new listeners (every stacked row equals its own
-    # single build bit for bit), and copied to the pairs that repeat it. The
-    # key is a tuple, so offsets of different shapes never collide.
-    block_rows = {}  # pair geometry -> the pair row that builds its block
-    transmitters, start = [], 0
-    for tx, listeners, intended, rx_pos, q_points, p_points, amplitude, tau_q, tau_p in staged:
-        rows = slice(start, start + len(listeners))
-        start = rows.stop
-        pairs = np.arange(rows.start, rows.stop)
-        shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
-        keys = (shared + (q.tobytes(), p.tobytes()) for q, p in zip(q_points - rx_pos, p_points - rx_pos))
-        source = np.array([block_rows.setdefault(key, row) for row, key in zip(pairs, keys)])
-        new = source == pairs
-        if new.any():
-            # matmul hands a stack to BLAS only when it is contiguous; a strided
-            # operand is summed in another order.
-            ground = steering_matrix(aoa(rx_pos[new], q_points), n).reshape(n * n, new.sum(), -1).transpose(1, 0, 2)
-            chi = weights[pairs[new]].conj() @ np.ascontiguousarray(ground)  # (new listeners, n_p, n_q)
-            del ground  # released before the temporaries of matched_coupling
-            ground_coupling[pairs[new], : len(q_points)] = matched_coupling(
-                amplitude[new], chi.transpose(0, 2, 1), tau_q[new], tau_p[new, None], config
-            )
-        ground_coupling[pairs[~new]] = ground_coupling[source[~new]]
-        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=rows))
+
+    n_q_max = max(len(q_points) for _, _, q_points, *_ in staged)
+    width = matched_delay.shape[1] if options.fast_path else 0  # reference tables: zero width
+    ground_coupling = np.zeros((len(weights), n_q_max, width), dtype=complex)
+    if options.fast_path:
+        _build_ground_blocks(config, ground_coupling, weights, matched_delay, staged, new)
+        ground_coupling[~new] = ground_coupling[source[~new]]
     return ScenarioTables(
         config=config,
         options=options,
@@ -404,6 +406,42 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         ground_coupling=ground_coupling,
         map_index=np.concatenate([(r.rx[:, None] * L + r.cells[:, 0]) * L + r.cells[:, 1] for r in transmitters]),
     )
+
+
+def _build_ground_blocks(config, ground_coupling, weights, matched_delay, staged, new) -> None:
+    """Fill the ground_coupling rows of the pairs that `new` marks with the
+    matched_coupling of their ground at unit RCS, byte for byte.
+
+    Each transmitter's new listeners are stacked; every stacked row equals its
+    own single build bit for bit. A block's delay_kernel depends on the pair's
+    delay rows tau_q and tau_p entry by entry, so it is computed once per pair
+    of delay multisets, keyed on the bytes of the sorted rows, and each block
+    gathers it back through the inverse permutations of the sorts.
+    """
+    n = config.array_side
+    kernels = {}  # bytes of the sorted (tau_q, tau_p) rows -> their delay_kernel
+    for pairs, rx_pos, q_points, amplitude, tau_q in staged:
+        built = new[pairs]
+        if not built.any():
+            continue
+        rows = pairs.start + np.flatnonzero(built)
+        # matmul hands a stack to BLAS only when it is contiguous; a strided
+        # operand is summed in another order. The strided steering matrix is
+        # released once copied.
+        steering = steering_matrix(aoa(rx_pos[built], q_points), n).reshape(n * n, len(rows), -1)
+        ground = np.ascontiguousarray(steering.transpose(1, 0, 2))
+        del steering
+        chi = weights[rows].conj() @ ground  # (new listeners, n_p, n_q)
+        del ground  # each temporary is released before the next is made
+        block = amplitude[built][..., None] * chi.transpose(0, 2, 1)  # matched_coupling's product, in its order
+        del chi
+        for i, (q, p) in enumerate(zip(tau_q[built], matched_delay[rows])):
+            order_q, order_p = np.argsort(q), np.argsort(p)
+            key = (q[order_q].tobytes(), p[order_p].tobytes())
+            if key not in kernels:
+                kernels[key] = delay_kernel(q[order_q], p[order_p], config)
+            block[i] *= kernels[key][np.argsort(order_q)[:, None], np.argsort(order_p)]
+        ground_coupling[rows, : len(q_points)] = block
 
 
 def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, target_override):
@@ -481,9 +519,20 @@ def _reference_estimates(config, tables, trial, target, illuminated_by):
     Each (tx, rx) pair then synthesizes the frames of all its cells as one
     stack, taking their noise as one (n_p, 2, N, M) draw from
     substream(seed, trial, NOISE, tx, rx). Frames are held for one pair at a time.
+
+    Subcarrier ramps are computed once per distinct delay of the trial, keyed
+    on the delay's exact bits, and gathered per pair: the matched ramps of the
+    tables' matched delays up front, and the delay ramps of the reflections as
+    each transmitter brings delays not seen before. A ramp depends only on its
+    own delay, so the frames and estimates are the bytes of per-pair ramps.
     """
     positions = tables.deployment.positions
     zeta = _phase_block(config, tables, trial)
+    bits, matched_rows = np.unique(tables.matched_delay.view(np.uint64), return_inverse=True)
+    matched_ramps = subcarrier_ramps(bits.view(np.float64), config, +1)
+    matched_rows = matched_rows.reshape(tables.matched_delay.shape)
+    delay_rows = {}  # bits of a reflection delay -> its row of delay_ramps
+    delay_ramps = np.empty((0, config.subcarriers), dtype=complex)
     peaks = np.empty(tables.est_scale.shape)
     for record in tables.transmitters:
         tx, rows = record.tx, record.pairs
@@ -496,19 +545,28 @@ def _reference_estimates(config, tables, trial, target, illuminated_by):
             config, tx, record.rx, positions[tx], positions[record.rx], tables.cell_sets[tx], tables.grid,
             tables.weights[rows], lit_target, zeta[rows, columns],
         )
+        # Rows for this transmitter's delays; ramps of delays not seen before are appended in row order.
+        bits, inverse = np.unique(built.delay_s.view(np.uint64), return_inverse=True)
+        known = len(delay_rows)
+        ramp_rows = np.array([delay_rows.setdefault(b, len(delay_rows)) for b in bits.tolist()])
+        delay_ramps = np.concatenate([delay_ramps, subcarrier_ramps(bits[ramp_rows >= known].view(np.float64), config)])
+        ramp_rows = ramp_rows[inverse.reshape(built.delay_s.shape)]
         for i, rx in enumerate(record.rx):
             p = rows.start + i
             reflections = Reflections(
                 built.amplitude[i], built.gain[i], built.delay_s[i], built.doppler_hz, built.phase[i]
             )
+            ramps = delay_ramps[ramp_rows[i]]
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
                 draws = noise.standard_normal((len(record.cells), 2) + tx_frame.shape)
-                rx_frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws)
+                rx_frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws, ramps)
             else:
-                rx_frames = synth_rx_frame(tx_frame, reflections, config)
+                rx_frames = synth_rx_frame(tx_frame, reflections, config, ramps=ramps)
             processed = remove_data(rx_frames, tx_frame)
-            peaks[p] = matched_point_value(processed, tables.matched_delay[p], config.doppler_hz, config)
+            peaks[p] = matched_point_value(
+                processed, tables.matched_delay[p], config.doppler_hz, config, matched_ramps[matched_rows[p]]
+            )
     return peaks * tables.est_scale
 
 

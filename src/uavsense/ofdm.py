@@ -25,12 +25,14 @@ __all__ = [
     "synth_tx_frame",
     "reflection_amplitude",
     "build_reflections",
+    "subcarrier_ramps",
     "synth_rx_frame",
     "remove_data",
     "periodogram_grid",
     "matched_point_value",
     "estimate_rcs",
     "dirichlet_kernel",
+    "delay_kernel",
     "matched_coupling",
     "closed_form_peaks",
     "coherent_peaks",
@@ -118,12 +120,26 @@ def build_reflections(
     )
 
 
+def subcarrier_ramps(delay_s, config: ScenarioConfig, sign: int = -1) -> np.ndarray:
+    """Subcarrier ramps exp(sign j 2 pi tau df l), l = 0..M-1, of delays (...,), shape (..., M).
+
+    Sign -1 is the turn a reflection of delay tau puts on the subcarriers
+    (synth_rx_frame), +1 the matched correlator's (matched_point_value).
+    Each entry depends only on its own delay's bits, so the ramps of repeated
+    delays may be computed once and gathered.
+    """
+    turn = 2j if sign > 0 else -2j
+    subcarriers = np.arange(config.subcarriers)
+    return np.exp(turn * math.pi * np.asarray(delay_s)[..., None] * config.subcarrier_spacing_hz * subcarriers)
+
+
 def synth_rx_frame(
     tx_frame: np.ndarray,
     reflections: Reflections,
     config: ScenarioConfig,
     noise_variance=0.0,
     noise_draws: np.ndarray | None = None,
+    ramps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Received frames, shape (..., N, M): the superposition of all reflections plus noise.
 
@@ -135,7 +151,10 @@ def synth_rx_frame(
     times the symbol ramp and the data, the same for every row: O(R M + N M)
     per frame, not the O(N R M) of a rank-R product. With standard normal
     ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]),
-    added in place.
+    added in place. ``ramps`` (R, M), if given, are the reflections' delay
+    ramps ``subcarrier_ramps(reflections.delay_s, config)``, e.g. gathered
+    from the ramps of a set of distinct delays; rows of equal delays are equal
+    bit for bit, so the frames are the same bytes.
     """
     N, M = tx_frame.shape
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
@@ -145,11 +164,10 @@ def synth_rx_frame(
         raise ValueError(f"doppler_hz: the reflections share one Doppler, got {len(dopplers)} distinct values")
     doppler = dopplers.pop() if dopplers else 0.0  # no reflections sum to zero under any ramp
     symbol_ramp = np.exp(2j * math.pi * doppler * config.symbol_duration_s * np.arange(N))  # (N,)
-    delay_ramps = np.exp(
-        -2j * math.pi * reflections.delay_s[:, None] * config.subcarrier_spacing_hz * np.arange(M)
-    )  # (R, M)
+    if ramps is None:
+        ramps = subcarrier_ramps(reflections.delay_s, config)  # (R, M)
     weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (..., R)
-    rx = (weighted @ delay_ramps)[..., None, :] * (symbol_ramp[:, None] * tx_frame)
+    rx = (weighted @ ramps)[..., None, :] * (symbol_ramp[:, None] * tx_frame)
     if noise_draws is not None:
         scale = np.sqrt(np.asarray(noise_variance) / 2.0)[..., None, None]
         noisy = np.broadcast_shapes(rx.shape, scale.shape, noise_draws.shape[:-3] + (N, M))
@@ -187,17 +205,22 @@ def periodogram_grid(frame: np.ndarray, padded_symbols: int, padded_subcarriers:
     return np.abs(spectrum) ** 2 / (N * M)
 
 
-def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, config: ScenarioConfig):
+def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, config: ScenarioConfig, ramps=None):
     """Periodogram value at the exact continuous delay-Doppler point.
 
     Correlates the processed frame against the phase ramps of a hypothetical
     reflection with the given delay and Doppler; equals the grid periodogram
     wherever the point falls on an integer bin. Frames (..., N, M) take delays (...,).
+    ``ramps`` (..., M), if given, are ``subcarrier_ramps(delay_s, config, +1)``,
+    e.g. gathered from the ramps of a set of distinct delays, and give the same bytes.
     """
     N, M = frame.shape[-2:]
+    if (N, M) != (config.symbols_per_frame, config.subcarriers):
+        raise ValueError("frame shape does not match the OFDM parameters")
     sym = np.exp(-2j * math.pi * doppler_hz * config.symbol_duration_s * np.arange(N))
-    sub = np.exp(2j * math.pi * np.asarray(delay_s)[..., None] * config.subcarrier_spacing_hz * np.arange(M))
-    return np.abs(np.sum((sym @ frame) * sub, axis=-1)) ** 2 / (N * M)
+    if ramps is None:
+        ramps = subcarrier_ramps(delay_s, config, +1)
+    return np.abs(np.sum((sym @ frame) * ramps, axis=-1)) ** 2 / (N * M)
 
 
 def estimate_rcs(peak_value, config: ScenarioConfig, d1, d2):
@@ -246,9 +269,18 @@ def matched_coupling(amplitude, gain, delay_s, matched_delay_s, config: Scenario
     (..., reflections, cells). Leading axes are batch axes, e.g. one per
     listener; without them, ``matched_delay_s`` may be a plain (cells,) row.
     """
+    return np.asarray(amplitude)[..., None] * gain * delay_kernel(delay_s, matched_delay_s, config)
+
+
+def delay_kernel(delay_s, matched_delay_s, config: ScenarioConfig) -> np.ndarray:
+    """The factor N D_M((tau_r - tau_p) df) of matched_coupling, shape (..., reflections, cells).
+
+    It depends on the delays only, entry by entry, so permuting the
+    reflections or the cells permutes its rows or columns bit for bit.
+    """
     delay_mismatch = np.asarray(delay_s)[..., None] - np.asarray(matched_delay_s)
     kernel_sub = dirichlet_kernel(delay_mismatch * config.subcarrier_spacing_hz, config.subcarriers)
-    return np.asarray(amplitude)[..., None] * gain * (config.symbols_per_frame * kernel_sub)
+    return config.symbols_per_frame * kernel_sub
 
 
 def closed_form_peaks(

@@ -331,14 +331,15 @@ class TestBuildTables:
         # A pair's ground block is built once per distinct tuple of the exact
         # bytes of its offsets q - tx, q - rx, p - tx and p - rx, and copied to
         # the pairs that repeat it. Blocks are counted as the leading rows
-        # (listeners) of the matched_coupling calls.
+        # (listeners) of the ground steering matrices, which only the ground
+        # stage of the build computes.
         built = []
 
-        def counting(amplitude, *args, original=engine.matched_coupling):
-            built.append(np.shape(amplitude)[0])
-            return original(amplitude, *args)
+        def counting(directions, n, original=engine.steering_matrix):
+            built.append(np.shape(directions.theta)[0])
+            return original(directions, n)
 
-        monkeypatch.setattr(engine, "matched_coupling", counting)
+        monkeypatch.setattr(engine, "steering_matrix", counting)
         tables = build_tables(config, RunOptions(beamformer="capon"))
         positions, geometries = tables.deployment.positions, {}
         for record in tables.transmitters:
@@ -354,6 +355,49 @@ class TestBuildTables:
                 assert tables.ground_coupling[p].tobytes() == tables.ground_coupling[first].tobytes()
         assert len(tables.pair_tx) == 240
         assert sum(built) == len(geometries) == blocks
+
+    @pytest.mark.parametrize(
+        "config, kernels, blocks",
+        [
+            pytest.param(ScenarioConfig(), 25, 160, id="defaults"),
+            pytest.param(SHARED_GEOMETRY, 9, 48, id="shared-pairs"),
+            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), 17, 240, id="non-dyadic"),
+        ],
+    )
+    def test_one_dirichlet_block_per_delay_multiset(self, monkeypatch, config, kernels, blocks):
+        # The delay factor of a ground block depends only on the pair's delay
+        # rows tau_q and tau_p, so the build computes one delay_kernel per
+        # distinct pair of sorted rows and gathers it for every block with
+        # those multisets. Rows with tied delays (cells placed symmetrically
+        # about the transmitter and the listener) take their entries from the
+        # one sorted kernel, and every block still equals its own
+        # matched_coupling (test_listener_rows_equal_per_listener_oracle).
+        calls = []
+
+        def counting(delay_s, matched_delay_s, config, original=engine.delay_kernel):
+            calls.append((np.shape(delay_s), np.shape(matched_delay_s)))
+            return original(delay_s, matched_delay_s, config)
+
+        monkeypatch.setattr(engine, "delay_kernel", counting)
+        tables = build_tables(config, RunOptions(beamformer="capon"))
+        positions, multisets, geometries, ties = tables.deployment.positions, set(), set(), 0
+        for record in tables.transmitters:
+            illuminated = tables.cell_sets[record.tx].illuminated
+            q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
+            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
+            d1_q = np.linalg.norm(q_points - positions[record.tx], axis=1)
+            d1_p = np.linalg.norm(p_points - positions[record.tx], axis=1)
+            for rx in record.rx:
+                tau_q = (d1_q + np.linalg.norm(positions[rx] - q_points, axis=1)) / SPEED_OF_LIGHT
+                tau_p = (d1_p + np.linalg.norm(positions[rx] - p_points, axis=1)) / SPEED_OF_LIGHT
+                multisets.add((np.sort(tau_q).tobytes(), np.sort(tau_p).tobytes()))
+                offsets = (points - positions[u] for points in (q_points, p_points) for u in (record.tx, rx))
+                geometries.add(tuple(offset.tobytes() for offset in offsets))
+                ties += len(np.unique(tau_q)) < len(tau_q) or len(np.unique(tau_p)) < len(tau_p)
+        assert ties > 0
+        assert len(geometries) == blocks
+        assert len(calls) == len(multisets) == kernels
+        assert all(len(q) == 1 and len(p) == 1 for q, p in calls)
 
     def test_pair_major_rows_follow_the_records(self, small_config):
         tables = build_tables(small_config, RunOptions())
@@ -529,6 +573,78 @@ class TestRunTrial:
         louder = replace(small_config, ground_rcs_m2=0.1, master_seed=77)
         out = run_trial(louder, 0, tables=tables)
         assert out.detections["avg"] is not None
+
+
+class TestReferenceRamps:
+    @pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "noisy"])
+    def test_estimates_equal_a_per_pair_loop_with_own_ramps(self, monkeypatch, noise):
+        # The reference path computes each subcarrier ramp once per distinct
+        # delay of the trial and gathers it per pair; a loop over the pairs
+        # whose kernels compute their own ramps gives the same bytes. The
+        # 16-UAV grid repeats delays within and across transmitters, and the
+        # trial has lit and unlit transmitters.
+        config = SHARED_GEOMETRY
+        tables = build_tables(config, RunOptions(noise=noise, fast_path=False))
+        for trial in range(20):
+            target, illuminated_by = engine._trial_target(config, tables, trial, None)
+            if {bool(illuminated_by[r.tx]) for r in tables.transmitters} == {False, True}:
+                break
+        else:
+            pytest.fail("no trial with both lit and unlit transmitters")
+        ramped = {-1: [], +1: []}
+
+        def counting(delay_s, config, sign=-1, original=engine.subcarrier_ramps):
+            ramped[sign].append(np.size(delay_s))
+            return original(delay_s, config, sign)
+
+        monkeypatch.setattr(engine, "subcarrier_ramps", counting)
+        estimates = engine._reference_estimates(config, tables, trial, target, illuminated_by)
+
+        seed, positions = config.master_seed, tables.deployment.positions
+        zeta = _phase_block(config, tables, trial)
+        expected, delays = np.empty_like(estimates), []
+        for record in tables.transmitters:
+            tx = record.tx
+            tx_frame = synth_tx_frame(config, substream(seed, trial, engine._STREAM_TXDATA, tx))
+            n_q = len(tables.cell_sets[tx].illuminated)
+            for k, rx in enumerate(record.rx):
+                p = record.pairs.start + k
+                phases, lit_target = zeta[p, :n_q], None
+                if illuminated_by[tx]:
+                    phases, lit_target = np.append(phases, zeta[p, -1]), target
+                reflections = build_reflections(
+                    config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
+                    tables.weights[p], lit_target, phases,
+                )
+                delays.append(reflections.delay_s)
+                if noise:
+                    draws = substream(seed, trial, engine._STREAM_NOISE, tx, rx).standard_normal(
+                        (len(record.cells), 2) + tx_frame.shape
+                    )
+                    frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws)
+                else:
+                    frames = synth_rx_frame(tx_frame, reflections, config)
+                peaks = matched_point_value(
+                    remove_data(frames, tx_frame), tables.matched_delay[p], config.doppler_hz, config
+                )
+                expected[p] = peaks * tables.est_scale[p]
+        assert estimates.tobytes() == expected.tobytes()
+        # One ramp per distinct delay bit pattern, far fewer than one per (pair, delay).
+        delays = np.concatenate(delays)
+        assert sum(ramped[-1]) == len(np.unique(delays.view(np.uint64))) < len(delays) // 10
+        assert ramped[+1] == [len(np.unique(tables.matched_delay.view(np.uint64)))]
+
+    def test_reference_tables_size_the_same_phase_block(self, small_config):
+        # Reference tables skip the ground stage and hold a zero-width ground
+        # coupling whose shape still sizes the phase block: same shape, same
+        # bytes as with fast-path tables of the config.
+        fast = build_tables(small_config, RunOptions(fast_path=True))
+        reference = build_tables(small_config, RunOptions(fast_path=False))
+        assert reference.ground_coupling.shape == fast.ground_coupling.shape[:2] + (0,)
+        for trial in range(3):
+            block = _phase_block(small_config, reference, trial)
+            assert block.shape == (len(fast.pair_tx), fast.ground_coupling.shape[1] + 1)
+            assert block.tobytes() == _phase_block(small_config, fast, trial).tobytes()
 
 
 class TestMonteCarlo:

@@ -446,6 +446,12 @@ class TestMatchedPoint:
         cfg = frame_config()
         assert matched_point_value(np.zeros((8, 16)), 1e-6, 0.0, cfg) == 0.0
 
+    def test_frame_shape_must_match_the_config(self):
+        # The subcarrier ramps come from the config, so a frame of another
+        # shape is refused, as synth_rx_frame refuses one.
+        with pytest.raises(ValueError, match="frame shape"):
+            matched_point_value(np.zeros((8, 8)), 1e-6, 0.0, frame_config())
+
     def test_equals_grid_at_integer_bins(self, rng):
         cfg = frame_config()
         frame = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
