@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .geometry import AoA
 
@@ -150,6 +149,9 @@ def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
         system[:, h, h] = 2.0 * table[:, 2 * n * (n - 1)].real
         rhs[:, h] = b[:, h].real
 
+    # LAPACK is loaded by the first LS design, so runs without one never import scipy.linalg.
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     # Factor in place: the transpose of a C-ordered symmetric matrix is itself, in Fortran order.
     factors = system.copy()
     info = np.array([dpotrf(f.T, clean=0, overwrite_a=1)[1] for f in factors])
@@ -157,7 +159,7 @@ def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
     dense = (info != 0) | (diagonal.min(axis=1) < _LS_DIAG_RANGE * diagonal.max(axis=1))
     y = np.zeros((K, m))
     for k in np.flatnonzero(~dense):
-        y[k] = _refined_solve(system[k], factors[k].T, rhs[k])
+        y[k] = _refined_solve(dpotrs, system[k], factors[k].T, rhs[k])
     z_top = y[:, :h] + 1j * y[:, -h:]  # z = Q y; y[:, h : m - h] is the middle unknown, for odd m only
     w = s[:, None] * np.concatenate([z_top, 2.0 * y[:, h : m - h], z_top[:, ::-1].conj()], axis=1)
     for k in np.flatnonzero(dense):
@@ -169,9 +171,9 @@ def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
     return w if np.ndim(mesh.theta) == 2 else w[0]
 
 
-def _refined_solve(system: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of system y = rhs, refined while a step lowers the LS
-    residual 1 - 2 y^T (2 rhs - system y) by at least _LS_REFINE_TOL."""
+def _refined_solve(dpotrs, system: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve of system y = rhs with LAPACK's dpotrs, refined while a step
+    lowers the LS residual 1 - 2 y^T (2 rhs - system y) by at least _LS_REFINE_TOL."""
     y = dpotrs(factor, rhs)[0]
     fitted = system @ y
     residual = 1.0 - 2.0 * (y @ (2.0 * rhs - fitted))

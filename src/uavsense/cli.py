@@ -109,6 +109,16 @@ def render_results_csv(rows: list[SweepRow]) -> str:
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB (1e6 bytes); None without the resource module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
+
+
 def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
     return {
         "tool": "uavsense",
@@ -117,6 +127,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "scipy_version": scipy.__version__,
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
+        "peak_rss_mb": _peak_rss_mb(),
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": config.master_seed,

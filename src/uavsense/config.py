@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
 __all__ = [
     "SPEED_OF_LIGHT",
     "DELTAS",
@@ -46,6 +44,9 @@ def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
 def w_per_hz_to_dbm_per_hz(value_w_hz: float) -> float:
     return 10.0 * math.log10(value_w_hz) + 30.0
 
+
+# Speed of light in vacuum, m/s: exact by the SI definition of the metre.
+SPEED_OF_LIGHT = 299_792_458.0
 
 # Hit distances (Chebyshev cells between detected and true cell) that every
 # Monte Carlo batch counts; sweeps may report any subset of them.

@@ -135,7 +135,7 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class DetectionStats:
-    """Hit counts and detection probabilities with 95% binomial half-widths."""
+    """Hit counts and detection probabilities with 95% binomial intervals."""
 
     trials: int
     hits: tuple[int, int, int]  # one count per delta in DELTAS
@@ -144,8 +144,17 @@ class DetectionStats:
         return self.hits[delta] / self.trials
 
     def ci95_halfwidth(self, delta: int) -> float:
+        """Half-width of the Wald interval; 0 at p = 0 and p = 1, where wilson95 is not."""
         p = self.p_detect(delta)
         return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
+
+    def wilson95(self, delta: int) -> tuple[float, float]:
+        """The 95% Wilson score interval (lo, hi) of the detection probability;
+        its ends are exactly 0 at p = 0 and exactly 1 at p = 1."""
+        p, z2, n = self.p_detect(delta), 1.96**2, self.trials
+        center = (p + z2 / (2 * n)) / (1 + z2 / n)
+        half = 1.96 * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+        return (0.0 if p == 0.0 else center - half), (1.0 if p == 1.0 else center + half)
 
 
 @dataclass(frozen=True)
@@ -226,7 +235,8 @@ class ScenarioTables:
     est_scale: np.ndarray  # (P, n_p) maps matched power to sigma-hat
     noise_var: np.ndarray  # (P, n_p) per-sample variance N0 BW ||w||^2
     noise_scale: np.ndarray  # (P, n_p) noise deviation per part of a matched sum, sqrt(N M noise_var / 2)
-    weights: np.ndarray  # (P, n_p, n^2) receive weights per pair and intended cell
+    designs: np.ndarray  # (D, n^2) receive weights of each distinct design
+    design_index: np.ndarray  # (P, n_p) row of `designs` for each pair and intended cell
     # (P, n_q_max, n_p) matched_coupling of the ground at unit RCS, in illuminated-cell
     # order; rows past a transmitter's own n_q are zero, so they add +0.0 to any sum.
     # Reference tables hold a zero-width (P, n_q_max, 0) array: only its shape is read,
@@ -236,6 +246,11 @@ class ScenarioTables:
 
     def compatible_with(self, config: ScenarioConfig) -> bool:
         return config is self.config or all(getattr(self.config, name) == getattr(config, name) for name in _SHAPING)
+
+    def pair_weights(self, rows) -> np.ndarray:
+        """Receive weights of the pair rows `rows` (an index, slice or index array of the
+        pair-major arrays), one (n_p, n^2) block per pair, gathered from `designs`."""
+        return self.designs[self.design_index[rows]]
 
 
 def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
@@ -249,13 +264,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     part once, byte-identical to computing it again. A pair's geometry is the
     exact bytes of its offsets q - tx, q - rx, p - tx and p - rx (q the
     illuminated, p the intended cells); a pair that repeats an earlier pair's
-    geometry copies its weights and ground block. The defaults have 160
-    distinct pair geometries among their 240 pairs, 16 UAVs over an 8x8 grid of
-    40 m have 48, and a non-dyadic area side shares none. The rows of the
-    distinct pairs design a beamformer per distinct intended direction (LS:
-    per symmetry orbit), and the Dirichlet factor of a ground block is
-    computed once per pair of delay multisets (25 among the 160 blocks at the
-    defaults).
+    geometry takes its design rows and copies its ground block. The defaults
+    have 160 distinct pair geometries among their 240 pairs, 16 UAVs over an
+    8x8 grid of 40 m have 48, and a non-dyadic area side shares none. The rows
+    of the distinct pairs design a beamformer per distinct intended direction
+    (LS: per symmetry orbit), and the tables hold each design once: `designs`
+    has one row per distinct direction (LS: the 8 images of each orbit), and
+    `design_index` names each (pair, cell)'s row, read through
+    `pair_weights` (1200 rows for the 6000 of the default Capon tables).
 
     Reference tables (``options.fast_path`` false) skip the ground stage: the
     frames never read a coupling, so their ``ground_coupling`` is a zero-width
@@ -376,19 +392,13 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         designs = images.reshape(-1, n * n)
         index = ((inverse * 2 + swap) * 2 + flip) * 2 + mirror
         del images
-    index = index.reshape(-1, matched_delay.shape[1])[(np.cumsum(new) - 1)[source]]
-    # Each row is a copy of its design, so its noise variance is the design's.
-    weights = designs[index]
-    noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[index]
-    del designs  # released before the ground stage
+    design_index = index.reshape(-1, matched_delay.shape[1])[(np.cumsum(new) - 1)[source]]
+    # A pair's weights are its designs' rows, so its noise variance is theirs.
+    noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[design_index]
 
     n_q_max = max(len(q_points) for _, _, q_points, *_ in staged)
     width = matched_delay.shape[1] if options.fast_path else 0  # reference tables: zero width
-    ground_coupling = np.zeros((len(weights), n_q_max, width), dtype=complex)
-    if options.fast_path:
-        _build_ground_blocks(config, ground_coupling, weights, matched_delay, staged, new)
-        ground_coupling[~new] = ground_coupling[source[~new]]
-    return ScenarioTables(
+    tables = ScenarioTables(
         config=config,
         options=options,
         grid=grid,
@@ -402,25 +412,35 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         est_scale=est_scale,
         noise_var=noise_var,
         noise_scale=np.sqrt(config.symbols_per_frame * config.subcarriers * noise_var / 2.0),
-        weights=weights,
-        ground_coupling=ground_coupling,
+        designs=designs,
+        design_index=design_index,
+        ground_coupling=np.zeros((len(design_index), n_q_max, width), dtype=complex),
         map_index=np.concatenate([(r.rx[:, None] * L + r.cells[:, 0]) * L + r.cells[:, 1] for r in transmitters]),
     )
+    if options.fast_path:
+        _build_ground_blocks(tables, staged, new)
+        tables.ground_coupling[~new] = tables.ground_coupling[source[~new]]
+    return tables
 
 
-def _build_ground_blocks(config, ground_coupling, weights, matched_delay, staged, new) -> None:
+def _build_ground_blocks(tables, staged, new) -> None:
     """Fill the ground_coupling rows of the pairs that `new` marks with the
     matched_coupling of their ground at unit RCS, byte for byte.
 
     Each transmitter's new listeners are stacked; every stacked row equals its
-    own single build bit for bit. A block's delay_kernel depends on the pair's
-    delay rows tau_q and tau_p entry by entry, so it is computed once per pair
-    of delay multisets, keyed on the bytes of the sorted rows, and each block
-    gathers it back through the inverse permutations of the sorts.
+    own single build bit for bit. delay_kernel works entry by entry, so it is
+    computed once, on the grid of the distinct bit patterns of the new pairs'
+    ground delays tau_q and matched delays tau_p, and each block gathers its
+    entries from that grid.
     """
-    n = config.array_side
-    kernels = {}  # bytes of the sorted (tau_q, tau_p) rows -> their delay_kernel
-    for pairs, rx_pos, q_points, amplitude, tau_q in staged:
+    n = tables.config.array_side
+    ground_delays = np.concatenate([tau_q[new[pairs]].ravel() for pairs, *_, tau_q in staged])
+    q_bits, q_grid = np.unique(ground_delays.view(np.uint64), return_inverse=True)
+    p_bits, p_grid = np.unique(tables.matched_delay[new].view(np.uint64), return_inverse=True)
+    kernel = delay_kernel(q_bits.view(np.float64), p_bits.view(np.float64), tables.config)
+    p_grid = p_grid.reshape(-1, tables.matched_delay.shape[1])
+    q_start = p_start = 0  # the new pairs' first entries of q_grid and rows of p_grid not yet read
+    for pairs, rx_pos, q_points, amplitude, _ in staged:
         built = new[pairs]
         if not built.any():
             continue
@@ -431,17 +451,15 @@ def _build_ground_blocks(config, ground_coupling, weights, matched_delay, staged
         steering = steering_matrix(aoa(rx_pos[built], q_points), n).reshape(n * n, len(rows), -1)
         ground = np.ascontiguousarray(steering.transpose(1, 0, 2))
         del steering
-        chi = weights[rows].conj() @ ground  # (new listeners, n_p, n_q)
+        chi = tables.pair_weights(rows).conj() @ ground  # (new listeners, n_p, n_q)
         del ground  # each temporary is released before the next is made
         block = amplitude[built][..., None] * chi.transpose(0, 2, 1)  # matched_coupling's product, in its order
         del chi
-        for i, (q, p) in enumerate(zip(tau_q[built], matched_delay[rows])):
-            order_q, order_p = np.argsort(q), np.argsort(p)
-            key = (q[order_q].tobytes(), p[order_p].tobytes())
-            if key not in kernels:
-                kernels[key] = delay_kernel(q[order_q], p[order_p], config)
-            block[i] *= kernels[key][np.argsort(order_q)[:, None], np.argsort(order_p)]
-        ground_coupling[rows, : len(q_points)] = block
+        q_rows = q_grid[q_start : q_start + len(rows) * len(q_points)].reshape(len(rows), -1)
+        p_rows = p_grid[p_start : p_start + len(rows)]
+        block *= kernel[q_rows[:, :, None], p_rows[:, None, :]]
+        q_start, p_start = q_start + q_rows.size, p_start + len(rows)
+        tables.ground_coupling[rows, : len(q_points)] = block
 
 
 def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, target_override):
@@ -474,7 +492,7 @@ def _target_couplings(config, tables, rows, target, illuminated_by) -> np.ndarra
     toward = steering_matrix(aoa(positions, target), config.array_side).T.conj()[:, :, None]  # (U, n^2, 1)
     d1, d2 = distance[tables.pair_tx[rows]], distance[tables.pair_rx[rows]]
     # Weights are read in place, one transmitter's block of pair rows at a time.
-    gain = np.concatenate([tables.weights[r.pairs] @ toward[r.rx] for r in tables.transmitters if illuminated_by[r.tx]])
+    gain = np.concatenate([tables.pair_weights(r.pairs) @ toward[r.rx] for r in tables.transmitters if illuminated_by[r.tx]])
     return matched_coupling(
         reflection_amplitude(config, config.target_rcs_m2, d1, d2),
         gain[:, :, 0].conj(),
@@ -543,7 +561,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by):
             lit_target, columns = target, np.append(columns, -1)
         built = build_reflections(
             config, tx, record.rx, positions[tx], positions[record.rx], tables.cell_sets[tx], tables.grid,
-            tables.weights[rows], lit_target, zeta[rows, columns],
+            tables.pair_weights(rows), lit_target, zeta[rows, columns],
         )
         # Rows for this transmitter's delays; ramps of delays not seen before are appended in row order.
         bits, inverse = np.unique(built.delay_s.view(np.uint64), return_inverse=True)

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestManifest:
         out = tmp_path / "m.json"
         assert main(["run", "--config", _write_config(tmp_path), "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["cpu_count"] == 3
+
+    def test_records_peak_rss(self, monkeypatch):
+        # The process's peak resident set, ru_maxrss of RUSAGE_SELF in MB of
+        # 1e6 bytes (Linux reports KiB); null where the resource module is missing.
+        resource = pytest.importorskip("resource")
+        unit = 1 if sys.platform == "darwin" else 1024
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
+        peak = build_manifest(ScenarioConfig(), RunOptions(), [_row()], [])["peak_rss_mb"]
+        assert before <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
+        assert json.loads(json.dumps(peak)) == peak
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource raises ImportError
+        assert build_manifest(ScenarioConfig(), RunOptions(), [_row()], [])["peak_rss_mb"] is None
 
     def test_options_record_every_run_option(self):
         options = RunOptions(beamformer="ls", fusion="prenorm", noise=False)

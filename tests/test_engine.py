@@ -110,7 +110,7 @@ def assert_ls_rows_are_orbit_images(tables) -> dict:
         for k, rx in enumerate(record.rx):
             for i, (a, b) in enumerate(record.cells):
                 rx_position, point = tables.deployment.positions[rx], tables.grid.centers[a, b]
-                rows.append(tables.weights[record.pairs][k, i])
+                rows.append(tables.pair_weights(record.pairs)[k, i])
                 assert rows[-1].tobytes() == ls_row(rx_position, point, n, designs).tobytes()
                 own.append(aoa(rx_position, point))
     direct = ls_beamformer(aoa_mesh(AoA(np.array([d.theta for d in own]), np.array([d.phi for d in own])), n), n)
@@ -213,7 +213,7 @@ class TestBuildTables:
         if beamformer == "ls":
             tables, designed = build_counting_ls_designs(small_config, monkeypatch)
             designs = assert_ls_rows_are_orbit_images(tables)
-            assert designed == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
+            assert designed == len(designs) < tables.design_index.size
             return
         calls = []
 
@@ -231,7 +231,7 @@ class TestBuildTables:
                     d = aoa(tables.deployment.positions[rx], tables.grid.centers[a, b])
                     pairs += 1
                     directions.add(np.array([d.theta, d.phi]).tobytes())
-                    assert tables.weights[record.pairs][k, i].tobytes() == capon_beamformer(d, n).tobytes()
+                    assert tables.pair_weights(record.pairs)[k, i].tobytes() == capon_beamformer(d, n).tobytes()
         assert sum(calls) == len(directions) < pairs
 
     def test_ls_rows_on_a_non_dyadic_area(self, small_config, monkeypatch):
@@ -241,7 +241,7 @@ class TestBuildTables:
         # direction's design, and the rows share fewer designs.
         tables, designed = build_counting_ls_designs(replace(small_config, area_side_m=100.0 / 3.0), monkeypatch)
         designs = assert_ls_rows_are_orbit_images(tables)
-        assert designed == len(designs) < tables.weights.shape[0] * tables.weights.shape[1]
+        assert designed == len(designs) < tables.design_index.size
 
     def test_ls_designs_across_mesh_blocks_equal_single_designs(self, monkeypatch):
         # build_tables designs the LS directions in blocks of meshes; every
@@ -263,7 +263,7 @@ class TestBuildTables:
             for k, rx in enumerate(record.rx):
                 for i, (a, b) in enumerate(record.cells):
                     offset = tables.grid.centers[a, b] - tables.deployment.positions[rx]
-                    rows.append((tuple(offset), tables.weights[record.pairs][k, i]))
+                    rows.append((tuple(offset), tables.pair_weights(record.pairs)[k, i]))
         by_offset = dict(rows)  # -0.0 and 0.0 are one key
         mirrored = [(dx, dy, dz) for (dx, dy, dz), _ in rows if dy < 0 or (dy == 0 and dx < 0)]
         assert len(mirrored) == len(rows) // 2
@@ -302,7 +302,7 @@ class TestBuildTables:
                 d2_p = np.linalg.norm(positions[rx] - p_points, axis=1)
                 tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
                 p = record.pairs.start + k
-                weights = tables.weights[p]
+                weights = tables.pair_weights(p)
                 chi = weights.conj() @ steering_matrix(aoa(positions[rx], q_points), config.array_side)
                 coupling = matched_coupling(
                     reflection_amplitude(config, 1.0, d1_q, d2_q),
@@ -357,47 +357,43 @@ class TestBuildTables:
         assert sum(built) == len(geometries) == blocks
 
     @pytest.mark.parametrize(
-        "config, kernels, blocks",
+        "config, beamformer",
         [
-            pytest.param(ScenarioConfig(), 25, 160, id="defaults"),
-            pytest.param(SHARED_GEOMETRY, 9, 48, id="shared-pairs"),
-            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), 17, 240, id="non-dyadic"),
+            pytest.param(ScenarioConfig(), "capon", id="defaults"),
+            pytest.param(SHARED_GEOMETRY, "ls", id="shared-pairs"),
+            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), "capon", id="non-dyadic"),
         ],
     )
-    def test_one_dirichlet_block_per_delay_multiset(self, monkeypatch, config, kernels, blocks):
-        # The delay factor of a ground block depends only on the pair's delay
-        # rows tau_q and tau_p, so the build computes one delay_kernel per
-        # distinct pair of sorted rows and gathers it for every block with
-        # those multisets. Rows with tied delays (cells placed symmetrically
-        # about the transmitter and the listener) take their entries from the
-        # one sorted kernel, and every block still equals its own
-        # matched_coupling (test_listener_rows_equal_per_listener_oracle).
+    def test_one_delay_kernel_call_per_build(self, monkeypatch, config, beamformer):
+        # delay_kernel works entry by entry, so a fast-path build calls it once,
+        # on the grid of the distinct bit patterns of every pair's ground delays
+        # tau_q and matched delays tau_p, and every block gathers its entries
+        # from that grid (each block still equals its own matched_coupling:
+        # test_listener_rows_equal_per_listener_oracle). Repeated pairs hold
+        # their source's delays, so the grid of all pairs is the new pairs'.
+        # Reference tables build no ground coupling and call it not at all.
         calls = []
 
         def counting(delay_s, matched_delay_s, config, original=engine.delay_kernel):
-            calls.append((np.shape(delay_s), np.shape(matched_delay_s)))
+            calls.append((np.asarray(delay_s).copy(), np.asarray(matched_delay_s).copy()))
             return original(delay_s, matched_delay_s, config)
 
         monkeypatch.setattr(engine, "delay_kernel", counting)
-        tables = build_tables(config, RunOptions(beamformer="capon"))
-        positions, multisets, geometries, ties = tables.deployment.positions, set(), set(), 0
+        build_tables(config, RunOptions(beamformer=beamformer, fast_path=False))
+        assert calls == []
+        tables = build_tables(config, RunOptions(beamformer=beamformer))
+        positions, ground = tables.deployment.positions, []
         for record in tables.transmitters:
             illuminated = tables.cell_sets[record.tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
-            p_points = tables.grid.centers[record.cells[:, 0], record.cells[:, 1]]
             d1_q = np.linalg.norm(q_points - positions[record.tx], axis=1)
-            d1_p = np.linalg.norm(p_points - positions[record.tx], axis=1)
             for rx in record.rx:
-                tau_q = (d1_q + np.linalg.norm(positions[rx] - q_points, axis=1)) / SPEED_OF_LIGHT
-                tau_p = (d1_p + np.linalg.norm(positions[rx] - p_points, axis=1)) / SPEED_OF_LIGHT
-                multisets.add((np.sort(tau_q).tobytes(), np.sort(tau_p).tobytes()))
-                offsets = (points - positions[u] for points in (q_points, p_points) for u in (record.tx, rx))
-                geometries.add(tuple(offset.tobytes() for offset in offsets))
-                ties += len(np.unique(tau_q)) < len(tau_q) or len(np.unique(tau_p)) < len(tau_p)
-        assert ties > 0
-        assert len(geometries) == blocks
-        assert len(calls) == len(multisets) == kernels
-        assert all(len(q) == 1 and len(p) == 1 for q, p in calls)
+                ground.append((d1_q + np.linalg.norm(positions[rx] - q_points, axis=1)) / SPEED_OF_LIGHT)
+        (tau_q, tau_p), = calls
+        distinct = [np.unique(np.concatenate(ground).view(np.uint64)), np.unique(tables.matched_delay.view(np.uint64))]
+        assert tau_q.view(np.uint64).tolist() == distinct[0].tolist()
+        assert tau_p.view(np.uint64).tolist() == distinct[1].tolist()
+        assert len(tau_q) < sum(map(len, ground)) and len(tau_p) < tables.matched_delay.size
 
     def test_pair_major_rows_follow_the_records(self, small_config):
         tables = build_tables(small_config, RunOptions())
@@ -513,7 +509,7 @@ class TestRunTrial:
             phases = np.append(phases, block[p, -1])
         reflections = build_reflections(
             small_config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-            tables.weights[p, i], target if illuminated_by[tx] else None, phases,
+            tables.pair_weights(p)[i], target if illuminated_by[tx] else None, phases,
         )
         noise = substream(seed, trial, engine._STREAM_NOISE, tx, rx)
         draws = noise.standard_normal((len(record.cells), 2, 8, 16))[i]
@@ -614,7 +610,7 @@ class TestReferenceRamps:
                     phases, lit_target = np.append(phases, zeta[p, -1]), target
                 reflections = build_reflections(
                     config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-                    tables.weights[p], lit_target, phases,
+                    tables.pair_weights(p), lit_target, phases,
                 )
                 delays.append(reflections.delay_s)
                 if noise:
@@ -656,6 +652,19 @@ class TestMonteCarlo:
             p = stats.p_detect(delta)
             assert p in (0.0, 1.0)
             assert stats.ci95_halfwidth(delta) == pytest.approx(1.96 * math.sqrt(p * (1 - p)))
+
+    def test_wilson_interval(self):
+        # Newcombe (1998), 81 of 263: Wilson 95% interval 0.2553 to 0.3662.
+        # At p = 0 and p = 1 the Wald half-width is 0 but the Wilson interval
+        # is not: its far end is z^2 / (n + z^2) from the observed p.
+        stats = engine.DetectionStats(trials=263, hits=(81, 0, 263))
+        lo, hi = stats.wilson95(0)
+        assert (round(lo, 4), round(hi, 4)) == (0.2553, 0.3662)
+        assert lo < stats.p_detect(0) < hi
+        far = 1.96**2 / (263 + 1.96**2)
+        assert stats.ci95_halfwidth(1) == stats.ci95_halfwidth(2) == 0.0
+        assert stats.wilson95(1)[0] == 0.0 and stats.wilson95(1)[1] == pytest.approx(far, rel=1e-12)
+        assert stats.wilson95(2)[1] == 1.0 and stats.wilson95(2)[0] == pytest.approx(1.0 - far, rel=1e-12)
 
     def test_monotone_in_delta(self, small_config):
         stats = run_monte_carlo(small_config, RunOptions())

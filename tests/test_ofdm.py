@@ -127,7 +127,7 @@ class TestBuildReflections:
         sets = classify_cells(cfg, 0, grid, dep)
         tables = build_tables(cfg, RunOptions())
         record = next(r for r in tables.transmitters if r.tx == 0)
-        weights = tables.weights[record.pairs][list(record.rx).index(1)]  # (n_p, n^2) of listener 1
+        weights = tables.pair_weights(record.pairs)[list(record.rx).index(1)]  # (n_p, n^2) of listener 1
         return cfg, grid, dep, sets, weights
 
     @staticmethod
@@ -226,7 +226,7 @@ class TestBuildReflections:
         target = np.array([13.0, 11.0, 0.0]) if with_target else None
         count = len(sets.illuminated) + with_target
         phases = self._phases(rng, (len(record.rx), count))
-        weights = tables.weights[record.pairs]
+        weights = tables.pair_weights(record.pairs)
         stacked = build_reflections(
             cfg, 0, record.rx, dep.positions[0], dep.positions[record.rx], sets, grid, weights, target, phases
         )
