@@ -1,13 +1,14 @@
-"""Protocol orchestration: per-trial sensing rounds, Monte Carlo batches, sweeps.
+"""Protocol orchestration: sensing rounds in blocks of trials, Monte Carlo batches, sweeps.
 
 Every random quantity comes from a counter-based substream keyed by
 (master_seed, trial, stream tag, ids...), so outcomes are a pure function of
-the configuration and trial index. A fast-path trial draws its target, all
-its phases and all its noise from one key each, as blocks over the
-scenario's (transmitter, listener) pairs. No stream depends on the ground
-RCS sigma_G, so the sigma_G values of a sweep point share each trial's draws
-and kernels and give the same bytes as separate runs. Trials are independent
-work units; parallel and serial execution agree bit for bit.
+the configuration and trial index, whatever block of trials runs it. A
+fast-path trial draws its target, all its phases and all its noise from one
+key each, as blocks over the scenario's (transmitter, listener) pairs; a
+batch runs one array pass per step for a block of trials. No stream depends
+on the ground RCS sigma_G, so the sigma_G values of a sweep point share each
+trial's draws and kernels and give the same bytes as separate runs.
+Parallel and serial execution agree bit for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ _SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FI
 # direction at n = 8; blocks of 16 to 48 designed equally fast at n = 4-8, and
 # 16 keeps the temporaries smallest.
 _LS_BLOCK = 16
+
+# Trials per run_trial call in a batch. A default block costs about 1.2 ms plus
+# 1.2 ms a trial; its temporaries peak at about 3.3 MB (4.4 MB with two sigma_G
+# values), a table build at 8.3 MB. After a single build, glibc hands memory freed
+# by such a block back and the next block faults it in again (not so for blocks
+# of 4), yet the median default batch still ran faster in blocks of 8.
+_TRIAL_BLOCK = 8
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
@@ -462,78 +470,98 @@ def _build_ground_blocks(tables, staged, new) -> None:
         tables.ground_coupling[rows, : len(q_points)] = block
 
 
-def _trial_target(config: ScenarioConfig, tables: ScenarioTables, trial: int, target_override):
-    """The trial's target position and, per UAV, whether its footprint covers it."""
+def _keyed(generator: np.random.Generator, master_seed: int, *path: int) -> np.random.Generator:
+    """`generator` (a Philox one) re-keyed to the start of substream(master_seed, *path), whose draws it
+    then gives byte for byte; a new state costs about 1 us, a new Philox 11 us or more."""
+    key, zeros = np.array(_path_words(master_seed, path), dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+    generator.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                     "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+def _trial_targets(config: ScenarioConfig, tables: ScenarioTables, trials, target_override, generator):
+    """Each trial's target position (T, 3) and whether each UAV's footprint covers it (T, U)."""
+    targets = np.zeros((len(trials), 3))
     if target_override is not None:
-        xy = target_override
+        targets[:, :2] = target_override[0], target_override[1]
     else:
-        xy = substream(config.master_seed, trial, _STREAM_TARGET).uniform(0.0, config.area_side_m, size=2)
-    target = np.array([xy[0], xy[1], 0.0])
+        for row, trial in zip(targets, trials):
+            row[:2] = _keyed(generator, config.master_seed, trial, _STREAM_TARGET).uniform(0.0, config.area_side_m, 2)
     proj = tables.deployment.positions[:, :2]
-    return target, np.hypot(target[0] - proj[:, 0], target[1] - proj[:, 1]) <= tables.footprints
+    return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= tables.footprints
 
 
-def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trial: int) -> np.ndarray:
-    """The trial's reflection phases, uniform on [0, 2 pi), shape (P, n_q_max + 1).
+def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
+    """Each trial's reflection phases, uniform on [0, 2 pi), shape (T, P, n_q_max + 1).
 
-    Row p holds pair p's ground phases in illuminated-cell order from column
-    0 and its target phase in the last column. Both paths read this block.
+    Row p of a trial holds pair p's ground phases in illuminated-cell order from
+    column 0 and its target phase in the last column: substream(seed, trial,
+    PHASE)'s uniform(0, 2 pi) stream, drawn as the same bytes 2 pi random().
     """
     pairs, n_q_max, _ = tables.ground_coupling.shape
-    return substream(config.master_seed, trial, _STREAM_PHASE).uniform(0.0, 2.0 * math.pi, size=(pairs, n_q_max + 1))
+    zeta = np.empty((len(trials), pairs, n_q_max + 1))
+    for row, trial in zip(zeta, trials):
+        _keyed(generator, config.master_seed, trial, _STREAM_PHASE).random(out=row)
+    return np.multiply(zeta, 2.0 * math.pi, out=zeta)
 
 
-def _target_couplings(config, tables, rows, target, illuminated_by) -> np.ndarray:
-    """The target's matched_coupling row for each pair in `rows`, the ascending pair rows of the
-    transmitters that `illuminated_by` marks, shape (len(rows), n_p).
-    Distances and steering vectors are computed once per UAV and read per pair."""
-    positions = tables.deployment.positions
-    distance = np.linalg.norm(positions - target, axis=1)
-    toward = steering_matrix(aoa(positions, target), config.array_side).T.conj()[:, :, None]  # (U, n^2, 1)
-    d1, d2 = distance[tables.pair_tx[rows]], distance[tables.pair_rx[rows]]
-    # Weights are read in place, one transmitter's block of pair rows at a time.
-    gain = np.concatenate([tables.pair_weights(r.pairs) @ toward[r.rx] for r in tables.transmitters if illuminated_by[r.tx]])
-    return matched_coupling(
-        reflection_amplitude(config, config.target_rcs_m2, d1, d2),
-        gain[:, :, 0].conj(),
-        (d1 + d2) / SPEED_OF_LIGHT,
-        tables.matched_delay[rows],
-        config,
-    )
+def _target_couplings(config, tables, lit, targets, covered) -> np.ndarray:
+    """The target's matched_coupling row of each lit (trial, pair) of a block, `lit` holding their block
+    and pair rows, trial-major. Distances and steering vectors are computed once per (trial, UAV); a lit
+    transmitter's weights are gathered once, and each (trial, listener) takes its own (n_p, n^2) @ (n^2, 1)."""
+    trial_rows, rows = lit
+    positions, n = tables.deployment.positions, config.array_side
+    distance = np.linalg.norm(positions - targets[:, None], axis=-1)  # (T, U)
+    toward = steering_matrix(aoa(positions, targets[:, None]), n).T.conj().reshape(len(targets), -1, n * n, 1)
+    slot = np.zeros(covered.shape[:1] + tables.pair_tx.shape, dtype=int)  # (trial, pair) -> its lit row
+    slot[lit] = np.arange(len(rows))
+    gain = np.empty(rows.shape + tables.design_index.shape[1:], dtype=complex)
+    lit_tx = covered.any(axis=0).tolist()
+    for r in (r for r in tables.transmitters if lit_tx[r.tx]):
+        lit_trials = np.flatnonzero(covered[:, r.tx])
+        gain[slot[lit_trials, r.pairs]] = (tables.pair_weights(r.pairs) @ toward[lit_trials[:, None], r.rx])[..., 0]
+    d1, d2 = distance[trial_rows, tables.pair_tx[rows]], distance[trial_rows, tables.pair_rx[rows]]
+    amplitude = reflection_amplitude(config, config.target_rcs_m2, d1, d2)
+    return matched_coupling(amplitude, gain.conj(), (d1 + d2) / SPEED_OF_LIGHT, tables.matched_delay[rows], config)
 
 
-def _closed_form_estimates(config, tables, trial, target, illuminated_by, ground_rcs_m2):
-    """Fast-path RCS estimates of every pair, one (P, n_p) array per ground RCS value.
+def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_m2, generator):
+    """Fast-path RCS estimates of a block of trials, (values, T, P, n_p), each the bytes of its trial alone.
 
-    The trial's draws, phase exponentials, ground sum and target rows are
-    computed once for all the values. The ground sum of all pairs is one
-    contraction of the trial's phase block with the padded ground coupling;
-    each value scales it by its square root and adds the target rows for the
-    pairs of illuminating transmitters, and the noise of every (pair, cell) is
-    one complex Gaussian from one (P, 2, n_p) block of substream(seed, trial, NOISE).
+    Each step runs once for the block and all the ground RCS values: one phase
+    `exp`, one contraction of the pair-major (P, T, 1, n_q_max) phases with the
+    padded (P, 1, n_q_max, n_p) ground coupling (a pair's coupling is read once
+    for all the trials), and the target rows of every lit (trial, pair). Each
+    value scales the ground sum by its square root and adds the target rows;
+    each (trial, pair, cell) takes one complex Gaussian from the trial's noise.
     """
-    phases = np.exp(-1j * _phase_block(config, tables, trial))
-    ground = (phases[:, None, :-1] @ tables.ground_coupling)[:, 0, :]
-    lit = np.flatnonzero(illuminated_by[tables.pair_tx])
-    if lit.size:
-        target_rows = phases[lit, -1:] * _target_couplings(config, tables, lit, target, illuminated_by)
+    phases = np.multiply(-1j, _phase_block(config, tables, trials, generator).transpose(1, 0, 2), order="C")
+    np.exp(phases, out=phases)
+    ground = np.empty((len(trials),) + tables.est_scale.shape, dtype=complex)  # (T, P, n_p)
+    np.matmul(phases[:, :, None, :-1], tables.ground_coupling[:, None], out=ground.transpose(1, 0, 2)[:, :, None])
+    lit = np.nonzero(covered[:, tables.pair_tx])
+    if lit[0].size:
+        target_rows = phases[lit[1], lit[0], -1:] * _target_couplings(config, tables, lit, targets, covered)
+    del phases  # large temporaries are released once read, see _TRIAL_BLOCK
     draws = None
     if tables.options.noise:
-        draws = substream(config.master_seed, trial, _STREAM_NOISE).standard_normal((len(ground), 2, ground.shape[1]))
-    estimates = []
-    for sigma in ground_rcs_m2:
-        total = ground * math.sqrt(sigma)
-        if lit.size:
+        draws = np.empty((len(trials), ground.shape[1], 2, ground.shape[2]))
+        for row, trial in zip(draws, trials):
+            _keyed(generator, config.master_seed, trial, _STREAM_NOISE).standard_normal(out=row)
+    estimates = np.empty((len(ground_rcs_m2),) + ground.shape)
+    for k, (out, sigma) in enumerate(zip(estimates, ground_rcs_m2)):
+        total = np.multiply(ground, math.sqrt(sigma), out=ground if k == len(estimates) - 1 else None)
+        if lit[0].size:
             total[lit] += target_rows
-        estimates.append(coherent_peaks(total, config, tables.noise_scale, draws) * tables.est_scale)
+        np.multiply(coherent_peaks(total, config, tables.noise_scale, draws), tables.est_scale, out=out)
     return estimates
 
 
-def _reference_estimates(config, tables, trial, target, illuminated_by):
+def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
     """Frame-level RCS estimates of every pair, shape (P, n_p).
 
     Each transmitter builds the reflections of all its listeners once, with
-    their rows of the trial's phase block and one gain row per intended cell.
+    their rows of the trial's phase block `zeta` and one gain row per intended cell.
     Each (tx, rx) pair then synthesizes the frames of all its cells as one
     stack, taking their noise as one (n_p, 2, N, M) draw from
     substream(seed, trial, NOISE, tx, rx). Frames are held for one pair at a time.
@@ -545,7 +573,6 @@ def _reference_estimates(config, tables, trial, target, illuminated_by):
     own delay, so the frames and estimates are the bytes of per-pair ramps.
     """
     positions = tables.deployment.positions
-    zeta = _phase_block(config, tables, trial)
     bits, matched_rows = np.unique(tables.matched_delay.view(np.uint64), return_inverse=True)
     matched_ramps = subcarrier_ramps(bits.view(np.float64), config, +1)
     matched_rows = matched_rows.reshape(tables.matched_delay.shape)
@@ -590,13 +617,13 @@ def _reference_estimates(config, tables, trial, target, illuminated_by):
 
 def run_trial(
     config: ScenarioConfig,
-    trial: int,
+    trial,
     options: RunOptions | None = None,
     tables: ScenarioTables | None = None,
     target_override=None,
     collect_maps: bool = False,
     ground_rcs_m2=None,
-) -> TrialOutcome | list[TrialOutcome]:
+) -> TrialOutcome | list:
     """One complete sensing round: illuminate, estimate, fuse, detect.
 
     Each UAV in turn illuminates its block while every other UAV estimates the
@@ -609,50 +636,63 @@ def run_trial(
     ``run_trial(replace(config, ground_rcs_m2=value), trial, ...)``. The fast
     path draws and contracts the trial once for all of them; the reference
     path synthesizes its frames once per value.
+
+    `trial` may be a block of ids (any sequence), which returns one entry per
+    id, each the bytes of run_trial on that id alone: a single trial is a
+    block of one, and the fast path runs each step once per block.
     """
     if tables is None:
         tables = build_tables(config, options or RunOptions())
     else:
         _check_tables(config, options, tables)
     configs = [config] if ground_rcs_m2 is None else [replace(config, ground_rcs_m2=s) for s in ground_rcs_m2]
+    trials = [trial] if np.ndim(trial) == 0 else list(trial)
 
-    target, illuminated_by = _trial_target(config, tables, trial, target_override)
+    generator = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw, see _keyed
+    targets, covered = _trial_targets(config, tables, trials, target_override, generator)
     if tables.options.fast_path:
         sigmas = [c.ground_rcs_m2 for c in configs]
-        estimates = _closed_form_estimates(config, tables, trial, target, illuminated_by, sigmas)
+        estimates = _closed_form_estimates(config, tables, trials, targets, covered, sigmas, generator)
     else:
-        estimates = [_reference_estimates(c, tables, trial, target, illuminated_by) for c in configs]
-    outcomes = [_outcome(config, tables, trial, target, e, collect_maps) for e in estimates]
-    return outcomes[0] if ground_rcs_m2 is None else outcomes
+        zeta = _phase_block(config, tables, trials, generator)
+        estimates = np.empty((len(configs), len(trials)) + tables.est_scale.shape)
+        for s, c in enumerate(configs):
+            for k, t in enumerate(trials):
+                estimates[s, k] = _reference_estimates(c, tables, t, targets[k], covered[k], zeta[k])
+    outcomes = _outcomes(config, tables, trials, targets, estimates, collect_maps)
+    per_trial = outcomes[0] if ground_rcs_m2 is None else [list(values) for values in zip(*outcomes)]
+    return per_trial[0] if np.ndim(trial) == 0 else per_trial
 
 
-def _outcome(config, tables, trial, target, estimates, collect_maps) -> TrialOutcome:
-    """Local maps from the pair estimates, fused and detected by every fusion method."""
-    L = config.grid_side
-    U = config.uav_count
-    maps = np.full(U * L * L, np.nan)
-    maps[tables.map_index] = estimates
-    maps = maps.reshape(U, L, L)
-
-    true_cell = cell_of_point(tables.grid, target[0], target[1])
-    detections, fused_maps = {}, {}
-    for method, (fused, detected) in fuse_and_detect(maps).items():
-        center = tables.grid.centers[detected[0], detected[1]]
-        delta_star = detection_delta(target, center, config.cell_size_m)
-        detections[method] = DetectionResult(
-            detected_cell=detected,
-            true_cell=true_cell,
-            delta_star=delta_star,
-            hits=tuple(delta_star <= d for d in DELTAS),
-        )
+def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[list[TrialOutcome]]:
+    """The outcomes [value][trial] of a block's pair estimates (values, T, P, n_p): local maps
+    scattered into one (values, T, U, L, L) stack, fused and detected by every fusion method."""
+    U, L = config.uav_count, config.grid_side
+    maps = np.full(estimates.shape[:2] + (U * L * L,), np.nan)
+    maps[:, :, tables.map_index] = estimates
+    maps = maps.reshape(estimates.shape[:2] + (U, L, L))
+    true_cells = [cell_of_point(tables.grid, x, y) for x, y in targets[:, :2]]
+    fused_maps, found = {}, []  # found: (method, rows, cols, delta*, hits), each [value][trial]
+    for method, (fused, (rows, cols)) in fuse_and_detect(maps).items():
+        star = detection_delta(targets, tables.grid.centers[rows, cols], config.cell_size_m)
+        found.append((method, rows.tolist(), cols.tolist(), star.tolist(), (star[..., None] <= DELTAS).tolist()))
         fused_maps[method] = fused
-    return TrialOutcome(
-        trial=trial,
-        target_xy=(float(target[0]), float(target[1])),
-        detections=detections,
-        local_maps=[LocalRcsMap(owner=u, values=maps[u]) for u in range(U)] if collect_maps else None,
-        fused_maps=fused_maps if collect_maps else None,
-    )
+    return [
+        [
+            TrialOutcome(
+                trial=trial,
+                target_xy=(float(targets[k, 0]), float(targets[k, 1])),
+                detections={
+                    m: DetectionResult((row[s][k], col[s][k]), true_cells[k], star[s][k], tuple(hits[s][k]))
+                    for m, row, col, star, hits in found
+                },
+                local_maps=[LocalRcsMap(owner=u, values=maps[s, k, u]) for u in range(U)] if collect_maps else None,
+                fused_maps={m: fused[s, k] for m, fused in fused_maps.items()} if collect_maps else None,
+            )
+            for k, trial in enumerate(trials)
+        ]
+        for s in range(len(estimates))
+    ]
 
 
 def _check_tables(config: ScenarioConfig, options: RunOptions | None, tables: ScenarioTables) -> None:
@@ -666,16 +706,13 @@ def _check_tables(config: ScenarioConfig, options: RunOptions | None, tables: Sc
             raise ConfigError(f"{name}: options give {given!r} but the tables were built with {built!r}")
 
 
-def _count_hits(config, trials, tables, ground_rcs_m2=None) -> np.ndarray:
-    """Hit counts of `trials`, shape (values, fusion methods, deltas): one row per
-    value of `ground_rcs_m2`, or one row for config's own value without it."""
-    counts = np.zeros((1 if ground_rcs_m2 is None else len(ground_rcs_m2), len(FUSION_METHODS), len(DELTAS)), dtype=int)
-    for trial in trials:
-        if ground_rcs_m2 is None:
-            outcomes = [run_trial(config, trial, tables=tables)]
-        else:
-            outcomes = run_trial(config, trial, tables=tables, ground_rcs_m2=ground_rcs_m2)
-        counts += [[outcome.detections[method].hits for method in FUSION_METHODS] for outcome in outcomes]
+def _count_hits(config, trials, tables, ground_rcs_m2) -> np.ndarray:
+    """Hit counts of `trials`, shape (values, fusion methods, deltas), one row per value of
+    `ground_rcs_m2`; the trials run in blocks of _TRIAL_BLOCK, one run_trial call each."""
+    counts = np.zeros((len(ground_rcs_m2), len(FUSION_METHODS), len(DELTAS)), dtype=int)
+    for start in range(0, len(trials), _TRIAL_BLOCK):
+        block = run_trial(config, trials[start : start + _TRIAL_BLOCK], tables=tables, ground_rcs_m2=ground_rcs_m2)
+        counts += np.sum([[[o.detections[m].hits for m in FUSION_METHODS] for o in values] for values in block], axis=0)
     return counts
 
 
@@ -683,10 +720,9 @@ def _count_hits_star(args):
     return _count_hits(*args)
 
 
-def _batch(config, tables, workers: int, ground_rcs_m2=None) -> list[dict[str, DetectionStats]]:
+def _batch(config, tables, workers: int, ground_rcs_m2) -> list[dict[str, DetectionStats]]:
     """Detection statistics of config.trials trials on `tables`, one dict per
-    value of `ground_rcs_m2` (one for config's own value without it), each
-    trial run once for all values."""
+    value of `ground_rcs_m2`, each trial run once for all values."""
     trial_ids = list(range(config.trials))
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
@@ -724,7 +760,7 @@ def run_monte_carlo_all_fusions(
         tables = build_tables(config, options or RunOptions())
     else:
         _check_tables(config, options, tables)
-    return _batch(config, tables, workers)[0]
+    return _batch(config, tables, workers, (config.ground_rcs_m2,))[0]
 
 
 def run_monte_carlo(

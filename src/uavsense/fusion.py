@@ -7,7 +7,6 @@ excluded from fusion and from the argmax.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +96,19 @@ def detect(values: np.ndarray) -> tuple[int, int]:
 def fuse_and_detect(maps: np.ndarray) -> dict:
     """{method: (fuse(maps, method), detect of it)} for each of FUSION_METHODS, in one pass sharing the finite
     mask and the counts; byte for byte the separate calls when no map holds -inf and no finite range or sum
-    overflows (any stack of nonnegative RCS estimates), as each fused cell is then finite exactly where estimated."""
+    overflows (any stack of nonnegative RCS estimates), as each fused cell is then finite exactly where estimated.
+    Axes before the (U, L, L) stack are batch axes: a (T, U, L, L) block gives (T, L, L) maps and (T,) indices."""
     finite = np.isfinite(maps)
-    counts = finite.sum(axis=0)
-    if not counts.any():
+    counts = finite.sum(axis=-3)
+    if not counts.any(axis=(-2, -1)).all():
         raise ValueError("no cell carries an estimate")
     stack = np.empty((2,) + maps.shape)
     stack[0] = maps
     _rescaled(maps, out=stack[1])
     np.copyto(stack, 0.0, where=~finite)
     fused = _average(stack, counts)
-    rows, cols = np.unravel_index(np.fmax(fused, -np.inf).reshape(len(fused), -1).argmax(axis=1), counts.shape)
+    flat = np.fmax(fused, -np.inf).reshape(fused.shape[:-2] + (-1,))
+    rows, cols = np.unravel_index(flat.argmax(axis=-1), counts.shape[-2:])
     return {method: (fused[k], (rows[k], cols[k])) for k, method in enumerate(FUSION_METHODS)}
 
 
@@ -126,7 +127,9 @@ def hypothesis_test(target_pos, cell_center, cell_size: float, delta: int = 0) -
     return dist <= cell_size * (0.5 + delta)
 
 
-def detection_delta(target_pos, cell_center, cell_size: float) -> int:
-    """Smallest delta at which hypothesis_test accepts, i.e. ceil(L_inf/d - 1/2)."""
-    dist = max(abs(target_pos[0] - cell_center[0]), abs(target_pos[1] - cell_center[1]))
-    return max(0, math.ceil(dist / cell_size - 0.5))
+def detection_delta(target_pos, cell_center, cell_size: float):
+    """Smallest delta at which hypothesis_test accepts, i.e. ceil(L_inf/d - 1/2) floored at 0: an int for
+    one pair of positions, an integer array over the broadcast leading axes of (..., 2 or 3) stacks."""
+    offset = np.abs(np.asarray(target_pos, dtype=float)[..., :2] - np.asarray(cell_center, dtype=float)[..., :2])
+    delta = np.maximum(np.ceil(np.maximum(offset[..., 0], offset[..., 1]) / cell_size - 0.5), 0.0).astype(int)
+    return int(delta) if delta.ndim == 0 else delta

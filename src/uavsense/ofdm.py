@@ -319,4 +319,5 @@ def coherent_peaks(total, config: ScenarioConfig, noise_scale=0.0, noise_draws=N
     if noise_draws is not None:
         total = total + noise_scale * noise_draws[..., 0, :]
         total.imag += noise_scale * noise_draws[..., 1, :]
-    return np.abs(total) ** 2 / (config.symbols_per_frame * config.subcarriers)
+    power = np.abs(total)
+    return np.divide(np.square(power, out=power), config.symbols_per_frame * config.subcarriers, out=power)

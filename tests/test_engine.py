@@ -118,6 +118,22 @@ def assert_ls_rows_are_orbit_images(tables) -> dict:
     return designs
 
 
+def fresh_generator() -> np.random.Generator:
+    """A Philox generator for the engine's re-keyed draws; its own seed is never read."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def trial_phases(config, tables, trial) -> np.ndarray:
+    """The (P, n_q_max + 1) phase block of one trial, a block of one."""
+    return _phase_block(config, tables, [trial], fresh_generator())[0]
+
+
+def trial_target(config, tables, trial):
+    """One trial's target position and per-UAV footprint coverage, a block of one."""
+    targets, covered = engine._trial_targets(config, tables, [trial], None, fresh_generator())
+    return targets[0], covered[0]
+
+
 def _path_words(seed: int, *path: int) -> tuple[int, int]:
     """The two key words of a substream path as Python ints, hashed in pure Python."""
     acc = seed & _MASK64
@@ -197,11 +213,31 @@ class TestSubstream:
         pairs, trial = 3, 2
         stub = SimpleNamespace(ground_coupling=np.empty((pairs, count - 1, 0)))
         for seed in KEY_CASES:
-            block = _phase_block(SimpleNamespace(master_seed=seed), stub, trial)
+            block = trial_phases(SimpleNamespace(master_seed=seed), stub, trial)
             key = np.array(_path_words(seed, trial, engine._STREAM_PHASE), dtype=np.uint64)
             fresh = np.random.Generator(np.random.Philox(key=key))
             assert block.shape == (pairs, count)
             assert np.array_equal(block.ravel(), fresh.uniform(0.0, 2.0 * math.pi, size=pairs * count))
+
+    def test_rekeyed_draws_equal_substream_draws(self, small_config):
+        # One generator, re-keyed per (trial, role), gives each substream's
+        # target, phase and noise draws byte for byte, after draws that leave
+        # buffered bits behind, for ids below 0 and at or above 2**64 too.
+        tables = build_tables(small_config, RunOptions())
+        P, n_q_max, n_p = tables.ground_coupling.shape
+        seed, trials = small_config.master_seed, [0, 7, -1, -(2**63), 2**64, 2**64 + 7, 2**70 + 3]
+        generator = fresh_generator()
+        targets, _ = engine._trial_targets(small_config, tables, trials, None, generator)
+        phases = _phase_block(small_config, tables, trials, generator)
+        for k, trial in enumerate(trials):
+            xy = substream(seed, trial, engine._STREAM_TARGET).uniform(0.0, small_config.area_side_m, size=2)
+            assert targets[k].tobytes() == np.array([xy[0], xy[1], 0.0]).tobytes()
+            expected = substream(seed, trial, engine._STREAM_PHASE).uniform(0.0, 2.0 * math.pi, size=(P, n_q_max + 1))
+            assert phases[k].tobytes() == expected.tobytes()
+            generator.integers(0, 7, size=3, dtype=np.uint32)  # leaves half a word buffered
+            noise = np.empty((P, 2, n_p))
+            engine._keyed(generator, seed, trial, engine._STREAM_NOISE).standard_normal(out=noise)
+            assert noise.tobytes() == substream(seed, trial, engine._STREAM_NOISE).standard_normal((P, 2, n_p)).tobytes()
 
 class TestBuildTables:
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
@@ -495,7 +531,7 @@ class TestRunTrial:
         trial = 3
         tables = build_tables(small_config, RunOptions(noise=True, fast_path=False))
         outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
-        target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
+        target, illuminated_by = trial_target(small_config, tables, trial)
         seed = small_config.master_seed
         record = tables.transmitters[1]
         k, i = 2, len(record.cells) - 1
@@ -503,7 +539,7 @@ class TestRunTrial:
         tx, rx, (a, b) = record.tx, int(record.rx[k]), record.cells[i]
         positions = tables.deployment.positions
         tx_frame = synth_tx_frame(small_config, substream(seed, trial, engine._STREAM_TXDATA, tx))
-        block = _phase_block(small_config, tables, trial)
+        block = trial_phases(small_config, tables, trial)
         phases = block[p, : len(tables.cell_sets[tx].illuminated)]
         if illuminated_by[tx]:
             phases = np.append(phases, block[p, -1])
@@ -526,7 +562,7 @@ class TestRunTrial:
         tables = build_tables(small_config, RunOptions(noise=True))
         seed = small_config.master_seed
         for trial in range(20):
-            target, illuminated_by = engine._trial_target(small_config, tables, trial, None)
+            target, illuminated_by = trial_target(small_config, tables, trial)
             record = next((r for r in tables.transmitters if illuminated_by[r.tx] == lit), None)
             if record is not None:
                 break
@@ -534,10 +570,11 @@ class TestRunTrial:
         k, i = 1, len(record.cells) // 2
         p, n_q = record.pairs.start + k, len(tables.cell_sets[record.tx].illuminated)
         coupling = math.sqrt(small_config.ground_rcs_m2) * tables.ground_coupling[p, :n_q]
-        zeta = _phase_block(small_config, tables, trial)[p]
+        zeta = trial_phases(small_config, tables, trial)[p]
         if lit:
             rows = np.flatnonzero(illuminated_by[tables.pair_tx])
-            target_row = engine._target_couplings(small_config, tables, rows, target, illuminated_by)[rows == p]
+            block = (np.zeros_like(rows), rows), target[None], illuminated_by[None]
+            target_row = engine._target_couplings(small_config, tables, *block)[rows == p]
             coupling, zeta = np.vstack([coupling, target_row]), np.append(zeta[:n_q], zeta[-1])
         else:
             zeta = zeta[:n_q]
@@ -582,7 +619,7 @@ class TestReferenceRamps:
         config = SHARED_GEOMETRY
         tables = build_tables(config, RunOptions(noise=noise, fast_path=False))
         for trial in range(20):
-            target, illuminated_by = engine._trial_target(config, tables, trial, None)
+            target, illuminated_by = trial_target(config, tables, trial)
             if {bool(illuminated_by[r.tx]) for r in tables.transmitters} == {False, True}:
                 break
         else:
@@ -594,10 +631,10 @@ class TestReferenceRamps:
             return original(delay_s, config, sign)
 
         monkeypatch.setattr(engine, "subcarrier_ramps", counting)
-        estimates = engine._reference_estimates(config, tables, trial, target, illuminated_by)
+        zeta = trial_phases(config, tables, trial)
+        estimates = engine._reference_estimates(config, tables, trial, target, illuminated_by, zeta)
 
         seed, positions = config.master_seed, tables.deployment.positions
-        zeta = _phase_block(config, tables, trial)
         expected, delays = np.empty_like(estimates), []
         for record in tables.transmitters:
             tx = record.tx
@@ -638,9 +675,9 @@ class TestReferenceRamps:
         reference = build_tables(small_config, RunOptions(fast_path=False))
         assert reference.ground_coupling.shape == fast.ground_coupling.shape[:2] + (0,)
         for trial in range(3):
-            block = _phase_block(small_config, reference, trial)
+            block = trial_phases(small_config, reference, trial)
             assert block.shape == (len(fast.pair_tx), fast.ground_coupling.shape[1] + 1)
-            assert block.tobytes() == _phase_block(small_config, fast, trial).tobytes()
+            assert block.tobytes() == trial_phases(small_config, fast, trial).tobytes()
 
 
 class TestMonteCarlo:
@@ -745,9 +782,11 @@ class TestTrialStreams:
     def _recorded(config, monkeypatch, **kwargs):
         outcomes = {}
 
-        def recording(config, trial, *args, original=engine.run_trial, **kw):
-            outcomes[trial] = original(config, trial, *args, **kw)
-            return outcomes[trial]
+        def recording(config, block, *args, original=engine.run_trial, **kw):
+            # A batch passes blocks of trial ids and its one ground RCS value.
+            results = original(config, block, *args, **kw)
+            outcomes.update((trial, per_value[0]) for trial, per_value in zip(block, results))
+            return results
 
         with monkeypatch.context() as patch:
             patch.setattr(engine, "run_trial", recording)
@@ -770,6 +809,49 @@ class TestTrialStreams:
     def test_serial_equals_two_workers(self, small_config):
         config = replace(small_config, trials=16, ground_rcs_m2=1.0)
         assert run_monte_carlo_all_fusions(config, workers=1) == run_monte_carlo_all_fusions(config, workers=2)
+
+    @pytest.mark.parametrize("beamformer, noise", [("capon", True), ("ls", False)])
+    def test_hits_do_not_depend_on_the_blocks(self, small_config, monkeypatch, beamformer, noise):
+        # Trials 0..N-1 give the same hits in blocks of 1, 3, 8 and N, and in
+        # the strided chunks that two workers take, for two sigma_G values.
+        config = replace(small_config, trials=11)
+        tables = build_tables(config, RunOptions(beamformer=beamformer, noise=noise))
+        sigmas, ids = (config.ground_rcs_m2, 0.3), list(range(config.trials))
+        counts = []
+        for size in (1, 3, 8, config.trials):
+            monkeypatch.setattr(engine, "_TRIAL_BLOCK", size)
+            counts.append(engine._count_hits(config, ids, tables, sigmas))
+            counts.append(sum(engine._count_hits(config, ids[i::2], tables, sigmas) for i in range(2)))
+        assert counts[0].sum() > 0
+        for count in counts[1:]:
+            assert np.array_equal(count, counts[0])
+
+    @pytest.mark.parametrize(
+        "geometry, beamformer, fast_path, noise",
+        [
+            ("small", "capon", True, True),
+            ("small", "ls", True, False),
+            ("small", "capon", False, True),
+            ("shared", "capon", True, True),
+            ("shared", "ls", True, True),
+        ],
+    )
+    def test_block_outcomes_equal_single_trials(self, small_config, geometry, beamformer, fast_path, noise):
+        # Each trial of a block, maps included, is the bytes of run_trial on
+        # its id alone, with and without ground RCS values; the ids need not
+        # be ascending or below 2**64.
+        config = small_config if geometry == "small" else replace(SHARED_GEOMETRY, master_seed=20261018)
+        tables = build_tables(config, RunOptions(beamformer=beamformer, fast_path=fast_path, noise=noise))
+        block = [5, 0, 2**64 + 3, -2] if fast_path else [3, 1]
+        values = (1e-3, config.ground_rcs_m2)
+        outcomes = run_trial(config, block, tables=tables, collect_maps=True, ground_rcs_m2=values)
+        assert len(outcomes) == len(block)
+        for trial, per_value in zip(block, outcomes):
+            for value, outcome in zip(values, per_value):
+                alone = run_trial(replace(config, ground_rcs_m2=value), trial, tables=tables, collect_maps=True)
+                assert_same_outcome(outcome, alone)
+        for trial, outcome in zip(block, run_trial(config, block, tables=tables, collect_maps=True)):
+            assert_same_outcome(outcome, run_trial(config, trial, tables=tables, collect_maps=True))
 
 
 def assert_same_outcome(outcome, alone):
@@ -813,11 +895,11 @@ class TestGroundRcsValues:
 
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_batch_runs_each_trial_once(self, small_config, monkeypatch, fast_path):
-        # The benchmark's traced mode counts trials by run_trial calls: a batch
-        # of T trials with S values makes T calls, and on the fast path T draws
-        # each of the target, phase and noise streams.
-        trials, sigmas = 5, (-30.0, -20.0, -10.0)
-        calls = {"run_trial": 0, "substream": 0}
+        # A batch of T trials with S values enters run_trial once per block of
+        # _TRIAL_BLOCK trials, and keys each trial's target and phase streams
+        # once, and on the fast path its noise stream, with no new generator.
+        trials, sigmas = engine._TRIAL_BLOCK + 3, (-30.0, -20.0, -10.0)
+        calls = {"run_trial": 0, "substream": 0, "_keyed": 0}
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -830,11 +912,13 @@ class TestGroundRcsValues:
         spec = SweepSpec(parameter="antennas", values=(4.0,), sigma_g_dbsm=sigmas, deltas=(0,))
         monkeypatch.setattr(engine, "run_trial", counting("run_trial", engine.run_trial))
         monkeypatch.setattr(engine, "substream", counting("substream", engine.substream))
+        monkeypatch.setattr(engine, "_keyed", counting("_keyed", engine._keyed))
         rows, errors = sweep(spec, replace(small_config, trials=trials), options)
         assert not errors and len(rows) == len(sigmas)
-        assert calls["run_trial"] == trials
+        assert calls["run_trial"] == 2
+        assert calls["_keyed"] == (3 if fast_path else 2) * trials
         if fast_path:
-            assert calls["substream"] == 3 * trials
+            assert calls["substream"] == 0
 
 
 class TestSweepPointConfigs:

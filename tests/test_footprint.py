@@ -1,7 +1,8 @@
-"""What a run loads: Capon runs never import scipy.linalg or scipy.constants.
+"""What a run loads and holds: Capon runs never import scipy.linalg or
+scipy.constants, and a batch of trials holds less than a table build.
 
-Other tests import scipy.linalg into this process, so the runs happen in a
-fresh interpreter.
+Other tests import scipy.linalg into this process, so the import checks run
+in a fresh interpreter.
 """
 
 import hashlib
@@ -9,11 +10,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import scipy.constants
 
 import uavsense
-from uavsense import RunOptions, ScenarioConfig, build_tables
+from uavsense import RunOptions, ScenarioConfig, build_tables, run_monte_carlo_all_fusions
 from uavsense.config import SPEED_OF_LIGHT
 
 SCRIPT = """
@@ -52,3 +54,25 @@ def test_capon_runs_load_no_scipy_linalg_or_constants():
 
 def test_speed_of_light_is_scipy_c():
     assert SPEED_OF_LIGHT == scipy.constants.c
+
+
+def test_default_batch_peaks_below_one_table_build():
+    # A default 50-trial Capon batch with noise, on prebuilt tables, peaks
+    # below the traced peak of one build of those tables: the trial blocks
+    # keep their temporaries small. Gathering the weights of every lit pair of
+    # a 16-trial block at once would add about 20 MB.
+    config = ScenarioConfig(trials=50)
+    options = RunOptions(beamformer="capon", noise=True)
+    tracemalloc.start()
+    try:
+        tables = build_tables(config, options)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        run_monte_carlo_all_fusions(config, tables=tables)
+        batch_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch_peak < build_peak

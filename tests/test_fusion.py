@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,24 @@ class TestFuseAndDetect:
         with pytest.raises(ValueError, match="no cell carries an estimate"):
             fuse_and_detect(np.full((3, 2, 2), np.nan))
 
+    def test_trial_axis_equals_one_call_per_stack(self, rng):
+        # A (T, U, L, L) block gives each stack's fused maps and detections
+        # byte for byte as a call on that stack alone, whatever the other
+        # stacks hold (signed zeros, constant maps, sparse estimates).
+        for T, U, L in [(1, 3, 4), (5, 4, 6), (8, 16, 5)]:
+            block = rng.choice([0.0, -0.0, 0.25, 1.0, 3.5], size=(T, U, L, L))
+            block[rng.random(block.shape) < 0.4] = np.nan
+            block[0, 0] = 2.0
+            if T > 1:
+                block[1] = rng.uniform(0.0, 5.0, size=(U, L, L))
+            results = fuse_and_detect(block)
+            for t in range(T):
+                for method, (fused, (row, col)) in fuse_and_detect(block[t]).items():
+                    assert results[method][0][t].tobytes() == fused.tobytes()
+                    assert (results[method][1][0][t], results[method][1][1][t]) == (row, col)
+        with pytest.raises(ValueError, match="no cell carries an estimate"):
+            fuse_and_detect(np.stack([block[0], np.full(block.shape[1:], np.nan)]))
+
 
 class TestDetect:
     def test_single_finite_cell(self):
@@ -179,6 +199,54 @@ class TestDetect:
     def test_all_nan_rejected(self):
         with pytest.raises(ValueError):
             detect(np.full((2, 2), np.nan))
+
+
+def scalar_delta(target, center, cell_size) -> int:
+    """The per-pair formula of detection_delta, max(0, ceil(L_inf / d - 1/2)), in Python floats."""
+    dist = max(abs(target[0] - center[0]), abs(target[1] - center[1]))
+    return max(0, math.ceil(dist / cell_size - 0.5))
+
+
+class TestDetectionDelta:
+    @pytest.mark.parametrize("cell_size", [2.0, 2.5, 4.0, 0.1])
+    def test_stack_equals_the_scalar_formula_on_thresholds_and_edges(self, cell_size):
+        # Targets exactly d (1/2 + delta) from a cell center along x, y and the
+        # diagonal, just inside and outside, and at the grid edges, where
+        # cell_of_point clips the target to the edge cell.
+        L = 6
+        centers = (np.arange(L) + 0.5) * cell_size
+        targets, cells = [], []
+        for delta in range(4):
+            r = cell_size * (0.5 + delta)
+            for dx, dy in [(r, 0.0), (0.0, -r), (r, r), (-r, np.nextafter(r, 0.0)), (np.nextafter(r, np.inf), 0.0)]:
+                targets.append((centers[2] + dx, centers[3] + dy, 0.0))
+                cells.append((centers[2], centers[3], 0.0))
+        area = L * cell_size
+        for x, y in [(area, area), (0.0, 0.0), (area, 0.0), (area, centers[1])]:
+            a, b = min(max(int(x / cell_size), 0), L - 1), min(max(int(y / cell_size), 0), L - 1)
+            for cell in [(a, b), (a - 1, b), (0, L - 1)]:
+                targets.append((x, y, 0.0))
+                cells.append((centers[cell[0]], centers[cell[1]], 0.0))
+        targets, cells = np.array(targets), np.array(cells)
+        stars = detection_delta(targets, cells, cell_size)
+        assert stars.dtype.kind == "i" and stars.shape == (len(targets),)
+        expected = [scalar_delta(t, c, cell_size) for t, c in zip(targets, cells)]
+        assert stars.tolist() == expected
+        assert [detection_delta(t, c, cell_size) for t, c in zip(targets, cells)] == expected
+        # Broadcast over a leading (values, trials) block, as the engine calls it.
+        block = detection_delta(targets[:4], np.stack([cells[:4], cells[4:8]]), cell_size)
+        assert block.tolist() == [expected[:4], [scalar_delta(t, c, cell_size) for t, c in zip(targets[:4], cells[4:8])]]
+
+    def test_exact_thresholds_are_the_smallest_accepting_delta(self):
+        # With a dyadic cell size the thresholds are exact: delta* is the
+        # smallest delta at which the closed L-infinity test accepts.
+        d, center = 4.0, (10.0, 6.0)
+        for delta in range(4):
+            for offset in (d * (0.5 + delta), d * (0.5 + delta) - 0.25, d * (0.5 + delta) + 0.25):
+                target = (center[0] + offset, center[1] - offset / 2)
+                star = detection_delta(target, center, d)
+                assert hypothesis_test(target, center, d, star)
+                assert star == 0 or not hypothesis_test(target, center, d, star - 1)
 
 
 class TestHypothesisTest:

@@ -168,9 +168,10 @@ class TestBuildReflections:
         cfg, grid, dep, sets, weights = self._scene()
         tables = build_tables(cfg, RunOptions())
         p = np.flatnonzero((tables.pair_tx == 0) & (tables.pair_rx == 1))[0]
+        block = lambda: _phase_block(cfg, tables, [7], np.random.Generator(np.random.Philox(0)))[0]
         make = lambda: build_reflections(
             cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
-            weights[0], None, _phase_block(cfg, tables, 7)[p, : len(sets.illuminated)],
+            weights[0], None, block()[p, : len(sets.illuminated)],
         )
         first, second = make(), make()
         assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
