@@ -27,13 +27,11 @@ from .geometry import (
     UavDeployment,
     aoa,
     build_grid,
-    chebyshev_cell_distance,
     classify_cells,
     deploy_uavs,
     derive_altitude,
     footprint_radius,
     hpbw,
-    path_distances,
 )
 from .beamforming import (
     aoa_mesh,
@@ -45,7 +43,6 @@ from .beamforming import (
 from .ofdm import (
     Reflections,
     build_reflections,
-    closed_form_peaks,
     coherent_peaks,
     dirichlet_kernel,
     estimate_rcs,

@@ -21,7 +21,6 @@ from .config import (
     RunOptions,
     ScenarioConfig,
     SweepSpec,
-    config_as_dict,
     m2_to_dbsm,
     parse_config_file,
     render_config_text,
@@ -131,7 +130,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": config.master_seed,
-        "config": config_as_dict(config),
+        "config": asdict(config),
         "config_text": render_config_text(config, options, sweep_spec),
         "options": asdict(options),
         "errors": errors,
@@ -159,22 +158,13 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
         config, options, sweep_spec = parse_config_file(args.config)
     else:
         config, options, sweep_spec = ScenarioConfig(), RunOptions(), None
-    updates = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if updates:
-        config = replace(config, **updates)
-    opt_updates = {}
-    if args.beamformer is not None:
-        opt_updates["beamformer"] = args.beamformer
-    if args.fusion is not None:
-        opt_updates["fusion"] = args.fusion
-    if args.fast_path is not None:
-        opt_updates["fast_path"] = args.fast_path == "on"
-    if opt_updates:
-        options = replace(options, **opt_updates)
+
+    def given(**flags):
+        return {name: value for name, value in flags.items() if value is not None}
+
+    fast_path = None if args.fast_path is None else args.fast_path == "on"
+    config = replace(config, **given(trials=args.trials, master_seed=args.seed))
+    options = replace(options, **given(beamformer=args.beamformer, fusion=args.fusion, fast_path=fast_path))
     return config, options, sweep_spec
 
 
@@ -188,13 +178,10 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
         else:
             json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
             print()
+    elif args.out:
+        write_results_csv(rows, args.out)
     else:
-        text = render_results_csv(rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(render_results_csv(rows))
 
 
 def _cmd_run(args) -> int:

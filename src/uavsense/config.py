@@ -21,7 +21,6 @@ __all__ = [
     "dbsm_to_m2",
     "m2_to_dbsm",
     "dbm_per_hz_to_w_per_hz",
-    "w_per_hz_to_dbm_per_hz",
     "parse_config_text",
     "parse_config_file",
     "render_config_text",
@@ -41,10 +40,6 @@ def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
     return 10.0 ** ((value_dbm_hz - 30.0) / 10.0)
 
 
-def w_per_hz_to_dbm_per_hz(value_w_hz: float) -> float:
-    return 10.0 * math.log10(value_w_hz) + 30.0
-
-
 # Speed of light in vacuum, m/s: exact by the SI definition of the metre.
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -60,6 +55,15 @@ FUSION_METHODS = ("avg", "prenorm")
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario parameters; message names the field."""
+
+
+def _reject_bools(obj, prefix: str = "") -> None:
+    """ConfigError naming the first field of the dataclass `obj` that holds a bool, or a tuple with one:
+    bool is an int subclass, so the numeric checks alone would take True for 1 and False for 0."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if any(isinstance(v, bool) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{prefix}{f.name}: must not be a boolean, got {value!r}")
 
 
 def _is_perfect_square(n: int) -> bool:
@@ -98,6 +102,7 @@ class ScenarioConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        _reject_bools(self)
         pos = [
             ("transmit_power_w", self.transmit_power_w),
             ("transmit_gain", self.transmit_gain),
@@ -213,6 +218,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in _SWEEP_PARAMS:
             raise ConfigError(f"sweep.parameter: must be one of {_SWEEP_PARAMS}, got {self.parameter!r}")
+        _reject_bools(self, "sweep.")
         for name in ("values", "beamformers", "fusions", "sigma_g_dbsm", "deltas"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep.{name}: at least one value required")
@@ -227,58 +233,53 @@ class SweepSpec:
                 raise ConfigError(f"sweep.deltas: must be among {DELTAS}, got {d!r}")
 
 
-# Flat key-value config format: "section.key = value", '#' comments.
-# Scenario dB keys and their linear twins are mutually exclusive; the manifest
-# echo uses the linear twins so a round-trip is bit-exact.
+# Flat key-value config format: "section.key = value", '#' comments. Each
+# dataclass field is one key, read and written by its annotation (a string, as
+# annotations are postponed here). The dB keys and their linear twins are
+# mutually exclusive; the manifest echo uses the linear twins so a round-trip
+# is bit-exact.
 
-_SCENARIO_KEYS = {
-    "scenario.transmit_power_w": ("transmit_power_w", float),
-    "scenario.transmit_gain": ("transmit_gain", float),
-    "scenario.area_side_m": ("area_side_m", float),
-    "scenario.uav_count": ("uav_count", int),
-    "scenario.noise_density_dbm_hz": ("noise_density_w_hz", lambda s: dbm_per_hz_to_w_per_hz(float(s))),
-    "scenario.noise_density_w_hz": ("noise_density_w_hz", float),
-    "scenario.ground_rcs_dbsm": ("ground_rcs_m2", lambda s: dbsm_to_m2(float(s))),
-    "scenario.ground_rcs_m2": ("ground_rcs_m2", float),
-    "scenario.target_rcs_dbsm": ("target_rcs_m2", lambda s: dbsm_to_m2(float(s))),
-    "scenario.target_rcs_m2": ("target_rcs_m2", float),
-    "scenario.symbols_per_frame": ("symbols_per_frame", int),
-    "scenario.subcarriers": ("subcarriers", int),
-    "scenario.array_side": ("array_side", int),
-    "scenario.carrier_frequency_hz": ("carrier_frequency_hz", float),
-    "scenario.bandwidth_hz": ("bandwidth_hz", float),
-    "scenario.cp_duration_s": ("cp_duration_s", float),
-    "scenario.grid_side": ("grid_side", int),
-    "scenario.doppler_hz": ("doppler_hz", float),
-    "scenario.altitude_mode": ("altitude_mode", str),
-    "scenario.altitude_m": ("altitude_m", float),
-    "run.trials": ("trials", int),
-    "run.master_seed": ("master_seed", int),
+_RUN_SECTION = ("trials", "master_seed")  # ScenarioConfig fields under "run.", with the RunOptions fields
+_KEYS = {  # key -> (dataclass, field name, annotation)
+    f"{'run' if f.name in _RUN_SECTION else section}.{f.name}": (cls, f.name, f.type)
+    for cls, section in ((ScenarioConfig, "scenario"), (RunOptions, "run"), (SweepSpec, "sweep"))
+    for f in fields(cls)
 }
 
-_EXCLUSIVE = [
-    ("scenario.noise_density_dbm_hz", "scenario.noise_density_w_hz"),
-    ("scenario.ground_rcs_dbsm", "scenario.ground_rcs_m2"),
-    ("scenario.target_rcs_dbsm", "scenario.target_rcs_m2"),
-]
+_DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit)
+    "scenario.noise_density_dbm_hz": ("noise_density_w_hz", dbm_per_hz_to_w_per_hz),
+    "scenario.ground_rcs_dbsm": ("ground_rcs_m2", dbsm_to_m2),
+    "scenario.target_rcs_dbsm": ("target_rcs_m2", dbsm_to_m2),
+}
+_EXCLUSIVE = [(key, f"scenario.{name}") for key, (name, _) in _DB_KEYS.items()]
 
 _ONOFF = {"on": True, "off": False, "true": True, "false": False}
 
-_OPTION_KEYS = {
-    "run.beamformer": ("beamformer", str),
-    "run.fusion": ("fusion", str),
-    "run.fast_path": ("fast_path", lambda s: _parse_onoff("run.fast_path", s)),
-    "run.noise": ("noise", lambda s: _parse_onoff("run.noise", s)),
-}
 
-_SWEEP_KEYS = {
-    "sweep.parameter": ("parameter", str),
-    "sweep.values": ("values", lambda s: tuple(float(x) for x in _split_list(s))),
-    "sweep.beamformers": ("beamformers", lambda s: tuple(_split_list(s))),
-    "sweep.fusions": ("fusions", lambda s: tuple(_split_list(s))),
-    "sweep.sigma_g_dbsm": ("sigma_g_dbsm", lambda s: tuple(float(x) for x in _split_list(s))),
-    "sweep.deltas": ("deltas", lambda s: tuple(int(x) for x in _split_list(s))),
-}
+def _element(kind: str) -> str | None:
+    """X of a "tuple[X, ...]" annotation, else None."""
+    return kind[len("tuple[") : -len(", ...]")] if kind.startswith("tuple[") else None
+
+
+def _parse_value(key: str, kind: str, s: str):
+    """The value of the text `s` of config key `key`, a field annotated `kind`: int and str as such,
+    bool as on/off, a tuple as a comma-separated list of its element type, any other as float."""
+    element = _element(kind)
+    if element:
+        return tuple(_parse_value(key, element, part) for part in _split_list(s))
+    if kind == "bool":
+        return _parse_onoff(key, s)
+    return {"int": int, "str": str}.get(kind, float)(s)
+
+
+def _render_value(kind: str, value) -> str:
+    """The text of `value` that _parse_value reads back; floats as repr(float(v)), so numpy scalars too."""
+    element = _element(kind)
+    if element:
+        return ", ".join(_render_value(element, v) for v in value)
+    if kind == "bool":
+        return "on" if value else "off"
+    return str(value) if kind in ("int", "str") else repr(float(value))
 
 
 def _split_list(s: str) -> list[str]:
@@ -314,44 +315,34 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None):
     for key, value in (overrides or {}).items():
         raw[key] = value
 
-    known = set(_SCENARIO_KEYS) | set(_OPTION_KEYS) | set(_SWEEP_KEYS)
     for key in raw:
-        if key not in known:
+        if key not in _KEYS and key not in _DB_KEYS:
             raise ConfigError(f"{key}: unknown configuration key")
     for a, b in _EXCLUSIVE:
         if a in raw and b in raw:
             raise ConfigError(f"{a}: conflicts with {b}; give exactly one")
 
-    def convert(key, conv, value):
+    kwargs = {ScenarioConfig: {}, RunOptions: {}, SweepSpec: {}}
+    for key, value in raw.items():
         try:
-            return conv(value)
+            if key in _DB_KEYS:
+                name, to_linear = _DB_KEYS[key]
+                kwargs[ScenarioConfig][name] = to_linear(float(value))
+            else:
+                cls, name, kind = _KEYS[key]
+                kwargs[cls][name] = _parse_value(key, kind, value)
         except ConfigError:
             raise
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: cannot parse value {value!r}") from None
 
-    scen_kwargs = {}
-    opt_kwargs = {}
-    sweep_kwargs = {}
-    for key, value in raw.items():
-        if key in _SCENARIO_KEYS:
-            field, conv = _SCENARIO_KEYS[key]
-            scen_kwargs[field] = convert(key, conv, value)
-        elif key in _OPTION_KEYS:
-            field, conv = _OPTION_KEYS[key]
-            opt_kwargs[field] = convert(key, conv, value)
-        else:
-            field, conv = _SWEEP_KEYS[key]
-            sweep_kwargs[field] = convert(key, conv, value)
-
-    config = ScenarioConfig(**scen_kwargs)
-    options = RunOptions(**opt_kwargs)
+    sweep_kwargs = kwargs[SweepSpec]
     sweep = None
     if sweep_kwargs:
         if "parameter" not in sweep_kwargs or "values" not in sweep_kwargs:
             raise ConfigError("sweep.parameter: sweep sections need both sweep.parameter and sweep.values")
         sweep = SweepSpec(**sweep_kwargs)
-    return config, options, sweep
+    return ScenarioConfig(**kwargs[ScenarioConfig]), RunOptions(**kwargs[RunOptions]), sweep
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None):
@@ -362,27 +353,10 @@ def parse_config_file(path, overrides: dict[str, str] | None = None):
 
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:
     """Canonical flat rendering; feeding it back reproduces identical runs."""
+    objects = {ScenarioConfig: config, RunOptions: options, SweepSpec: sweep}
     lines = []
-    for f in fields(ScenarioConfig):
-        value = getattr(config, f.name)
-        if f.name in ("trials", "master_seed"):
-            lines.append(f"run.{f.name} = {value}")
-        elif value is not None:
-            rendered = value if isinstance(value, str) else repr(value)
-            lines.append(f"scenario.{f.name} = {rendered}")
-    lines.append(f"run.beamformer = {options.beamformer}")
-    lines.append(f"run.fusion = {options.fusion}")
-    lines.append(f"run.fast_path = {'on' if options.fast_path else 'off'}")
-    lines.append(f"run.noise = {'on' if options.noise else 'off'}")
-    if sweep is not None:
-        lines.append(f"sweep.parameter = {sweep.parameter}")
-        lines.append("sweep.values = " + ", ".join(repr(v) for v in sweep.values))
-        lines.append("sweep.beamformers = " + ", ".join(sweep.beamformers))
-        lines.append("sweep.fusions = " + ", ".join(sweep.fusions))
-        lines.append("sweep.sigma_g_dbsm = " + ", ".join(repr(v) for v in sweep.sigma_g_dbsm))
-        lines.append("sweep.deltas = " + ", ".join(str(d) for d in sweep.deltas))
+    for key, (cls, name, kind) in _KEYS.items():
+        value = getattr(objects[cls], name, None)
+        if value is not None:
+            lines.append(f"{key} = {_render_value(kind, value)}")
     return "\n".join(lines) + "\n"
-
-
-def config_as_dict(config: ScenarioConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}

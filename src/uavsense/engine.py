@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -212,11 +213,10 @@ def sweep_rows(
 @dataclass
 class _TransmitterTables:
     """One active transmitter and its listeners. Every listener shares the
-    transmitter's illuminated and intended cells."""
+    transmitter's illuminated and intended cells (its `cell_sets` entry)."""
 
     tx: int
     rx: np.ndarray  # (L,) listeners, ascending
-    cells: np.ndarray  # (n_p, 2) intended cells, row-major order
     pairs: slice  # rows of its (tx, rx) pairs, in the order of rx, in the pair-major arrays
 
 
@@ -342,7 +342,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
         for q, p in zip(q_points - rx_pos, p_points - rx_pos):
             source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
-        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, cells=intended, pairs=pairs))
+        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, pairs=pairs))
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
         staged.append((pairs, rx_pos, q_points, amplitude, tau_q))
         delays.append((d1_p + d2_p) / SPEED_OF_LIGHT)
@@ -405,6 +405,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[design_index]
 
     n_q_max = max(len(q_points) for _, _, q_points, *_ in staged)
+    cells = [cell_sets[r.tx].intended for r in transmitters]
     width = matched_delay.shape[1] if options.fast_path else 0  # reference tables: zero width
     tables = ScenarioTables(
         config=config,
@@ -423,7 +424,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         designs=designs,
         design_index=design_index,
         ground_coupling=np.zeros((len(design_index), n_q_max, width), dtype=complex),
-        map_index=np.concatenate([(r.rx[:, None] * L + r.cells[:, 0]) * L + r.cells[:, 1] for r in transmitters]),
+        map_index=np.concatenate([(r.rx[:, None] * L + p[:, 0]) * L + p[:, 1] for r, p in zip(transmitters, cells)]),
     )
     if options.fast_path:
         _build_ground_blocks(tables, staged, new)
@@ -604,7 +605,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
             ramps = delay_ramps[ramp_rows[i]]
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
-                draws = noise.standard_normal((len(record.cells), 2) + tx_frame.shape)
+                draws = noise.standard_normal((len(tables.cell_sets[tx].intended), 2) + tx_frame.shape)
                 rx_frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws, ramps)
             else:
                 rx_frames = synth_rx_frame(tx_frame, reflections, config, ramps=ramps)
@@ -672,10 +673,10 @@ def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[
     maps[:, :, tables.map_index] = estimates
     maps = maps.reshape(estimates.shape[:2] + (U, L, L))
     true_cells = [cell_of_point(tables.grid, x, y) for x, y in targets[:, :2]]
-    fused_maps, found = {}, []  # found: (method, rows, cols, delta*, hits), each [value][trial]
+    fused_maps, found = {}, []  # found: (method, rows, cols, delta*), each [value][trial]
     for method, (fused, (rows, cols)) in fuse_and_detect(maps).items():
         star = detection_delta(targets, tables.grid.centers[rows, cols], config.cell_size_m)
-        found.append((method, rows.tolist(), cols.tolist(), star.tolist(), (star[..., None] <= DELTAS).tolist()))
+        found.append((method, rows.tolist(), cols.tolist(), star.tolist()))
         fused_maps[method] = fused
     return [
         [
@@ -683,8 +684,8 @@ def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[
                 trial=trial,
                 target_xy=(float(targets[k, 0]), float(targets[k, 1])),
                 detections={
-                    m: DetectionResult((row[s][k], col[s][k]), true_cells[k], star[s][k], tuple(hits[s][k]))
-                    for m, row, col, star, hits in found
+                    m: DetectionResult((row[s][k], col[s][k]), true_cells[k], star[s][k])
+                    for m, row, col, star in found
                 },
                 local_maps=[LocalRcsMap(owner=u, values=maps[s, k, u]) for u in range(U)] if collect_maps else None,
                 fused_maps={m: fused[s, k] for m, fused in fused_maps.items()} if collect_maps else None,
@@ -712,12 +713,9 @@ def _count_hits(config, trials, tables, ground_rcs_m2) -> np.ndarray:
     counts = np.zeros((len(ground_rcs_m2), len(FUSION_METHODS), len(DELTAS)), dtype=int)
     for start in range(0, len(trials), _TRIAL_BLOCK):
         block = run_trial(config, trials[start : start + _TRIAL_BLOCK], tables=tables, ground_rcs_m2=ground_rcs_m2)
-        counts += np.sum([[[o.detections[m].hits for m in FUSION_METHODS] for o in values] for values in block], axis=0)
+        stars = np.array([[[o.detections[m].delta_star for m in FUSION_METHODS] for o in values] for values in block])
+        counts += (stars[..., None] <= DELTAS).sum(axis=0)  # a hit at delta d is a delta* of at most d
     return counts
-
-
-def _count_hits_star(args):
-    return _count_hits(*args)
 
 
 def _batch(config, tables, workers: int, ground_rcs_m2) -> list[dict[str, DetectionStats]]:
@@ -731,7 +729,7 @@ def _batch(config, tables, workers: int, ground_rcs_m2) -> list[dict[str, Detect
         chunks = [trial_ids[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            counts = sum(pool.map(_count_hits_star, [(config, chunk, tables, ground_rcs_m2) for chunk in chunks]))
+            counts = sum(pool.map(_count_hits, repeat(config), chunks, repeat(tables), repeat(ground_rcs_m2)))
     return [
         {
             method: DetectionStats(trials=config.trials, hits=tuple(int(h) for h in hits))
@@ -754,8 +752,6 @@ def run_monte_carlo_all_fusions(
     built once here and shared with every worker process. At most
     ``os.cpu_count()`` worker processes start, however large `workers` is.
     """
-    if config.trials < 1:
-        raise ConfigError("trials: must be >= 1")
     if tables is None:
         tables = build_tables(config, options or RunOptions())
     else:

@@ -36,7 +36,6 @@ class DetectionResult:
     detected_cell: tuple[int, int]
     true_cell: tuple[int, int]
     delta_star: int  # smallest delta for which the detection counts as a hit
-    hits: tuple[bool, bool, bool]  # delta = 0, 1, 2
 
 
 def _rescaled(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

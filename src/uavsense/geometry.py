@@ -27,8 +27,6 @@ __all__ = [
     "footprint_radius",
     "classify_cells",
     "aoa",
-    "path_distances",
-    "chebyshev_cell_distance",
     "cell_of_point",
 ]
 
@@ -85,8 +83,6 @@ class CellSets:
 def build_grid(config: ScenarioConfig) -> CellGrid:
     """Section the area into grid_side x grid_side square cells."""
     L = config.grid_side
-    if L <= 0 or config.area_side_m <= 0:
-        raise ConfigError("grid_side/area_side_m: must be positive")
     d = config.cell_size_m
     axis = (np.arange(L) + 0.5) * d
     centers = np.zeros((L, L, 3))
@@ -133,8 +129,6 @@ def deploy_uavs(config: ScenarioConfig, grid: CellGrid) -> UavDeployment:
     (block side in cells) unless the config fixes it explicitly.
     """
     side = config.uavs_per_side
-    if side * side != config.uav_count:
-        raise ConfigError(f"uav_count: must be a perfect square, got {config.uav_count}")
     if grid.side_count % side != 0:
         raise ConfigError(f"grid_side: not divisible by sqrt(uav_count)={side}")
     block_side = grid.side_count // side
@@ -199,21 +193,6 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
     if theta.ndim == 0:
         return AoA(theta=float(theta), phi=float(phi))
     return AoA(theta=theta, phi=phi)
-
-
-def path_distances(tx: np.ndarray, point: np.ndarray, rx: np.ndarray) -> tuple[float, float]:
-    """Euclidean 3-D distances transmitter -> point and point -> listener."""
-    tx = np.asarray(tx, dtype=float)
-    point = np.asarray(point, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    d1 = float(np.linalg.norm(point - tx))
-    d2 = float(np.linalg.norm(rx - point))
-    return d1, d2
-
-
-def chebyshev_cell_distance(a, b) -> int:
-    """L-infinity distance between two (row, col) cell index pairs."""
-    return int(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
 
 
 def cell_of_point(grid: CellGrid, x: float, y: float) -> tuple[int, int]:

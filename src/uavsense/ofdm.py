@@ -34,7 +34,6 @@ __all__ = [
     "dirichlet_kernel",
     "delay_kernel",
     "matched_coupling",
-    "closed_form_peaks",
     "coherent_peaks",
 ]
 
@@ -283,39 +282,13 @@ def delay_kernel(delay_s, matched_delay_s, config: ScenarioConfig) -> np.ndarray
     return config.symbols_per_frame * kernel_sub
 
 
-def closed_form_peaks(
-    coupling: np.ndarray,
-    zeta,
-    config: ScenarioConfig,
-    noise_variance=0.0,
-    noise_draws: np.ndarray | None = None,
-) -> np.ndarray:
-    """Periodogram value at the matched point of every cell, in closed form.
-
-    Equals frame synthesis + data removal + matched_point_value without
-    building a frame: the coherent sum over reflections of
-    coupling[..., r, p] e^{-j zeta[..., r]} (see matched_coupling) costs
-    O(reflections) per cell instead of O(reflections * N * M). Leading axes
-    of ``coupling`` (reflections, cells) and ``zeta`` (reflections,) are
-    batch axes, e.g. one per listener. With ``noise_draws``, standard normal
-    draws of shape (..., 2, cells), noise enters as one complex Gaussian per
-    cell of variance N*M*noise_variance on the un-normalized sum, cell p
-    taking draws[..., 0, p] + j draws[..., 1, p]; this matches the reference
-    path in distribution. Noiseless results equal the reference path to
-    rounding.
-    """
-    if noise_draws is None and np.any(noise_variance):
-        raise ValueError("noise requires standard normal draws")
-    phases = np.exp(-1j * np.asarray(zeta, dtype=float))
-    total = (phases[..., None, :] @ coupling)[..., 0, :]
-    noise_scale = np.sqrt(config.symbols_per_frame * config.subcarriers * np.asarray(noise_variance) / 2.0)
-    return coherent_peaks(total, config, noise_scale, noise_draws)
-
-
 def coherent_peaks(total, config: ScenarioConfig, noise_scale=0.0, noise_draws=None) -> np.ndarray:
-    """closed_form_peaks from the noiseless coherent sums ``total`` (..., cells)
-    over the reflections. With ``noise_draws``, each part of cell p gains
-    ``noise_scale`` times its draw, the deviation sqrt(N M noise_variance / 2)."""
+    """Periodogram value at the matched point of every cell, in closed form: frame synthesis + data
+    removal + matched_point_value without a frame, from the noiseless coherent sums ``total`` (..., cells),
+    sum_r coupling[..., r, p] e^{-j zeta_r} (see matched_coupling), at O(reflections) per cell. With standard
+    normal ``noise_draws`` (..., 2, cells), cell p gains one complex Gaussian of variance N M noise_variance,
+    ``noise_scale`` = sqrt(N M noise_variance / 2) times draws[..., 0, p] + j draws[..., 1, p]: the
+    reference path's noise in distribution. Noiseless values equal the reference path to rounding."""
     if noise_draws is not None:
         total = total + noise_scale * noise_draws[..., 0, :]
         total.imag += noise_scale * noise_draws[..., 1, :]

@@ -18,7 +18,7 @@ from uavsense import (
     aoa_mesh,
     build_tables,
     capon_beamformer,
-    closed_form_peaks,
+    coherent_peaks,
     derive_altitude,
     estimate_rcs,
     ls_beamformer,
@@ -183,12 +183,11 @@ def test_criterion_4_fast_reference_equivalence():
         [tau],
         cfg,
     )
-    zeta = reflections.phase
+    # The pipeline's kernel: the phase sum over the reflections, then coherent_peaks.
+    total = (np.exp(-1j * reflections.phase)[None, :] @ coupling)[0, :]
+    noise_scale = np.sqrt(nm * np.asarray(noise_var) / 2.0)
     fast_values = np.array(
-        [
-            closed_form_peaks(coupling, zeta, cfg, noise_var, gen_fast.standard_normal((2, 1)))[0]
-            for _ in range(draws)
-        ]
+        [coherent_peaks(total, cfg, noise_scale, gen_fast.standard_normal((2, 1)))[0] for _ in range(draws)]
     )
     rel_mean = abs(ref_values.mean() - fast_values.mean()) / ref_values.mean()
     ok_noise = rel_mean < 0.03

@@ -1,5 +1,6 @@
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
+import numpy as np
 import pytest
 
 from uavsense import ConfigError, ScenarioConfig, dbsm_to_m2, m2_to_dbsm
@@ -64,6 +65,12 @@ def test_db_conversions():
         (dict(master_seed=-1), "master_seed"),
         (dict(trials=0), "trials"),
         (dict(array_side=1), "array_side"),
+        (dict(uav_count=True, trials=True), "uav_count"),
+        (dict(trials=True), "trials"),
+        (dict(master_seed=False), "master_seed"),
+        (dict(transmit_power_w=True), "transmit_power_w"),
+        (dict(doppler_hz=False), "doppler_hz"),
+        (dict(altitude_mode="explicit", altitude_m=True), "altitude_m"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -171,6 +178,11 @@ def test_render_parse_roundtrip_with_every_field_changed():
             if f.default is not MISSING:
                 assert getattr(obj, f.name) != f.default, f.name
     assert parse_config_text(render_config_text(cfg, opts, sweep)) == (cfg, opts, sweep)
+    # numpy scalars render as plain numbers, so their text parses back too.
+    floats = {f.name: np.float64(getattr(cfg, f.name)) for f in fields(cfg) if isinstance(getattr(cfg, f.name), float)}
+    cfg = replace(cfg, **floats)
+    sweep = replace(sweep, values=tuple(np.linspace(4, 8, 3)), sigma_g_dbsm=tuple(np.float64(sweep.sigma_g_dbsm)))
+    assert parse_config_text(render_config_text(cfg, opts, sweep)) == (cfg, opts, sweep)
 
 
 def test_sweep_section_requires_parameter_and_values():
@@ -202,8 +214,9 @@ def test_sweep_deltas_outside_counted_distances_rejected():
     for bad in ("0, 3", "-1", "1, 2, 5"):
         with pytest.raises(ConfigError, match="sweep.deltas"):
             parse_config_text(base + f"sweep.deltas = {bad}\n")
-    with pytest.raises(ConfigError, match="sweep.deltas"):
-        SweepSpec(parameter="altitude", values=(40.0,), deltas=(1.0,))
+    for bad in ((1.0,), (True,), (0, False)):
+        with pytest.raises(ConfigError, match="sweep.deltas"):
+            SweepSpec(parameter="altitude", values=(40.0,), deltas=bad)
 
 
 def test_run_options_validation():

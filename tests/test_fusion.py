@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uavsense import (
-    chebyshev_cell_distance,
     detect,
     detection_delta,
     fuse,
@@ -276,6 +275,6 @@ class TestHypothesisTest:
         target = centers[target_cell]
         for cell, center in centers.items():
             for delta in (0, 1, 2):
-                expected = chebyshev_cell_distance(cell, target_cell) <= delta
+                expected = max(abs(cell[0] - target_cell[0]), abs(cell[1] - target_cell[1])) <= delta
                 assert hypothesis_test(target, center, d, delta) == expected
                 assert (detection_delta(target, center, d) <= delta) == expected

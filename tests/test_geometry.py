@@ -7,13 +7,11 @@ from uavsense import (
     ScenarioConfig,
     aoa,
     build_grid,
-    chebyshev_cell_distance,
     classify_cells,
     deploy_uavs,
     derive_altitude,
     footprint_radius,
     hpbw,
-    path_distances,
 )
 from uavsense.geometry import cell_of_point
 from dataclasses import replace
@@ -240,26 +238,6 @@ class TestAoa:
             rho = obs[2] * math.tan(d.theta)
             rebuilt = (obs[0] + rho * math.cos(d.phi), obs[1] + rho * math.sin(d.phi))
             assert np.allclose(rebuilt, grid.centers[a, b, :2], atol=1e-9)
-
-
-class TestPathDistances:
-    def test_overhead(self):
-        assert path_distances((0, 0, 100), (0, 0, 0), (0, 0, 100)) == (100.0, 100.0)
-
-    def test_symmetric_right_triangles(self):
-        d1, d2 = path_distances((0, 0, 100), (100, 0, 0), (100, 100, 100))
-        assert d1 == pytest.approx(100 * math.sqrt(2))
-        assert d2 == pytest.approx(100 * math.sqrt(2))
-
-    def test_pythagorean_quadruple(self):
-        d1, _ = path_distances((3, 4, 12), (0, 0, 0), (0, 0, 1))
-        assert d1 == pytest.approx(13.0)
-
-
-def test_chebyshev_cell_distance():
-    assert chebyshev_cell_distance((2, 3), (4, 3)) == 2
-    assert chebyshev_cell_distance((7, 7), (7, 7)) == 0
-    assert chebyshev_cell_distance((0, 0), (3, 5)) == 5
 
 
 def test_cell_of_point_clips_to_grid():

@@ -12,13 +12,11 @@ from uavsense import (
     aoa,
     build_tables,
     classify_cells,
-    closed_form_peaks,
     coherent_peaks,
     deploy_uavs,
     estimate_rcs,
     matched_coupling,
     matched_point_value,
-    path_distances,
     periodogram_grid,
     reflection_amplitude,
     remove_data,
@@ -60,8 +58,18 @@ def reflections_of(*rows):
     return Reflections(*columns)
 
 
+def phase_sum(coupling, zeta):
+    """The coherent sums sum_r coupling[..., r, p] e^{-j zeta[..., r]} over the reflections, (..., cells)."""
+    return (np.exp(-1j * np.asarray(zeta, dtype=float))[..., None, :] @ coupling)[..., 0, :]
+
+
+def noise_scale(cfg, noise_variance):
+    """coherent_peaks' noise deviation per part of a matched sum, sqrt(N M noise_variance / 2)."""
+    return np.sqrt(cfg.symbols_per_frame * cfg.subcarriers * np.asarray(noise_variance) / 2.0)
+
+
 def closed_form_rcs(cfg, reflections, matched_delay, d1, d2, noise_variance=0.0, rng=None):
-    """RCS estimate of one cell through matched_coupling and closed_form_peaks;
+    """RCS estimate of one cell through matched_coupling and coherent_peaks of its phase sum;
     noise, if any, is drawn from `rng` as standard_normal((2, 1))."""
     coupling = matched_coupling(
         reflections.amplitude,
@@ -70,9 +78,8 @@ def closed_form_rcs(cfg, reflections, matched_delay, d1, d2, noise_variance=0.0,
         [matched_delay],
         cfg,
     )
-    zeta = reflections.phase
     draws = None if rng is None else rng.standard_normal((2, 1))
-    peak = closed_form_peaks(coupling, zeta, cfg, noise_variance, draws)[0]
+    peak = coherent_peaks(phase_sum(coupling, reflections.phase), cfg, noise_scale(cfg, noise_variance), draws)[0]
     return estimate_rcs(peak, cfg, d1, d2)
 
 
@@ -188,7 +195,7 @@ class TestBuildReflections:
         assert refl.doppler_hz == cfg.doppler_hz
         for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
-            d1, d2 = path_distances(dep.positions[0], point, dep.positions[1])
+            d1, d2 = np.linalg.norm(point - dep.positions[0]), np.linalg.norm(dep.positions[1] - point)
             gain = weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
             assert refl.amplitude[r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
             assert refl.gain[r] == pytest.approx(gain, rel=1e-12)
@@ -232,7 +239,7 @@ class TestBuildReflections:
             cfg, 0, record.rx, dep.positions[0], dep.positions[record.rx], sets, grid, weights, target, phases
         )
         assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(record.rx), count)
-        assert stacked.gain.shape == (len(record.rx), len(record.cells), count)
+        assert stacked.gain.shape == (len(record.rx), len(tables.cell_sets[record.tx].intended), count)
         for i, rx in enumerate(record.rx):
             alone = build_reflections(
                 cfg, 0, int(rx), dep.positions[0], dep.positions[rx], sets, grid, weights[i], target, phases[i]
@@ -593,11 +600,6 @@ class TestFastCellEstimate:
         ]
         assert np.mean(values) == pytest.approx(noise_var, rel=0.05)
 
-    def test_noise_requires_rng(self):
-        cfg = ScenarioConfig()
-        with pytest.raises(ValueError):
-            closed_form_peaks(np.zeros((0, 1)), [], cfg, noise_variance=1.0)
-
     def test_cells_share_phases_and_draw_noise_per_cell(self):
         # Several cells at once equal one call per cell, noise included: the
         # (2, cells) draw gives cell p the pair (draws[0, p], draws[1, p]).
@@ -605,7 +607,7 @@ class TestFastCellEstimate:
         coupling = np.array([[1.0 + 0.5j, 0.2j, -0.3], [0.4, 1.1 - 0.2j, 0.9j]])
         zeta = [0.3, 2.2]
         draws = np.random.default_rng(4).standard_normal((2, 3))
-        together = closed_form_peaks(coupling, zeta, cfg, 0.5, draws)
+        together = coherent_peaks(phase_sum(coupling, zeta), cfg, noise_scale(cfg, 0.5), draws)
         for p in range(3):
             total = np.exp(-1j * np.array(zeta)) @ coupling[:, p] + math.sqrt(16 * 8 * 0.5 / 2) * (
                 draws[0, p] + 1j * draws[1, p]
@@ -621,29 +623,11 @@ class TestFastCellEstimate:
         zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
         noise_var = rng.uniform(0.1, 1.0, (3, 4))
         draws = rng.standard_normal((3, 2, 4))
-        together = closed_form_peaks(coupling, zeta, cfg, noise_var, draws)
+        together = coherent_peaks(phase_sum(coupling, zeta), cfg, noise_scale(cfg, noise_var), draws)
         assert together.shape == (3, 4)
         for k in range(3):
-            alone = closed_form_peaks(coupling[k], zeta[k], cfg, noise_var[k], draws[k])
+            alone = coherent_peaks(phase_sum(coupling[k], zeta[k]), cfg, noise_scale(cfg, noise_var[k]), draws[k])
             assert np.array_equal(together[k], alone)
-
-    def test_coherent_peaks_of_the_phase_sum_equal_closed_form_peaks(self):
-        # The engine forms the coherent sum itself and hands it to
-        # coherent_peaks; with the same noise draws this is closed_form_peaks.
-        cfg = frame_config()
-        rng = np.random.default_rng(23)
-        coupling = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
-        zeta = rng.uniform(0.0, 2.0 * math.pi, (3, 5))
-        noise_var = rng.uniform(0.1, 1.0, (3, 4))
-        draws = rng.standard_normal((3, 2, 4))
-        total = (np.exp(-1j * zeta)[:, None, :] @ coupling)[:, 0, :]
-        scale = np.sqrt(cfg.symbols_per_frame * cfg.subcarriers * noise_var / 2.0)
-        assert np.array_equal(coherent_peaks(total, cfg), closed_form_peaks(coupling, zeta, cfg))
-        assert np.array_equal(
-            coherent_peaks(total, cfg, scale, draws), closed_form_peaks(coupling, zeta, cfg, noise_var, draws)
-        )
-        with pytest.raises(ValueError, match="draws"):
-            closed_form_peaks(coupling, zeta, cfg, noise_var)
 
     def test_precomputed_noise_scale_equals_complex_noise(self):
         # The deviation sqrt(N M noise_variance / 2) adds the same noise,
@@ -726,6 +710,6 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     ref_values = matched_point_value(frames, tau, 0.0, cfg)
     coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], cfg)
     fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
-    fast_values = closed_form_peaks(coupling, refl.phase, cfg, noise_var, fast_draws)[:, 0]
+    fast_values = coherent_peaks(phase_sum(coupling, refl.phase), cfg, noise_scale(cfg, noise_var), fast_draws)[:, 0]
     assert ref_values.shape == fast_values.shape == (draws,)
     assert ks_2samp(ref_values, fast_values).pvalue > 0.01
