@@ -27,66 +27,58 @@ from .config import (
 )
 from .engine import RNG_SCHEME, SweepRow, run_monte_carlo_all_fusions, sweep, sweep_rows
 
-__all__ = ["main", "build_preset", "write_results_csv", "write_results_json", "PRESETS"]
+__all__ = ["main", "write_results_csv", "write_results_json", "PRESETS"]
 
 # Result columns: (SweepRow field, CSV and JSON name), in CSV order.
 _RESULT_COLUMNS = [(f.name, "sigma_G_dBsm" if f.name == "sigma_g_dbsm" else f.name) for f in fields(SweepRow)]
 
-PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7")
-
-
-def build_preset(name: str) -> SweepSpec:
-    """Named desk-scale sweep presets, one per standard parameter study."""
-    if name == "fig3":
-        # Cell size with constant per-UAV coverage: area and altitude grow with d.
-        return SweepSpec(
-            parameter="cell_size_constant_coverage",
-            values=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-            beamformers=("ls", "capon"),
-            fusions=("avg", "prenorm"),
-            sigma_g_dbsm=(-30.0, -10.0, 0.0),
-            deltas=(0,),
-        )
-    if name == "fig4":
-        # Cell size at constant area and altitude; 4.0 and 10.0 produce grid
-        # sides the uniform deployment cannot tile and are reported as invalid.
-        return SweepSpec(
-            parameter="cell_size_constant_area",
-            values=(2.5, 4.0, 5.0, 10.0, 12.5, 25.0),
-            beamformers=("ls", "capon"),
-            fusions=("avg", "prenorm"),
-            sigma_g_dbsm=(-30.0,),
-            deltas=(0,),
-        )
-    if name == "fig5":
-        return SweepSpec(
-            parameter="cell_size_constant_coverage",
-            values=(2.0, 5.0),
-            beamformers=("capon",),
-            fusions=("avg",),
-            sigma_g_dbsm=(-30.0, -10.0, 0.0),
-            deltas=(0, 1, 2),
-        )
-    if name == "fig6":
-        return SweepSpec(
-            parameter="antennas",
-            values=(4.0, 6.0, 8.0, 12.0, 16.0),
-            beamformers=("ls", "capon"),
-            fusions=("avg", "prenorm"),
-            sigma_g_dbsm=(-30.0, -10.0),
-            deltas=(0,),
-        )
-    if name == "fig7":
-        # Altitudes spanning the 1x1, 3x3, and 5x5 per-UAV coverage regimes.
-        return SweepSpec(
-            parameter="altitude",
-            values=(40.0, 70.0, 100.0, 130.0, 165.0, 200.0),
-            beamformers=("capon",),
-            fusions=("avg",),
-            sigma_g_dbsm=(-30.0, -10.0),
-            deltas=(0, 1, 2),
-        )
-    raise ConfigError(f"preset: unknown preset {name!r}")
+# Named desk-scale sweep presets, one per standard parameter study.
+PRESETS = {
+    # Cell size with constant per-UAV coverage: area and altitude grow with d.
+    "fig3": SweepSpec(
+        parameter="cell_size_constant_coverage",
+        values=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+        beamformers=("ls", "capon"),
+        fusions=("avg", "prenorm"),
+        sigma_g_dbsm=(-30.0, -10.0, 0.0),
+        deltas=(0,),
+    ),
+    # Cell size at constant area and altitude; 4.0 and 10.0 produce grid
+    # sides the uniform deployment cannot tile and are reported as invalid.
+    "fig4": SweepSpec(
+        parameter="cell_size_constant_area",
+        values=(2.5, 4.0, 5.0, 10.0, 12.5, 25.0),
+        beamformers=("ls", "capon"),
+        fusions=("avg", "prenorm"),
+        sigma_g_dbsm=(-30.0,),
+        deltas=(0,),
+    ),
+    "fig5": SweepSpec(
+        parameter="cell_size_constant_coverage",
+        values=(2.0, 5.0),
+        beamformers=("capon",),
+        fusions=("avg",),
+        sigma_g_dbsm=(-30.0, -10.0, 0.0),
+        deltas=(0, 1, 2),
+    ),
+    "fig6": SweepSpec(
+        parameter="antennas",
+        values=(4.0, 6.0, 8.0, 12.0, 16.0),
+        beamformers=("ls", "capon"),
+        fusions=("avg", "prenorm"),
+        sigma_g_dbsm=(-30.0, -10.0),
+        deltas=(0,),
+    ),
+    # Altitudes spanning the 1x1, 3x3, and 5x5 per-UAV coverage regimes.
+    "fig7": SweepSpec(
+        parameter="altitude",
+        values=(40.0, 70.0, 100.0, 130.0, 165.0, 200.0),
+        beamformers=("capon",),
+        fusions=("avg",),
+        sigma_g_dbsm=(-30.0, -10.0),
+        deltas=(0, 1, 2),
+    ),
+}
 
 
 def _fmt(value) -> str:
@@ -169,8 +161,6 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
 
 
 def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
-    for err in errors:
-        print(f"invalid sweep point: {err}", file=sys.stderr)
     if args.format == "json":
         manifest = build_manifest(config, options, rows, errors, sweep_spec)
         if args.out:
@@ -196,11 +186,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config, options, sweep_spec = _load_config(args)
     if args.preset:
-        sweep_spec = build_preset(args.preset)
+        sweep_spec = PRESETS[args.preset]
     if sweep_spec is None:
         print("sweep needs --preset or a config file with a sweep section", file=sys.stderr)
         return 2
     rows, errors = sweep(sweep_spec, config, options)
+    for err in errors:
+        print(f"invalid sweep point: {err}", file=sys.stderr)
     if not rows:
         print("no valid sweep points", file=sys.stderr)
         return 1

@@ -57,13 +57,29 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario parameters; message names the field."""
 
 
-def _reject_bools(obj, prefix: str = "") -> None:
-    """ConfigError naming the first field of the dataclass `obj` that holds a bool, or a tuple with one:
-    bool is an int subclass, so the numeric checks alone would take True for 1 and False for 0."""
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}  # annotation -> accepted Python types
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """ConfigError naming the first field of the dataclass `obj` whose value breaks its annotation."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if any(isinstance(v, bool) for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{prefix}{f.name}: must not be a boolean, got {value!r}")
+        if not _is_a(f.type, value):
+            raise ConfigError(f"{prefix}{f.name}: must be {f.type.replace('float', 'finite float')}, got {value!r}")
+
+
+def _is_a(kind: str, value) -> bool:
+    """Whether `value` fits the annotation `kind`: int an int, float a finite int or float, bool a bool,
+    str a str, "X | None" None or an X, "tuple[X, ...]" a tuple of X. A bool (an int subclass) is no
+    number; numpy's bool is neither a bool nor a number, and numpy's float64 is a float."""
+    element = _element(kind)
+    if element:
+        return isinstance(value, tuple) and all(_is_a(element, v) for v in value)
+    if kind.endswith(" | None"):
+        return value is None or _is_a(kind[: -len(" | None")], value)
+    if isinstance(value, bool) != (kind == "bool"):
+        return False
+    return isinstance(value, _TYPES[kind]) and (kind != "float" or math.isfinite(value))
 
 
 def _is_perfect_square(n: int) -> bool:
@@ -102,35 +118,13 @@ class ScenarioConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        _reject_bools(self)
-        pos = [
-            ("transmit_power_w", self.transmit_power_w),
-            ("transmit_gain", self.transmit_gain),
-            ("area_side_m", self.area_side_m),
-            ("noise_density_w_hz", self.noise_density_w_hz),
-            ("ground_rcs_m2", self.ground_rcs_m2),
-            ("target_rcs_m2", self.target_rcs_m2),
-            ("carrier_frequency_hz", self.carrier_frequency_hz),
-            ("bandwidth_hz", self.bandwidth_hz),
-            ("cp_duration_s", self.cp_duration_s),
-        ]
-        for name, value in pos:
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name}: must be a finite positive number, got {value!r}")
-        for name, value in [
-            ("uav_count", self.uav_count),
-            ("symbols_per_frame", self.symbols_per_frame),
-            ("subcarriers", self.subcarriers),
-            ("array_side", self.array_side),
-            ("grid_side", self.grid_side),
-            ("trials", self.trials),
-        ]:
-            if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"{name}: must be a positive integer, got {value!r}")
+        _check_types(self)
+        for f in fields(self):  # every number but the Doppler shift and the seed is a positive size or count
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and f.name not in ("doppler_hz", "master_seed") and value <= 0:
+                raise ConfigError(f"{f.name}: must be positive, got {value!r}")
         if self.array_side < 2:
             raise ConfigError(f"array_side: must be >= 2 for a beam width, got {self.array_side}")
-        if not math.isfinite(self.doppler_hz):
-            raise ConfigError(f"doppler_hz: must be finite, got {self.doppler_hz!r}")
         if self.ground_rcs_m2 >= self.target_rcs_m2:
             raise ConfigError(
                 "ground_rcs_m2: must be smaller than target_rcs_m2 "
@@ -146,11 +140,11 @@ class ScenarioConfig:
         if self.altitude_mode not in ("derived", "explicit"):
             raise ConfigError(f"altitude_mode: must be 'derived' or 'explicit', got {self.altitude_mode!r}")
         if self.altitude_mode == "explicit":
-            if self.altitude_m is None or not (self.altitude_m > 0 and math.isfinite(self.altitude_m)):
+            if self.altitude_m is None or self.altitude_m <= 0:
                 raise ConfigError(f"altitude_m: explicit mode needs a positive altitude, got {self.altitude_m!r}")
         elif self.altitude_m is not None:
             raise ConfigError("altitude_m: only allowed with altitude_mode = explicit")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed: must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
     # Derived quantities; each recomputation is pure and repeatable.
@@ -189,6 +183,7 @@ class RunOptions:
     noise: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         if self.beamformer not in BEAMFORMERS:
             raise ConfigError(f"beamformer: must be 'ls' or 'capon', got {self.beamformer!r}")
         if self.fusion not in FUSION_METHODS:
@@ -216,9 +211,9 @@ class SweepSpec:
     deltas: tuple[int, ...] = DELTAS
 
     def __post_init__(self):
+        _check_types(self, "sweep.")
         if self.parameter not in _SWEEP_PARAMS:
             raise ConfigError(f"sweep.parameter: must be one of {_SWEEP_PARAMS}, got {self.parameter!r}")
-        _reject_bools(self, "sweep.")
         for name in ("values", "beamformers", "fusions", "sigma_g_dbsm", "deltas"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep.{name}: at least one value required")
@@ -229,7 +224,7 @@ class SweepSpec:
             if tag not in FUSION_METHODS:
                 raise ConfigError(f"sweep.fusions: unknown tag {tag!r}")
         for d in self.deltas:
-            if not (isinstance(d, int) and d in DELTAS):
+            if d not in DELTAS:
                 raise ConfigError(f"sweep.deltas: must be among {DELTAS}, got {d!r}")
 
 

@@ -781,6 +781,8 @@ def _config_for_sweep_point(parameter: str, value: float, base: ScenarioConfig) 
         return replace(base, area_side_m=value * base.grid_side, altitude_mode="derived", altitude_m=None)
     if parameter == "cell_size_constant_area":
         # Fixed area and altitude; the cell size changes how many cells exist.
+        if value <= 0:
+            raise ConfigError(f"grid_side: cell size must be positive, got {value}")
         new_side = round(base.area_side_m / value)
         if new_side < 1 or abs(new_side * value - base.area_side_m) > 1e-9 * base.area_side_m:
             raise ConfigError(f"grid_side: cell size {value} does not evenly divide the area side")

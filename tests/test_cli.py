@@ -10,7 +10,6 @@ from uavsense import ScenarioConfig
 from uavsense.cli import (
     PRESETS,
     build_manifest,
-    build_preset,
     main,
     render_results_csv,
     write_results_csv,
@@ -219,11 +218,11 @@ class TestRunCommand:
 class TestSweepCommand:
     def test_presets_build(self):
         for name in PRESETS:
-            spec = build_preset(name)
+            spec = PRESETS[name]
             assert spec.values
 
     def test_fig3_axes(self):
-        spec = build_preset("fig3")
+        spec = PRESETS["fig3"]
         assert spec.parameter == "cell_size_constant_coverage"
         assert spec.values == (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
         assert set(spec.beamformers) == {"ls", "capon"}
@@ -250,6 +249,18 @@ class TestSweepCommand:
         cfg_path = _write_config(tmp_path, text)
         assert main(["sweep", "--config", cfg_path, "--trials", "1"]) == 2
         assert "sweep.deltas" in capsys.readouterr().err
+
+    def test_non_finite_sweep_value_exit_code(self, tmp_path, capsys):
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = altitude\nsweep.values = 40, nan\n"
+        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
+        assert "configuration error: sweep.values" in capsys.readouterr().err
+
+    def test_zero_cell_size_reported_as_invalid_point(self, tmp_path, capsys):
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = cell_size_constant_area\nsweep.values = 0\n"
+        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid sweep point: cell_size_constant_area=0.0: grid_side" in err
+        assert "no valid sweep points" in err
 
     def test_config_sweep_section(self, tmp_path):
         text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\nsweep.deltas = 0\n"

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -71,11 +73,49 @@ def test_db_conversions():
         (dict(transmit_power_w=True), "transmit_power_w"),
         (dict(doppler_hz=False), "doppler_hz"),
         (dict(altitude_mode="explicit", altitude_m=True), "altitude_m"),
+        (dict(doppler_hz="1"), "doppler_hz"),
+        (dict(doppler_hz=np.True_), "doppler_hz"),
+        (dict(altitude_mode="explicit", altitude_m="50"), "altitude_m"),
+        (dict(altitude_mode="explicit", altitude_m=np.True_), "altitude_m"),
+        (dict(cp_duration_s=math.inf), "cp_duration_s"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ScenarioConfig(**kwargs)
+
+
+_VALID = {
+    ScenarioConfig: ("", ScenarioConfig()),
+    RunOptions: ("", RunOptions()),
+    SweepSpec: ("sweep.", SweepSpec(parameter="altitude", values=(40.0,))),
+}
+
+
+def _wrong_values(kind: str, valid) -> list:
+    """Values that break the annotation `kind` of a field whose valid value is `valid`."""
+    if kind.startswith("tuple["):
+        element = kind[len("tuple[") : -len(", ...]")]
+        return [list(valid)] + [valid + (bad,) for bad in _wrong_values(element, valid[0])]
+    if kind == "bool":
+        return ["on", 0, np.True_]
+    return ([] if kind == "str" else ["1"]) + [True, np.True_] + ([math.nan, math.inf] if "float" in kind else [])
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad",
+    [
+        pytest.param(cls, f.name, bad, id=f"{prefix}{f.name}={bad!r}")
+        for cls, (prefix, valid) in _VALID.items()
+        for f in fields(cls)
+        for bad in _wrong_values(f.type, getattr(valid, f.name))
+    ],
+)
+def test_value_of_the_wrong_type_names_the_field(cls, name, bad):
+    # Generated from the fields, so a field added later is covered too.
+    prefix, valid = _VALID[cls]
+    with pytest.raises(ConfigError, match=f"^{re.escape(prefix + name)}: "):
+        replace(valid, **{name: bad})
 
 
 def test_parse_empty_gives_defaults():
@@ -214,9 +254,26 @@ def test_sweep_deltas_outside_counted_distances_rejected():
     for bad in ("0, 3", "-1", "1, 2, 5"):
         with pytest.raises(ConfigError, match="sweep.deltas"):
             parse_config_text(base + f"sweep.deltas = {bad}\n")
-    for bad in ((1.0,), (True,), (0, False)):
+    for bad in ((1.0,), (True,), (0, False), (np.True_,), [0], (np.int64(0),)):
         with pytest.raises(ConfigError, match="sweep.deltas"):
             SweepSpec(parameter="altitude", values=(40.0,), deltas=bad)
+
+
+def test_sweep_numbers_must_be_finite_numbers():
+    # Each once passed validation and then crashed in sweep() or ran a list into a frozen spec.
+    for kwargs in (
+        dict(parameter="altitude", values=("a",)),
+        dict(parameter="antennas", values=(math.nan,)),
+        dict(parameter="antennas", values=(math.inf,)),
+        dict(parameter="altitude", values=[50.0]),
+    ):
+        with pytest.raises(ConfigError, match="^sweep.values: "):
+            SweepSpec(**kwargs)
+    with pytest.raises(ConfigError, match="^sweep.sigma_g_dbsm: "):
+        SweepSpec(parameter="altitude", values=(50.0,), sigma_g_dbsm=("x",))
+    # A non-finite entry rejects the whole spec, not one sweep point.
+    with pytest.raises(ConfigError, match="^sweep.values: "):
+        parse_config_text("sweep.parameter = antennas\nsweep.values = 4, nan\n")
 
 
 def test_run_options_validation():
@@ -224,3 +281,7 @@ def test_run_options_validation():
         RunOptions(beamformer="mvdr")
     with pytest.raises(ConfigError, match="fusion"):
         RunOptions(fusion="median")
+    # A value that is no bool would run one path and render or record another.
+    for kwargs in (dict(fast_path="no"), dict(fast_path="off"), dict(noise=0), dict(noise=np.False_)):
+        with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))}: "):
+            RunOptions(**kwargs)

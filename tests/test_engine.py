@@ -970,13 +970,15 @@ class TestSweep:
     def test_invalid_points_reported_not_skipped(self, small_config):
         spec = SweepSpec(
             parameter="cell_size_constant_area",
-            values=(10.0, 7.0),  # 7 m does not divide the 40 m area side
+            values=(10.0, 7.0, 0.0, -5.0),  # 7 m does not divide the 40 m area side; no cell is 0 or -5 m wide
             sigma_g_dbsm=(-30.0,),
             deltas=(0,),
         )
         rows, errors = sweep(spec, small_config)
-        assert len(errors) == 1
+        assert len(errors) == 3
         assert "7.0" in errors[0]
+        for error, value in zip(errors[1:], (0.0, -5.0)):
+            assert error == f"cell_size_constant_area={value}: grid_side: cell size must be positive, got {value}"
         assert {r.sweep_value for r in rows} == {10.0}
 
     def test_single_element_array_point_reported(self, small_config):
