@@ -95,17 +95,30 @@ _SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FI
 # 16 keeps the temporaries smallest.
 _LS_BLOCK = 16
 
-# Trials per run_trial call in a batch. A default block costs about 1.2 ms plus
-# 1.2 ms a trial; its temporaries peak at about 3.3 MB (4.4 MB with two sigma_G
-# values), a table build at 8.3 MB. After a single build, glibc hands memory freed
-# by such a block back and the next block faults it in again (not so for blocks
-# of 4), yet the median default batch still ran faster in blocks of 8.
+# Trials per run_trial call in a batch. A default block's temporaries peak at
+# about 3.3 MB (4.4 MB with two sigma_G values), a table build at 8.3 MB. After a
+# single build, glibc hands memory freed by such a block back and the next block
+# faults it in again, about 130 faults a trial (none in blocks of 4), and blocks
+# of 4 ran a default batch as fast or faster; in a heap grown by earlier builds
+# nothing faults, and blocks of 8 ran it about 20% faster.
 _TRIAL_BLOCK = 8
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
 # to a stream's bytes gets a new name.
-RNG_SCHEME = "splitmix64-path/philox4x64-10/v2-trial-blocks"
+RNG_SCHEME = "splitmix64-path/philox4x64-10/v3-phase-words"
+
+# e^{-2 pi j m / 2**32} of a 32-bit phase word m is the product of three table
+# entries, one per bit field of m: bits 0-10 (LOW), 11-21 (MID) and 22-31
+# (HIGH), 80 KB in all. LOW and MID span less than 0.007 rad; HIGH repeats its
+# first quarter turn, rotated by the exact factors -j, -1 and j.
+_PHASOR_LOW = np.exp(np.arange(2048) * (-2j * math.pi / 2**32))
+_PHASOR_MID = np.exp(np.arange(2048) * (-2j * math.pi / 2**21))
+_PHASOR_HIGH = np.concatenate([np.exp(np.arange(256) * (-2j * math.pi / 2**10)) * q for q in (1, -1j, -1, 1j)])
+# Words per gather run of _phasors; a run's index and product temporaries
+# (64 and 128 KB) stay in cache. Gathering a default 8-trial block whole took
+# about 3x as long (0.22 against 0.07 ms a trial, timed alone).
+_PHASOR_RUN = 8192
 
 
 def _splitmix64(x: int) -> int:
@@ -492,18 +505,40 @@ def _trial_targets(config: ScenarioConfig, tables: ScenarioTables, trials, targe
     return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= tables.footprints
 
 
-def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
-    """Each trial's reflection phases, uniform on [0, 2 pi), shape (T, P, n_q_max + 1).
+def _phase_words(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
+    """Each trial's 32-bit phase words m, shape (T, P, n_q_max + 1).
 
-    Row p of a trial holds pair p's ground phases in illuminated-cell order from
-    column 0 and its target phase in the last column: substream(seed, trial,
-    PHASE)'s uniform(0, 2 pi) stream, drawn as the same bytes 2 pi random().
+    Row p of a trial holds pair p's ground words in illuminated-cell order from
+    column 0 and its target word in the last column. The words are
+    substream(seed, trial, PHASE)'s raw 64-bit outputs, each split into two
+    words, the low half first, on any host byte order; an odd count drops the
+    last high half.
     """
     pairs, n_q_max, _ = tables.ground_coupling.shape
-    zeta = np.empty((len(trials), pairs, n_q_max + 1))
-    for row, trial in zip(zeta, trials):
-        _keyed(generator, config.master_seed, trial, _STREAM_PHASE).random(out=row)
-    return np.multiply(zeta, 2.0 * math.pi, out=zeta)
+    count = pairs * (n_q_max + 1)
+    raw = np.empty((len(trials), (count + 1) // 2), dtype="<u8")
+    for row, trial in zip(raw, trials):
+        row[:] = _keyed(generator, config.master_seed, trial, _STREAM_PHASE).bit_generator.random_raw(len(row))
+    return raw.view("<u4")[:, :count].reshape(len(trials), pairs, n_q_max + 1)
+
+
+def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
+    """Each trial's reflection phases zeta = 2 pi m / 2**32 of its _phase_words m, on a
+    2**32-point grid of [0, 2 pi), shape (T, P, n_q_max + 1)."""
+    return _phase_words(config, tables, trials, generator) * (2.0 * math.pi / 2**32)
+
+
+def _phasors(words: np.ndarray) -> np.ndarray:
+    """e^{-j zeta} of each phase word m, zeta = 2 pi m / 2**32, as the product of its bit fields' table
+    entries, gathered in runs of _PHASOR_RUN words of `words` in C order."""
+    out = np.empty(words.shape, dtype=complex)
+    flat, m = out.reshape(-1), words.reshape(-1)
+    for start in range(0, m.size, _PHASOR_RUN):
+        run, part = m[start : start + _PHASOR_RUN].astype(np.intp), flat[start : start + _PHASOR_RUN]
+        np.take(_PHASOR_HIGH, run >> 22, out=part)
+        part *= _PHASOR_MID[(run >> 11) & 0x7FF]
+        part *= _PHASOR_LOW[run & 0x7FF]
+    return out
 
 
 def _target_couplings(config, tables, lit, targets, covered) -> np.ndarray:
@@ -529,15 +564,15 @@ def _target_couplings(config, tables, lit, targets, covered) -> np.ndarray:
 def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_m2, generator):
     """Fast-path RCS estimates of a block of trials, (values, T, P, n_p), each the bytes of its trial alone.
 
-    Each step runs once for the block and all the ground RCS values: one phase
-    `exp`, one contraction of the pair-major (P, T, 1, n_q_max) phases with the
-    padded (P, 1, n_q_max, n_p) ground coupling (a pair's coupling is read once
-    for all the trials), and the target rows of every lit (trial, pair). Each
-    value scales the ground sum by its square root and adds the target rows;
-    each (trial, pair, cell) takes one complex Gaussian from the trial's noise.
+    Each step runs once for the block and all the ground RCS values: one table
+    phasor of the pair-major phase words, one contraction of the (P, T, 1,
+    n_q_max) phasors with the padded (P, 1, n_q_max, n_p) ground coupling (a
+    pair's coupling is read once for all the trials), and the target rows of
+    every lit (trial, pair). Each value scales the ground sum by its square
+    root and adds the target rows; each (trial, pair, cell) takes one complex
+    Gaussian from the trial's noise.
     """
-    phases = np.multiply(-1j, _phase_block(config, tables, trials, generator).transpose(1, 0, 2), order="C")
-    np.exp(phases, out=phases)
+    phases = _phasors(np.ascontiguousarray(_phase_words(config, tables, trials, generator).transpose(1, 0, 2)))
     ground = np.empty((len(trials),) + tables.est_scale.shape, dtype=complex)  # (T, P, n_p)
     np.matmul(phases[:, :, None, :-1], tables.ground_coupling[:, None], out=ground.transpose(1, 0, 2)[:, :, None])
     lit = np.nonzero(covered[:, tables.pair_tx])
@@ -817,7 +852,7 @@ def sweep(
     skipped. Runs whose configs differ only in ground_rcs_m2 (the sigma_G
     axis of a sweep point, or all the values of a ground_rcs axis, which are
     its sigma_G axis) share one table build per beamformer and one batch:
-    each trial's draws, phase exponentials, ground sum and target rows are
+    each trial's draws, phasors, ground sum and target rows are
     computed once for all its sigma_G values, and every row has the same
     bytes as a separate run of its value. Fusion and delta axes share the
     batch's hit counts. Rows come point by point and beamformer-major within

@@ -128,6 +128,13 @@ def trial_phases(config, tables, trial) -> np.ndarray:
     return _phase_block(config, tables, [trial], fresh_generator())[0]
 
 
+def raw_phase_words(seed: int, trial: int, count: int) -> np.ndarray:
+    """The first `count` phase words of a trial, split arithmetically from a fresh substream's raw
+    64-bit outputs: the low half of each output first, then its high half."""
+    raw = substream(seed, trial, engine._STREAM_PHASE).bit_generator.random_raw((count + 1) // 2)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).ravel()[:count].astype("<u4")
+
+
 def trial_target(config, tables, trial):
     """One trial's target position and per-UAV footprint coverage, a block of one."""
     targets, covered = engine._trial_targets(config, tables, [trial], None, fresh_generator())
@@ -208,16 +215,30 @@ class TestSubstream:
 
     @pytest.mark.parametrize("count", [1, 4, 5, 38])
     def test_reused_generator_phases_equal_numpy_uniform(self, count):
-        # One generator per trial is reused across all pairs: the phase block
-        # is its uniform(0, 2 pi) stream laid out pair-major, count per pair.
+        # One generator per trial is reused across all pairs: the phase words
+        # are its raw Philox stream, two words per output, low half first,
+        # laid out pair-major, count per pair (3 and 15 words drop a high half).
         pairs, trial = 3, 2
         stub = SimpleNamespace(ground_coupling=np.empty((pairs, count - 1, 0)))
         for seed in KEY_CASES:
-            block = trial_phases(SimpleNamespace(master_seed=seed), stub, trial)
-            key = np.array(_path_words(seed, trial, engine._STREAM_PHASE), dtype=np.uint64)
-            fresh = np.random.Generator(np.random.Philox(key=key))
-            assert block.shape == (pairs, count)
-            assert np.array_equal(block.ravel(), fresh.uniform(0.0, 2.0 * math.pi, size=pairs * count))
+            block = engine._phase_words(SimpleNamespace(master_seed=seed), stub, [trial], fresh_generator())[0]
+            expected = raw_phase_words(seed, trial, pairs * count)
+            assert block.shape == (pairs, count) and block.dtype == expected.dtype
+            assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, trial, words",
+        [
+            (1, 0, (2750497084, 1985598360, 2956328937, 242548313, 1343571404)),
+            (20261018, 7, (2837960987, 841296895, 2540452900, 3616205893, 1217486210)),
+        ],
+    )
+    def test_pinned_phase_words(self, seed, trial, words):
+        # Literal words of rng_scheme v3: any change to the phase stream's
+        # split or order moves them, and must come with a new RNG_SCHEME.
+        stub = SimpleNamespace(ground_coupling=np.empty((1, len(words) - 1, 0)))
+        block = engine._phase_words(SimpleNamespace(master_seed=seed), stub, [trial], fresh_generator())
+        assert block.ravel().tolist() == list(words)
 
     def test_rekeyed_draws_equal_substream_draws(self, small_config):
         # One generator, re-keyed per (trial, role), gives each substream's
@@ -228,16 +249,41 @@ class TestSubstream:
         seed, trials = small_config.master_seed, [0, 7, -1, -(2**63), 2**64, 2**64 + 7, 2**70 + 3]
         generator = fresh_generator()
         targets, _ = engine._trial_targets(small_config, tables, trials, None, generator)
-        phases = _phase_block(small_config, tables, trials, generator)
+        words = engine._phase_words(small_config, tables, trials, generator)
+        assert words.dtype == np.dtype("<u4")
         for k, trial in enumerate(trials):
             xy = substream(seed, trial, engine._STREAM_TARGET).uniform(0.0, small_config.area_side_m, size=2)
             assert targets[k].tobytes() == np.array([xy[0], xy[1], 0.0]).tobytes()
-            expected = substream(seed, trial, engine._STREAM_PHASE).uniform(0.0, 2.0 * math.pi, size=(P, n_q_max + 1))
-            assert phases[k].tobytes() == expected.tobytes()
+            assert words[k].tobytes() == raw_phase_words(seed, trial, P * (n_q_max + 1)).tobytes()
             generator.integers(0, 7, size=3, dtype=np.uint32)  # leaves half a word buffered
             noise = np.empty((P, 2, n_p))
             engine._keyed(generator, seed, trial, engine._STREAM_NOISE).standard_normal(out=noise)
             assert noise.tobytes() == substream(seed, trial, engine._STREAM_NOISE).standard_normal((P, 2, n_p)).tobytes()
+
+    def test_phase_block_is_words_on_the_2_32_point_grid(self, small_config):
+        # The reference path's phases are zeta = m (2 pi / 2**32) of the same
+        # words, byte for byte, on [0, 2 pi).
+        tables = build_tables(small_config, RunOptions(fast_path=False))
+        trials = [0, 3, 2**64 + 1]
+        words = engine._phase_words(small_config, tables, trials, fresh_generator())
+        zeta = _phase_block(small_config, tables, trials, fresh_generator())
+        assert zeta.dtype == np.float64
+        assert zeta.tobytes() == (words * (2 * math.pi / 2**32)).tobytes()
+        assert np.all((0.0 <= zeta) & (zeta < 2 * math.pi))
+
+    def test_phasor_of_each_word_matches_exp(self):
+        # The fast path's table phasor of a word m is e^{-2 pi j m / 2**32}.
+        # At the bit-field edges it is within 4e-16 of numpy's exp. On random
+        # words it is within 1.1e-15: exp's own argument, 2 pi m / 2**32
+        # rounded, is up to 4.4e-16 off for zeta >= 4, so a phasor that tracks
+        # the exact value cannot stay within 4e-16 of exp on every word.
+        edges = np.array([0, 1, 2**10 - 1, 2**10, 2**21 - 1, 2**21, 2**31, 2**32 - 1], dtype=np.uint32)
+        block = np.random.default_rng(24).integers(0, 2**32, size=(16, 256), dtype=np.uint32)
+        for words, bound in ((edges, 4e-16), (block, 1.1e-15)):
+            phasors = engine._phasors(words)
+            assert phasors.shape == words.shape and phasors.dtype == np.complex128
+            assert np.max(np.abs(phasors - np.exp(-2j * np.pi * words / 2**32))) <= bound
+
 
 class TestBuildTables:
     @pytest.mark.parametrize("beamformer", ["capon", "ls"])
