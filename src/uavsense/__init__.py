@@ -24,7 +24,6 @@ from .geometry import (
     AoA,
     CellGrid,
     CellSets,
-    UavDeployment,
     aoa,
     build_grid,
     classify_cells,

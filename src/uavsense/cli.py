@@ -25,7 +25,7 @@ from .config import (
     parse_config_file,
     render_config_text,
 )
-from .engine import RNG_SCHEME, SweepRow, run_monte_carlo_all_fusions, sweep, sweep_rows
+from .engine import RNG_SCHEME, SweepRow, run_monte_carlo, sweep, sweep_rows
 
 __all__ = ["main", "write_results_csv", "write_results_json", "PRESETS"]
 
@@ -176,7 +176,7 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
 
 def _cmd_run(args) -> int:
     config, options, _ = _load_config(args)
-    stats = run_monte_carlo_all_fusions(config, options)[options.fusion]
+    stats = run_monte_carlo(config, options)
     sigma_g_dbsm = m2_to_dbsm(config.ground_rcs_m2)
     rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma_g_dbsm, config.master_seed)
     _emit(args, config, options, rows, [])

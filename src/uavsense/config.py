@@ -112,16 +112,15 @@ class ScenarioConfig:
     cp_duration_s: float = 2.3e-6
     grid_side: int = 20
     doppler_hz: float = 0.0
-    altitude_mode: str = "derived"  # "derived" (from per-UAV coverage) or "explicit"
-    altitude_m: float | None = None
+    altitude_m: float | None = None  # None: derived from the per-UAV coverage
     trials: int = 1000
     master_seed: int = 1
 
     def __post_init__(self):
         _check_types(self)
-        for f in fields(self):  # every number but the Doppler shift and the seed is a positive size or count
+        for f in fields(self):  # every number given but the Doppler shift and the seed is a positive size or count
             value = getattr(self, f.name)
-            if f.type in ("int", "float") and f.name not in ("doppler_hz", "master_seed") and value <= 0:
+            if value is not None and f.name not in ("doppler_hz", "master_seed") and value <= 0:
                 raise ConfigError(f"{f.name}: must be positive, got {value!r}")
         if self.array_side < 2:
             raise ConfigError(f"array_side: must be >= 2 for a beam width, got {self.array_side}")
@@ -137,13 +136,6 @@ class ScenarioConfig:
                 f"grid_side: sqrt(uav_count)={math.isqrt(self.uav_count)} must divide "
                 f"grid_side={self.grid_side} for the uniform deployment"
             )
-        if self.altitude_mode not in ("derived", "explicit"):
-            raise ConfigError(f"altitude_mode: must be 'derived' or 'explicit', got {self.altitude_mode!r}")
-        if self.altitude_mode == "explicit":
-            if self.altitude_m is None or self.altitude_m <= 0:
-                raise ConfigError(f"altitude_m: explicit mode needs a positive altitude, got {self.altitude_m!r}")
-        elif self.altitude_m is not None:
-            raise ConfigError("altitude_m: only allowed with altitude_mode = explicit")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed: must be a 64-bit unsigned integer, got {self.master_seed!r}")
 

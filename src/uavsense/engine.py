@@ -246,9 +246,9 @@ class ScenarioTables:
     config: ScenarioConfig
     options: RunOptions
     grid: object
-    deployment: object
+    positions: np.ndarray  # (U, 3) UAV positions, from deploy_uavs
     cell_sets: list
-    footprints: np.ndarray  # (U,) ground radii
+    footprint: float  # ground radius of every UAV's footprint (one altitude)
     transmitters: list  # _TransmitterTables of each UAV with intended cells, ascending
     pair_tx: np.ndarray  # (P,) transmitter of each pair
     pair_rx: np.ndarray  # (P,) listener of each pair
@@ -264,9 +264,6 @@ class ScenarioTables:
     # to size the phase block.
     ground_coupling: np.ndarray
     map_index: np.ndarray  # (P, n_p) flat index of each (listener, cell) in the (U, L, L) map stack
-
-    def compatible_with(self, config: ScenarioConfig) -> bool:
-        return config is self.config or all(getattr(self.config, name) == getattr(config, name) for name in _SHAPING)
 
     def pair_weights(self, rows) -> np.ndarray:
         """Receive weights of the pair rows `rows` (an index, slice or index array of the
@@ -301,27 +298,27 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     if config.uav_count < 2:
         raise ConfigError(f"uav_count: half-duplex sensing needs at least 2 UAVs, got {config.uav_count}")
     grid = build_grid(config)
-    deployment = deploy_uavs(config, grid)
+    positions = deploy_uavs(config, grid)
     U = config.uav_count
     L = config.grid_side
     n = config.array_side
-    cell_sets = [classify_cells(config, u, grid, deployment) for u in range(U)]
-    footprints = np.array([footprint_radius(config, deployment.positions[u][2]) for u in range(U)])
+    cell_sets = [classify_cells(config, u, grid, positions) for u in range(U)]
 
-    owners = np.full((L, L), -1, dtype=int)
-    for u in range(U):
-        for a, b in cell_sets[u].intended:
-            if owners[a, b] != -1:
-                raise ConfigError(
-                    "altitude_m: footprints overlap, cell "
-                    f"({a}, {b}) is intended for both UAV {owners[a, b]} and UAV {u}"
-                )
-            owners[a, b] = u
-    if all(len(s.intended) == 0 for s in cell_sets):
+    # Intended cells in (UAV, row-major) order; the first repeat of a cell names it and its two UAVs.
+    owner = np.repeat(np.arange(U), [len(s.intended) for s in cell_sets])
+    intended = np.concatenate([s.intended for s in cell_sets])
+    if len(intended) == 0:
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
+    _, first, inverse = np.unique(intended[:, 0] * L + intended[:, 1], return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(len(intended)))
+    if len(repeats):
+        k = repeats[0]
+        raise ConfigError(
+            f"altitude_m: footprints overlap, cell ({intended[k, 0]}, {intended[k, 1]}) "
+            f"is intended for both UAV {owner[first[inverse[k]]]} and UAV {owner[k]}"
+        )
 
     noise_w = config.noise_density_w_hz * config.bandwidth_hz
-    positions = deployment.positions
 
     # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
     # A pair's geometry key is a tuple of its offsets' bytes, so offsets of
@@ -424,9 +421,9 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         config=config,
         options=options,
         grid=grid,
-        deployment=deployment,
+        positions=positions,
         cell_sets=cell_sets,
-        footprints=footprints,
+        footprint=footprint_radius(config, positions[0, 2]),
         transmitters=transmitters,
         pair_tx=np.concatenate([np.full(len(r.rx), r.tx) for r in transmitters]),
         pair_rx=np.concatenate([r.rx for r in transmitters]),
@@ -501,8 +498,8 @@ def _trial_targets(config: ScenarioConfig, tables: ScenarioTables, trials, targe
     else:
         for row, trial in zip(targets, trials):
             row[:2] = _keyed(generator, config.master_seed, trial, _STREAM_TARGET).uniform(0.0, config.area_side_m, 2)
-    proj = tables.deployment.positions[:, :2]
-    return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= tables.footprints
+    proj = tables.positions[:, :2]
+    return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= tables.footprint
 
 
 def _phase_words(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
@@ -546,7 +543,7 @@ def _target_couplings(config, tables, lit, targets, covered) -> np.ndarray:
     and pair rows, trial-major. Distances and steering vectors are computed once per (trial, UAV); a lit
     transmitter's weights are gathered once, and each (trial, listener) takes its own (n_p, n^2) @ (n^2, 1)."""
     trial_rows, rows = lit
-    positions, n = tables.deployment.positions, config.array_side
+    positions, n = tables.positions, config.array_side
     distance = np.linalg.norm(positions - targets[:, None], axis=-1)  # (T, U)
     toward = steering_matrix(aoa(positions, targets[:, None]), n).T.conj().reshape(len(targets), -1, n * n, 1)
     slot = np.zeros(covered.shape[:1] + tables.pair_tx.shape, dtype=int)  # (trial, pair) -> its lit row
@@ -608,7 +605,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
     each transmitter brings delays not seen before. A ramp depends only on its
     own delay, so the frames and estimates are the bytes of per-pair ramps.
     """
-    positions = tables.deployment.positions
+    positions = tables.positions
     bits, matched_rows = np.unique(tables.matched_delay.view(np.uint64), return_inverse=True)
     matched_ramps = subcarrier_ramps(bits.view(np.float64), config, +1)
     matched_rows = matched_rows.reshape(tables.matched_delay.shape)
@@ -677,10 +674,7 @@ def run_trial(
     id, each the bytes of run_trial on that id alone: a single trial is a
     block of one, and the fast path runs each step once per block.
     """
-    if tables is None:
-        tables = build_tables(config, options or RunOptions())
-    else:
-        _check_tables(config, options, tables)
+    tables = _checked_tables(config, options, tables)
     configs = [config] if ground_rcs_m2 is None else [replace(config, ground_rcs_m2=s) for s in ground_rcs_m2]
     trials = [trial] if np.ndim(trial) == 0 else list(trial)
 
@@ -731,15 +725,18 @@ def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[
     ]
 
 
-def _check_tables(config: ScenarioConfig, options: RunOptions | None, tables: ScenarioTables) -> None:
-    if not tables.compatible_with(config):
+def _checked_tables(config: ScenarioConfig, options: RunOptions | None, tables: ScenarioTables | None):
+    """The tables a run of `config` reads: `tables` once checked against `config` and
+    `options` (fusion aside), or, without them, tables built for both."""
+    if tables is None:
+        return build_tables(config, options or RunOptions())
+    if config is not tables.config and any(getattr(tables.config, f) != getattr(config, f) for f in _SHAPING):
         raise ConfigError("tables were built for a different scenario geometry")
-    if options is None:
-        return
-    for name in _TABLE_OPTION_FIELDS:
+    for name in _TABLE_OPTION_FIELDS if options is not None else ():
         given, built = getattr(options, name), getattr(tables.options, name)
         if given != built:
             raise ConfigError(f"{name}: options give {given!r} but the tables were built with {built!r}")
+    return tables
 
 
 def _count_hits(config, trials, tables, ground_rcs_m2) -> np.ndarray:
@@ -787,10 +784,7 @@ def run_monte_carlo_all_fusions(
     built once here and shared with every worker process. At most
     ``os.cpu_count()`` worker processes start, however large `workers` is.
     """
-    if tables is None:
-        tables = build_tables(config, options or RunOptions())
-    else:
-        _check_tables(config, options, tables)
+    tables = _checked_tables(config, options, tables)
     return _batch(config, tables, workers, (config.ground_rcs_m2,))[0]
 
 
@@ -813,7 +807,7 @@ def _config_for_sweep_point(parameter: str, value: float, base: ScenarioConfig) 
     if parameter == "cell_size_constant_coverage":
         # Fixed grid and per-UAV coverage; the cell size rescales the whole
         # area, and the derived altitude grows with it.
-        return replace(base, area_side_m=value * base.grid_side, altitude_mode="derived", altitude_m=None)
+        return replace(base, area_side_m=value * base.grid_side, altitude_m=None)
     if parameter == "cell_size_constant_area":
         # Fixed area and altitude; the cell size changes how many cells exist.
         if value <= 0:
@@ -821,19 +815,15 @@ def _config_for_sweep_point(parameter: str, value: float, base: ScenarioConfig) 
         new_side = round(base.area_side_m / value)
         if new_side < 1 or abs(new_side * value - base.area_side_m) > 1e-9 * base.area_side_m:
             raise ConfigError(f"grid_side: cell size {value} does not evenly divide the area side")
-        altitude = (
-            derive_altitude(base, base.cells_per_uav_side)
-            if base.altitude_mode == "derived"
-            else base.altitude_m
-        )
-        return replace(base, grid_side=new_side, altitude_mode="explicit", altitude_m=altitude)
+        altitude = derive_altitude(base, base.cells_per_uav_side) if base.altitude_m is None else base.altitude_m
+        return replace(base, grid_side=new_side, altitude_m=altitude)
     if parameter == "antennas":
         side = int(value)
         if side != value:
             raise ConfigError(f"array_side: must be an integer, got {value}")
-        return replace(base, array_side=side, altitude_mode="derived", altitude_m=None)
+        return replace(base, array_side=side, altitude_m=None)
     if parameter == "altitude":
-        return replace(base, altitude_mode="explicit", altitude_m=float(value))
+        return replace(base, altitude_m=float(value))
     if parameter == "ground_rcs":
         return replace(base, ground_rcs_m2=dbsm_to_m2(value))
     raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r}")

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 
 __all__ = [
     "AoA",
     "CellGrid",
-    "UavDeployment",
     "CellSets",
     "build_grid",
     "deploy_uavs",
@@ -61,22 +60,12 @@ class CellGrid:
 
 
 @dataclass(frozen=True)
-class UavDeployment:
-    positions: np.ndarray  # (U, 3)
-    altitude: float
-    block_starts: np.ndarray  # (U, 2) first (a, b) cell of each UAV's block
-    block_side: int  # cells per block side, L / sqrt(U)
-
-
-@dataclass(frozen=True)
 class CellSets:
-    """Per-UAV cell partition: intended (inside the inscribed square of the
-    HPBW footprint), clutter (center inside the circle but not intended), and
-    their union (all illuminated cells). Arrays of (a, b) index pairs in
-    row-major order."""
+    """One UAV's cells: intended (inside the inscribed square of the HPBW
+    footprint) and illuminated (intended, or center inside the circle; the
+    rest are clutter). Arrays of (a, b) index pairs in row-major order."""
 
     intended: np.ndarray
-    clutter: np.ndarray
     illuminated: np.ndarray
 
 
@@ -121,41 +110,31 @@ def footprint_radius(config: ScenarioConfig, altitude: float) -> float:
     return altitude * math.tan(hpbw(config.array_side) / 2.0)
 
 
-def deploy_uavs(config: ScenarioConfig, grid: CellGrid) -> UavDeployment:
-    """Place sqrt(U) x sqrt(U) UAVs above the centers of equal cell blocks.
+def deploy_uavs(config: ScenarioConfig, grid: CellGrid) -> np.ndarray:
+    """Positions (U, 3) of sqrt(U) x sqrt(U) UAVs above the centers of equal cell blocks.
 
     UAV index u = i * sqrt(U) + j sits above block (i, j); blocks tile the
     grid with no overlap. Altitude is derived from the per-UAV coverage
-    (block side in cells) unless the config fixes it explicitly.
+    (block side in cells) unless the config fixes it.
     """
-    side = config.uavs_per_side
-    if grid.side_count % side != 0:
-        raise ConfigError(f"grid_side: not divisible by sqrt(uav_count)={side}")
-    block_side = grid.side_count // side
-    if config.altitude_mode == "explicit":
-        altitude = float(config.altitude_m)
-    else:
-        altitude = derive_altitude(config, block_side)
-    block_m = block_side * grid.cell_size
-    positions = np.zeros((config.uav_count, 3))
-    starts = np.zeros((config.uav_count, 2), dtype=int)
-    for i in range(side):
-        for j in range(side):
-            u = i * side + j
-            positions[u] = ((i + 0.5) * block_m, (j + 0.5) * block_m, altitude)
-            starts[u] = (i * block_side, j * block_side)
-    return UavDeployment(positions=positions, altitude=altitude, block_starts=starts, block_side=block_side)
+    block_side = config.cells_per_uav_side
+    altitude = derive_altitude(config, block_side) if config.altitude_m is None else float(config.altitude_m)
+    axis = (np.arange(config.uavs_per_side) + 0.5) * (block_side * grid.cell_size)
+    positions = np.full((config.uav_count, 3), altitude)
+    positions[:, 0] = np.repeat(axis, len(axis))
+    positions[:, 1] = np.tile(axis, len(axis))
+    return positions
 
 
-def classify_cells(config: ScenarioConfig, uav: int, grid: CellGrid, deployment: UavDeployment) -> CellSets:
-    """Split the grid into intended / clutter cells for one UAV's footprint.
+def classify_cells(config: ScenarioConfig, uav: int, grid: CellGrid, positions: np.ndarray) -> CellSets:
+    """Split the grid into intended and illuminated cells for one UAV's footprint.
 
     Intended cells lie completely inside the largest axis-aligned square
-    inscribed in the HPBW ground circle; clutter cells have their center
-    inside the circle without being intended. Both sets may be empty at low
-    altitude.
+    inscribed in the HPBW ground circle; illuminated cells are the intended
+    ones and those with their center inside the circle. Both sets may be
+    empty at low altitude.
     """
-    ux, uy, h = deployment.positions[uav]
+    ux, uy, h = positions[uav]
     radius = footprint_radius(config, h)
     half_square = radius * math.sqrt(2.0) / 2.0
     d = grid.cell_size
@@ -165,11 +144,7 @@ def classify_cells(config: ScenarioConfig, uav: int, grid: CellGrid, deployment:
     tol = _GEOM_EPS * max(1.0, radius)
     inside_square = np.maximum(dx, dy) + d / 2.0 <= half_square + tol
     inside_circle = np.hypot(dx, dy) <= radius + tol
-    return CellSets(
-        intended=np.argwhere(inside_square),
-        clutter=np.argwhere(inside_circle & ~inside_square),
-        illuminated=np.argwhere(inside_circle | inside_square),
-    )
+    return CellSets(intended=np.argwhere(inside_square), illuminated=np.argwhere(inside_circle | inside_square))
 
 
 def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:

@@ -182,17 +182,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "text, field",
+        "text, message",
         [
-            (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side"),
-            ("scenario.uav_count = 1\nscenario.grid_side = 4\nscenario.array_side = 4\n", "uav_count"),
+            (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side: must be >= 2"),
+            (
+                "scenario.uav_count = 1\nscenario.grid_side = 4\nscenario.array_side = 4\n",
+                "uav_count: half-duplex sensing needs at least 2 UAVs, got 1",
+            ),
         ],
         ids=["array_side_1", "one_uav"],
     )
-    def test_config_without_a_sensing_pair_exit_code(self, tmp_path, capsys, text, field):
+    def test_config_without_a_sensing_pair_exit_code(self, tmp_path, capsys, text, message):
         cfg_path = _write_config(tmp_path, text)
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
-        assert f"configuration error: {field}" in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_carrier_out_of_float_range_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.carrier_frequency_hz = 1e-150\n")

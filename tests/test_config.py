@@ -61,9 +61,9 @@ def test_db_conversions():
         (dict(transmit_power_w=0.0), "transmit_power_w"),
         (dict(ground_rcs_m2=10.0, target_rcs_m2=10.0), "ground_rcs_m2"),
         (dict(ground_rcs_m2=20.0), "ground_rcs_m2"),
-        (dict(altitude_mode="explicit"), "altitude_m"),
-        (dict(altitude_mode="hover"), "altitude_mode"),
-        (dict(altitude_m=50.0), "altitude_m"),
+        (dict(altitude_m=0.0), "altitude_m"),
+        (dict(altitude_m=-50.0), "altitude_m"),
+        (dict(altitude_m=-0.0), "altitude_m"),
         (dict(master_seed=-1), "master_seed"),
         (dict(trials=0), "trials"),
         (dict(array_side=1), "array_side"),
@@ -72,11 +72,11 @@ def test_db_conversions():
         (dict(master_seed=False), "master_seed"),
         (dict(transmit_power_w=True), "transmit_power_w"),
         (dict(doppler_hz=False), "doppler_hz"),
-        (dict(altitude_mode="explicit", altitude_m=True), "altitude_m"),
+        (dict(altitude_m=True), "altitude_m"),
         (dict(doppler_hz="1"), "doppler_hz"),
         (dict(doppler_hz=np.True_), "doppler_hz"),
-        (dict(altitude_mode="explicit", altitude_m="50"), "altitude_m"),
-        (dict(altitude_mode="explicit", altitude_m=np.True_), "altitude_m"),
+        (dict(altitude_m="50"), "altitude_m"),
+        (dict(altitude_m=np.True_), "altitude_m"),
         (dict(cp_duration_s=math.inf), "cp_duration_s"),
     ],
 )
@@ -143,7 +143,8 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 def test_removed_capon_loading_key_rejected():
     # A removed key fails by name instead of being silently ignored.
-    for key, value in [("run.capon_loading", "0.01"), ("run.ls_iterations", "10")]:
+    removed = [("run.capon_loading", "0.01"), ("run.ls_iterations", "10"), ("scenario.altitude_mode", "derived")]
+    for key, value in removed:
         with pytest.raises(ConfigError, match=f"{key}: unknown"):
             parse_config_text(f"{key} = {value}\n")
 
@@ -180,6 +181,15 @@ def test_render_parse_roundtrip_is_exact():
     assert sweep2 == sweep
 
 
+@pytest.mark.parametrize("altitude_m", [None, 123.25])
+def test_render_parse_roundtrip_keeps_the_altitude(altitude_m):
+    # A derived altitude (None) renders no key and parses back as derived; an explicit one is kept.
+    cfg = ScenarioConfig(altitude_m=altitude_m)
+    text = render_config_text(cfg, RunOptions())
+    assert ("scenario.altitude_m" in text) == (altitude_m is not None)
+    assert parse_config_text(text)[0] == cfg
+
+
 def test_render_parse_roundtrip_with_every_field_changed():
     # Every field is away from its default, so a field left out of the
     # rendering would parse back as its default and fail the comparison.
@@ -199,7 +209,6 @@ def test_render_parse_roundtrip_with_every_field_changed():
         cp_duration_s=1.7e-6,
         grid_side=9,
         doppler_hz=-312.75,
-        altitude_mode="explicit",
         altitude_m=55.5,
         trials=13,
         master_seed=2**64 - 3,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,7 +12,10 @@ from uavsense import (
     RunOptions,
     ScenarioConfig,
     SweepSpec,
+    build_grid,
     build_tables,
+    classify_cells,
+    deploy_uavs,
     derive_altitude,
     run_monte_carlo,
     run_monte_carlo_all_fusions,
@@ -109,7 +113,7 @@ def assert_ls_rows_are_orbit_images(tables) -> dict:
     for record in tables.transmitters:
         for k, rx in enumerate(record.rx):
             for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
-                rx_position, point = tables.deployment.positions[rx], tables.grid.centers[a, b]
+                rx_position, point = tables.positions[rx], tables.grid.centers[a, b]
                 rows.append(tables.pair_weights(record.pairs)[k, i])
                 assert rows[-1].tobytes() == ls_row(rx_position, point, n, designs).tobytes()
                 own.append(aoa(rx_position, point))
@@ -310,7 +314,7 @@ class TestBuildTables:
         for record in tables.transmitters:
             for k, rx in enumerate(record.rx):
                 for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
-                    d = aoa(tables.deployment.positions[rx], tables.grid.centers[a, b])
+                    d = aoa(tables.positions[rx], tables.grid.centers[a, b])
                     pairs += 1
                     directions.add(np.array([d.theta, d.phi]).tobytes())
                     assert tables.pair_weights(record.pairs)[k, i].tobytes() == capon_beamformer(d, n).tobytes()
@@ -344,7 +348,7 @@ class TestBuildTables:
         for record in tables.transmitters:
             for k, rx in enumerate(record.rx):
                 for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
-                    offset = tables.grid.centers[a, b] - tables.deployment.positions[rx]
+                    offset = tables.grid.centers[a, b] - tables.positions[rx]
                     rows.append((tuple(offset), tables.pair_weights(record.pairs)[k, i]))
         by_offset = dict(rows)  # -0.0 and 0.0 are one key
         mirrored = [(dx, dy, dz) for (dx, dy, dz), _ in rows if dy < 0 or (dy == 0 and dx < 0)]
@@ -371,7 +375,7 @@ class TestBuildTables:
         # the non-dyadic area every pair builds its own.
         config = geometry or small_config
         tables = build_tables(config, RunOptions(beamformer=beamformer))
-        positions = tables.deployment.positions
+        positions = tables.positions
         noise_w = config.noise_density_w_hz * config.bandwidth_hz
         for record in tables.transmitters:
             illuminated = tables.cell_sets[record.tx].illuminated
@@ -424,7 +428,7 @@ class TestBuildTables:
 
         monkeypatch.setattr(engine, "steering_matrix", counting)
         tables = build_tables(config, RunOptions(beamformer="capon"))
-        positions, geometries = tables.deployment.positions, {}
+        positions, geometries = tables.positions, {}
         for record in tables.transmitters:
             illuminated = tables.cell_sets[record.tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
@@ -466,7 +470,7 @@ class TestBuildTables:
         build_tables(config, RunOptions(beamformer=beamformer, fast_path=False))
         assert calls == []
         tables = build_tables(config, RunOptions(beamformer=beamformer))
-        positions, ground = tables.deployment.positions, []
+        positions, ground = tables.positions, []
         for record in tables.transmitters:
             illuminated = tables.cell_sets[record.tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
@@ -587,7 +591,7 @@ class TestRunTrial:
         k, i = 2, len(cells) - 1
         p = record.pairs.start + k
         tx, rx, (a, b) = record.tx, int(record.rx[k]), cells[i]
-        positions = tables.deployment.positions
+        positions = tables.positions
         tx_frame = synth_tx_frame(small_config, substream(seed, trial, engine._STREAM_TXDATA, tx))
         block = trial_phases(small_config, tables, trial)
         phases = block[p, : len(tables.cell_sets[tx].illuminated)]
@@ -687,7 +691,7 @@ class TestReferenceRamps:
         zeta = trial_phases(config, tables, trial)
         estimates = engine._reference_estimates(config, tables, trial, target, illuminated_by, zeta)
 
-        seed, positions = config.master_seed, tables.deployment.positions
+        seed, positions = config.master_seed, tables.positions
         expected, delays = np.empty_like(estimates), []
         for record in tables.transmitters:
             tx = record.tx
@@ -990,7 +994,6 @@ class TestSweepPointConfigs:
         cfg = _config_for_sweep_point("cell_size_constant_area", 2.5, base)
         assert cfg.grid_side == 40
         assert cfg.area_side_m == base.area_side_m
-        assert cfg.altitude_mode == "explicit"
         assert cfg.altitude_m == pytest.approx(derive_altitude(base, 5))
 
     def test_constant_area_rejects_indivisible_grid(self):
@@ -1000,7 +1003,6 @@ class TestSweepPointConfigs:
 
     def test_altitude_point(self):
         cfg = _config_for_sweep_point("altitude", 120.0, ScenarioConfig())
-        assert cfg.altitude_mode == "explicit"
         assert cfg.altitude_m == 120.0
 
     def test_ground_rcs_point(self):
@@ -1147,10 +1149,28 @@ class TestSweep:
         assert sizes == {1}
 
     def test_footprint_overlap_rejected(self):
-        base = ScenarioConfig()
-        too_high = 1.05 * derive_altitude(base, 7)
-        cfg = _config_for_sweep_point("altitude", too_high, base)
-        with pytest.raises(ConfigError, match="overlap"):
+        # The error names the first intended cell, in (UAV, row-major) order,
+        # that an earlier UAV intends too, and both UAVs; the oracle is a loop
+        # over the cells.
+        small = ScenarioConfig(uav_count=4, grid_side=8, area_side_m=40.0)
+        for base, cells in [(ScenarioConfig(), 7), (ScenarioConfig(), 20), (small, 6)]:
+            cfg = _config_for_sweep_point("altitude", 1.05 * derive_altitude(base, cells), base)
+            grid = build_grid(cfg)
+            positions = deploy_uavs(cfg, grid)
+            owners, expected = {}, None
+            for u in range(cfg.uav_count):
+                for a, b in classify_cells(cfg, u, grid, positions).intended.tolist():
+                    if expected is None and (a, b) in owners:
+                        expected = f"cell ({a}, {b}) is intended for both UAV {owners[a, b]} and UAV {u}"
+                    owners.setdefault((a, b), u)
+            assert expected is not None
+            with pytest.raises(ConfigError, match=f"^altitude_m: footprints overlap, {re.escape(expected)}$"):
+                build_tables(cfg, RunOptions())
+
+    def test_one_uav_rejected(self):
+        # Half-duplex: no UAV listens to its own illumination, so one UAV has no pair.
+        cfg = ScenarioConfig(uav_count=1, grid_side=4, array_side=4)
+        with pytest.raises(ConfigError, match="^uav_count: half-duplex sensing needs at least 2 UAVs, got 1$"):
             build_tables(cfg, RunOptions())
 
     def test_no_intended_cells_rejected(self):

@@ -11,7 +11,6 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(uavsense.__path__) i
 
 # Public names that no code in the package runs, and why each stays.
 UNUSED_BY_DESIGN = {
-    "run_monte_carlo": "the public entry point for one fusion method; the benchmark traces it",
     "fuse": "one fusion method's average, the oracle of fuse_and_detect; the benchmark traces it",
     "detect": "the argmax of one fused map, the oracle of fuse_and_detect; the benchmark traces it",
     "hypothesis_test": "the paper's L-infinity test, the oracle of detection_delta",

@@ -130,29 +130,29 @@ class TestBuildReflections:
     def _scene(self):
         cfg = ScenarioConfig()
         grid = build_grid(cfg)
-        dep = deploy_uavs(cfg, grid)
-        sets = classify_cells(cfg, 0, grid, dep)
+        positions = deploy_uavs(cfg, grid)
+        sets = classify_cells(cfg, 0, grid, positions)
         tables = build_tables(cfg, RunOptions())
         record = next(r for r in tables.transmitters if r.tx == 0)
         weights = tables.pair_weights(record.pairs)[list(record.rx).index(1)]  # (n_p, n^2) of listener 1
-        return cfg, grid, dep, sets, weights
+        return cfg, grid, positions, sets, weights
 
     @staticmethod
     def _phases(rng, count):
         return rng.uniform(0.0, 2.0 * math.pi, count)
 
     def test_component_count_without_target(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         refl = build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
+            cfg, 0, 1, positions[0], positions[1], sets, grid,
             weights[0], None, self._phases(rng, len(sets.illuminated)),
         )
         assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated)
 
     def test_component_count_with_target(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         refl = build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
+            cfg, 0, 1, positions[0], positions[1], sets, grid,
             weights[0], np.array([13.0, 11.0, 0.0]), self._phases(rng, len(sets.illuminated) + 1),
         )
         assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated) + 1
@@ -160,24 +160,24 @@ class TestBuildReflections:
     def test_phases_follow_reflection_order(self, rng):
         # Phases are taken as given, one per reflection: the ground cells in
         # illuminated order, then the target; any other count is an error.
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         phases = self._phases(rng, len(sets.illuminated) + 1)
-        refl = build_reflections(cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, phases)
+        refl = build_reflections(cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target, phases)
         assert np.array_equal(refl.phase, phases)
         for wrong in (phases[:-1], np.append(phases, 0.5)):
             with pytest.raises(ValueError, match="one phase each"):
-                build_reflections(cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target, wrong)
+                build_reflections(cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target, wrong)
 
     def test_phases_reproducible_and_in_range(self):
         # The reference path gives each pair its row of the trial's phase
         # block; drawn twice, the reflections carry the same phases in [0, 2 pi).
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         tables = build_tables(cfg, RunOptions())
         p = np.flatnonzero((tables.pair_tx == 0) & (tables.pair_rx == 1))[0]
         block = lambda: _phase_block(cfg, tables, [7], np.random.Generator(np.random.Philox(0)))[0]
         make = lambda: build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid,
+            cfg, 0, 1, positions[0], positions[1], sets, grid,
             weights[0], None, block()[p, : len(sets.illuminated)],
         )
         first, second = make(), make()
@@ -185,36 +185,36 @@ class TestBuildReflections:
         assert np.array_equal(first.phase, second.phase)
 
     def test_components_follow_scalar_geometry(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         refl = build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, weights[0], target,
+            cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target,
             self._phases(rng, len(sets.illuminated) + 1),
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
         assert refl.doppler_hz == cfg.doppler_hz
         for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
-            d1, d2 = np.linalg.norm(point - dep.positions[0]), np.linalg.norm(dep.positions[1] - point)
-            gain = weights[0].conj() @ steering_vector(aoa(dep.positions[1], point), cfg.array_side)
+            d1, d2 = np.linalg.norm(point - positions[0]), np.linalg.norm(positions[1] - point)
+            gain = weights[0].conj() @ steering_vector(aoa(positions[1], point), cfg.array_side)
             assert refl.amplitude[r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
             assert refl.gain[r] == pytest.approx(gain, rel=1e-12)
             assert refl.delay_s[r] == pytest.approx((d1 + d2) / C0, rel=1e-12)
 
     def test_half_duplex_guard(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         with pytest.raises(ValueError, match="half-duplex"):
             build_reflections(
-                cfg, 1, 1, dep.positions[1], dep.positions[1], sets, grid,
+                cfg, 1, 1, positions[1], positions[1], sets, grid,
                 weights[0], None, self._phases(rng, len(sets.illuminated)),
             )
 
     def test_weight_stack_gives_one_gain_row_per_vector(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         phases = self._phases(rng, len(sets.illuminated) + 1)
         build = lambda w: build_reflections(
-            cfg, 0, 1, dep.positions[0], dep.positions[1], sets, grid, w, target, phases
+            cfg, 0, 1, positions[0], positions[1], sets, grid, w, target, phases
         )
         stacked = build(weights)
         assert stacked.gain.shape == (len(weights), len(sets.illuminated) + 1)
@@ -228,7 +228,7 @@ class TestBuildReflections:
     def test_listener_stack_rows_equal_single_builds(self, rng, with_target):
         # One build for every listener of transmitter 0 has a leading listener
         # axis; row i equals the build of listener i alone, bit for bit.
-        cfg, grid, dep, sets, _ = self._scene()
+        cfg, grid, positions, sets, _ = self._scene()
         tables = build_tables(cfg, RunOptions())
         record = next(r for r in tables.transmitters if r.tx == 0)
         target = np.array([13.0, 11.0, 0.0]) if with_target else None
@@ -236,30 +236,30 @@ class TestBuildReflections:
         phases = self._phases(rng, (len(record.rx), count))
         weights = tables.pair_weights(record.pairs)
         stacked = build_reflections(
-            cfg, 0, record.rx, dep.positions[0], dep.positions[record.rx], sets, grid, weights, target, phases
+            cfg, 0, record.rx, positions[0], positions[record.rx], sets, grid, weights, target, phases
         )
         assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(record.rx), count)
         assert stacked.gain.shape == (len(record.rx), len(tables.cell_sets[record.tx].intended), count)
         for i, rx in enumerate(record.rx):
             alone = build_reflections(
-                cfg, 0, int(rx), dep.positions[0], dep.positions[rx], sets, grid, weights[i], target, phases[i]
+                cfg, 0, int(rx), positions[0], positions[rx], sets, grid, weights[i], target, phases[i]
             )
             for name in ("amplitude", "gain", "delay_s", "phase"):
                 assert getattr(stacked, name)[i].tobytes() == getattr(alone, name).tobytes()
             assert stacked.doppler_hz == alone.doppler_hz == cfg.doppler_hz
 
     def test_listener_stack_guards(self, rng):
-        cfg, grid, dep, sets, weights = self._scene()
+        cfg, grid, positions, sets, weights = self._scene()
         listeners = np.array([1, 2])
         stack = np.stack([weights, weights])
         with pytest.raises(ValueError, match="half-duplex"):
             build_reflections(
-                cfg, 2, listeners, dep.positions[2], dep.positions[listeners], sets, grid, stack, None,
+                cfg, 2, listeners, positions[2], positions[listeners], sets, grid, stack, None,
                 self._phases(rng, (2, len(sets.illuminated))),
             )
         with pytest.raises(ValueError, match="one phase each"):
             build_reflections(
-                cfg, 0, listeners, dep.positions[0], dep.positions[listeners], sets, grid, stack, None,
+                cfg, 0, listeners, positions[0], positions[listeners], sets, grid, stack, None,
                 self._phases(rng, len(sets.illuminated)),
             )
 

@@ -62,7 +62,6 @@ def scenarios(draw):
         doppler_hz=draw(st.floats(-5e3, 5e3)),
         ground_rcs_m2=dbsm_to_m2(ground_dbsm),
         target_rcs_m2=dbsm_to_m2(ground_dbsm + draw(st.floats(0.5, 40.0))),
-        altitude_mode="derived" if altitude is None else "explicit",
         altitude_m=altitude,
         trials=draw(st.integers(1, 3)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
