@@ -50,6 +50,7 @@ from .ofdm import (
     periodogram_grid,
     reflection_amplitude,
     remove_data,
+    subcarrier_ramps,
     synth_rx_frame,
     synth_tx_frame,
 )

@@ -35,8 +35,8 @@ _LS_REFINE_TOL = 1e-10
 def steering_matrix(directions: AoA, n: int) -> np.ndarray:
     """Steering vectors of every direction as columns, shape (n^2, H).
 
-    `directions` holds H elevations and azimuths (arrays, or floats for
-    H = 1). Entry (i, j) of a column, i and j in 0..n-1, is
+    `directions` holds H elevations and azimuths as arrays of any shape,
+    taken in raveled order. Entry (i, j) of a column, i and j in 0..n-1, is
     exp(-j*pi*i*sin(theta)*sin(phi)) * exp(-j*pi*j*sin(theta)*cos(phi)),
     flattened row-major; every entry has unit modulus and entry (0, 0) is 1.
     """
@@ -48,21 +48,20 @@ def steering_matrix(directions: AoA, n: int) -> np.ndarray:
     return (ramps[:, None, 0, :] * ramps[None, :, 1, :]).reshape(n * n, -1)
 
 
-def steering_vector(direction: AoA, n: int) -> np.ndarray:
-    """Per-element phase signature of a plane wave from each direction: the columns of steering_matrix
-    as contiguous rows, (H, n^2) for H directions given as angle arrays, (n^2,) for float angles."""
-    rows = np.ascontiguousarray(steering_matrix(direction, n).T)
-    return rows if np.ndim(direction.theta) else rows[0]
+def steering_vector(directions: AoA, n: int) -> np.ndarray:
+    """Per-element phase signature of a plane wave from each of H directions, shape (H, n^2):
+    the columns of steering_matrix as contiguous rows."""
+    return np.ascontiguousarray(steering_matrix(directions, n).T)
 
 
 def aoa_mesh(intended: AoA, n: int) -> AoA:
-    """The heuristic design mesh of n elevations x 4n azimuths, raveled
-    elevation-major; the intended AoA is the first point.
+    """The heuristic design meshes of n elevations x 4n azimuths, raveled
+    elevation-major, one per intended direction; each intended AoA is the
+    first point of its mesh.
 
-    Float angles give (4n^2,) arrays; K intended directions given as angle
-    arrays give (K, 4n^2) arrays whose row k is the mesh of direction k, bit
-    for bit. The modular wrap can duplicate the first elevation/azimuth at the
-    far end; duplicates are kept as written.
+    K intended directions (K,) give (K, 4n^2) angle arrays whose row k is the
+    mesh of direction k. The modular wrap can duplicate the first
+    elevation/azimuth at the far end; duplicates are kept as written.
     """
     if n < 2:
         raise ValueError(f"array side must be >= 2 for the design mesh, got {n}")
@@ -74,14 +73,14 @@ def aoa_mesh(intended: AoA, n: int) -> AoA:
 
 
 def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
-    """Constrained least-squares weights over the AoA mesh, shaped like
-    steering_vector: a (4n^2,) mesh gives (n^2,) weights, K meshes given as
-    (K, 4n^2) arrays give (K, n^2); each row of a stacked design equals its own
-    single design bit for bit.
+    """Constrained least-squares weights over each of K AoA meshes: (K, 4n^2)
+    angle arrays, as from aoa_mesh, give (K, n^2) weights. Each row depends on
+    its own mesh only, so a row of a stack equals its stack of one bit for bit.
 
-    Minimizes ||A w - v||_2^2 where row h of A is the conjugated steering
-    vector of mesh AoA h and v is the desired response, 1 at the intended
-    (first) mesh point and 0 elsewhere, then rescales to ||w||_2 = 1.
+    For each mesh, minimizes ||A w - v||_2^2 where row h of A is the
+    conjugated steering vector of mesh AoA h and v is the desired response, 1
+    at the intended (first) mesh point and 0 elsewhere, then rescales to
+    ||w||_2 = 1.
 
     A is never formed. With x_h = exp(-j*pi*sin(theta_h)*sin(phi_h)) and y_h
     the same with cos(phi_h), steering entry (i, j) of mesh point h is
@@ -110,7 +109,7 @@ def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
     more than 1 / _LS_DIAG_RANGE, takes the normalized dense lstsq solution
     of its 4n^2 x n^2 response instead (n = 2 near boresight).
     """
-    theta, phi = np.atleast_2d(mesh.theta, mesh.phi)  # (K, H)
+    theta, phi = mesh.theta, mesh.phi  # (K, H)
     K, m, h = len(theta), n * n, n * n // 2
     steps = np.exp(-1j * math.pi * np.sin(theta) * np.array([np.sin(phi), np.cos(phi)]))  # (2, K, H)
     xpow = np.empty((n,) + theta.shape, dtype=complex)  # xpow[a] = x^a
@@ -168,7 +167,7 @@ def ls_beamformer(mesh: AoA, n: int) -> np.ndarray:
         desired[0] = 1.0
         w[k] = np.linalg.lstsq(response, desired, rcond=None)[0]
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return w if np.ndim(mesh.theta) == 2 else w[0]
+    return w
 
 
 def _refined_solve(dpotrs, system: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -191,8 +190,9 @@ def _refined_solve(dpotrs, system: np.ndarray, factor: np.ndarray, rhs: np.ndarr
 
 
 def capon_beamformer(intended: AoA, n: int) -> np.ndarray:
-    """Minimum-variance distortionless weights for the single-direction model, shaped like
-    steering_vector; each row of a stacked design equals its own single design bit for bit.
+    """Minimum-variance distortionless weights for the single-direction model of each of H
+    intended directions, shape (H, n^2) like steering_vector; each row equals the design of
+    its stack of one bit for bit.
 
     The modeled covariance R = g g^H + eps * I of the intended direction gives
     R^-1 g = g / (eps + g^H g), so R^-1 g / (g^H R^-1 g) equals g / (g^H g)
@@ -200,4 +200,4 @@ def capon_beamformer(intended: AoA, n: int) -> np.ndarray:
     needed. The weights satisfy w^H g(intended) = 1.
     """
     g = steering_vector(intended, n)
-    return g / (g.conj()[..., None, :] @ g[..., :, None])[..., 0].real
+    return g / (g.conj()[:, None, :] @ g[:, :, None])[:, 0].real

@@ -155,8 +155,10 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
         return {name: value for name, value in flags.items() if value is not None}
 
     fast_path = None if args.fast_path is None else args.fast_path == "on"
+    # Only `run` takes --beamformer and --fusion; a sweep's come from sweep.beamformers and sweep.fusions.
+    design = {name: getattr(args, name, None) for name in ("beamformer", "fusion")}
     config = replace(config, **given(trials=args.trials, master_seed=args.seed))
-    options = replace(options, **given(beamformer=args.beamformer, fusion=args.fusion, fast_path=fast_path))
+    options = replace(options, **given(fast_path=fast_path, **design))
     return config, options, sweep_spec
 
 
@@ -214,12 +216,12 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--beamformer", choices=BEAMFORMERS)
-        p.add_argument("--fusion", choices=FUSION_METHODS)
         p.add_argument("--fast-path", dest="fast_path", choices=("on", "off"))
 
     p_run = sub.add_parser("run", help="one Monte Carlo batch at a fixed configuration")
     add_common(p_run)
+    p_run.add_argument("--beamformer", choices=BEAMFORMERS)
+    p_run.add_argument("--fusion", choices=FUSION_METHODS)
     p_sweep = sub.add_parser("sweep", help="parameter sweep, by preset or config sweep section")
     add_common(p_sweep)
     p_sweep.add_argument("--preset", choices=PRESETS)

@@ -638,13 +638,11 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
                 draws = noise.standard_normal((len(tables.cell_sets[tx].intended), 2) + tx_frame.shape)
-                rx_frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws, ramps)
+                rx_frames = synth_rx_frame(tx_frame, reflections, ramps, config, tables.noise_var[p], draws)
             else:
-                rx_frames = synth_rx_frame(tx_frame, reflections, config, ramps=ramps)
+                rx_frames = synth_rx_frame(tx_frame, reflections, ramps, config)
             processed = remove_data(rx_frames, tx_frame)
-            peaks[p] = matched_point_value(
-                processed, tables.matched_delay[p], config.doppler_hz, config, matched_ramps[matched_rows[p]]
-            )
+            peaks[p] = matched_point_value(processed, matched_ramps[matched_rows[p]], config.doppler_hz, config)
     return peaks * tables.est_scale
 
 

@@ -127,8 +127,7 @@ def hypothesis_test(target_pos, cell_center, cell_size: float, delta: int = 0) -
 
 
 def detection_delta(target_pos, cell_center, cell_size: float):
-    """Smallest delta at which hypothesis_test accepts, i.e. ceil(L_inf/d - 1/2) floored at 0: an int for
-    one pair of positions, an integer array over the broadcast leading axes of (..., 2 or 3) stacks."""
+    """Smallest delta at which hypothesis_test accepts, i.e. ceil(L_inf/d - 1/2) floored at 0, as an integer
+    array over the broadcast leading axes of (..., 2 or 3) position stacks (0-d for one pair)."""
     offset = np.abs(np.asarray(target_pos, dtype=float)[..., :2] - np.asarray(cell_center, dtype=float)[..., :2])
-    delta = np.maximum(np.ceil(np.maximum(offset[..., 0], offset[..., 1]) / cell_size - 0.5), 0.0).astype(int)
-    return int(delta) if delta.ndim == 0 else delta
+    return np.maximum(np.ceil(np.maximum(offset[..., 0], offset[..., 1]) / cell_size - 0.5), 0.0).astype(int)

@@ -45,11 +45,10 @@ _GEOM_EPS = 1e-9
 
 @dataclass(frozen=True)
 class AoA:
-    """Angle of arrival: elevation from the downward boresight, azimuth from +x
-    (floats for one direction, equal-length arrays for many)."""
+    """Angles of arrival as equal-shape arrays: elevation from the downward boresight, azimuth from +x."""
 
-    theta: float | np.ndarray
-    phi: float | np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,9 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
 
     Elevation arctan(horizontal distance / height difference), azimuth the
     planar angle of (point - observer) from +x in [0, 2*pi). Straight down
-    maps to (0, 0). Observer and point broadcast over leading axes: one (3,)
-    pair gives float angles, a (K, 3) stack on either side gives (K,) arrays.
+    maps to (0, 0). Observer and point broadcast over leading axes, and the
+    angles are arrays of the broadcast shape: (K, 3) on either side gives (K,),
+    one (3,) pair gives 0-d arrays.
     """
     observer = np.asarray(observer, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -165,8 +165,6 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
     rho = _libm(math.hypot, dz.shape, x, y)
     theta = _libm(math.atan, dz.shape, (rho / dz).ravel().tolist())
     phi = np.where(rho == 0.0, 0.0, _libm(math.atan2, dz.shape, y, x) % (2.0 * math.pi))
-    if theta.ndim == 0:
-        return AoA(theta=float(theta), phi=float(phi))
     return AoA(theta=theta, phi=phi)
 
 

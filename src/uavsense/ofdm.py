@@ -40,9 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Reflections:
-    """The reflections in a received frame as arrays over r: amplitude, delay and random phase of shape
-    (R,), and the beamformed gain (..., R), one row per weight vector; all share the scenario Doppler.
-    A build for a stack of L listeners has a leading listener axis on every array."""
+    """The reflections seen by L listeners as arrays over r: amplitude, delay and random phase (L, R), the gain
+    (L, n_p, R), one row per weight vector, and the scenario's one Doppler; synth_rx_frame takes one listener's rows."""
 
     amplitude: np.ndarray
     gain: np.ndarray
@@ -69,7 +68,7 @@ def reflection_amplitude(config: ScenarioConfig, rcs_m2, d1, d2):
 def build_reflections(
     config: ScenarioConfig,
     tx: int,
-    listener: int | np.ndarray,
+    listeners: np.ndarray,
     tx_pos: np.ndarray,
     rx_pos: np.ndarray,
     cell_sets: CellSets,
@@ -78,30 +77,25 @@ def build_reflections(
     target_pos: np.ndarray | None,
     phase: np.ndarray,
 ) -> Reflections:
-    """Reflections seen by `listener` while `tx` illuminates.
+    """Reflections seen by each of the L `listeners` (positions ``rx_pos`` (L, 3)) while `tx` illuminates.
 
     One ground reflection per illuminated cell (in row-major cell order), plus
     one target reflection appended iff ``target_pos`` is given (the target was
-    illuminated). ``weights`` is one (n^2,) receive weight vector or a stack,
-    e.g. (n_p, n^2) for the listener's intended cells, with one gain row each.
-    ``phase`` gives the random phase of each reflection in that order.
-
-    A stack of L listeners, with positions (L, 3), weights (L, n_p, n^2) and
-    phases (L, R), gives amplitude, delay and phase (L, R) and gain
-    (L, n_p, R); row i equals the build of listener i alone bit for bit, since
-    a single listener is built as a stack of one.
+    illuminated). ``weights`` (L, n_p, n^2) holds each listener's receive
+    weight vectors, e.g. one per intended cell, with one gain row each.
+    ``phase`` (L, R) gives each listener's random phase of each reflection in
+    that order. Every returned array has the listener axis first, and row i
+    depends on listener i's inputs only.
     """
-    if np.any(np.asarray(listener) == tx):
+    if np.any(np.asarray(listeners) == tx):
         raise ValueError("half-duplex operation: a transmitter cannot listen to itself")
-    lead = np.shape(listener)
-    rx_pos = np.reshape(rx_pos, (-1, 3))  # (L, 3)
     cells = cell_sets.illuminated
     points = grid.centers[cells[:, 0], cells[:, 1]]
     rcs = np.full(len(points), config.ground_rcs_m2)
     if target_pos is not None:
         points = np.vstack([points, target_pos])
         rcs = np.append(rcs, config.target_rcs_m2)
-    if np.shape(phase) != lead + (len(points),):
+    if np.shape(phase) != (len(rx_pos), len(points)):
         raise ValueError(f"{len(points)} reflections need one phase each, got shape {np.shape(phase)}")
     n = config.array_side
     d1 = np.linalg.norm(points - tx_pos, axis=1)  # (R,)
@@ -109,11 +103,10 @@ def build_reflections(
     # matmul hands a stack to BLAS only when it is contiguous; a strided
     # operand is summed in another order.
     steering = steering_matrix(aoa(rx_pos[:, None], points), n).reshape(n * n, len(rx_pos), -1).transpose(1, 0, 2)
-    gain = weights.conj() @ np.ascontiguousarray(steering)  # (L, ..., R)
     return Reflections(
-        amplitude=reflection_amplitude(config, rcs, d1, d2).reshape(lead + d1.shape),
-        gain=gain.reshape(lead + gain.shape[1:]),
-        delay_s=((d1 + d2) / SPEED_OF_LIGHT).reshape(lead + d1.shape),
+        amplitude=reflection_amplitude(config, rcs, d1, d2),
+        gain=weights.conj() @ np.ascontiguousarray(steering),
+        delay_s=(d1 + d2) / SPEED_OF_LIGHT,
         doppler_hz=config.doppler_hz,
         phase=np.asarray(phase, dtype=float),
     )
@@ -135,43 +128,33 @@ def subcarrier_ramps(delay_s, config: ScenarioConfig, sign: int = -1) -> np.ndar
 def synth_rx_frame(
     tx_frame: np.ndarray,
     reflections: Reflections,
+    ramps: np.ndarray,
     config: ScenarioConfig,
     noise_variance=0.0,
     noise_draws: np.ndarray | None = None,
-    ramps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Received frames, shape (..., N, M): the superposition of all reflections plus noise.
+    """One listener's received frames, shape (n_p, N, M): the superposition of all reflections plus noise.
 
-    Element (k, l) is
-    sum_r b_r chi_r tx[k, l] e^{+j 2 pi f_D T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z[k, l],
-    one frame per leading row of the gain. Every reflection shares the one
-    Doppler f_D (``doppler_hz`` may repeat it per reflection; distinct values
-    raise ValueError), so the sum over reflections is one row over subcarriers,
-    times the symbol ramp and the data, the same for every row: O(R M + N M)
-    per frame, not the O(N R M) of a rank-R product. With standard normal
-    ``noise_draws`` (..., 2, N, M), z = sqrt(noise_variance / 2) (draws[..., 0, :, :] + j draws[..., 1, :, :]),
-    added in place. ``ramps`` (R, M), if given, are the reflections' delay
+    Element (k, l) of frame i is
+    sum_r b_r chi_ir tx[k, l] e^{+j 2 pi f_D T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z_i[k, l],
+    one frame per row i of the gain (n_p, R). Every reflection shares the one
+    Doppler f_D, so the sum over reflections is one row over subcarriers,
+    times the symbol ramp and the data: O(R M + N M) per frame, not the
+    O(N R M) of a rank-R product. ``ramps`` (R, M) are the reflections' delay
     ramps ``subcarrier_ramps(reflections.delay_s, config)``, e.g. gathered
     from the ramps of a set of distinct delays; rows of equal delays are equal
-    bit for bit, so the frames are the same bytes.
+    bit for bit, so the frames are the same bytes. With standard normal
+    ``noise_draws`` (n_p, 2, N, M) and ``noise_variance`` (n_p,),
+    z_i = sqrt(noise_variance[i] / 2) (draws[i, 0] + j draws[i, 1]), added in place.
     """
     N, M = tx_frame.shape
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
-    dopplers = set(np.ravel(reflections.doppler_hz).tolist())
-    if len(dopplers) > 1:
-        raise ValueError(f"doppler_hz: the reflections share one Doppler, got {len(dopplers)} distinct values")
-    doppler = dopplers.pop() if dopplers else 0.0  # no reflections sum to zero under any ramp
-    symbol_ramp = np.exp(2j * math.pi * doppler * config.symbol_duration_s * np.arange(N))  # (N,)
-    if ramps is None:
-        ramps = subcarrier_ramps(reflections.delay_s, config)  # (R, M)
-    weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (..., R)
+    symbol_ramp = np.exp(2j * math.pi * reflections.doppler_hz * config.symbol_duration_s * np.arange(N))  # (N,)
+    weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (n_p, R)
     rx = (weighted @ ramps)[..., None, :] * (symbol_ramp[:, None] * tx_frame)
     if noise_draws is not None:
         scale = np.sqrt(np.asarray(noise_variance) / 2.0)[..., None, None]
-        noisy = np.broadcast_shapes(rx.shape, scale.shape, noise_draws.shape[:-3] + (N, M))
-        if rx.shape != noisy:  # more noise rows than gain rows, e.g. many noisy copies of one frame
-            rx = np.broadcast_to(rx, noisy).copy()
         rx.real += scale * noise_draws[..., 0, :, :]
         rx.imag += scale * noise_draws[..., 1, :, :]
     elif np.any(noise_variance):
@@ -204,21 +187,18 @@ def periodogram_grid(frame: np.ndarray, padded_symbols: int, padded_subcarriers:
     return np.abs(spectrum) ** 2 / (N * M)
 
 
-def matched_point_value(frame: np.ndarray, delay_s, doppler_hz: float, config: ScenarioConfig, ramps=None):
-    """Periodogram value at the exact continuous delay-Doppler point.
+def matched_point_value(frame: np.ndarray, ramps: np.ndarray, doppler_hz: float, config: ScenarioConfig):
+    """Periodogram value of each frame (n_p, N, M) at an exact continuous delay-Doppler point, shape (n_p,).
 
-    Correlates the processed frame against the phase ramps of a hypothetical
-    reflection with the given delay and Doppler; equals the grid periodogram
-    wherever the point falls on an integer bin. Frames (..., N, M) take delays (...,).
-    ``ramps`` (..., M), if given, are ``subcarrier_ramps(delay_s, config, +1)``,
-    e.g. gathered from the ramps of a set of distinct delays, and give the same bytes.
+    Correlates each processed frame against the ramps of a hypothetical reflection at its delay and the
+    given Doppler; equals the grid periodogram wherever the point falls on an integer bin. ``ramps`` (n_p, M)
+    are the correlator ramps ``subcarrier_ramps(delay_s, config, +1)`` of the frames' delays (n_p,), e.g.
+    gathered from the ramps of a set of distinct delays, which give the same bytes.
     """
     N, M = frame.shape[-2:]
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
     sym = np.exp(-2j * math.pi * doppler_hz * config.symbol_duration_s * np.arange(N))
-    if ramps is None:
-        ramps = subcarrier_ramps(delay_s, config, +1)
     return np.abs(np.sum((sym @ frame) * ramps, axis=-1)) ** 2 / (N * M)
 
 

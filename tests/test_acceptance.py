@@ -32,6 +32,7 @@ from uavsense import (
     run_trial,
     steering_matrix,
     steering_vector,
+    subcarrier_ramps,
     sweep,
     synth_rx_frame,
     synth_tx_frame,
@@ -56,13 +57,14 @@ def test_criterion_1_rcs_roundtrip():
     tau = (d1 + d2) / SPEED_OF_LIGHT
     refl = Reflections(
         amplitude=np.array([b]),
-        gain=np.array([1.0 + 0j]),
+        gain=np.array([[1.0 + 0j]]),
         delay_s=np.array([tau]),
-        doppler_hz=np.array([0.0]),
+        doppler_hz=0.0,
         phase=np.array([0.0]),
     )
-    frame = remove_data(synth_rx_frame(tx, refl, cfg), tx)
-    sigma = estimate_rcs(matched_point_value(frame, tau, 0.0, cfg), cfg, d1, d2)
+    frame = remove_data(synth_rx_frame(tx, refl, subcarrier_ramps(refl.delay_s, cfg), cfg), tx)
+    peak = matched_point_value(frame, subcarrier_ramps(np.array([tau]), cfg, +1), 0.0, cfg)
+    sigma = float(estimate_rcs(peak, cfg, d1, d2)[0])
     elapsed = time.perf_counter() - start
     rel = abs(sigma - 10.0) / 10.0
     _report(
@@ -95,8 +97,9 @@ def test_criterion_2_periodogram_oracle():
         doppler = n_hat / (NP * cfg.symbol_duration_s)
         delay = m_hat / (MP * cfg.subcarrier_spacing_hz)
         tx = synth_tx_frame(cfg, rng)
-        refl = Reflections(np.array([1.0]), np.array([1.0]), np.array([delay]), np.array([doppler]), np.array([0.7]))
-        grid = periodogram_grid(remove_data(synth_rx_frame(tx, refl, cfg), tx), NP, MP)
+        refl = Reflections(np.array([1.0]), np.array([[1.0]]), np.array([delay]), doppler, np.array([0.7]))
+        frame = remove_data(synth_rx_frame(tx, refl, subcarrier_ramps(refl.delay_s, cfg), cfg), tx)[0]
+        grid = periodogram_grid(frame, NP, MP)
         ok_argmax &= np.unravel_index(np.argmax(grid), grid.shape) == (n_hat, m_hat)
     elapsed = time.perf_counter() - start
     _report(
@@ -115,15 +118,15 @@ def test_criterion_3_beamformer_contracts():
     worst_norm = 0.0
     ls_beats_baseline = True
     for _ in range(1000):
-        d = AoA(theta=rng.uniform(0.0, math.pi / 2 * 0.999), phi=rng.uniform(0.0, 2 * math.pi))
-        g = steering_vector(d, n)
-        w_capon = capon_beamformer(d, n)
+        d = AoA(theta=rng.uniform(0.0, math.pi / 2 * 0.999, 1), phi=rng.uniform(0.0, 2 * math.pi, 1))
+        g = steering_vector(d, n)[0]
+        w_capon = capon_beamformer(d, n)[0]
         worst_gain = max(worst_gain, abs(w_capon.conj() @ g - 1.0))
         mesh = aoa_mesh(d, n)
-        w_ls = ls_beamformer(mesh, n)
+        w_ls = ls_beamformer(mesh, n)[0]
         worst_norm = max(worst_norm, abs(np.linalg.norm(w_ls) - 1.0))
         A = steering_matrix(mesh, n).conj().T
-        desired = np.zeros(len(mesh.theta))
+        desired = np.zeros(A.shape[0])
         desired[0] = 1.0
         res_ls = np.sum(np.abs(A @ w_ls - desired) ** 2)
         res_base = np.sum(np.abs(A @ (g / np.linalg.norm(g)) - desired) ** 2)
@@ -159,9 +162,9 @@ def test_criterion_4_fast_reference_equivalence():
     b_amp = reflection_amplitude(cfg, 1e-3, d1, d2)
     reflections = Reflections(
         amplitude=np.array([b_amp, 0.7 * b_amp]),
-        gain=np.array([1.0, 0.4 - 0.2j]),
+        gain=np.array([[1.0, 0.4 - 0.2j]]),
         delay_s=np.array([tau, tau * 1.001]),
-        doppler_hz=np.array([0.0, 0.0]),
+        doppler_hz=0.0,
         phase=np.array([0.3, 2.1]),
     )
     nm = cfg.symbols_per_frame * cfg.subcarriers
@@ -170,15 +173,17 @@ def test_criterion_4_fast_reference_equivalence():
     draws = 10_000
     gen_ref = np.random.default_rng(17)
     tx = synth_tx_frame(cfg, gen_ref)
+    ramps = subcarrier_ramps(reflections.delay_s, cfg)
+    matched_ramps = subcarrier_ramps(np.array([tau]), cfg, +1)
     ref_values = np.empty(draws)
     for i in range(draws):
-        draws_ref = gen_ref.standard_normal((2, cfg.symbols_per_frame, cfg.subcarriers))
-        frame = remove_data(synth_rx_frame(tx, reflections, cfg, noise_var, draws_ref), tx)
-        ref_values[i] = matched_point_value(frame, tau, 0.0, cfg)
+        draws_ref = gen_ref.standard_normal((1, 2, cfg.symbols_per_frame, cfg.subcarriers))
+        frame = remove_data(synth_rx_frame(tx, reflections, ramps, cfg, noise_var, draws_ref), tx)
+        ref_values[i] = matched_point_value(frame, matched_ramps, 0.0, cfg)[0]
     gen_fast = np.random.default_rng(18)
     coupling = matched_coupling(
         reflections.amplitude,
-        np.reshape(reflections.gain, (-1, 1)),
+        reflections.gain.reshape(-1, 1),
         reflections.delay_s,
         [tau],
         cfg,

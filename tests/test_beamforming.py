@@ -17,13 +17,18 @@ from uavsense import (
 )
 
 
+def one(theta, phi):
+    """A stack of one direction."""
+    return AoA(theta=np.array([theta]), phi=np.array([phi]))
+
+
 def random_aoa(rng, theta_max=math.pi / 2 * 0.999):
-    return AoA(theta=rng.uniform(0.0, theta_max), phi=rng.uniform(0.0, 2 * math.pi))
+    return one(rng.uniform(0.0, theta_max), rng.uniform(0.0, 2 * math.pi))
 
 
 def desired_response(mesh):
-    """The LS design target: 1 at the intended (first) mesh point, 0 elsewhere."""
-    v = np.zeros(len(mesh.theta))
+    """The LS design target of a stack of one mesh: 1 at the intended (first) mesh point, 0 elsewhere."""
+    v = np.zeros(mesh.theta.size)
     v[0] = 1.0
     return v
 
@@ -35,19 +40,25 @@ def scale_free_residual(A, w):
 
 
 def stacked(directions):
-    """One AoA holding the angles of several directions as arrays."""
-    return AoA(theta=np.array([d.theta for d in directions]), phi=np.array([d.phi for d in directions]))
+    """One AoA holding the angles of several stacks of one."""
+    return AoA(theta=np.concatenate([d.theta for d in directions]), phi=np.concatenate([d.phi for d in directions]))
+
+
+def row(stack: AoA, k: int) -> AoA:
+    """Row k of a stack of directions or meshes, as a stack of one."""
+    return AoA(stack.theta[k : k + 1], stack.phi[k : k + 1])
 
 
 class TestSteeringVector:
     def test_boresight_is_all_ones(self):
-        g = steering_vector(AoA(0.0, 1.234), 8)
+        g = steering_vector(one(0.0, 1.234), 8)
+        assert g.shape == (1, 64)
         assert np.allclose(g, 1.0)
 
     def test_hand_evaluated_ramps(self):
         # theta=pi/2, phi=pi/2: sin(theta)=1, sin(phi)=1, cos(phi)=0, so the
         # i-ramp alternates sign and the j-ramp stays at 1.
-        g = steering_vector(AoA(math.pi / 2, math.pi / 2), 2).reshape(2, 2)
+        g = steering_vector(one(math.pi / 2, math.pi / 2), 2).reshape(2, 2)
         assert g[0, 0] == pytest.approx(1.0)
         assert g[0, 1] == pytest.approx(1.0)
         assert g[1, 0] == pytest.approx(-1.0)
@@ -61,7 +72,7 @@ class TestSteeringVector:
 
     def test_unit_modulus_and_norm(self, rng):
         for n in (2, 5, 8):
-            g = steering_vector(random_aoa(rng), n)
+            g = steering_vector(random_aoa(rng), n)[0]
             assert np.allclose(np.abs(g), 1.0)
             assert np.linalg.norm(g) == pytest.approx(n)
             assert g[0] == pytest.approx(1.0)
@@ -71,64 +82,64 @@ class TestSteeringVector:
         G = steering_matrix(stacked(dirs), 4)
         assert G.shape == (16, 5)
         for h, d in enumerate(dirs):
-            assert np.allclose(G[:, h], steering_vector(d, 4))
+            assert np.allclose(G[:, h], steering_vector(d, 4)[0])
 
     def test_stacked_directions_give_contiguous_rows(self, rng):
         dirs = [random_aoa(rng) for _ in range(5)]
         rows = steering_vector(stacked(dirs), 6)
         assert rows.shape == (5, 36) and rows.flags.c_contiguous
         for h, d in enumerate(dirs):
-            assert rows[h].tobytes() == steering_vector(d, 6).tobytes()
+            assert rows[h].tobytes() == steering_vector(d, 6)[0].tobytes()
 
     def test_vectorized_matrix_matches_loop(self, rng):
         # Every column of the vectorized matrix is the steering vector of its
         # direction, here over a whole design mesh.
         mesh = aoa_mesh(random_aoa(rng), 5)
         G = steering_matrix(mesh, 5)
-        assert G.shape == (25, len(mesh.theta))
-        for h, (theta, phi) in enumerate(zip(mesh.theta, mesh.phi)):
-            assert np.allclose(G[:, h], steering_vector(AoA(theta, phi), 5), rtol=0.0, atol=1e-15)
+        assert G.shape == (25, mesh.theta.size)
+        for h, (theta, phi) in enumerate(zip(mesh.theta[0], mesh.phi[0])):
+            assert np.allclose(G[:, h], steering_vector(one(theta, phi), 5)[0], rtol=0.0, atol=1e-15)
 
 
 class TestAoAMesh:
     def test_elevation_wrap_duplicates(self):
-        mesh = aoa_mesh(AoA(0.3, 1.0), 3)
-        assert np.allclose(mesh.theta[::12], [0.3, 0.3 + math.pi / 4, 0.3])
+        mesh = aoa_mesh(one(0.3, 1.0), 3)
+        assert np.allclose(mesh.theta[0, ::12], [0.3, 0.3 + math.pi / 4, 0.3])
 
     def test_azimuth_wrap_duplicates(self):
-        mesh = aoa_mesh(AoA(0.5, 0.0), 2)
+        mesh = aoa_mesh(one(0.5, 0.0), 2)
         expected = [(j * 2 * math.pi / 7) % (2 * math.pi) for j in range(8)]
-        assert np.allclose(mesh.phi[:8], expected)
-        assert mesh.phi[7] == pytest.approx(0.0)
+        assert np.allclose(mesh.phi[0, :8], expected)
+        assert mesh.phi[0, 7] == pytest.approx(0.0)
 
     def test_cardinality(self):
         for n in (2, 3, 8):
-            mesh = aoa_mesh(AoA(0.2, 0.4), n)
-            assert len(mesh.theta) == 4 * n * n
-            assert len(mesh.phi) == 4 * n * n
+            mesh = aoa_mesh(one(0.2, 0.4), n)
+            assert mesh.theta.shape == mesh.phi.shape == (1, 4 * n * n)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_stacked_directions_give_rows_of_single_meshes(self, rng, n):
-        dirs = [random_aoa(rng) for _ in range(6)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(math.pi / 2, math.pi)]
+        dirs = [random_aoa(rng) for _ in range(6)] + [one(0.0, 0.0), one(-0.0, 1.0), one(math.pi / 2, math.pi)]
         mesh = aoa_mesh(stacked(dirs), n)
         assert mesh.theta.shape == mesh.phi.shape == (len(dirs), 4 * n * n)
         for k, d in enumerate(dirs):
             single = aoa_mesh(d, n)
-            assert single.theta.shape == (4 * n * n,)
+            assert single.theta.shape == (1, 4 * n * n)
             assert mesh.theta[k].tobytes() == single.theta.tobytes()
             assert mesh.phi[k].tobytes() == single.phi.tobytes()
 
     def test_first_point_is_intended_with_unit_response(self):
-        mesh = aoa_mesh(AoA(0.7, 2.2), 4)
-        assert mesh.theta[0] == pytest.approx(0.7)
-        assert mesh.phi[0] == pytest.approx(2.2)
+        mesh = aoa_mesh(one(0.7, 2.2), 4)
+        assert mesh.theta[0, 0] == pytest.approx(0.7)
+        assert mesh.phi[0, 0] == pytest.approx(2.2)
 
 
 class TestLsBeamformer:
     def test_boresight_collinear_with_ones(self):
         # All 16 mesh rows coincide at theta=0 for n=2; the loaded normal
         # equations pick the all-ones direction (loading limits accuracy).
-        w = ls_beamformer(aoa_mesh(AoA(0.0, 0.0), 2), 2)
+        w = ls_beamformer(aoa_mesh(one(0.0, 0.0), 2), 2)
+        assert w.shape == (1, 4)
         assert np.allclose(w, 0.5, atol=1e-4)
 
     def test_unit_norm(self, rng):
@@ -140,9 +151,9 @@ class TestLsBeamformer:
         for _ in range(20):
             d = random_aoa(rng)
             mesh = aoa_mesh(d, 8)
-            w = ls_beamformer(mesh, 8)
+            w = ls_beamformer(mesh, 8)[0]
             A = steering_matrix(mesh, 8).conj().T
-            baseline = steering_vector(d, 8) / 8.0
+            baseline = steering_vector(d, 8)[0] / 8.0
             v = desired_response(mesh)
             res_ls = np.sum(np.abs(A @ w - v) ** 2)
             res_base = np.sum(np.abs(A @ baseline - v) ** 2)
@@ -154,7 +165,7 @@ class TestLsBeamformer:
         # the normalized dense lstsq solution.
         for _ in range(10):
             mesh = aoa_mesh(random_aoa(rng), n)
-            w = ls_beamformer(mesh, n)
+            w = ls_beamformer(mesh, n)[0]
             A = steering_matrix(mesh, n).conj().T
             oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
             assert np.max(np.abs(w - oracle / np.linalg.norm(oracle))) < 1e-10
@@ -166,9 +177,9 @@ class TestLsBeamformer:
         # designs one offset of each mirrored pair and conjugates it for the other.
         for _ in range(10):
             d = random_aoa(rng)
-            conjugated = ls_beamformer(aoa_mesh(d, n), n).conj()
+            conjugated = ls_beamformer(aoa_mesh(d, n), n)[0].conj()
             mesh = aoa_mesh(AoA(d.theta, (d.phi + math.pi) % (2 * math.pi)), n)
-            assert np.max(np.abs(ls_beamformer(mesh, n) - conjugated)) < 1e-12
+            assert np.max(np.abs(ls_beamformer(mesh, n)[0] - conjugated)) < 1e-12
             A = steering_matrix(mesh, n).conj().T
             oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
             assert np.max(np.abs(conjugated - oracle / np.linalg.norm(oracle))) < 1e-10
@@ -182,12 +193,12 @@ class TestLsBeamformer:
             A = steering_matrix(mesh, 16).conj().T
             oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
             expected = scale_free_residual(A, oracle)
-            assert abs(scale_free_residual(A, ls_beamformer(mesh, 16)) - expected) <= 1e-12 * expected
+            assert abs(scale_free_residual(A, ls_beamformer(mesh, 16)[0]) - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("field", ["theta", "phi"])
     def test_non_finite_mesh_angle_raises(self, field):
-        mesh = aoa_mesh(AoA(0.4, 1.0), 4)
-        getattr(mesh, field)[5] = np.nan
+        mesh = aoa_mesh(one(0.4, 1.0), 4)
+        getattr(mesh, field)[0, 5] = np.nan
         with pytest.raises(ValueError):
             ls_beamformer(mesh, 4)
 
@@ -204,15 +215,15 @@ class TestLsBeamformer:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_stacked_design_equals_single_designs(self, rng, n):
-        # One call over K meshes gives the rows of K single calls, bit for bit,
+        # One call over K meshes gives the rows of K stacks of one, bit for bit,
         # boresight and the dense least-squares directions near it included.
-        dirs = [random_aoa(rng) for _ in range(7)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(1e-6, 2.0), AoA(0.02, 5.0)]
+        dirs = [random_aoa(rng) for _ in range(7)] + [one(0.0, 0.0), one(-0.0, 1.0), one(1e-6, 2.0), one(0.02, 5.0)]
         mesh = aoa_mesh(stacked(dirs), n)
         weights = ls_beamformer(mesh, n)
         assert weights.shape == (len(dirs), n * n)
         for k in range(len(dirs)):
-            single = ls_beamformer(AoA(mesh.theta[k], mesh.phi[k]), n)
-            assert single.shape == (n * n,)
+            single = ls_beamformer(row(mesh, k), n)
+            assert single.shape == (1, n * n)
             assert weights[k].tobytes() == single.tobytes()
 
     def test_refinement_never_worse_than_plain_solve(self, rng):
@@ -224,7 +235,7 @@ class TestLsBeamformer:
         v[0] = 1.0
         plain = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A.conj().T @ A), A.conj().T @ v)
         plain /= np.linalg.norm(plain)
-        refined = ls_beamformer(mesh, 8)
+        refined = ls_beamformer(mesh, 8)[0]
         assert scale_free_residual(A, refined) <= scale_free_residual(A, plain) + 1e-12
 
 
@@ -238,10 +249,10 @@ def test_ls_fit_near_boresight_equals_dense_least_squares(n, theta, phi):
     # equations lose the weights; the design's fit still equals lstsq's. The
     # fit is evaluated from A w, which cancels to about ||A|| / ||A w|| times
     # the rounding of w, so the bound grows with that ratio.
-    mesh = aoa_mesh(AoA(theta, phi), n)
+    mesh = aoa_mesh(one(theta, phi), n)
     A = steering_matrix(mesh, n).conj().T
     oracle, *_ = np.linalg.lstsq(A, desired_response(mesh).astype(complex), rcond=None)
-    w = ls_beamformer(mesh, n)
+    w = ls_beamformer(mesh, n)[0]
     cancellation = np.linalg.norm(A) / np.linalg.norm(A @ w)
     gap = abs(scale_free_residual(A, w) - scale_free_residual(A, oracle / np.linalg.norm(oracle)))
     assert gap <= 1e-12 + 1e-14 * cancellation
@@ -249,25 +260,26 @@ def test_ls_fit_near_boresight_equals_dense_least_squares(n, theta, phi):
 
 class TestCaponBeamformer:
     def test_boresight_uniform_weights(self):
-        w = capon_beamformer(AoA(0.0, 0.0), 8)
+        w = capon_beamformer(one(0.0, 0.0), 8)
+        assert w.shape == (1, 64)
         assert np.allclose(w, 1.0 / 64.0)
 
     def test_distortionless_constraint(self, rng):
         for _ in range(100):
             d = random_aoa(rng)
-            w = capon_beamformer(d, 8)
-            gain = w.conj() @ steering_vector(d, 8)
+            w = capon_beamformer(d, 8)[0]
+            gain = w.conj() @ steering_vector(d, 8)[0]
             assert abs(gain - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
     def test_stacked_design_equals_single_designs(self, rng, n):
-        # One call over H directions gives the rows of H single calls, bit for bit.
-        dirs = [random_aoa(rng) for _ in range(7)] + [AoA(0.0, 0.0), AoA(-0.0, 1.0), AoA(math.pi / 2, math.pi)]
+        # One call over H directions gives the rows of H stacks of one, bit for bit.
+        dirs = [random_aoa(rng) for _ in range(7)] + [one(0.0, 0.0), one(-0.0, 1.0), one(math.pi / 2, math.pi)]
         weights = capon_beamformer(stacked(dirs), n)
         assert weights.shape == (len(dirs), n * n)
         for h, d in enumerate(dirs):
             single = capon_beamformer(d, n)
-            assert single.shape == (n * n,)
+            assert single.shape == (1, n * n)
             assert weights[h].tobytes() == single.tobytes()
 
     def test_main_lobe_dominance(self, rng):
@@ -276,10 +288,10 @@ class TestCaponBeamformer:
         width = hpbw(8)
         for _ in range(10):
             d = random_aoa(rng, theta_max=math.pi / 3)
-            w = capon_beamformer(d, 8)
+            w = capon_beamformer(d, 8)[0]
             mesh = aoa_mesh(d, 8)
             gains = np.abs(w.conj() @ steering_matrix(mesh, 8))
-            far = np.hypot(mesh.theta - d.theta, mesh.phi - d.phi) > width
+            far = np.hypot(mesh.theta[0] - d.theta, mesh.phi[0] - d.phi) > width
             assert gains[0] >= np.max(gains[far]) - 1e-12
 
 
@@ -289,6 +301,6 @@ def test_global_phase_immunity(rng):
     d = random_aoa(rng)
     others = [random_aoa(rng) for _ in range(6)]
     G = steering_matrix(stacked(others), 8)
-    w = capon_beamformer(d, 8)
+    w = capon_beamformer(d, 8)[0]
     shift = np.exp(1j * 0.7)
     assert np.allclose(np.abs((w * shift).conj() @ (G * shift)), np.abs(w.conj() @ G))

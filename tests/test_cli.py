@@ -243,6 +243,17 @@ class TestSweepCommand:
         assert {r[0] for r in rows} == {"altitude"}
         assert {r[5] for r in rows} == {"0", "1", "2"}
 
+    @pytest.mark.parametrize("flag, value", [("--beamformer", "ls"), ("--fusion", "prenorm")])
+    def test_design_flags_belong_to_run_only(self, tmp_path, capsys, flag, value):
+        # A sweep takes its beamformers and fusions from sweep.beamformers and
+        # sweep.fusions, so the flag is refused there, not silently ignored.
+        cfg_path = _write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg_path, "--preset", "fig7", "--trials", "1", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert main(["run", "--config", cfg_path, "--trials", "1", flag, value, "--out", str(tmp_path / "r.csv")]) == 0
+
     def test_sweep_requires_spec(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         assert main(["sweep", "--config", cfg_path]) == 2

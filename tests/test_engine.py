@@ -27,6 +27,7 @@ from uavsense.beamforming import aoa_mesh, capon_beamformer, ls_beamformer, stee
 from uavsense.config import SPEED_OF_LIGHT
 from uavsense.geometry import AoA, aoa
 from uavsense.ofdm import (
+    Reflections,
     build_reflections,
     coherent_peaks,
     estimate_rcs,
@@ -34,6 +35,7 @@ from uavsense.ofdm import (
     matched_point_value,
     reflection_amplitude,
     remove_data,
+    subcarrier_ramps,
     synth_rx_frame,
     synth_tx_frame,
 )
@@ -68,7 +70,7 @@ def ls_orbit(rx_position, point) -> tuple[AoA, bool, bool, bool]:
     flip = bool(dx > 0 if mirror else dx < 0)
     swap = bool(abs(dy) > abs(dx))
     canonical = np.array([max(abs(dx), abs(dy)), min(abs(dx), abs(dy)), dz])
-    return aoa(np.zeros(3), canonical), swap, flip, mirror
+    return aoa(np.zeros(3), canonical[None]), swap, flip, mirror
 
 
 def ls_image(design, direction: AoA, n, swap, flip, mirror) -> np.ndarray:
@@ -99,7 +101,7 @@ def build_counting_ls_designs(config, monkeypatch):
     designed = []
 
     def counting(mesh, n, original=engine.ls_beamformer):
-        designed.append(len(np.atleast_2d(mesh.theta)))
+        designed.append(len(mesh.theta))
         return original(mesh, n)
 
     monkeypatch.setattr(engine, "ls_beamformer", counting)
@@ -120,6 +122,21 @@ def assert_ls_rows_are_orbit_images(tables) -> dict:
     direct = ls_beamformer(aoa_mesh(AoA(np.array([d.theta for d in own]), np.array([d.phi for d in own])), n), n)
     assert np.max(np.abs(np.array(rows) - direct)) < 1e-12
     return designs
+
+
+def reference_peaks(config, tables, tx_frame, tx, rx, weights, target, phases, p, cells, noise_variance, draws):
+    """matched_point_value of one pair's frames for the intended cells `cells` (an index array),
+    from build_reflections of the stack of listener rx alone and per-pair ramps."""
+    listeners = np.array([rx])
+    built = build_reflections(
+        config, tx, listeners, tables.positions[tx], tables.positions[listeners], tables.cell_sets[tx], tables.grid,
+        weights[None], target, phases[None],
+    )
+    reflections = Reflections(built.amplitude[0], built.gain[0], built.delay_s[0], built.doppler_hz, built.phase[0])
+    ramps = subcarrier_ramps(reflections.delay_s, config)
+    frames = synth_rx_frame(tx_frame, reflections, ramps, config, noise_variance, draws)
+    matched_ramps = subcarrier_ramps(tables.matched_delay[p, cells], config, +1)
+    return matched_point_value(remove_data(frames, tx_frame), matched_ramps, config.doppler_hz, config), built
 
 
 def fresh_generator() -> np.random.Generator:
@@ -591,20 +608,18 @@ class TestRunTrial:
         k, i = 2, len(cells) - 1
         p = record.pairs.start + k
         tx, rx, (a, b) = record.tx, int(record.rx[k]), cells[i]
-        positions = tables.positions
         tx_frame = synth_tx_frame(small_config, substream(seed, trial, engine._STREAM_TXDATA, tx))
         block = trial_phases(small_config, tables, trial)
         phases = block[p, : len(tables.cell_sets[tx].illuminated)]
         if illuminated_by[tx]:
             phases = np.append(phases, block[p, -1])
-        reflections = build_reflections(
-            small_config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-            tables.pair_weights(p)[i], target if illuminated_by[tx] else None, phases,
-        )
         noise = substream(seed, trial, engine._STREAM_NOISE, tx, rx)
-        draws = noise.standard_normal((len(cells), 2, 8, 16))[i]
-        frame = remove_data(synth_rx_frame(tx_frame, reflections, small_config, tables.noise_var[p, i], draws), tx_frame)
-        peak = matched_point_value(frame, tables.matched_delay[p, i], small_config.doppler_hz, small_config)
+        draws = noise.standard_normal((len(cells), 2, 8, 16))[i : i + 1]
+        cell = np.array([i])
+        (peak,), _ = reference_peaks(
+            small_config, tables, tx_frame, tx, rx, tables.pair_weights(p)[cell], target if illuminated_by[tx] else None,
+            phases, p, cell, tables.noise_var[p, cell], draws,
+        )
         expected = peak * tables.est_scale[p, i]
         assert outcome.local_maps[rx].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -691,7 +706,7 @@ class TestReferenceRamps:
         zeta = trial_phases(config, tables, trial)
         estimates = engine._reference_estimates(config, tables, trial, target, illuminated_by, zeta)
 
-        seed, positions = config.master_seed, tables.positions
+        seed = config.master_seed
         expected, delays = np.empty_like(estimates), []
         for record in tables.transmitters:
             tx = record.tx
@@ -702,21 +717,17 @@ class TestReferenceRamps:
                 phases, lit_target = zeta[p, :n_q], None
                 if illuminated_by[tx]:
                     phases, lit_target = np.append(phases, zeta[p, -1]), target
-                reflections = build_reflections(
-                    config, tx, rx, positions[tx], positions[rx], tables.cell_sets[tx], tables.grid,
-                    tables.pair_weights(p), lit_target, phases,
-                )
-                delays.append(reflections.delay_s)
+                cells = np.arange(len(tables.cell_sets[tx].intended))
+                draws = None
                 if noise:
                     draws = substream(seed, trial, engine._STREAM_NOISE, tx, rx).standard_normal(
-                        (len(tables.cell_sets[record.tx].intended), 2) + tx_frame.shape
+                        (len(cells), 2) + tx_frame.shape
                     )
-                    frames = synth_rx_frame(tx_frame, reflections, config, tables.noise_var[p], draws)
-                else:
-                    frames = synth_rx_frame(tx_frame, reflections, config)
-                peaks = matched_point_value(
-                    remove_data(frames, tx_frame), tables.matched_delay[p], config.doppler_hz, config
+                peaks, built = reference_peaks(
+                    config, tables, tx_frame, tx, rx, tables.pair_weights(p), lit_target, phases, p, cells,
+                    tables.noise_var[p] if noise else 0.0, draws,
                 )
+                delays.append(built.delay_s[0])
                 expected[p] = peaks * tables.est_scale[p]
         assert estimates.tobytes() == expected.tobytes()
         # One ramp per distinct delay bit pattern, far fewer than one per (pair, delay).

@@ -231,7 +231,7 @@ class TestDetectionDelta:
         assert stars.dtype.kind == "i" and stars.shape == (len(targets),)
         expected = [scalar_delta(t, c, cell_size) for t, c in zip(targets, cells)]
         assert stars.tolist() == expected
-        assert [detection_delta(t, c, cell_size) for t, c in zip(targets, cells)] == expected
+        assert [detection_delta(t, c, cell_size).tolist() for t, c in zip(targets, cells)] == expected
         # Broadcast over a leading (values, trials) block, as the engine calls it.
         block = detection_delta(targets[:4], np.stack([cells[:4], cells[4:8]]), cell_size)
         assert block.tolist() == [expected[:4], [scalar_delta(t, c, cell_size) for t, c in zip(targets[:4], cells[4:8])]]

@@ -191,6 +191,7 @@ class TestClassifyCells:
 class TestAoa:
     def test_right_triangle(self):
         d = aoa((0.0, 0.0, 100.0), (100.0, 0.0, 0.0))
+        assert isinstance(d.theta, np.ndarray) and d.theta.shape == d.phi.shape == ()
         assert d.theta == pytest.approx(math.pi / 4)
         assert d.phi == pytest.approx(0.0)
 

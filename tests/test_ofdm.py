@@ -26,7 +26,7 @@ from uavsense import (
 )
 from uavsense.config import RunOptions
 from uavsense.engine import _phase_block
-from uavsense.ofdm import Reflections, build_reflections, dirichlet_kernel
+from uavsense.ofdm import Reflections, build_reflections, dirichlet_kernel, subcarrier_ramps
 
 C0 = 299792458.0
 
@@ -52,10 +52,21 @@ def direct_periodogram(frame, n_pad, m_pad):
     return out
 
 
-def reflections_of(*rows):
-    """Reflections from (amplitude, gain, delay_s, doppler_hz, phase) rows."""
-    columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 5
-    return Reflections(*columns)
+def reflections_of(*rows, doppler_hz=0.0):
+    """Reflections under one weight vector, gain (1, R), from (amplitude, gain, delay_s, phase) rows."""
+    amplitude, gain, delay_s, phase = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 4
+    return Reflections(amplitude, gain[None], delay_s, doppler_hz, phase)
+
+
+def rx_frames(tx, reflections, cfg, noise_variance=0.0, noise_draws=None):
+    """synth_rx_frame under the reflections' own delay ramps."""
+    ramps = subcarrier_ramps(reflections.delay_s, cfg)
+    return synth_rx_frame(tx, reflections, ramps, cfg, noise_variance, noise_draws)
+
+
+def matched_values(frames, delays, doppler_hz, cfg):
+    """matched_point_value of frames (n_p, N, M) at delays (n_p,), under their correlator ramps."""
+    return matched_point_value(frames, subcarrier_ramps(np.asarray(delays), cfg, +1), doppler_hz, cfg)
 
 
 def phase_sum(coupling, zeta):
@@ -141,21 +152,27 @@ class TestBuildReflections:
     def _phases(rng, count):
         return rng.uniform(0.0, 2.0 * math.pi, count)
 
+    @staticmethod
+    def _build(cfg, positions, sets, grid, weights, target, phases, tx=0, rx=1):
+        """build_reflections for the stack of one listener rx, with weights (n_p, n^2) and phases (R,)."""
+        listeners = np.array([rx])
+        return build_reflections(
+            cfg, tx, listeners, positions[tx], positions[listeners], sets, grid, weights[None], target, phases[None]
+        )
+
     def test_component_count_without_target(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
-        refl = build_reflections(
-            cfg, 0, 1, positions[0], positions[1], sets, grid,
-            weights[0], None, self._phases(rng, len(sets.illuminated)),
-        )
-        assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated)
+        refl = self._build(cfg, positions, sets, grid, weights[:1], None, self._phases(rng, len(sets.illuminated)))
+        assert refl.phase.shape == refl.amplitude.shape == (1, len(sets.illuminated))
 
     def test_component_count_with_target(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
-        refl = build_reflections(
-            cfg, 0, 1, positions[0], positions[1], sets, grid,
-            weights[0], np.array([13.0, 11.0, 0.0]), self._phases(rng, len(sets.illuminated) + 1),
+        refl = self._build(
+            cfg, positions, sets, grid, weights[:1], np.array([13.0, 11.0, 0.0]),
+            self._phases(rng, len(sets.illuminated) + 1),
         )
-        assert len(refl.phase) == len(refl.amplitude) == len(sets.illuminated) + 1
+        assert refl.phase.shape == refl.amplitude.shape == (1, len(sets.illuminated) + 1)
+        assert refl.gain.shape == (1, 1, len(sets.illuminated) + 1)
 
     def test_phases_follow_reflection_order(self, rng):
         # Phases are taken as given, one per reflection: the ground cells in
@@ -163,11 +180,11 @@ class TestBuildReflections:
         cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         phases = self._phases(rng, len(sets.illuminated) + 1)
-        refl = build_reflections(cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target, phases)
-        assert np.array_equal(refl.phase, phases)
+        refl = self._build(cfg, positions, sets, grid, weights[:1], target, phases)
+        assert np.array_equal(refl.phase, phases[None])
         for wrong in (phases[:-1], np.append(phases, 0.5)):
             with pytest.raises(ValueError, match="one phase each"):
-                build_reflections(cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target, wrong)
+                self._build(cfg, positions, sets, grid, weights[:1], target, wrong)
 
     def test_phases_reproducible_and_in_range(self):
         # The reference path gives each pair its row of the trial's phase
@@ -176,10 +193,7 @@ class TestBuildReflections:
         tables = build_tables(cfg, RunOptions())
         p = np.flatnonzero((tables.pair_tx == 0) & (tables.pair_rx == 1))[0]
         block = lambda: _phase_block(cfg, tables, [7], np.random.Generator(np.random.Philox(0)))[0]
-        make = lambda: build_reflections(
-            cfg, 0, 1, positions[0], positions[1], sets, grid,
-            weights[0], None, block()[p, : len(sets.illuminated)],
-        )
+        make = lambda: self._build(cfg, positions, sets, grid, weights[:1], None, block()[p, : len(sets.illuminated)])
         first, second = make(), make()
         assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
         assert np.array_equal(first.phase, second.phase)
@@ -187,47 +201,41 @@ class TestBuildReflections:
     def test_components_follow_scalar_geometry(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
-        refl = build_reflections(
-            cfg, 0, 1, positions[0], positions[1], sets, grid, weights[0], target,
-            self._phases(rng, len(sets.illuminated) + 1),
+        refl = self._build(
+            cfg, positions, sets, grid, weights[:1], target, self._phases(rng, len(sets.illuminated) + 1)
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
         assert refl.doppler_hz == cfg.doppler_hz
         for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
             d1, d2 = np.linalg.norm(point - positions[0]), np.linalg.norm(positions[1] - point)
-            gain = weights[0].conj() @ steering_vector(aoa(positions[1], point), cfg.array_side)
-            assert refl.amplitude[r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
-            assert refl.gain[r] == pytest.approx(gain, rel=1e-12)
-            assert refl.delay_s[r] == pytest.approx((d1 + d2) / C0, rel=1e-12)
+            gain = weights[0].conj() @ steering_vector(aoa(positions[1], point), cfg.array_side)[0]
+            assert refl.amplitude[0, r] == pytest.approx(reflection_amplitude(cfg, rcs, d1, d2), rel=1e-12)
+            assert refl.gain[0, 0, r] == pytest.approx(gain, rel=1e-12)
+            assert refl.delay_s[0, r] == pytest.approx((d1 + d2) / C0, rel=1e-12)
 
     def test_half_duplex_guard(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
         with pytest.raises(ValueError, match="half-duplex"):
-            build_reflections(
-                cfg, 1, 1, positions[1], positions[1], sets, grid,
-                weights[0], None, self._phases(rng, len(sets.illuminated)),
-            )
+            self._build(cfg, positions, sets, grid, weights[:1], None, self._phases(rng, len(sets.illuminated)), tx=1)
 
     def test_weight_stack_gives_one_gain_row_per_vector(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
         target = np.array([13.0, 11.0, 0.0])
         phases = self._phases(rng, len(sets.illuminated) + 1)
-        build = lambda w: build_reflections(
-            cfg, 0, 1, positions[0], positions[1], sets, grid, w, target, phases
-        )
+        build = lambda w: self._build(cfg, positions, sets, grid, w, target, phases)
         stacked = build(weights)
-        assert stacked.gain.shape == (len(weights), len(sets.illuminated) + 1)
-        for row, w in zip(stacked.gain, weights):
-            alone = build(w)
-            assert np.allclose(row, alone.gain, rtol=1e-12, atol=0.0)
+        assert stacked.gain.shape == (1, len(weights), len(sets.illuminated) + 1)
+        for i, row in enumerate(stacked.gain[0]):
+            alone = build(weights[i : i + 1])
+            assert np.allclose(row, alone.gain[0, 0], rtol=1e-12, atol=0.0)
             for name in ("amplitude", "delay_s", "doppler_hz", "phase"):
                 assert np.array_equal(getattr(stacked, name), getattr(alone, name))
 
     @pytest.mark.parametrize("with_target", [False, True])
     def test_listener_stack_rows_equal_single_builds(self, rng, with_target):
         # One build for every listener of transmitter 0 has a leading listener
-        # axis; row i equals the build of listener i alone, bit for bit.
+        # axis; row i equals the build of the stack of listener i alone, bit for bit.
         cfg, grid, positions, sets, _ = self._scene()
         tables = build_tables(cfg, RunOptions())
         record = next(r for r in tables.transmitters if r.tx == 0)
@@ -240,12 +248,13 @@ class TestBuildReflections:
         )
         assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(record.rx), count)
         assert stacked.gain.shape == (len(record.rx), len(tables.cell_sets[record.tx].intended), count)
-        for i, rx in enumerate(record.rx):
+        for i in range(len(record.rx)):
+            one = record.rx[i : i + 1]
             alone = build_reflections(
-                cfg, 0, int(rx), positions[0], positions[rx], sets, grid, weights[i], target, phases[i]
+                cfg, 0, one, positions[0], positions[one], sets, grid, weights[i : i + 1], target, phases[i : i + 1]
             )
             for name in ("amplitude", "gain", "delay_s", "phase"):
-                assert getattr(stacked, name)[i].tobytes() == getattr(alone, name).tobytes()
+                assert getattr(stacked, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
             assert stacked.doppler_hz == alone.doppler_hz == cfg.doppler_hz
 
     def test_listener_stack_guards(self, rng):
@@ -268,21 +277,23 @@ class TestRxFrame:
     def test_no_reflections_no_noise(self, rng):
         cfg = frame_config()
         tx = synth_tx_frame(cfg, rng)
-        assert np.all(synth_rx_frame(tx, reflections_of(), cfg) == 0)
+        assert np.all(rx_frames(tx, reflections_of(), cfg) == 0)
 
     def test_single_matched_reflection_scales_tx(self, rng):
         cfg = frame_config()
         tx = synth_tx_frame(cfg, rng)
-        refl = reflections_of((0.3, 1.0, 0.0, 0.0, 0.0))
-        assert np.allclose(synth_rx_frame(tx, refl, cfg), 0.3 * tx)
+        refl = reflections_of((0.3, 1.0, 0.0, 0.0))
+        frames = rx_frames(tx, refl, cfg)
+        assert frames.shape == (1,) + tx.shape
+        assert np.allclose(frames[0], 0.3 * tx)
 
     def test_quarter_cycle_subcarrier_ramp(self, rng):
         # tau*df = 0.25 puts the phase ramp e^{-j pi l / 2} across subcarriers.
         cfg = frame_config()
         tau = 0.25 / cfg.subcarrier_spacing_hz
         tx = synth_tx_frame(cfg, rng)
-        refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
-        processed = remove_data(synth_rx_frame(tx, refl, cfg), tx)
+        refl = reflections_of((1.0, 1.0, tau, 0.0))
+        processed = remove_data(rx_frames(tx, refl, cfg), tx)[0]
         l = np.arange(cfg.subcarriers)
         expected = np.exp(-1j * math.pi * l / 2)
         for k in range(cfg.symbols_per_frame):
@@ -291,16 +302,17 @@ class TestRxFrame:
     def test_noise_variance(self):
         cfg = frame_config(16, 64)
         tx = np.ones((16, 64), dtype=complex)
-        rx = synth_rx_frame(
+        rx = rx_frames(
             tx, reflections_of(), cfg, noise_variance=2.5,
-            noise_draws=np.random.default_rng(3).standard_normal((2, 16, 64)),
+            noise_draws=np.random.default_rng(3).standard_normal((1, 2, 16, 64)),
         )
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(2.5, rel=0.1)
 
 
     def test_gain_stack_equals_one_frame_per_row(self, rng):
         # Frames of a gain stack, each with its own noise variance and draws,
-        # equal one call per row; data removal and the matched point follow.
+        # equal one call per row as a stack of one; data removal and the
+        # matched point follow.
         cfg = frame_config()
         tx = synth_tx_frame(cfg, rng)
         stacked = Reflections(
@@ -313,14 +325,16 @@ class TestRxFrame:
         noise_var = rng.uniform(0.1, 1.0, 3)
         draws = rng.standard_normal((3, 2, 8, 16))
         delays = rng.uniform(0.0, 2e-6, 3)
-        frames = remove_data(synth_rx_frame(tx, stacked, cfg, noise_var, draws), tx)
-        values = matched_point_value(frames, delays, 1000.0, cfg)
+        frames = remove_data(rx_frames(tx, stacked, cfg, noise_var, draws), tx)
+        values = matched_values(frames, delays, 1000.0, cfg)
         assert frames.shape == (3, 8, 16) and values.shape == (3,)
         for p in range(3):
-            row = Reflections(stacked.amplitude, stacked.gain[p], stacked.delay_s, stacked.doppler_hz, stacked.phase)
-            alone = remove_data(synth_rx_frame(tx, row, cfg, noise_var[p], draws[p]), tx)
-            assert np.allclose(frames[p], alone, rtol=1e-12, atol=0.0)
-            assert values[p] == pytest.approx(matched_point_value(alone, delays[p], 1000.0, cfg), rel=1e-12)
+            row = Reflections(
+                stacked.amplitude, stacked.gain[p : p + 1], stacked.delay_s, stacked.doppler_hz, stacked.phase
+            )
+            alone = remove_data(rx_frames(tx, row, cfg, noise_var[p : p + 1], draws[p : p + 1]), tx)
+            assert np.allclose(frames[p], alone[0], rtol=1e-12, atol=0.0)
+            assert values[p] == pytest.approx(matched_values(alone, delays[p : p + 1], 1000.0, cfg)[0], rel=1e-12)
 
     def test_shared_doppler_equals_explicit_rank_r_sum(self, rng):
         # Frames of a random gain stack under a shared nonzero Doppler against
@@ -333,7 +347,7 @@ class TestRxFrame:
                 amplitude=rng.uniform(0.5, 1.5, 7),
                 gain=rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)),
                 delay_s=rng.uniform(0.0, 2e-6, 7),
-                doppler_hz=np.full(7, doppler),
+                doppler_hz=doppler,
                 phase=rng.uniform(0.0, 2 * math.pi, 7),
             )
             k, l = np.arange(N)[:, None], np.arange(M)[None, :]
@@ -344,18 +358,12 @@ class TestRxFrame:
                 )
                 for p in range(3):
                     expected[p] += refl.amplitude[r] * refl.gain[p, r] * np.exp(-1j * refl.phase[r]) * ramp * tx
-            assert np.allclose(synth_rx_frame(tx, refl, cfg), expected, rtol=1e-12, atol=0.0)
-
-    def test_distinct_dopplers_raise(self, rng):
-        cfg = frame_config()
-        refl = reflections_of((1.0, 1.0, 1e-7, 100.0, 0.0), (1.0, 1.0, 2e-7, 200.0, 0.0))
-        with pytest.raises(ValueError, match="doppler_hz"):
-            synth_rx_frame(synth_tx_frame(cfg, rng), refl, cfg)
+            assert np.allclose(rx_frames(tx, refl, cfg), expected, rtol=1e-12, atol=0.0)
 
     def test_noise_requires_draws(self, rng):
         cfg = frame_config()
         with pytest.raises(ValueError, match="draws"):
-            synth_rx_frame(synth_tx_frame(cfg, rng), reflections_of(), cfg, noise_variance=1.0)
+            rx_frames(synth_tx_frame(cfg, rng), reflections_of(), cfg, noise_variance=1.0)
 
 
 class TestRemoveData:
@@ -365,11 +373,11 @@ class TestRemoveData:
 
     def test_data_independence(self, rng):
         cfg = frame_config()
-        refl = reflections_of((1.0, 0.8 - 0.1j, 1e-7, 0.0, 0.4))
+        refl = reflections_of((1.0, 0.8 - 0.1j, 1e-7, 0.4))
         frames = []
         for seed in (1, 2):
             tx = synth_tx_frame(cfg, np.random.default_rng(seed))
-            frames.append(remove_data(synth_rx_frame(tx, refl, cfg), tx))
+            frames.append(remove_data(rx_frames(tx, refl, cfg), tx))
         assert np.allclose(frames[0], frames[1], rtol=1e-12)
 
     def test_linearity(self, rng):
@@ -417,8 +425,8 @@ class TestPeriodogramGrid:
             doppler = n_hat / (16 * cfg.symbol_duration_s)
             delay = m_hat / (32 * cfg.subcarrier_spacing_hz)
             tx = synth_tx_frame(cfg, rng)
-            refl = reflections_of((1.0, 1.0, delay, doppler, 0.9))
-            P = periodogram_grid(remove_data(synth_rx_frame(tx, refl, cfg), tx), 16, 32)
+            refl = reflections_of((1.0, 1.0, delay, 0.9), doppler_hz=doppler)
+            P = periodogram_grid(remove_data(rx_frames(tx, refl, cfg), tx)[0], 16, 32)
             assert np.unravel_index(np.argmax(P), P.shape) == (n_hat, m_hat)
 
     def test_rejects_short_padding(self):
@@ -432,8 +440,8 @@ class TestMatchedPoint:
         tx = synth_tx_frame(cfg, rng)
         amp = 2.5e-7
         tau = 1.3e-6
-        refl = reflections_of((amp, 1.0, tau, 0.0, 1.1))
-        value = matched_point_value(remove_data(synth_rx_frame(tx, refl, cfg), tx), tau, 0.0, cfg)
+        refl = reflections_of((amp, 1.0, tau, 1.1))
+        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], 0.0, cfg)
         assert value == pytest.approx(cfg.symbols_per_frame * cfg.subcarriers * amp**2, rel=1e-9)
 
     def test_delay_offset_follows_ramp_sum(self, rng):
@@ -441,10 +449,8 @@ class TestMatchedPoint:
         tx = synth_tx_frame(cfg, rng)
         amp, tau = 1.0, 8e-7
         offset = 0.37 / cfg.subcarrier_spacing_hz
-        refl = reflections_of((amp, 1.0, tau, 0.0, 0.0))
-        value = matched_point_value(
-            remove_data(synth_rx_frame(tx, refl, cfg), tx), tau + offset, 0.0, cfg
-        )
+        refl = reflections_of((amp, 1.0, tau, 0.0))
+        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau + offset], 0.0, cfg)
         M, N = cfg.subcarriers, cfg.symbols_per_frame
         ramp = geometric_ramp_sum(-offset * cfg.subcarrier_spacing_hz, M)
         expected = N * amp**2 * abs(ramp) ** 2 / M
@@ -452,22 +458,22 @@ class TestMatchedPoint:
 
     def test_zero_frame(self):
         cfg = frame_config()
-        assert matched_point_value(np.zeros((8, 16)), 1e-6, 0.0, cfg) == 0.0
+        assert matched_values(np.zeros((1, 8, 16)), [1e-6], 0.0, cfg).tolist() == [0.0]
 
     def test_frame_shape_must_match_the_config(self):
         # The subcarrier ramps come from the config, so a frame of another
         # shape is refused, as synth_rx_frame refuses one.
         with pytest.raises(ValueError, match="frame shape"):
-            matched_point_value(np.zeros((8, 8)), 1e-6, 0.0, frame_config())
+            matched_values(np.zeros((1, 8, 8)), [1e-6], 0.0, frame_config())
 
     def test_equals_grid_at_integer_bins(self, rng):
         cfg = frame_config()
         frame = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         P = periodogram_grid(frame, 8, 16)
         for n_hat, m_hat in [(0, 0), (2, 7), (5, 15)]:
-            value = matched_point_value(
-                frame,
-                m_hat / (16 * cfg.subcarrier_spacing_hz),
+            (value,) = matched_values(
+                frame[None],
+                [m_hat / (16 * cfg.subcarrier_spacing_hz)],
                 n_hat / (8 * cfg.symbol_duration_s),
                 cfg,
             )
@@ -481,8 +487,8 @@ class TestEstimateRcs:
         d1, d2 = 180.0, 230.0
         b = reflection_amplitude(cfg, 10.0, d1, d2)
         tau = (d1 + d2) / C0
-        refl = reflections_of((b, 1.0, tau, 0.0, 0.0))
-        peak = matched_point_value(remove_data(synth_rx_frame(tx, refl, cfg), tx), tau, 0.0, cfg)
+        refl = reflections_of((b, 1.0, tau, 0.0))
+        (peak,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], 0.0, cfg)
         assert estimate_rcs(peak, cfg, d1, d2) == pytest.approx(10.0, rel=1e-6)
 
     def test_zero_peak(self):
@@ -539,8 +545,8 @@ class TestDirichletKernel:
 class TestFastCellEstimate:
     def _reference(self, cfg, reflections, tau, rng_tx):
         tx = synth_tx_frame(cfg, rng_tx)
-        frame = remove_data(synth_rx_frame(tx, reflections, cfg), tx)
-        return matched_point_value(frame, tau, cfg.doppler_hz, cfg)
+        frame = remove_data(rx_frames(tx, reflections, cfg), tx)
+        return matched_values(frame, [tau], cfg.doppler_hz, cfg)[0]
 
     def test_noiseless_equivalence(self, rng):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
@@ -552,7 +558,6 @@ class TestFastCellEstimate:
                     float(rng.uniform(1e-8, 1e-6)),
                     complex(rng.standard_normal(), rng.standard_normal()),
                     tau + float(rng.uniform(-2e-8, 2e-8)),
-                    0.0,
                     float(rng.uniform(0, 2 * math.pi)),
                 )
                 for _ in range(17)
@@ -566,7 +571,7 @@ class TestFastCellEstimate:
     def test_matched_kernel_is_frame_size(self):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
         tau = 2e-6
-        refl = reflections_of((1.0, 1.0, tau, 0.0, 0.0))
+        refl = reflections_of((1.0, 1.0, tau, 0.0))
         got = closed_form_rcs(cfg, refl, tau, 100.0, 100.0)
         # K = N M at zero mismatch, so the peak is N M and sigma follows Eq.-style inversion
         assert got == pytest.approx(estimate_rcs(8 * 16, cfg, 100.0, 100.0), rel=1e-12)
@@ -577,10 +582,7 @@ class TestFastCellEstimate:
         for doppler in (4000.0, -2500.0):
             cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16, doppler_hz=doppler)
             tau = 1e-6
-            reflections = reflections_of(
-                (1e-7, 1.0, tau, doppler, 0.2),
-                (3e-7, 0.5 + 0.5j, tau * 1.02, doppler, 1.5),
-            )
+            reflections = reflections_of((1e-7, 1.0, tau, 0.2), (3e-7, 0.5 + 0.5j, tau * 1.02, 1.5), doppler_hz=doppler)
             peak = self._reference(cfg, reflections, tau, np.random.default_rng(1))
             got = closed_form_rcs(cfg, reflections, tau, 100.0, 100.0)
             assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
@@ -666,9 +668,9 @@ def test_noise_only_reference_mean(rng):
     total = 0.0
     draws = 10_000
     for _ in range(draws):
-        rx = synth_rx_frame(tx, reflections_of(), cfg, noise_var, gen.standard_normal((2, 4, 4)))
+        rx = rx_frames(tx, reflections_of(), cfg, noise_var, gen.standard_normal((1, 2, 4, 4)))
         frame = remove_data(rx, tx)
-        total += matched_point_value(frame, 3e-7, 0.0, cfg)
+        total += matched_values(frame, [3e-7], 0.0, cfg)[0]
     assert total / draws == pytest.approx(noise_var, rel=0.05)
 
 
@@ -687,9 +689,9 @@ def test_rcs_estimator_median_near_truth_at_high_snr():
     estimates = []
     for _ in range(1000):
         tx = synth_tx_frame(cfg, gen)
-        refl = reflections_of((b, 1.0, tau, 0.0, float(gen.uniform(0, 2 * math.pi))))
-        frame = remove_data(synth_rx_frame(tx, refl, cfg, noise_var, gen.standard_normal((2, 8, 16))), tx)
-        estimates.append(estimate_rcs(matched_point_value(frame, tau, 0.0, cfg), cfg, d1, d2))
+        refl = reflections_of((b, 1.0, tau, float(gen.uniform(0, 2 * math.pi))))
+        frame = remove_data(rx_frames(tx, refl, cfg, noise_var, gen.standard_normal((1, 2, 8, 16))), tx)
+        estimates.append(estimate_rcs(matched_values(frame, [tau], 0.0, cfg)[0], cfg, d1, d2))
     assert np.median(estimates) == pytest.approx(sigma, rel=0.10)
 
 
@@ -699,15 +701,17 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     # frames: 5000 matched-point values a side, two-sample Kolmogorov-Smirnov.
     cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
     tau = 1.2e-6
-    refl = reflections_of((1.0, 1.0, tau, 0.0, 0.3), (0.7, 0.4 - 0.2j, tau * 1.001, 0.0, 2.1))
+    refl = reflections_of((1.0, 1.0, tau, 0.3), (0.7, 0.4 - 0.2j, tau * 1.001, 2.1))
     if not with_signal:
         refl = reflections_of()
     noise_var = 128.0  # the same order as the signal's matched value N M |sum b chi e^{-j zeta}|^2, about 89
     draws = 5000
     gen_ref = np.random.default_rng(61)
     tx = synth_tx_frame(cfg, gen_ref)
-    frames = remove_data(synth_rx_frame(tx, refl, cfg, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
-    ref_values = matched_point_value(frames, tau, 0.0, cfg)
+    # One gain row per draw: the same frame under 5000 noise draws.
+    copies = Reflections(refl.amplitude, np.repeat(refl.gain, draws, axis=0), refl.delay_s, 0.0, refl.phase)
+    frames = remove_data(rx_frames(tx, copies, cfg, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
+    ref_values = matched_values(frames, np.full(draws, tau), 0.0, cfg)
     coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], cfg)
     fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
     fast_values = coherent_peaks(phase_sum(coupling, refl.phase), cfg, noise_scale(cfg, noise_var), fast_draws)[:, 0]
