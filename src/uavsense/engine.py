@@ -95,13 +95,16 @@ _SHAPING = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _RUN_FI
 # 16 keeps the temporaries smallest.
 _LS_BLOCK = 16
 
-# Trials per run_trial call in a batch. A default block's temporaries peak at
-# about 3.3 MB (4.4 MB with two sigma_G values), a table build at 8.3 MB. After a
-# single build, glibc hands memory freed by such a block back and the next block
-# faults it in again, about 130 faults a trial (none in blocks of 4), and blocks
-# of 4 ran a default batch as fast or faster; in a heap grown by earlier builds
-# nothing faults, and blocks of 8 ran it about 20% faster.
-_TRIAL_BLOCK = 8
+# Most trials per run_trial call in a batch. Each block pays about 1 ms of fixed
+# cost (its Python and numpy calls, one pass over the coupling table, the weight
+# gathers), so a batch of T trials runs as ceil(T / _TRIAL_BLOCK) blocks whose
+# sizes differ by at most one: 50 as 17/17/16, 20 as 10/10. A default 50-trial
+# batch's temporaries peak at 6.8 MB (9.3 MB with two sigma_G values), a table
+# build at 8.9 MB. Default 400-trial batches, one BLAS thread on a 2-core host:
+# after a single build, 1.03-1.04 ms a trial with 107 page faults a trial,
+# against 1.20-1.71 ms and 133 faults in blocks of 8; after three builds, when
+# nothing faults, 0.78 against 0.92 ms.
+_TRIAL_BLOCK = 17
 
 
 # Name of the random-number scheme below, recorded in run manifests; any change
@@ -290,6 +293,10 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     has one row per distinct direction (LS: the 8 images of each orbit), and
     `design_index` names each (pair, cell)'s row, read through
     `pair_weights` (1200 rows for the 6000 of the default Capon tables).
+    Both stages run aoa once per distinct listener-to-cell offset of the new
+    pairs, keyed by its 24 bytes: the defaults evaluate 1212 of the 5332
+    (listener, illuminated cell) rows and 1200 of the 4000 (listener, intended
+    cell) rows (LS: 165 orbit offsets), 2412 rows (LS: 1377) in place of 9332.
 
     Reference tables (``options.fast_path`` false) skip the ground stage: the
     frames never read a coupling, so their ``ground_coupling`` is a zero-width
@@ -333,11 +340,13 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         listeners = np.array([rx for rx in range(U) if rx != tx])
         rx_pos = positions[listeners][:, None]  # (L, 1, 3)
         q_points = grid.centers[illuminated[:, 0], illuminated[:, 1]]  # (n_q, 3)
+        q_offsets = q_points - rx_pos  # (L, n_q, 3)
         d1_q = np.linalg.norm(q_points - positions[tx], axis=1)
-        d2_q = np.linalg.norm(rx_pos - q_points, axis=-1)  # (L, n_q)
+        d2_q = np.linalg.norm(q_offsets, axis=-1)  # (L, n_q)
         p_points = grid.centers[intended[:, 0], intended[:, 1]]  # (n_p, 3)
+        p_offsets = p_points - rx_pos  # (L, n_p, 3)
         d1_p = np.linalg.norm(p_points - positions[tx], axis=1)
-        d2_p = np.linalg.norm(rx_pos - p_points, axis=-1)  # (L, n_p)
+        d2_p = np.linalg.norm(p_offsets, axis=-1)  # (L, n_p)
         with np.errstate(over="ignore", divide="ignore"):
             amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
             scale = estimate_rcs(1.0, config, d1_p, d2_p)
@@ -350,14 +359,14 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             )
         pairs = slice(len(source), len(source) + len(listeners))
         shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
-        for q, p in zip(q_points - rx_pos, p_points - rx_pos):
+        for q, p in zip(q_offsets, p_offsets):
             source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
         transmitters.append(_TransmitterTables(tx=tx, rx=listeners, pairs=pairs))
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
         staged.append((pairs, rx_pos, q_points, amplitude, tau_q))
         delays.append((d1_p + d2_p) / SPEED_OF_LIGHT)
         scales.append(scale)
-        offsets.append(p_points - rx_pos)
+        offsets.append(p_offsets)
     source = np.array(source)
     new = source == np.arange(len(source))
     del geometries  # its keys hold every distinct pair's offsets; released before the later stages
@@ -375,8 +384,8 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     # per orbit, at the offset (max(|dx|, |dy|), min(|dx|, |dy|), dz), and each
     # row takes its image: transposed if |dy| > |dx|, then flipped if dx < 0
     # after the mirror, then conjugated if dy < 0 (or dy = 0 and dx < 0), so
-    # mirrored rows stay exact conjugates. aoa at the origin of an offset equals
-    # aoa of its two end points bit for bit.
+    # mirrored rows stay exact conjugates. aoa runs on the distinct (folded)
+    # offsets only.
     offsets = np.concatenate(offsets)[new].reshape(-1, 3)
     if options.beamformer == "ls":
         dx, dy = offsets[:, 0], offsets[:, 1]
@@ -384,9 +393,10 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         flip = np.where(mirror, dx > 0, dx < 0)
         swap = np.abs(dy) > np.abs(dx)
         offsets[:, :2] = np.sort(np.abs(offsets[:, :2]), axis=1)[:, ::-1]
-    toward = aoa(np.zeros(3), offsets)
+    toward, rows = _distinct_aoa(offsets)
     bits = np.stack([toward.theta, toward.phi], axis=-1).view(np.dtype((np.void, 16)))[:, 0]
     keys, inverse = np.unique(bits, return_inverse=True)
+    inverse = inverse[rows]
     directions = AoA(*keys.view(np.float64).reshape(-1, 2).T)
 
     # Pair-major tables; the design stage's inverse index runs over the new
@@ -453,35 +463,51 @@ def _build_ground_blocks(tables, staged, new) -> None:
     matched_coupling of their ground at unit RCS, byte for byte.
 
     Each transmitter's new listeners are stacked; every stacked row equals its
-    own single build bit for bit. delay_kernel works entry by entry, so it is
-    computed once, on the grid of the distinct bit patterns of the new pairs'
-    ground delays tau_q and matched delays tau_p, and each block looks its
-    delays' bits up in that grid and gathers its entries.
+    own single build bit for bit. The uniform deployment repeats (listener,
+    illuminated cell) offsets across transmitters, so aoa and steering_matrix
+    run once per distinct offset of the new pairs (1212 for the 5332 rows of
+    the defaults), and each block gathers its steering columns from them.
+    delay_kernel works entry by entry, so it is computed once, on the grid of
+    the distinct bit patterns of the new pairs' ground delays tau_q and matched
+    delays tau_p, and each block looks its delays' bits up in that grid and
+    gathers its entries.
     """
     n = tables.config.array_side
     ground_delays = np.concatenate([tau_q[new[pairs]].ravel() for pairs, *_, tau_q in staged])
     q_bits = np.unique(ground_delays.view(np.uint64))
     p_bits = np.unique(tables.matched_delay[new].view(np.uint64))
     kernel = delay_kernel(q_bits.view(np.float64), p_bits.view(np.float64), tables.config)
-    for pairs, rx_pos, q_points, amplitude, tau_q in staged:
+    offsets = [(q_points - rx_pos[new[pairs]]).reshape(-1, 3) for pairs, rx_pos, q_points, *_ in staged]
+    toward, columns = _distinct_aoa(np.concatenate(offsets))
+    steering = steering_matrix(toward, n)  # (n^2, distinct offsets)
+    runs = np.split(columns, np.cumsum([len(o) for o in offsets])[:-1])  # one per transmitter
+    del offsets
+    for (pairs, _, q_points, amplitude, tau_q), index in zip(staged, runs):
         built = new[pairs]
         if not built.any():
             continue
         rows = pairs.start + np.flatnonzero(built)
         # matmul hands a stack to BLAS only when it is contiguous; a strided
-        # operand is summed in another order. The strided steering matrix is
-        # released once copied.
-        steering = steering_matrix(aoa(rx_pos[built], q_points), n).reshape(n * n, len(rows), -1)
-        ground = np.ascontiguousarray(steering.transpose(1, 0, 2))
-        del steering
-        chi = tables.pair_weights(rows).conj() @ ground  # (new listeners, n_p, n_q)
-        del ground  # each temporary is released before the next is made
+        # operand is summed in another order. The strided gather is released once copied.
+        ground = steering[:, index.reshape(len(rows), -1)]
+        ground = np.ascontiguousarray(ground.transpose(1, 0, 2))  # (new listeners, n^2, n_q)
+        weights = tables.pair_weights(rows)
+        chi = np.conjugate(weights, out=weights) @ ground  # (new listeners, n_p, n_q)
+        del ground, weights  # each temporary is released before the next is made
         block = amplitude[built][..., None] * chi.transpose(0, 2, 1)  # matched_coupling's product, in its order
         del chi
         q_rows = np.searchsorted(q_bits, tau_q[built].view(np.uint64))
         p_rows = np.searchsorted(p_bits, tables.matched_delay[rows].view(np.uint64))
         block *= kernel[q_rows[:, :, None], p_rows[:, None, :]]
         tables.ground_coupling[rows, : len(q_points)] = block
+
+
+def _distinct_aoa(offsets: np.ndarray) -> tuple[AoA, np.ndarray]:
+    """aoa at the origin of each distinct row of the (K, 3) `offsets`, rows keyed by their
+    24 bytes (so -0.0 and 0.0 stay apart), and the (K,) index of each row's distinct row.
+    aoa at the origin of an offset equals aoa of its two end points bit for bit."""
+    _, first, index = np.unique(offsets.view(np.dtype((np.void, 24)))[:, 0], return_index=True, return_inverse=True)
+    return aoa(np.zeros(3), offsets[first]), index
 
 
 def _keyed(generator: np.random.Generator, master_seed: int, *path: int) -> np.random.Generator:
@@ -732,10 +758,13 @@ def _checked_tables(config: ScenarioConfig, options: RunOptions | None, tables: 
 
 def _count_hits(config, trials, tables, ground_rcs_m2) -> np.ndarray:
     """Hit counts of `trials`, shape (values, fusion methods, deltas), one row per value of
-    `ground_rcs_m2`; the trials run in blocks of _TRIAL_BLOCK, one run_trial call each."""
+    `ground_rcs_m2`; the trials run in ceil(T / _TRIAL_BLOCK) contiguous blocks whose sizes
+    differ by at most one, one run_trial call each."""
     counts = np.zeros((len(ground_rcs_m2), len(FUSION_METHODS), len(DELTAS)), dtype=int)
-    for start in range(0, len(trials), _TRIAL_BLOCK):
-        block = run_trial(config, trials[start : start + _TRIAL_BLOCK], tables=tables, ground_rcs_m2=ground_rcs_m2)
+    blocks = -(-len(trials) // _TRIAL_BLOCK)
+    for k in range(blocks):
+        ids = trials[k * len(trials) // blocks : (k + 1) * len(trials) // blocks]
+        block = run_trial(config, ids, tables=tables, ground_rcs_m2=ground_rcs_m2)
         stars = np.array([[[o.detections[m].delta_star for m in FUSION_METHODS] for o in values] for values in block])
         counts += (stars[..., None] <= DELTAS).sum(axis=0)  # a hit at delta d is a delta* of at most d
     return counts

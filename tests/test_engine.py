@@ -428,33 +428,47 @@ class TestBuildTables:
                 assert not np.any(ground[len(q_points) :])
 
     @pytest.mark.parametrize(
-        "config, blocks",
+        "config, blocks, directions",
         [
-            pytest.param(ScenarioConfig(), 160, id="defaults"),
-            pytest.param(SHARED_GEOMETRY, 48, id="shared-pairs"),
-            pytest.param(replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0), 240, id="non-dyadic"),
+            pytest.param(ScenarioConfig(), 160, {"capon": 1212 + 1200, "ls": 1212 + 165}, id="defaults"),
+            pytest.param(SHARED_GEOMETRY, 48, {"capon": 192 + 192, "ls": 192 + 27}, id="shared-pairs"),
+            pytest.param(
+                replace(SHARED_GEOMETRY, area_side_m=40.0 / 3.0),
+                240,
+                {"capon": 493 + 493, "ls": 493 + 105},
+                id="non-dyadic",
+            ),
         ],
     )
-    def test_one_ground_block_per_distinct_pair_geometry(self, monkeypatch, config, blocks):
+    def test_one_ground_block_per_distinct_pair_geometry(self, monkeypatch, config, blocks, directions):
         # A pair's ground block is built once per distinct tuple of the exact
         # bytes of its offsets q - tx, q - rx, p - tx and p - rx, and copied to
-        # the pairs that repeat it. Blocks are counted as the leading rows
-        # (listeners) of the ground steering matrices, which only the ground
-        # stage of the build computes.
-        built = []
+        # the pairs that repeat it. Blocks are counted as the pair rows whose
+        # weights the build gathers, which only its ground stage does. aoa sees
+        # each distinct offset q - rx of the built pairs once and each distinct
+        # offset p - rx once (LS: each distinct orbit offset, |dx| and |dy|
+        # sorted in descending order), whatever pairs and stages repeat it.
+        built, seen = [], []
 
-        def counting(directions, n, original=engine.steering_matrix):
-            built.append(np.shape(directions.theta)[0])
-            return original(directions, n)
+        def counting_weights(tables, rows, original=engine.ScenarioTables.pair_weights):
+            built.append(len(rows))
+            return original(tables, rows)
 
-        monkeypatch.setattr(engine, "steering_matrix", counting)
+        def counting_aoa(observer, point, original=engine.aoa):
+            toward = original(observer, point)
+            seen.append(np.size(toward.theta))
+            return toward
+
+        monkeypatch.setattr(engine.ScenarioTables, "pair_weights", counting_weights)
+        monkeypatch.setattr(engine, "aoa", counting_aoa)
         tables = build_tables(config, RunOptions(beamformer="capon"))
         positions, geometries = tables.positions, {}
+        ground, intended, orbits = set(), set(), set()
         for record in tables.transmitters:
             illuminated = tables.cell_sets[record.tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
-            intended = tables.cell_sets[record.tx].intended
-            p_points = tables.grid.centers[intended[:, 0], intended[:, 1]]
+            cells = tables.cell_sets[record.tx].intended
+            p_points = tables.grid.centers[cells[:, 0], cells[:, 1]]
             for k, rx in enumerate(record.rx):
                 key = tuple(
                     (points - positions[u]).tobytes() for points in (q_points, p_points) for u in (record.tx, rx)
@@ -462,8 +476,18 @@ class TestBuildTables:
                 p = record.pairs.start + k
                 first = geometries.setdefault(key, p)
                 assert tables.ground_coupling[p].tobytes() == tables.ground_coupling[first].tobytes()
+                if first == p:
+                    folded = p_points - positions[rx]
+                    ground.update(row.tobytes() for row in q_points - positions[rx])
+                    intended.update(row.tobytes() for row in folded)
+                    folded[:, :2] = np.sort(np.abs(folded[:, :2]), axis=1)[:, ::-1]
+                    orbits.update(row.tobytes() for row in folded)
         assert len(tables.pair_tx) == 240
         assert sum(built) == len(geometries) == blocks
+        assert sum(seen) == len(ground) + len(intended) == directions["capon"]
+        seen.clear()
+        build_tables(config, RunOptions(beamformer="ls"))
+        assert sum(seen) == len(ground) + len(orbits) == directions["ls"]
 
     @pytest.mark.parametrize(
         "config, beamformer",
