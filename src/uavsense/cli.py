@@ -27,7 +27,7 @@ from .config import (
 )
 from .engine import RNG_SCHEME, SweepRow, run_monte_carlo, sweep, sweep_rows
 
-__all__ = ["main", "write_results_csv", "write_results_json", "PRESETS"]
+__all__ = ["main", "PRESETS"]
 
 # Result columns: (SweepRow field, CSV and JSON name), in CSV order.
 _RESULT_COLUMNS = [(f.name, "sigma_G_dBsm" if f.name == "sigma_g_dbsm" else f.name) for f in fields(SweepRow)]
@@ -130,21 +130,6 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
     }
 
 
-def write_results_csv(rows: list[SweepRow], path) -> None:
-    if not rows:
-        raise ValueError("no result rows to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_results_csv(rows))
-
-
-def write_results_json(manifest: dict, path) -> None:
-    if not manifest.get("results"):
-        raise ValueError("no result rows to write")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
     if args.config:
         config, options, sweep_spec = parse_config_file(args.config)
@@ -164,20 +149,20 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
 
 def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
     if args.format == "json":
-        manifest = build_manifest(config, options, rows, errors, sweep_spec)
-        if args.out:
-            write_results_json(manifest, args.out)
-        else:
-            json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
-            print()
-    elif args.out:
-        write_results_csv(rows, args.out)
+        text = json.dumps(build_manifest(config, options, rows, errors, sweep_spec), indent=2, sort_keys=True) + "\n"
     else:
-        sys.stdout.write(render_results_csv(rows))
+        text = render_results_csv(rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:
-    config, options, _ = _load_config(args)
+    config, options, sweep_spec = _load_config(args)
+    if sweep_spec is not None:
+        raise ConfigError("sweep.parameter: run takes no sweep section; use uavsense sweep")
     stats = run_monte_carlo(config, options)
     sigma_g_dbsm = m2_to_dbsm(config.ground_rcs_m2)
     rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma_g_dbsm, config.master_seed)
@@ -188,6 +173,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config, options, sweep_spec = _load_config(args)
     if args.preset:
+        if sweep_spec is not None:
+            raise ConfigError("sweep.parameter: give --preset or a config sweep section, not both")
         sweep_spec = PRESETS[args.preset]
     if sweep_spec is None:
         print("sweep needs --preset or a config file with a sweep section", file=sys.stderr)

@@ -35,7 +35,6 @@ from .geometry import (
     AoA,
     aoa,
     build_grid,
-    cell_of_point,
     classify_cells,
     deploy_uavs,
     derive_altitude,
@@ -227,24 +226,15 @@ def sweep_rows(
 
 
 @dataclass
-class _TransmitterTables:
-    """One active transmitter and its listeners. Every listener shares the
-    transmitter's illuminated and intended cells (its `cell_sets` entry)."""
-
-    tx: int
-    rx: np.ndarray  # (L,) listeners, ascending
-    pairs: slice  # rows of its (tx, rx) pairs, in the order of rx, in the pair-major arrays
-
-
-@dataclass
 class ScenarioTables:
     """Everything static for one (scenario geometry, beamformer) combination.
 
-    Pair-major arrays have one row per (transmitter, listener) pair, in the
-    order of `transmitters` and their listeners. Every transmitter has the
-    same number n_p of intended cells (the blocks are congruent and no two
-    intended sets overlap), so only the ground cells need padding. Every UAV
-    flies at positions[0, 2], so a trial takes the footprint radius from it.
+    Every UAV transmits while the other U - 1 listen: pair-major arrays have one
+    row per off-diagonal (tx, rx) pair, tx-major with listeners ascending, and
+    `pair_rows(tx)` names a transmitter's rows. Every transmitter has the same
+    number n_p of intended cells (the blocks are congruent and no two intended
+    sets overlap), so only the ground cells need padding. Every UAV flies at
+    positions[0, 2], so a trial takes the footprint radius from it.
     """
 
     config: ScenarioConfig
@@ -252,13 +242,11 @@ class ScenarioTables:
     grid: object
     positions: np.ndarray  # (U, 3) UAV positions, from deploy_uavs
     cell_sets: list
-    transmitters: list  # _TransmitterTables of each UAV with intended cells, ascending
     pair_tx: np.ndarray  # (P,) transmitter of each pair
     pair_rx: np.ndarray  # (P,) listener of each pair
     matched_delay: np.ndarray  # (P, n_p)
     est_scale: np.ndarray  # (P, n_p) maps matched power to sigma-hat
     noise_var: np.ndarray  # (P, n_p) per-sample variance N0 BW ||w||^2
-    noise_scale: np.ndarray  # (P, n_p) noise deviation per part of a matched sum, sqrt(N M noise_var / 2)
     designs: np.ndarray  # (D, n^2) receive weights of each distinct design
     design_index: np.ndarray  # (P, n_p) row of `designs` for each pair and intended cell
     # (P, n_q_max, n_p) matched_coupling of the ground at unit RCS, in illuminated-cell
@@ -267,6 +255,10 @@ class ScenarioTables:
     # to size the phase block.
     ground_coupling: np.ndarray
     map_index: np.ndarray  # (P, n_p) flat index of each (listener, cell) in the (U, L, L) map stack
+
+    def pair_rows(self, tx: int) -> slice:
+        """Rows of transmitter tx's pairs in the pair-major arrays, its listeners ascending."""
+        return slice(tx * (len(self.positions) - 1), (tx + 1) * (len(self.positions) - 1))
 
     def pair_weights(self, rows) -> np.ndarray:
         """Receive weights of the pair rows `rows` (an index, slice or index array of the
@@ -279,7 +271,8 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
 
     The tables depend on the geometry, array size, OFDM timing, and beamformer
     design only; RCS values, seeds, and trial counts can change without a
-    rebuild (ground amplitudes are stored for unit RCS).
+    rebuild (ground amplitudes are stored for unit RCS). Every UAV transmits,
+    so a geometry in which any UAV has no intended cell raises ConfigError.
 
     The uniform scenario repeats itself, and the build computes each repeated
     part once, byte-identical to computing it again. A pair's geometry is the
@@ -310,12 +303,12 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     L = config.grid_side
     n = config.array_side
     cell_sets = [classify_cells(config, u, grid, positions) for u in range(U)]
+    if not all(len(s.intended) for s in cell_sets):
+        raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
 
     # Intended cells in (UAV, row-major) order; the first repeat of a cell names it and its two UAVs.
     owner = np.repeat(np.arange(U), [len(s.intended) for s in cell_sets])
     intended = np.concatenate([s.intended for s in cell_sets])
-    if len(intended) == 0:
-        raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
     _, first, inverse = np.unique(intended[:, 0] * L + intended[:, 1], return_index=True, return_inverse=True)
     repeats = np.flatnonzero(first[inverse] != np.arange(len(intended)))
     if len(repeats):
@@ -327,23 +320,21 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
 
     noise_w = config.noise_density_w_hz * config.bandwidth_hz
 
-    # Geometry of each transmitter, broadcast over its listeners (the rows of rx).
+    # Geometry of each transmitter, broadcast over its listeners (the other UAVs).
     # A pair's geometry key is a tuple of its offsets' bytes, so offsets of
     # different shapes never collide; its source is the first pair row with its key.
-    transmitters, staged, offsets, delays, scales = [], [], [], [], []
+    pair_tx, pair_rx = np.nonzero(~np.eye(U, dtype=bool))
+    intended = np.stack([s.intended for s in cell_sets])  # (U, n_p, 2)
+    staged, offsets, delays, scales = [], [], [], []
     geometries, source = {}, []
     for tx in range(U):
-        intended = cell_sets[tx].intended
-        if len(intended) == 0:
-            continue
         illuminated = cell_sets[tx].illuminated
-        listeners = np.array([rx for rx in range(U) if rx != tx])
-        rx_pos = positions[listeners][:, None]  # (L, 1, 3)
+        rx_pos = positions[pair_rx[pair_tx == tx]][:, None]  # (L, 1, 3)
         q_points = grid.centers[illuminated[:, 0], illuminated[:, 1]]  # (n_q, 3)
         q_offsets = q_points - rx_pos  # (L, n_q, 3)
         d1_q = np.linalg.norm(q_points - positions[tx], axis=1)
         d2_q = np.linalg.norm(q_offsets, axis=-1)  # (L, n_q)
-        p_points = grid.centers[intended[:, 0], intended[:, 1]]  # (n_p, 3)
+        p_points = grid.centers[intended[tx, :, 0], intended[tx, :, 1]]  # (n_p, 3)
         p_offsets = p_points - rx_pos  # (L, n_p, 3)
         d1_p = np.linalg.norm(p_points - positions[tx], axis=1)
         d2_p = np.linalg.norm(p_offsets, axis=-1)  # (L, n_p)
@@ -357,13 +348,11 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                 f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
                 "amplitudes or RCS scales of this geometry outside the positive finite floats"
             )
-        pairs = slice(len(source), len(source) + len(listeners))
         shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
         for q, p in zip(q_offsets, p_offsets):
             source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
-        transmitters.append(_TransmitterTables(tx=tx, rx=listeners, pairs=pairs))
         tau_q = (d1_q + d2_q) / SPEED_OF_LIGHT
-        staged.append((pairs, rx_pos, q_points, amplitude, tau_q))
+        staged.append((rx_pos, q_points, amplitude, tau_q))
         delays.append((d1_p + d2_p) / SPEED_OF_LIGHT)
         scales.append(scale)
         offsets.append(p_offsets)
@@ -431,8 +420,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
                 "puts the noise-only RCS estimates of this geometry beyond the finite floats"
             )
 
-    n_q_max = max(len(q_points) for _, _, q_points, *_ in staged)
-    cells = [cell_sets[r.tx].intended for r in transmitters]
+    n_q_max = max(len(q_points) for _, q_points, *_ in staged)
     width = matched_delay.shape[1] if options.fast_path else 0  # reference tables: zero width
     tables = ScenarioTables(
         config=config,
@@ -440,17 +428,15 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         grid=grid,
         positions=positions,
         cell_sets=cell_sets,
-        transmitters=transmitters,
-        pair_tx=np.concatenate([np.full(len(r.rx), r.tx) for r in transmitters]),
-        pair_rx=np.concatenate([r.rx for r in transmitters]),
+        pair_tx=pair_tx,
+        pair_rx=pair_rx,
         matched_delay=matched_delay,
         est_scale=est_scale,
         noise_var=noise_var,
-        noise_scale=np.sqrt(config.symbols_per_frame * config.subcarriers * noise_var / 2.0),
         designs=designs,
         design_index=design_index,
         ground_coupling=np.zeros((len(design_index), n_q_max, width), dtype=complex),
-        map_index=np.concatenate([(r.rx[:, None] * L + p[:, 0]) * L + p[:, 1] for r, p in zip(transmitters, cells)]),
+        map_index=(pair_rx[:, None] * L + intended[pair_tx, :, 0]) * L + intended[pair_tx, :, 1],
     )
     if options.fast_path:
         _build_ground_blocks(tables, staged, new)
@@ -463,30 +449,30 @@ def _build_ground_blocks(tables, staged, new) -> None:
     matched_coupling of their ground at unit RCS, byte for byte.
 
     Each transmitter's new listeners are stacked; every stacked row equals its
-    own single build bit for bit. The uniform deployment repeats (listener,
-    illuminated cell) offsets across transmitters, so aoa and steering_matrix
-    run once per distinct offset of the new pairs (1212 for the 5332 rows of
-    the defaults), and each block gathers its steering columns from them.
-    delay_kernel works entry by entry, so it is computed once, on the grid of
-    the distinct bit patterns of the new pairs' ground delays tau_q and matched
-    delays tau_p, and each block looks its delays' bits up in that grid and
-    gathers its entries.
+    own single build bit for bit. Every transmitter builds at least one: its
+    pair with UAV 0 (UAV 0: any pair) has a listener offset that an earlier
+    transmitter would need a listener at a negative grid index to repeat. The
+    uniform deployment repeats (listener, illuminated cell) offsets across
+    transmitters, so aoa and steering_matrix run once per distinct offset of
+    the new pairs (1212 for the 5332 rows of the defaults), and each block
+    gathers its steering columns from them. delay_kernel works entry by entry,
+    so it is computed once, on the grid of the distinct bit patterns of the new
+    pairs' ground delays tau_q and matched delays tau_p, and each block looks
+    its delays' bits up in that grid and gathers its entries.
     """
     n = tables.config.array_side
-    ground_delays = np.concatenate([tau_q[new[pairs]].ravel() for pairs, *_, tau_q in staged])
+    new_by_tx = new.reshape(len(staged), -1)  # (U, U - 1), the rows of pair_rows(tx) in row tx
+    ground_delays = np.concatenate([tau_q[built].ravel() for built, (*_, tau_q) in zip(new_by_tx, staged)])
     q_bits = np.unique(ground_delays.view(np.uint64))
     p_bits = np.unique(tables.matched_delay[new].view(np.uint64))
     kernel = delay_kernel(q_bits.view(np.float64), p_bits.view(np.float64), tables.config)
-    offsets = [(q_points - rx_pos[new[pairs]]).reshape(-1, 3) for pairs, rx_pos, q_points, *_ in staged]
+    offsets = [(q_points - rx_pos[built]).reshape(-1, 3) for built, (rx_pos, q_points, *_) in zip(new_by_tx, staged)]
     toward, columns = _distinct_aoa(np.concatenate(offsets))
     steering = steering_matrix(toward, n)  # (n^2, distinct offsets)
     runs = np.split(columns, np.cumsum([len(o) for o in offsets])[:-1])  # one per transmitter
     del offsets
-    for (pairs, _, q_points, amplitude, tau_q), index in zip(staged, runs):
-        built = new[pairs]
-        if not built.any():
-            continue
-        rows = pairs.start + np.flatnonzero(built)
+    for tx, (built, (_, q_points, amplitude, tau_q), index) in enumerate(zip(new_by_tx, staged, runs)):
+        rows = tables.pair_rows(tx).start + np.flatnonzero(built)
         # matmul hands a stack to BLAS only when it is contiguous; a strided
         # operand is summed in another order. The strided gather is released once copied.
         ground = steering[:, index.reshape(len(rows), -1)]
@@ -572,10 +558,10 @@ def _target_couplings(config, tables, lit, targets, covered) -> np.ndarray:
     slot = np.zeros(covered.shape[:1] + tables.pair_tx.shape, dtype=int)  # (trial, pair) -> its lit row
     slot[lit] = np.arange(len(rows))
     gain = np.empty(rows.shape + tables.design_index.shape[1:], dtype=complex)
-    lit_tx = covered.any(axis=0).tolist()
-    for r in (r for r in tables.transmitters if lit_tx[r.tx]):
-        lit_trials = np.flatnonzero(covered[:, r.tx])
-        gain[slot[lit_trials, r.pairs]] = (tables.pair_weights(r.pairs) @ toward[lit_trials[:, None], r.rx])[..., 0]
+    for tx in np.flatnonzero(covered.any(axis=0)):
+        pairs, lit_trials = tables.pair_rows(tx), np.flatnonzero(covered[:, tx])
+        listeners = tables.pair_rx[pairs]
+        gain[slot[lit_trials, pairs]] = (tables.pair_weights(pairs) @ toward[lit_trials[:, None], listeners])[..., 0]
     d1, d2 = distance[trial_rows, tables.pair_tx[rows]], distance[trial_rows, tables.pair_rx[rows]]
     amplitude = reflection_amplitude(config, config.target_rcs_m2, d1, d2)
     return matched_coupling(amplitude, gain.conj(), (d1 + d2) / SPEED_OF_LIGHT, tables.matched_delay[rows], config)
@@ -598,8 +584,9 @@ def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_
     lit = np.nonzero(covered[:, tables.pair_tx])
     target_rows = phases[lit[1], lit[0], -1:] * _target_couplings(config, tables, lit, targets, covered)
     del phases  # large temporaries are released once read, see _TRIAL_BLOCK
-    draws = None
+    draws = scale = None
     if tables.options.noise:
+        scale = np.sqrt(config.symbols_per_frame * config.subcarriers * tables.noise_var / 2.0)
         draws = np.empty((len(trials), ground.shape[1], 2, ground.shape[2]))
         for row, trial in zip(draws, trials):
             _keyed(generator, config.master_seed, trial, _STREAM_NOISE).standard_normal(out=row)
@@ -607,7 +594,7 @@ def _closed_form_estimates(config, tables, trials, targets, covered, ground_rcs_
     for k, (out, sigma) in enumerate(zip(estimates, ground_rcs_m2)):
         total = np.multiply(ground, math.sqrt(sigma), out=ground if k == len(estimates) - 1 else None)
         total[lit] += target_rows
-        np.multiply(coherent_peaks(total, config, tables.noise_scale, draws), tables.est_scale, out=out)
+        np.multiply(coherent_peaks(total, config, scale, draws), tables.est_scale, out=out)
     return estimates
 
 
@@ -633,15 +620,16 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
     delay_rows = {}  # bits of a reflection delay -> its row of delay_ramps
     delay_ramps = np.empty((0, config.subcarriers), dtype=complex)
     peaks = np.empty(tables.est_scale.shape)
-    for record in tables.transmitters:
-        tx, rows = record.tx, record.pairs
+    for tx in range(config.uav_count):
+        rows = tables.pair_rows(tx)
+        listeners = tables.pair_rx[rows]
         tx_frame = synth_tx_frame(config, substream(config.master_seed, trial, _STREAM_TXDATA, tx))
         columns = np.arange(len(tables.cell_sets[tx].illuminated))
         lit_target = None
         if illuminated_by[tx]:
             lit_target, columns = target, np.append(columns, -1)
         built = build_reflections(
-            config, tx, record.rx, positions[tx], positions[record.rx], tables.cell_sets[tx], tables.grid,
+            config, tx, listeners, positions[tx], positions[listeners], tables.cell_sets[tx], tables.grid,
             tables.pair_weights(rows), lit_target, zeta[rows, columns],
         )
         # Rows for this transmitter's delays; ramps of delays not seen before are appended in row order.
@@ -650,7 +638,7 @@ def _reference_estimates(config, tables, trial, target, illuminated_by, zeta):
         ramp_rows = np.array([delay_rows.setdefault(b, len(delay_rows)) for b in bits.tolist()])
         delay_ramps = np.concatenate([delay_ramps, subcarrier_ramps(bits[ramp_rows >= known].view(np.float64), config)])
         ramp_rows = ramp_rows[inverse.reshape(built.delay_s.shape)]
-        for i, rx in enumerate(record.rx):
+        for i, rx in enumerate(listeners):
             p = rows.start + i
             reflections = Reflections(built.amplitude[i], built.gain[i], built.delay_s[i], built.phase[i])
             ramps = delay_ramps[ramp_rows[i]]
@@ -718,7 +706,6 @@ def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[
     maps = np.full(estimates.shape[:2] + (U * L * L,), np.nan)
     maps[:, :, tables.map_index] = estimates
     maps = maps.reshape(estimates.shape[:2] + (U, L, L))
-    true_cells = [cell_of_point(tables.grid, x, y) for x, y in targets[:, :2]]
     fused_maps, found = {}, []  # found: (method, rows, cols, delta*), each [value][trial]
     for method, (fused, (rows, cols)) in fuse_and_detect(maps).items():
         star = detection_delta(targets, tables.grid.centers[rows, cols], config.cell_size_m)
@@ -730,7 +717,7 @@ def _outcomes(config, tables, trials, targets, estimates, collect_maps) -> list[
                 trial=trial,
                 target_xy=(float(targets[k, 0]), float(targets[k, 1])),
                 detections={
-                    m: DetectionResult((row[s][k], col[s][k]), true_cells[k], star[s][k])
+                    m: DetectionResult((row[s][k], col[s][k]), star[s][k])
                     for m, row, col, star in found
                 },
                 local_maps=[LocalRcsMap(owner=u, values=maps[s, k, u]) for u in range(U)] if collect_maps else None,

@@ -33,8 +33,7 @@ class LocalRcsMap:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    detected_cell: tuple[int, int]
-    true_cell: tuple[int, int]
+    detected_cell: tuple[int, int]  # argmax cell of one fusion method's map
     delta_star: int  # smallest delta for which the detection counts as a hit
 
 

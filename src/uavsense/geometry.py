@@ -26,7 +26,6 @@ __all__ = [
     "footprint_radius",
     "classify_cells",
     "aoa",
-    "cell_of_point",
 ]
 
 
@@ -53,7 +52,6 @@ class AoA:
 
 @dataclass(frozen=True)
 class CellGrid:
-    side_count: int
     cell_size: float
     centers: np.ndarray  # (L, L, 3), centers[a, b] = ((a+.5)d, (b+.5)d, 0)
 
@@ -76,7 +74,7 @@ def build_grid(config: ScenarioConfig) -> CellGrid:
     centers = np.zeros((L, L, 3))
     centers[:, :, 0] = axis[:, None]
     centers[:, :, 1] = axis[None, :]
-    return CellGrid(side_count=L, cell_size=d, centers=centers)
+    return CellGrid(cell_size=d, centers=centers)
 
 
 def hpbw(n: int) -> float:
@@ -166,11 +164,3 @@ def aoa(observer: np.ndarray, point: np.ndarray) -> AoA:
     theta = _libm(math.atan, dz.shape, (rho / dz).ravel().tolist())
     phi = np.where(rho == 0.0, 0.0, _libm(math.atan2, dz.shape, y, x) % (2.0 * math.pi))
     return AoA(theta=theta, phi=phi)
-
-
-def cell_of_point(grid: CellGrid, x: float, y: float) -> tuple[int, int]:
-    """Grid cell containing the ground point, clipped to the grid."""
-    L = grid.side_count
-    a = min(max(int(x / grid.cell_size), 0), L - 1)
-    b = min(max(int(y / grid.cell_size), 0), L - 1)
-    return a, b

@@ -7,14 +7,7 @@ import pytest
 import scipy
 
 from uavsense import ScenarioConfig
-from uavsense.cli import (
-    PRESETS,
-    build_manifest,
-    main,
-    render_results_csv,
-    write_results_csv,
-    write_results_json,
-)
+from uavsense.cli import PRESETS, build_manifest, main, render_results_csv
 from uavsense.config import RunOptions, parse_config_text
 from uavsense.engine import RNG_SCHEME, SweepRow
 
@@ -64,11 +57,12 @@ class TestCsv:
         assert len(lines) == 2
         assert lines[1].startswith("none,0,capon,avg,-30,0,10,7,")
 
-    def test_seventeen_digit_roundtrip(self, tmp_path):
+    def test_seventeen_digit_roundtrip(self, tmp_path, monkeypatch):
         value = 0.123456789012345678  # more digits than float precision
         row = _row(p_detect=value, ci95_halfwidth=1.9599999999999997e-05)
+        monkeypatch.setattr("uavsense.cli.sweep_rows", lambda *args: [row])
         path = tmp_path / "out.csv"
-        write_results_csv([row], path)
+        assert main(["run", "--config", _write_config(tmp_path), "--trials", "1", "--out", str(path)]) == 0
         line = path.read_text().strip().split("\n")[1].split(",")
         assert float(line[8]) == row.p_detect
         assert float(line[9]) == row.ci95_halfwidth
@@ -79,10 +73,6 @@ class TestCsv:
         assert "," in text  # field separator only
         for field in text.strip().split("\n")[1].split(","):
             assert " " not in field
-
-    def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_results_csv([], tmp_path / "x.csv")
 
 
 class TestManifest:
@@ -134,17 +124,14 @@ class TestManifest:
         assert list(manifest["options"]) == [f.name for f in fields(RunOptions)]
         assert all(manifest["options"][f.name] == getattr(options, f.name) for f in fields(RunOptions))
 
-    def test_json_rejects_empty(self, tmp_path):
-        cfg = ScenarioConfig()
-        with pytest.raises(ValueError):
-            write_results_json(build_manifest(cfg, RunOptions(), [], []), tmp_path / "m.json")
-
     def test_config_echo_reproduces_run(self, tmp_path):
-        # The echoed config, fed back as input, yields identical rows.
+        # The echoed config, fed back as input, yields identical rows; a run's
+        # echo holds no sweep section, which run would refuse.
         cfg_path = _write_config(tmp_path)
         out1 = tmp_path / "a.json"
         assert main(["run", "--config", cfg_path, "--format", "json", "--out", str(out1)]) == 0
         manifest = json.loads(out1.read_text())
+        assert "sweep." not in manifest["config_text"]
         echo_path = tmp_path / "echo.cfg"
         echo_path.write_text(manifest["config_text"])
         out2 = tmp_path / "b.json"
@@ -207,6 +194,24 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
         assert "configuration error: noise_density_w_hz" in capsys.readouterr().err
 
+    def test_sweep_section_refused(self, tmp_path, capsys):
+        # run does one point, so a sweep section it would ignore is refused.
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n"
+        assert main(["run", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: sweep.parameter: run takes no sweep section; use uavsense sweep" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):
+        cfg_path = _write_config(tmp_path)
+        out = tmp_path / "r.out"
+        assert main(["run", "--config", cfg_path, "--trials", "1", "--format", fmt, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg_path, "--trials", "1", "--format", fmt]) == 0
+        printed, written = capsys.readouterr().out, out.read_bytes().decode()
+        if fmt == "json":  # the creation time and the peak RSS may differ between the two runs
+            printed, written = (json.loads(t) | {"created_utc": None, "peak_rss_mb": None} for t in (printed, written))
+        assert printed == written
+
     def test_unwritable_output_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -258,6 +263,14 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert main(["run", "--config", cfg_path, "--trials", "1", flag, value, "--out", str(tmp_path / "r.csv")]) == 0
+
+    def test_preset_with_config_sweep_section_refused(self, tmp_path, capsys):
+        # The preset would replace the config's sweep section; both given is refused.
+        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n"
+        cfg_path = _write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg_path, "--preset", "fig7", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: sweep.parameter: give --preset or a config sweep section, not both" in err
 
     def test_sweep_requires_spec(self, tmp_path):
         cfg_path = _write_config(tmp_path)

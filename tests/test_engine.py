@@ -111,11 +111,11 @@ def assert_ls_rows_are_orbit_images(tables) -> dict:
     """Check every LS row against ls_row, bit for bit, and against its own direction's direct
     design to 1e-12; returns the designs made (canonical direction bits -> design)."""
     n, designs, rows, own = tables.config.array_side, {}, [], []
-    for record in tables.transmitters:
-        for k, rx in enumerate(record.rx):
-            for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
+    for tx, tx_rows, listeners in transmitters(tables):
+        for k, rx in enumerate(listeners):
+            for i, (a, b) in enumerate(tables.cell_sets[tx].intended):
                 rx_position, point = tables.positions[rx], tables.grid.centers[a, b]
-                rows.append(tables.pair_weights(record.pairs)[k, i])
+                rows.append(tables.pair_weights(tx_rows)[k, i])
                 assert rows[-1].tobytes() == ls_row(rx_position, point, n, designs).tobytes()
                 own.append(aoa(rx_position, point))
     direct = ls_beamformer(aoa_mesh(AoA(np.array([d.theta for d in own]), np.array([d.phi for d in own])), n), n)
@@ -136,6 +136,13 @@ def reference_peaks(config, tables, tx_frame, tx, rx, weights, target, phases, p
     frames = synth_rx_frame(tx_frame, reflections, ramps, config, noise_variance, draws)
     matched_ramps = subcarrier_ramps(tables.matched_delay[p, cells], config, +1)
     return matched_point_value(remove_data(frames, tx_frame), matched_ramps, config), built
+
+
+def transmitters(tables):
+    """(tx, its pair rows, its listeners) of every UAV, in pair-major order."""
+    for tx in range(len(tables.positions)):
+        rows = tables.pair_rows(tx)
+        yield tx, rows, tables.pair_rx[rows]
 
 
 def local_stack(outcome) -> np.ndarray:
@@ -332,13 +339,13 @@ class TestBuildTables:
         tables = build_tables(small_config, RunOptions(beamformer="capon"))
         n = small_config.array_side
         pairs, directions = 0, set()
-        for record in tables.transmitters:
-            for k, rx in enumerate(record.rx):
-                for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
+        for tx, tx_rows, listeners in transmitters(tables):
+            for k, rx in enumerate(listeners):
+                for i, (a, b) in enumerate(tables.cell_sets[tx].intended):
                     d = aoa(tables.positions[rx], tables.grid.centers[a, b])
                     pairs += 1
                     directions.add(np.array([d.theta, d.phi]).tobytes())
-                    assert tables.pair_weights(record.pairs)[k, i].tobytes() == capon_beamformer(d, n).tobytes()
+                    assert tables.pair_weights(tx_rows)[k, i].tobytes() == capon_beamformer(d, n).tobytes()
         assert sum(calls) == len(directions) < pairs
 
     def test_ls_rows_on_a_non_dyadic_area(self, small_config, monkeypatch):
@@ -366,11 +373,11 @@ class TestBuildTables:
         # the conjugate of the row of its mirror (-dx, -dy, dz), bit for bit.
         tables = build_tables(ScenarioConfig(array_side=2), RunOptions(beamformer="ls"))
         rows = []
-        for record in tables.transmitters:
-            for k, rx in enumerate(record.rx):
-                for i, (a, b) in enumerate(tables.cell_sets[record.tx].intended):
+        for tx, tx_rows, listeners in transmitters(tables):
+            for k, rx in enumerate(listeners):
+                for i, (a, b) in enumerate(tables.cell_sets[tx].intended):
                     offset = tables.grid.centers[a, b] - tables.positions[rx]
-                    rows.append((tuple(offset), tables.pair_weights(record.pairs)[k, i]))
+                    rows.append((tuple(offset), tables.pair_weights(tx_rows)[k, i]))
         by_offset = dict(rows)  # -0.0 and 0.0 are one key
         mirrored = [(dx, dy, dz) for (dx, dy, dz), _ in rows if dy < 0 or (dy == 0 and dx < 0)]
         assert len(mirrored) == len(rows) // 2
@@ -389,7 +396,7 @@ class TestBuildTables:
         ],
     )
     def test_listener_rows_equal_per_listener_oracle(self, small_config, geometry, beamformer):
-        # Each listener's row of each record, rebuilt from the public kernels
+        # Each listener's row of each transmitter, rebuilt from the public kernels
         # one listener at a time, equals the broadcast build bit for bit. The
         # 4-UAV default of this test repeats no pair geometry; the 16-UAV grid
         # builds 48 ground blocks for its 240 pairs and copies the rest, and on
@@ -398,18 +405,18 @@ class TestBuildTables:
         tables = build_tables(config, RunOptions(beamformer=beamformer))
         positions = tables.positions
         noise_w = config.noise_density_w_hz * config.bandwidth_hz
-        for record in tables.transmitters:
-            illuminated = tables.cell_sets[record.tx].illuminated
+        for tx, tx_rows, listeners in transmitters(tables):
+            illuminated = tables.cell_sets[tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
-            intended = tables.cell_sets[record.tx].intended
+            intended = tables.cell_sets[tx].intended
             p_points = tables.grid.centers[intended[:, 0], intended[:, 1]]
-            d1_q = np.linalg.norm(q_points - positions[record.tx], axis=1)
-            d1_p = np.linalg.norm(p_points - positions[record.tx], axis=1)
-            for k, rx in enumerate(record.rx):
+            d1_q = np.linalg.norm(q_points - positions[tx], axis=1)
+            d1_p = np.linalg.norm(p_points - positions[tx], axis=1)
+            for k, rx in enumerate(listeners):
                 d2_q = np.linalg.norm(positions[rx] - q_points, axis=1)
                 d2_p = np.linalg.norm(positions[rx] - p_points, axis=1)
                 tau_p = (d1_p + d2_p) / SPEED_OF_LIGHT
-                p = record.pairs.start + k
+                p = tx_rows.start + k
                 weights = tables.pair_weights(p)
                 chi = weights.conj() @ steering_matrix(aoa(positions[rx], q_points), config.array_side)
                 coupling = matched_coupling(
@@ -448,6 +455,7 @@ class TestBuildTables:
         # each distinct offset q - rx of the built pairs once and each distinct
         # offset p - rx once (LS: each distinct orbit offset, |dx| and |dy|
         # sorted in descending order), whatever pairs and stages repeat it.
+        # Every transmitter builds at least one block.
         built, seen = [], []
 
         def counting_weights(tables, rows, original=engine.ScenarioTables.pair_weights):
@@ -462,21 +470,22 @@ class TestBuildTables:
         monkeypatch.setattr(engine.ScenarioTables, "pair_weights", counting_weights)
         monkeypatch.setattr(engine, "aoa", counting_aoa)
         tables = build_tables(config, RunOptions(beamformer="capon"))
-        positions, geometries = tables.positions, {}
+        positions, geometries, builders = tables.positions, {}, set()
         ground, intended, orbits = set(), set(), set()
-        for record in tables.transmitters:
-            illuminated = tables.cell_sets[record.tx].illuminated
+        for tx, tx_rows, listeners in transmitters(tables):
+            illuminated = tables.cell_sets[tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
-            cells = tables.cell_sets[record.tx].intended
+            cells = tables.cell_sets[tx].intended
             p_points = tables.grid.centers[cells[:, 0], cells[:, 1]]
-            for k, rx in enumerate(record.rx):
+            for k, rx in enumerate(listeners):
                 key = tuple(
-                    (points - positions[u]).tobytes() for points in (q_points, p_points) for u in (record.tx, rx)
+                    (points - positions[u]).tobytes() for points in (q_points, p_points) for u in (tx, rx)
                 )
-                p = record.pairs.start + k
+                p = tx_rows.start + k
                 first = geometries.setdefault(key, p)
                 assert tables.ground_coupling[p].tobytes() == tables.ground_coupling[first].tobytes()
                 if first == p:
+                    builders.add(tx)
                     folded = p_points - positions[rx]
                     ground.update(row.tobytes() for row in q_points - positions[rx])
                     intended.update(row.tobytes() for row in folded)
@@ -484,6 +493,7 @@ class TestBuildTables:
                     orbits.update(row.tobytes() for row in folded)
         assert len(tables.pair_tx) == 240
         assert sum(built) == len(geometries) == blocks
+        assert builders == set(range(len(positions))) and len(built) == len(positions) and min(built) >= 1
         assert sum(seen) == len(ground) + len(intended) == directions["capon"]
         seen.clear()
         build_tables(config, RunOptions(beamformer="ls"))
@@ -516,11 +526,11 @@ class TestBuildTables:
         assert calls == []
         tables = build_tables(config, RunOptions(beamformer=beamformer))
         positions, ground = tables.positions, []
-        for record in tables.transmitters:
-            illuminated = tables.cell_sets[record.tx].illuminated
+        for tx, tx_rows, listeners in transmitters(tables):
+            illuminated = tables.cell_sets[tx].illuminated
             q_points = tables.grid.centers[illuminated[:, 0], illuminated[:, 1]]
-            d1_q = np.linalg.norm(q_points - positions[record.tx], axis=1)
-            for rx in record.rx:
+            d1_q = np.linalg.norm(q_points - positions[tx], axis=1)
+            for rx in listeners:
                 ground.append((d1_q + np.linalg.norm(positions[rx] - q_points, axis=1)) / SPEED_OF_LIGHT)
         (tau_q, tau_p), = calls
         distinct = [np.unique(np.concatenate(ground).view(np.uint64)), np.unique(tables.matched_delay.view(np.uint64))]
@@ -529,20 +539,22 @@ class TestBuildTables:
         assert len(tau_q) < sum(map(len, ground)) and len(tau_p) < tables.matched_delay.size
 
     def test_pair_major_rows_follow_the_records(self, small_config):
+        # Every UAV transmits to the other U - 1: pair_rows(tx) for tx = 0, ..., U - 1
+        # tiles the U(U - 1) pair rows in order, each with the other UAVs ascending.
         tables = build_tables(small_config, RunOptions())
-        L = small_config.grid_side
-        pairs = sum(len(record.rx) for record in tables.transmitters)
+        U, L = small_config.uav_count, small_config.grid_side
+        pairs = U * (U - 1)
         assert tables.ground_coupling.shape[0] == pairs == len(tables.pair_tx) == len(tables.map_index)
         assert tables.ground_coupling.shape[1] == max(len(s.illuminated) for s in tables.cell_sets)
-        assert [record.pairs.start for record in tables.transmitters[1:]] == [
-            record.pairs.stop for record in tables.transmitters[:-1]
-        ]
-        for record in tables.transmitters:
-            assert np.all(tables.pair_tx[record.pairs] == record.tx)
-            assert np.array_equal(tables.pair_rx[record.pairs], record.rx)
-            cells = tables.cell_sets[record.tx].intended
-            rx, a, b = np.unravel_index(tables.map_index[record.pairs], (small_config.uav_count, L, L))
-            assert np.array_equal(rx, np.repeat(record.rx[:, None], len(cells), axis=1))
+        rows = [tables.pair_rows(tx) for tx in range(U)]
+        assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]] and rows[-1].stop == pairs
+        for tx, tx_rows in enumerate(rows):
+            listeners = np.array([u for u in range(U) if u != tx])
+            assert np.all(tables.pair_tx[tx_rows] == tx)
+            assert np.array_equal(tables.pair_rx[tx_rows], listeners)
+            cells = tables.cell_sets[tx].intended
+            rx, a, b = np.unravel_index(tables.map_index[tx_rows], (U, L, L))
+            assert np.array_equal(rx, np.repeat(listeners[:, None], len(cells), axis=1))
             assert np.array_equal(np.stack([a[0], b[0]], axis=1), cells)
 
     @pytest.mark.filterwarnings("error")
@@ -649,7 +661,7 @@ class TestRunTrial:
         for u, local in enumerate(out.local_maps):
             for a, b in tables.cell_sets[u].intended:
                 assert math.isnan(local.values[a, b])
-        assert all(record.tx not in record.rx for record in tables.transmitters)
+        assert all(tx not in listeners for tx, _, listeners in transmitters(tables))
 
     def test_fast_matches_reference_noiseless(self, small_config):
         fast_tables = build_tables(small_config, RunOptions(noise=False, fast_path=True))
@@ -671,11 +683,11 @@ class TestRunTrial:
         outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
         target, illuminated_by = trial_target(small_config, tables, trial)
         seed = small_config.master_seed
-        record = tables.transmitters[1]
-        cells = tables.cell_sets[record.tx].intended
+        tx = 1
+        cells = tables.cell_sets[tx].intended
         k, i = 2, len(cells) - 1
-        p = record.pairs.start + k
-        tx, rx, (a, b) = record.tx, int(record.rx[k]), cells[i]
+        p = tables.pair_rows(tx).start + k
+        rx, (a, b) = int(tables.pair_rx[p]), cells[i]
         tx_frame = synth_tx_frame(small_config, substream(seed, trial, engine._STREAM_TXDATA, tx))
         block = trial_phases(small_config, tables, trial)
         phases = block[p, : len(tables.cell_sets[tx].illuminated)]
@@ -700,13 +712,13 @@ class TestRunTrial:
         seed = small_config.master_seed
         for trial in range(20):
             target, illuminated_by = trial_target(small_config, tables, trial)
-            record = next((r for r in tables.transmitters if illuminated_by[r.tx] == lit), None)
-            if record is not None:
+            tx = next((u for u in range(len(tables.positions)) if illuminated_by[u] == lit), None)
+            if tx is not None:
                 break
         outcome = run_trial(small_config, trial, tables=tables, collect_maps=True)
-        cells = tables.cell_sets[record.tx].intended
+        cells = tables.cell_sets[tx].intended
         k, i = 1, len(cells) // 2
-        p, n_q = record.pairs.start + k, len(tables.cell_sets[record.tx].illuminated)
+        p, n_q = tables.pair_rows(tx).start + k, len(tables.cell_sets[tx].illuminated)
         coupling = math.sqrt(small_config.ground_rcs_m2) * tables.ground_coupling[p, :n_q]
         zeta = trial_phases(small_config, tables, trial)[p]
         if lit:
@@ -722,7 +734,7 @@ class TestRunTrial:
         peaks = coherent_peaks(total, small_config, np.sqrt(nm * np.asarray(tables.noise_var[p]) / 2.0), draws[p])
         a, b = cells[i]
         expected = peaks[i] * tables.est_scale[p, i]
-        assert outcome.local_maps[record.rx[k]].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert outcome.local_maps[tables.pair_rx[p]].values[a, b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_incompatible_tables_rejected(self, small_config):
         tables = build_tables(small_config, RunOptions())
@@ -760,7 +772,7 @@ class TestReferenceRamps:
         tables = build_tables(config, RunOptions(noise=noise, fast_path=False))
         for trial in range(20):
             target, illuminated_by = trial_target(config, tables, trial)
-            if {bool(illuminated_by[r.tx]) for r in tables.transmitters} == {False, True}:
+            if {bool(illuminated_by[tx]) for tx, _, _ in transmitters(tables)} == {False, True}:
                 break
         else:
             pytest.fail("no trial with both lit and unlit transmitters")
@@ -776,12 +788,11 @@ class TestReferenceRamps:
 
         seed = config.master_seed
         expected, delays = np.empty_like(estimates), []
-        for record in tables.transmitters:
-            tx = record.tx
+        for tx, tx_rows, listeners in transmitters(tables):
             tx_frame = synth_tx_frame(config, substream(seed, trial, engine._STREAM_TXDATA, tx))
             n_q = len(tables.cell_sets[tx].illuminated)
-            for k, rx in enumerate(record.rx):
-                p = record.pairs.start + k
+            for k, rx in enumerate(listeners):
+                p = tx_rows.start + k
                 phases, lit_target = zeta[p, :n_q], None
                 if illuminated_by[tx]:
                     phases, lit_target = np.append(phases, zeta[p, -1]), target
@@ -1257,3 +1268,13 @@ class TestSweep:
         cfg = _config_for_sweep_point("altitude", 0.5 * derive_altitude(base, 1), base)
         with pytest.raises(ConfigError, match="altitude"):
             build_tables(cfg, RunOptions())
+
+    def test_one_uav_without_intended_cells_rejected(self, small_config, monkeypatch):
+        # Every UAV transmits, so a single UAV with no intended cell refuses the geometry.
+        def one_empty(config, uav, grid, positions, original=engine.classify_cells):
+            sets = original(config, uav, grid, positions)
+            return replace(sets, intended=sets.intended[:0]) if uav == 2 else sets
+
+        monkeypatch.setattr(engine, "classify_cells", one_empty)
+        with pytest.raises(ConfigError, match="^altitude_m: no cell fits inside any footprint at this altitude$"):
+            build_tables(small_config, RunOptions())

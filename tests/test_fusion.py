@@ -210,8 +210,8 @@ class TestDetectionDelta:
     @pytest.mark.parametrize("cell_size", [2.0, 2.5, 4.0, 0.1])
     def test_stack_equals_the_scalar_formula_on_thresholds_and_edges(self, cell_size):
         # Targets exactly d (1/2 + delta) from a cell center along x, y and the
-        # diagonal, just inside and outside, and at the grid edges, where
-        # cell_of_point clips the target to the edge cell.
+        # diagonal, just inside and outside, and at the grid edges, with the
+        # target's own cell clipped to the grid.
         L = 6
         centers = (np.arange(L) + 0.5) * cell_size
         targets, cells = [], []

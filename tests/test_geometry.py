@@ -13,7 +13,6 @@ from uavsense import (
     footprint_radius,
     hpbw,
 )
-from uavsense.geometry import cell_of_point
 from dataclasses import replace
 
 
@@ -239,8 +238,3 @@ class TestAoa:
             rebuilt = (obs[0] + rho * math.cos(d.phi), obs[1] + rho * math.sin(d.phi))
             assert np.allclose(rebuilt, grid.centers[a, b, :2], atol=1e-9)
 
-
-def test_cell_of_point_clips_to_grid():
-    grid = build_grid(_config())
-    assert cell_of_point(grid, 2.4, 97.6) == (0, 19)
-    assert cell_of_point(grid, 100.0, 0.0) == (19, 0)

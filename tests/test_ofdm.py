@@ -145,8 +145,8 @@ class TestBuildReflections:
         positions = deploy_uavs(cfg, grid)
         sets = classify_cells(cfg, 0, grid, positions)
         tables = build_tables(cfg, RunOptions())
-        record = next(r for r in tables.transmitters if r.tx == 0)
-        weights = tables.pair_weights(record.pairs)[list(record.rx).index(1)]  # (n_p, n^2) of listener 1
+        rows = tables.pair_rows(0)
+        weights = tables.pair_weights(rows)[list(tables.pair_rx[rows]).index(1)]  # (n_p, n^2) of listener 1
         return cfg, grid, positions, sets, weights
 
     @staticmethod
@@ -238,18 +238,19 @@ class TestBuildReflections:
         # axis; row i equals the build of the stack of listener i alone, bit for bit.
         cfg, grid, positions, sets, _ = self._scene()
         tables = build_tables(cfg, RunOptions())
-        record = next(r for r in tables.transmitters if r.tx == 0)
+        rows = tables.pair_rows(0)
+        listeners = tables.pair_rx[rows]
         target = np.array([13.0, 11.0, 0.0]) if with_target else None
         count = len(sets.illuminated) + with_target
-        phases = self._phases(rng, (len(record.rx), count))
-        weights = tables.pair_weights(record.pairs)
+        phases = self._phases(rng, (len(listeners), count))
+        weights = tables.pair_weights(rows)
         stacked = build_reflections(
-            cfg, 0, record.rx, positions[0], positions[record.rx], sets, grid, weights, target, phases
+            cfg, 0, listeners, positions[0], positions[listeners], sets, grid, weights, target, phases
         )
-        assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(record.rx), count)
-        assert stacked.gain.shape == (len(record.rx), len(tables.cell_sets[record.tx].intended), count)
-        for i in range(len(record.rx)):
-            one = record.rx[i : i + 1]
+        assert stacked.amplitude.shape == stacked.delay_s.shape == stacked.phase.shape == (len(listeners), count)
+        assert stacked.gain.shape == (len(listeners), len(tables.cell_sets[0].intended), count)
+        for i in range(len(listeners)):
+            one = listeners[i : i + 1]
             alone = build_reflections(
                 cfg, 0, one, positions[0], positions[one], sets, grid, weights[i : i + 1], target, phases[i : i + 1]
             )
