@@ -18,11 +18,10 @@ from .config import (
     DELTAS,
     FUSION_METHODS,
     ConfigError,
-    RunOptions,
-    ScenarioConfig,
     SweepSpec,
     m2_to_dbsm,
     parse_config_file,
+    parse_config_text,
     render_config_text,
 )
 from .engine import RNG_SCHEME, SweepRow, run_monte_carlo, sweep, sweep_rows
@@ -130,11 +129,13 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
     }
 
 
-def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
+def _command(args) -> int:
+    """Run the batches of what the command reads of --config and --preset, with its flags; write the rows."""
+    preset = PRESETS.get(getattr(args, "preset", None))
     if args.config:
-        config, options, sweep_spec = parse_config_file(args.config)
+        config, options, sweep_spec = parse_config_file(args.config, args.command, preset)
     else:
-        config, options, sweep_spec = ScenarioConfig(), RunOptions(), None
+        config, options, sweep_spec = parse_config_text("", args.command, preset)
 
     def given(**flags):
         return {name: value for name, value in flags.items() if value is not None}
@@ -144,10 +145,16 @@ def _load_config(args) -> tuple[ScenarioConfig, RunOptions, SweepSpec | None]:
     design = {name: getattr(args, name, None) for name in ("beamformer", "fusion")}
     config = replace(config, **given(trials=args.trials, master_seed=args.seed))
     options = replace(options, **given(fast_path=fast_path, **design))
-    return config, options, sweep_spec
-
-
-def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
+    if sweep_spec is None:
+        stats, sigma, errors = run_monte_carlo(config, options), m2_to_dbsm(config.ground_rcs_m2), []
+        rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma, config.master_seed)
+    else:
+        rows, errors = sweep(sweep_spec, config, options)
+        for err in errors:
+            print(f"invalid sweep point: {err}", file=sys.stderr)
+        if not rows:
+            print("no valid sweep points", file=sys.stderr)
+            return 1
     if args.format == "json":
         text = json.dumps(build_manifest(config, options, rows, errors, sweep_spec), indent=2, sort_keys=True) + "\n"
     else:
@@ -157,35 +164,6 @@ def _emit(args, config, options, rows, errors, sweep_spec=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _cmd_run(args) -> int:
-    config, options, sweep_spec = _load_config(args)
-    if sweep_spec is not None:
-        raise ConfigError("sweep.parameter: run takes no sweep section; use uavsense sweep")
-    stats = run_monte_carlo(config, options)
-    sigma_g_dbsm = m2_to_dbsm(config.ground_rcs_m2)
-    rows = sweep_rows(stats, DELTAS, "none", 0.0, options.beamformer, options.fusion, sigma_g_dbsm, config.master_seed)
-    _emit(args, config, options, rows, [])
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config, options, sweep_spec = _load_config(args)
-    if args.preset:
-        if sweep_spec is not None:
-            raise ConfigError("sweep.parameter: give --preset or a config sweep section, not both")
-        sweep_spec = PRESETS[args.preset]
-    if sweep_spec is None:
-        print("sweep needs --preset or a config file with a sweep section", file=sys.stderr)
-        return 2
-    rows, errors = sweep(sweep_spec, config, options)
-    for err in errors:
-        print(f"invalid sweep point: {err}", file=sys.stderr)
-    if not rows:
-        print("no valid sweep points", file=sys.stderr)
-        return 1
-    _emit(args, config, options, rows, errors, sweep_spec)
     return 0
 
 
@@ -215,9 +193,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
+        return _command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

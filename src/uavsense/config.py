@@ -241,6 +241,22 @@ _DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit)
 
 _ONOFF = {"on": True, "off": False, "true": True, "false": False}
 
+# `run` reads every key but the sweep section. A sweep reads every key but these, each mapped to the key that
+# decides its value instead; None is the sigma_G axis: sweep.values on a ground_rcs axis, else sweep.sigma_g_dbsm.
+_SWEEP_DECIDES = {"run.beamformer": "sweep.beamformers", "run.fusion": "sweep.fusions"}
+_SWEEP_DECIDES |= dict.fromkeys(("scenario.ground_rcs_m2", "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"))
+
+
+def _unread_keys(sweep: SweepSpec | None, preset: bool = False) -> dict[str, str]:
+    """Each key that `run` (no `sweep`) or that sweep, by `preset` or not, does not read -> why."""
+    section = [key for key in _KEYS if key.startswith("sweep.")]
+    if sweep is None:
+        return dict.fromkeys(section, "run takes no sweep section; use uavsense sweep")
+    sigma_axis = "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
+    decides = {key: decider or sigma_axis for key, decider in _SWEEP_DECIDES.items()}
+    unread = {key: f"a sweep reads {decider} instead" for key, decider in decides.items() if key != decider}
+    return (unread | dict.fromkeys(section, "give --preset or a config sweep section, not both")) if preset else unread
+
 
 def _element(kind: str) -> str | None:
     """X of a "tuple[X, ...]" annotation, else None."""
@@ -279,11 +295,12 @@ def _parse_onoff(key: str, s: str) -> bool:
         raise ConfigError(f"{key}: expected on/off, got {s!r}") from None
 
 
-def parse_config_text(text: str):
+def parse_config_text(text: str, command: str | None = None, preset: SweepSpec | None = None):
     """Parse the flat config format into (ScenarioConfig, RunOptions, SweepSpec | None).
 
-    Unknown or duplicated keys are rejected. The CLI applies its flags to the
-    parsed objects with ``dataclasses.replace``.
+    Unknown or duplicated keys are rejected, and so is each key that `command` ("run", "sweep", or None to go
+    by the text) would not read; a sweep's spec is `preset` or else the text's sweep section. The CLI applies
+    its flags to the parsed objects with ``dataclasses.replace``.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -321,25 +338,30 @@ def parse_config_text(text: str):
             raise ConfigError(f"{key}: cannot parse value {value!r}") from None
 
     sweep_kwargs = kwargs[SweepSpec]
-    sweep = None
-    if sweep_kwargs:
-        if "parameter" not in sweep_kwargs or "values" not in sweep_kwargs:
-            raise ConfigError("sweep.parameter: sweep sections need both sweep.parameter and sweep.values")
-        sweep = SweepSpec(**sweep_kwargs)
+    if sweep_kwargs and ("parameter" not in sweep_kwargs or "values" not in sweep_kwargs):
+        raise ConfigError("sweep.parameter: sweep sections need both sweep.parameter and sweep.values")
+    sweep = None if command == "run" else preset or (SweepSpec(**sweep_kwargs) if sweep_kwargs else None)
+    if command == "sweep" and sweep is None:
+        raise ConfigError("sweep.parameter: sweep needs --preset or a config file with a sweep section")
+    unread = _unread_keys(sweep, preset is not None)
+    for key in raw:
+        if key in unread:
+            raise ConfigError(f"{key}: {unread[key]}")
     return ScenarioConfig(**kwargs[ScenarioConfig]), RunOptions(**kwargs[RunOptions]), sweep
 
 
-def parse_config_file(path):
+def parse_config_file(path, command: str | None = None, preset: SweepSpec | None = None):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), command, preset)
 
 
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:
-    """Canonical flat rendering; feeding it back reproduces identical runs."""
+    """Canonical flat rendering of the keys its command reads; feeding it back reproduces identical runs."""
     objects = {ScenarioConfig: config, RunOptions: options, SweepSpec: sweep}
+    unread = _unread_keys(sweep)
     lines = []
     for key, (cls, name, kind) in _KEYS.items():
         value = getattr(objects[cls], name, None)
-        if value is not None:
+        if value is not None and key not in unread:
             lines.append(f"{key} = {_render_value(kind, value)}")
     return "\n".join(lines) + "\n"

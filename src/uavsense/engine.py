@@ -846,7 +846,9 @@ def sweep(
 
     Returns result rows plus a list of diagnostics for sweep values whose
     configuration is invalid; invalid points are reported, never silently
-    skipped. Runs whose configs differ only in ground_rcs_m2 (the sigma_G
+    skipped. It does not read base_config.ground_rcs_m2, base_options.beamformer
+    or base_options.fusion: the spec's sigma_G axis, beamformers and fusions
+    set them. Runs whose configs differ only in ground_rcs_m2 (the sigma_G
     axis of a sweep point, or all the values of a ground_rcs axis, which are
     its sigma_G axis) share one table build per beamformer and one batch:
     each trial's draws, phasors, ground sum and target rows are

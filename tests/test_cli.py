@@ -24,6 +24,8 @@ run.trials = 4
 run.master_seed = 31
 """
 
+ANTENNAS_SWEEP = "sweep.parameter = antennas\nsweep.values = 4\n"
+
 
 def _row(**kwargs):
     base = dict(
@@ -139,6 +141,28 @@ class TestManifest:
         second = json.loads(out2.read_text())
         assert manifest["results"] == second["results"]
         assert manifest["config"] == second["config"]
+
+    @pytest.mark.parametrize(
+        "sweep_text, preset",
+        [(ANTENNAS_SWEEP + "sweep.sigma_g_dbsm = -30, -5\n", []), ("", ["--preset", "fig7"])],
+        ids=["file", "preset"],
+    )
+    def test_sweep_config_echo_reproduces_sweep(self, tmp_path, sweep_text, preset):
+        # A sweep's echo holds only the keys the sweep read, so `sweep --config` takes it back as its spec.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + sweep_text)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        json_out = ["--format", "json", "--out"]
+        assert main(["sweep", "--config", cfg_path, *preset, "--trials", "2", *json_out, str(out1)]) == 0
+        manifest = json.loads(out1.read_text())
+        keys = {line.partition(" = ")[0] for line in manifest["config_text"].splitlines()}
+        assert keys.isdisjoint(["run.beamformer", "run.fusion", "scenario.ground_rcs_m2"])
+        assert "sweep.parameter" in keys
+        echo_path = tmp_path / "echo.cfg"
+        echo_path.write_text(manifest["config_text"])
+        assert main(["sweep", "--config", str(echo_path), *json_out, str(out2)]) == 0
+        second = json.loads(out2.read_text())
+        assert manifest["results"] == second["results"]
+        assert manifest["config_text"] == second["config_text"]
 
 
 class TestRunCommand:
@@ -272,9 +296,37 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "configuration error: sweep.parameter: give --preset or a config sweep section, not both" in err
 
-    def test_sweep_requires_spec(self, tmp_path):
+    def test_sweep_requires_spec(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        assert main(["sweep", "--config", cfg_path]) == 2
+        message = "configuration error: sweep.parameter: sweep needs --preset or a config file with a sweep section"
+        for config in (["--config", cfg_path], []):
+            assert main(["sweep", *config]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, args, key, decider",
+        [
+            (ANTENNAS_SWEEP + "run.beamformer = ls\n", [], "run.beamformer", "sweep.beamformers"),
+            (ANTENNAS_SWEEP + "run.fusion = prenorm\n", [], "run.fusion", "sweep.fusions"),
+            (ANTENNAS_SWEEP + "scenario.ground_rcs_dbsm = -5\n", [], "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"),
+            (ANTENNAS_SWEEP + "scenario.ground_rcs_m2 = 0.01\n", [], "scenario.ground_rcs_m2", "sweep.sigma_g_dbsm"),
+            (
+                "sweep.parameter = ground_rcs\nsweep.values = -10\nsweep.sigma_g_dbsm = 0, 5\n",
+                [],
+                "sweep.sigma_g_dbsm",
+                "sweep.values",
+            ),
+            ("run.beamformer = ls\n", ["--preset", "fig6"], "run.beamformer", "sweep.beamformers"),
+            ("scenario.ground_rcs_dbsm = -5\n", ["--preset", "fig6"], "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"),
+        ],
+        ids=["beamformer", "fusion", "ground_rcs_dbsm", "ground_rcs_m2", "sigma_on_ground_rcs_axis",
+             "fig6_beamformer", "fig6_ground_rcs_dbsm"],
+    )
+    def test_key_the_sweep_does_not_read_refused(self, tmp_path, capsys, text, args, key, decider):
+        # Each of these once ran to exit 0, its value dropped from the rows yet echoed in the manifest.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + text)
+        assert main(["sweep", "--config", cfg_path, *args, "--trials", "1"]) == 2
+        assert f"configuration error: {key}: a sweep reads {decider} instead" in capsys.readouterr().err
 
     def test_uncounted_delta_exit_code(self, tmp_path, capsys):
         text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30\nsweep.deltas = 0, 3\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uavsense import ConfigError, ScenarioConfig, dbsm_to_m2, m2_to_dbsm
+from uavsense import config as config_module
 from uavsense.config import (
     RunOptions,
     SweepSpec,
@@ -162,7 +163,13 @@ def test_parse_comments_and_overrides():
     assert cfg.trials == 7
 
 
+def _keys(text):
+    return {line.partition(" = ")[0] for line in text.splitlines()}
+
+
 def test_render_parse_roundtrip_is_exact():
+    # A run text carries every scenario and run key; a sweep text leaves out the keys a sweep does not read,
+    # so they parse back as their defaults.
     cfg = ScenarioConfig(
         area_side_m=80.0,
         uav_count=4,
@@ -172,12 +179,14 @@ def test_render_parse_roundtrip_is_exact():
         trials=77,
     )
     opts = RunOptions(beamformer="ls", fusion="prenorm", fast_path=False, noise=False)
+    assert parse_config_text(render_config_text(cfg, opts), "run") == (cfg, opts, None)
     sweep = SweepSpec(parameter="altitude", values=(40.0, 80.0), sigma_g_dbsm=(-30.0, -10.0))
     text = render_config_text(cfg, opts, sweep)
-    cfg2, opts2, sweep2 = parse_config_text(text)
-    assert cfg2 == cfg
-    assert opts2 == opts
-    assert sweep2 == sweep
+    assert _keys(text).isdisjoint(["run.beamformer", "run.fusion", "scenario.ground_rcs_m2"])
+    unread = dict(ground_rcs_m2=ScenarioConfig().ground_rcs_m2)
+    assert parse_config_text(text, "sweep") == (replace(cfg, **unread), RunOptions(fast_path=False, noise=False), sweep)
+    ground_rcs = replace(sweep, parameter="ground_rcs")
+    assert "sweep.sigma_g_dbsm" not in _keys(render_config_text(cfg, opts, ground_rcs))
 
 
 @pytest.mark.parametrize("altitude_m", [None, 123.25])
@@ -225,12 +234,35 @@ def test_render_parse_roundtrip_with_every_field_changed():
         for f in fields(obj):
             if f.default is not MISSING:
                 assert getattr(obj, f.name) != f.default, f.name
-    assert parse_config_text(render_config_text(cfg, opts, sweep)) == (cfg, opts, sweep)
     # numpy scalars render as plain numbers, so their text parses back too.
     floats = {f.name: np.float64(getattr(cfg, f.name)) for f in fields(cfg) if isinstance(getattr(cfg, f.name), float)}
-    cfg = replace(cfg, **floats)
-    sweep = replace(sweep, values=tuple(np.linspace(4, 8, 3)), sigma_g_dbsm=tuple(np.float64(sweep.sigma_g_dbsm)))
-    assert parse_config_text(render_config_text(cfg, opts, sweep)) == (cfg, opts, sweep)
+    numpy_sweep = replace(sweep, values=tuple(np.linspace(4, 8, 3)), sigma_g_dbsm=tuple(np.float64(sweep.sigma_g_dbsm)))
+    # A run reads every scenario and run field. A sweep reads every sweep field and none of the keys that it
+    # refuses, so its text leaves them out and they parse back as their defaults.
+    unread_cfg, unread_opts = dict(ground_rcs_m2=ScenarioConfig().ground_rcs_m2), dict(beamformer="capon", fusion="avg")
+    for cfg, sweep in ((cfg, sweep), (replace(cfg, **floats), numpy_sweep)):
+        assert parse_config_text(render_config_text(cfg, opts), "run") == (cfg, opts, None)
+        text = render_config_text(cfg, opts, sweep)
+        assert _keys(text).isdisjoint(config_module._unread_keys(sweep))
+        assert parse_config_text(text, "sweep") == (replace(cfg, **unread_cfg), replace(opts, **unread_opts), sweep)
+
+
+def test_every_key_is_read_by_run_or_sweep():
+    # The one table of keys a sweep does not read places every key, a key added later too: run reads
+    # all but the sweep section, a sweep on some axis reads all others, and each refusal names a key
+    # that the sweep reads instead.
+    run_unread = config_module._unread_keys(None)
+    axes = {axis: config_module._unread_keys(SweepSpec(axis, (4.0,))) for axis in config_module._SWEEP_PARAMS}
+    every_key = [*config_module._KEYS, *config_module._DB_KEYS]
+    assert set(config_module._SWEEP_DECIDES) <= set(every_key)
+    for key in every_key:
+        assert (key in run_unread) == key.startswith("sweep."), key
+        assert key not in run_unread or any(key not in unread for unread in axes.values()), key
+    for unread in axes.values():
+        assert set(unread) <= set(config_module._SWEEP_DECIDES)
+        for key, reason in unread.items():
+            decider = re.fullmatch(r"a sweep reads (\S+) instead", reason)[1]
+            assert decider in config_module._KEYS and decider not in unread, key
 
 
 def test_sweep_section_requires_parameter_and_values():
