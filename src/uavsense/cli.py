@@ -7,7 +7,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import scipy
@@ -22,6 +22,7 @@ from .config import (
     m2_to_dbsm,
     parse_config_file,
     parse_config_text,
+    read_fields,
     render_config_text,
 )
 from .engine import RNG_SCHEME, SweepRow, run_monte_carlo, sweep, sweep_rows
@@ -121,9 +122,9 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": config.master_seed,
-        "config": asdict(config),
+        "config": read_fields(config, sweep_spec),
         "config_text": render_config_text(config, options, sweep_spec),
-        "options": asdict(options),
+        "options": read_fields(options, sweep_spec),
         "errors": errors,
         "results": [{column: getattr(r, name) for name, column in _RESULT_COLUMNS} for r in rows],
     }

@@ -23,6 +23,7 @@ __all__ = [
     "dbm_per_hz_to_w_per_hz",
     "parse_config_text",
     "parse_config_file",
+    "read_fields",
     "render_config_text",
 ]
 
@@ -247,13 +248,18 @@ _SWEEP_DECIDES = {"run.beamformer": "sweep.beamformers", "run.fusion": "sweep.fu
 _SWEEP_DECIDES |= dict.fromkeys(("scenario.ground_rcs_m2", "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"))
 
 
+def _sigma_axis(sweep: SweepSpec) -> str:
+    """The key of the sigma_G values `sweep` runs: sweep.values on a ground_rcs axis, else sweep.sigma_g_dbsm."""
+    return "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
+
+
 def _unread_keys(sweep: SweepSpec | None, preset: bool = False) -> dict[str, str]:
-    """Each key that `run` (no `sweep`) or that sweep, by `preset` or not, does not read -> why."""
+    """Each key that `run` (no `sweep`) or that sweep, by `preset` or not, does not read -> why. The sweep
+    section's keys come in field order, so a refused section is named by its first key, sweep.parameter."""
     section = [key for key in _KEYS if key.startswith("sweep.")]
     if sweep is None:
         return dict.fromkeys(section, "run takes no sweep section; use uavsense sweep")
-    sigma_axis = "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
-    decides = {key: decider or sigma_axis for key, decider in _SWEEP_DECIDES.items()}
+    decides = {key: decider or _sigma_axis(sweep) for key, decider in _SWEEP_DECIDES.items()}
     unread = {key: f"a sweep reads {decider} instead" for key, decider in decides.items() if key != decider}
     return (unread | dict.fromkeys(section, "give --preset or a config sweep section, not both")) if preset else unread
 
@@ -344,10 +350,16 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
     if command == "sweep" and sweep is None:
         raise ConfigError("sweep.parameter: sweep needs --preset or a config file with a sweep section")
     unread = _unread_keys(sweep, preset is not None)
-    for key in raw:
-        if key in unread:
+    for key in unread:
+        if key in raw:
             raise ConfigError(f"{key}: {unread[key]}")
-    return ScenarioConfig(**kwargs[ScenarioConfig]), RunOptions(**kwargs[RunOptions]), sweep
+    scenario = kwargs[ScenarioConfig]
+    if sweep is not None:  # its base ground RCS is its smallest sigma_G; each point sets its own
+        axis = _sigma_axis(sweep)
+        scenario["ground_rcs_m2"] = dbsm_to_m2(min(getattr(sweep, _KEYS[axis][1])))
+        if scenario["ground_rcs_m2"] >= scenario.get("target_rcs_m2", ScenarioConfig.target_rcs_m2):
+            raise ConfigError(f"{axis}: needs a value below the target RCS")
+    return ScenarioConfig(**scenario), RunOptions(**kwargs[RunOptions]), sweep
 
 
 def parse_config_file(path, command: str | None = None, preset: SweepSpec | None = None):
@@ -355,13 +367,19 @@ def parse_config_file(path, command: str | None = None, preset: SweepSpec | None
         return parse_config_text(fh.read(), command, preset)
 
 
+def read_fields(obj, sweep: SweepSpec | None = None) -> dict:
+    """Field name -> value of each field of `obj`, a ScenarioConfig, RunOptions or SweepSpec (None: no field),
+    that `run` (no `sweep`) or that sweep reads, in field order."""
+    unread = _unread_keys(sweep)
+    return {name: getattr(obj, name) for key, (cls, name, _) in _KEYS.items() if cls is type(obj) and key not in unread}
+
+
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:
     """Canonical flat rendering of the keys its command reads; feeding it back reproduces identical runs."""
-    objects = {ScenarioConfig: config, RunOptions: options, SweepSpec: sweep}
-    unread = _unread_keys(sweep)
+    read = {type(obj): read_fields(obj, sweep) for obj in (config, options, sweep)}
     lines = []
     for key, (cls, name, kind) in _KEYS.items():
-        value = getattr(objects[cls], name, None)
-        if value is not None and key not in unread:
+        value = read.get(cls, {}).get(name)
+        if value is not None:
             lines.append(f"{key} = {_render_value(kind, value)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -25,6 +25,11 @@ run.master_seed = 31
 """
 
 ANTENNAS_SWEEP = "sweep.parameter = antennas\nsweep.values = 4\n"
+# One sweep section, its keys in field order and in another order.
+SWEEP_SECTIONS = (
+    "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n",
+    "sweep.values = -30, -20\nsweep.parameter = ground_rcs\n",
+)
 
 
 def _row(**kwargs):
@@ -83,6 +88,7 @@ class TestManifest:
         manifest = build_manifest(cfg, RunOptions(), [_row(seed=424242)], [])
         assert manifest["master_seed"] == 424242
         assert manifest["config"]["master_seed"] == 424242
+        assert manifest["config"] == asdict(cfg)  # a run reads every scenario field
         assert manifest["results"][0]["seed"] == 424242
         assert "config_text" in manifest
 
@@ -163,6 +169,9 @@ class TestManifest:
         second = json.loads(out2.read_text())
         assert manifest["results"] == second["results"]
         assert manifest["config_text"] == second["config_text"]
+        # Nor do the recorded config and options hold what the sweep did not read.
+        assert "ground_rcs_m2" not in manifest["config"]
+        assert list(manifest["options"]) == ["fast_path", "noise"]
 
 
 class TestRunCommand:
@@ -219,11 +228,12 @@ class TestRunCommand:
         assert "configuration error: noise_density_w_hz" in capsys.readouterr().err
 
     def test_sweep_section_refused(self, tmp_path, capsys):
-        # run does one point, so a sweep section it would ignore is refused.
-        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n"
-        assert main(["run", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error: sweep.parameter: run takes no sweep section; use uavsense sweep" in err
+        # run does one point, so a sweep section it would ignore is refused, by its key sweep.parameter
+        # whatever the order of the section's keys.
+        for section in SWEEP_SECTIONS:
+            assert main(["run", "--config", _write_config(tmp_path, SMALL_CONFIG_TEXT + section), "--trials", "1"]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error: sweep.parameter: run takes no sweep section; use uavsense sweep" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):
@@ -290,11 +300,11 @@ class TestSweepCommand:
 
     def test_preset_with_config_sweep_section_refused(self, tmp_path, capsys):
         # The preset would replace the config's sweep section; both given is refused.
-        text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n"
-        cfg_path = _write_config(tmp_path, text)
-        assert main(["sweep", "--config", cfg_path, "--preset", "fig7", "--trials", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error: sweep.parameter: give --preset or a config sweep section, not both" in err
+        for section in SWEEP_SECTIONS:
+            cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + section)
+            assert main(["sweep", "--config", cfg_path, "--preset", "fig7", "--trials", "1"]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error: sweep.parameter: give --preset or a config sweep section, not both" in err
 
     def test_sweep_requires_spec(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
@@ -327,6 +337,28 @@ class TestSweepCommand:
         cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + text)
         assert main(["sweep", "--config", cfg_path, *args, "--trials", "1"]) == 2
         assert f"configuration error: {key}: a sweep reads {decider} instead" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep_text, sigmas",
+        [
+            (ANTENNAS_SWEEP + "sweep.sigma_g_dbsm = -50\n", {-50.0}),
+            ("sweep.parameter = ground_rcs\nsweep.values = -50, -45\n", {-50.0, -45.0}),
+        ],
+        ids=["sigma_g_dbsm", "ground_rcs_axis"],
+    )
+    def test_target_below_default_ground_rcs(self, tmp_path, sweep_text, sigmas):
+        # The sweep's base ground RCS is its smallest sigma_G, not the -30 dBsm default, so a target at
+        # -40 dBsm runs once every sigma_G is below it.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.target_rcs_dbsm = -40\n" + sweep_text)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg_path, "--trials", "1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert {float(r[4]) for r in rows} == sigmas
+
+    def test_every_sigma_g_at_or_above_target_exit_code(self, tmp_path, capsys):
+        text = SMALL_CONFIG_TEXT + "scenario.target_rcs_dbsm = -40\n" + ANTENNAS_SWEEP
+        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
+        assert "configuration error: sweep.sigma_g_dbsm: needs a value below the target RCS" in capsys.readouterr().err
 
     def test_uncounted_delta_exit_code(self, tmp_path, capsys):
         text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30\nsweep.deltas = 0, 3\n"

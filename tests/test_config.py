@@ -238,8 +238,9 @@ def test_render_parse_roundtrip_with_every_field_changed():
     floats = {f.name: np.float64(getattr(cfg, f.name)) for f in fields(cfg) if isinstance(getattr(cfg, f.name), float)}
     numpy_sweep = replace(sweep, values=tuple(np.linspace(4, 8, 3)), sigma_g_dbsm=tuple(np.float64(sweep.sigma_g_dbsm)))
     # A run reads every scenario and run field. A sweep reads every sweep field and none of the keys that it
-    # refuses, so its text leaves them out and they parse back as their defaults.
-    unread_cfg, unread_opts = dict(ground_rcs_m2=ScenarioConfig().ground_rcs_m2), dict(beamformer="capon", fusion="avg")
+    # refuses, so its text leaves them out: the options parse back as their defaults and the ground RCS as
+    # the smallest sigma_G of the sweep.
+    unread_cfg, unread_opts = dict(ground_rcs_m2=dbsm_to_m2(-12.5)), dict(beamformer="capon", fusion="avg")
     for cfg, sweep in ((cfg, sweep), (replace(cfg, **floats), numpy_sweep)):
         assert parse_config_text(render_config_text(cfg, opts), "run") == (cfg, opts, None)
         text = render_config_text(cfg, opts, sweep)
