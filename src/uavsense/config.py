@@ -183,13 +183,13 @@ class RunOptions:
             raise ConfigError(f"fusion: must be 'avg' or 'prenorm', got {self.fusion!r}")
 
 
-_SWEEP_PARAMS = (
-    "cell_size_constant_coverage",
-    "cell_size_constant_area",
-    "antennas",
-    "altitude",
-    "ground_rcs",
-)
+_SWEEP_PARAMS = {  # sweep.parameter -> the keys whose values its sweep.values set at each point
+    "cell_size_constant_coverage": ("scenario.area_side_m", "scenario.altitude_m"),
+    "cell_size_constant_area": ("scenario.grid_side",),
+    "antennas": ("scenario.array_side", "scenario.altitude_m"),
+    "altitude": ("scenario.altitude_m",),
+    "ground_rcs": ("scenario.ground_rcs_m2", "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"),
+}
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class SweepSpec:
     def __post_init__(self):
         _check_types(self, "sweep.")
         if self.parameter not in _SWEEP_PARAMS:
-            raise ConfigError(f"sweep.parameter: must be one of {_SWEEP_PARAMS}, got {self.parameter!r}")
+            raise ConfigError(f"sweep.parameter: must be one of {tuple(_SWEEP_PARAMS)}, got {self.parameter!r}")
         for name in ("values", "beamformers", "fusions", "sigma_g_dbsm", "deltas"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep.{name}: at least one value required")
@@ -243,14 +243,9 @@ _DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit)
 _ONOFF = {"on": True, "off": False, "true": True, "false": False}
 
 # `run` reads every key but the sweep section. A sweep reads every key but these, each mapped to the key that
-# decides its value instead; None is the sigma_G axis: sweep.values on a ground_rcs axis, else sweep.sigma_g_dbsm.
+# decides its value instead, and the keys that its axis sets (_SWEEP_PARAMS), which sweep.values decides.
 _SWEEP_DECIDES = {"run.beamformer": "sweep.beamformers", "run.fusion": "sweep.fusions"}
-_SWEEP_DECIDES |= dict.fromkeys(("scenario.ground_rcs_m2", "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"))
-
-
-def _sigma_axis(sweep: SweepSpec) -> str:
-    """The key of the sigma_G values `sweep` runs: sweep.values on a ground_rcs axis, else sweep.sigma_g_dbsm."""
-    return "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
+_SWEEP_DECIDES |= dict.fromkeys(("scenario.ground_rcs_m2", "scenario.ground_rcs_dbsm"), "sweep.sigma_g_dbsm")
 
 
 def _unread_keys(sweep: SweepSpec | None, preset: bool = False) -> dict[str, str]:
@@ -259,7 +254,7 @@ def _unread_keys(sweep: SweepSpec | None, preset: bool = False) -> dict[str, str
     section = [key for key in _KEYS if key.startswith("sweep.")]
     if sweep is None:
         return dict.fromkeys(section, "run takes no sweep section; use uavsense sweep")
-    decides = {key: decider or _sigma_axis(sweep) for key, decider in _SWEEP_DECIDES.items()}
+    decides = _SWEEP_DECIDES | dict.fromkeys(_SWEEP_PARAMS[sweep.parameter], "sweep.values")
     unread = {key: f"a sweep reads {decider} instead" for key, decider in decides.items() if key != decider}
     return (unread | dict.fromkeys(section, "give --preset or a config sweep section, not both")) if preset else unread
 
@@ -355,10 +350,12 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
             raise ConfigError(f"{key}: {unread[key]}")
     scenario = kwargs[ScenarioConfig]
     if sweep is not None:  # its base ground RCS is its smallest sigma_G; each point sets its own
-        axis = _sigma_axis(sweep)
+        axis = "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
         scenario["ground_rcs_m2"] = dbsm_to_m2(min(getattr(sweep, _KEYS[axis][1])))
         if scenario["ground_rcs_m2"] >= scenario.get("target_rcs_m2", ScenarioConfig.target_rcs_m2):
             raise ConfigError(f"{axis}: needs a value below the target RCS")
+        if sweep.parameter == "cell_size_constant_area":  # a cell per UAV: the fixed altitude spans a UAV's block
+            scenario["grid_side"] = math.isqrt(max(scenario.get("uav_count", ScenarioConfig.uav_count), 0))
     return ScenarioConfig(**scenario), RunOptions(**kwargs[RunOptions]), sweep
 
 

@@ -25,6 +25,9 @@ run.master_seed = 31
 """
 
 ANTENNAS_SWEEP = "sweep.parameter = antennas\nsweep.values = 4\n"
+COVERAGE_SWEEP = "sweep.parameter = cell_size_constant_coverage\nsweep.values = 4\n"
+# The small scenario without its array side, which an antennas sweep sets.
+SMALL_ANTENNAS_TEXT = SMALL_CONFIG_TEXT.replace("scenario.array_side = 4\n", "")
 # One sweep section, its keys in field order and in another order.
 SWEEP_SECTIONS = (
     "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n",
@@ -150,12 +153,13 @@ class TestManifest:
 
     @pytest.mark.parametrize(
         "sweep_text, preset",
-        [(ANTENNAS_SWEEP + "sweep.sigma_g_dbsm = -30, -5\n", []), ("", ["--preset", "fig7"])],
+        [(SMALL_ANTENNAS_TEXT + ANTENNAS_SWEEP + "sweep.sigma_g_dbsm = -30, -5\n", []),
+         (SMALL_CONFIG_TEXT, ["--preset", "fig7"])],
         ids=["file", "preset"],
     )
     def test_sweep_config_echo_reproduces_sweep(self, tmp_path, sweep_text, preset):
         # A sweep's echo holds only the keys the sweep read, so `sweep --config` takes it back as its spec.
-        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + sweep_text)
+        cfg_path = _write_config(tmp_path, sweep_text)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         json_out = ["--format", "json", "--out"]
         assert main(["sweep", "--config", cfg_path, *preset, "--trials", "2", *json_out, str(out1)]) == 0
@@ -328,14 +332,29 @@ class TestSweepCommand:
             ),
             ("run.beamformer = ls\n", ["--preset", "fig6"], "run.beamformer", "sweep.beamformers"),
             ("scenario.ground_rcs_dbsm = -5\n", ["--preset", "fig6"], "scenario.ground_rcs_dbsm", "sweep.sigma_g_dbsm"),
+            # The keys an axis sets at every point: the value changed no row.
+            (ANTENNAS_SWEEP + "scenario.array_side = 6\n", [], "scenario.array_side", "sweep.values"),
+            (ANTENNAS_SWEEP + "scenario.altitude_m = 1000\n", [], "scenario.altitude_m", "sweep.values"),
+            (COVERAGE_SWEEP + "scenario.area_side_m = 80\n", [], "scenario.area_side_m", "sweep.values"),
+            (COVERAGE_SWEEP + "scenario.altitude_m = 1000\n", [], "scenario.altitude_m", "sweep.values"),
+            (
+                "sweep.parameter = cell_size_constant_area\nsweep.values = 4\nscenario.grid_side = 10\n",
+                [],
+                "scenario.grid_side",
+                "sweep.values",
+            ),
+            ("sweep.parameter = altitude\nsweep.values = 40\nscenario.altitude_m = 1000\n", [], "scenario.altitude_m",
+             "sweep.values"),
+            ("scenario.grid_side = 10\n", ["--preset", "fig4"], "scenario.grid_side", "sweep.values"),
         ],
         ids=["beamformer", "fusion", "ground_rcs_dbsm", "ground_rcs_m2", "sigma_on_ground_rcs_axis",
-             "fig6_beamformer", "fig6_ground_rcs_dbsm"],
+             "fig6_beamformer", "fig6_ground_rcs_dbsm", "antennas_array_side", "antennas_altitude",
+             "coverage_area_side", "coverage_altitude", "constant_area_grid_side", "altitude_altitude",
+             "fig4_grid_side"],
     )
     def test_key_the_sweep_does_not_read_refused(self, tmp_path, capsys, text, args, key, decider):
         # Each of these once ran to exit 0, its value dropped from the rows yet echoed in the manifest.
-        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + text)
-        assert main(["sweep", "--config", cfg_path, *args, "--trials", "1"]) == 2
+        assert main(["sweep", "--config", _write_config(tmp_path, text), *args, "--trials", "1"]) == 2
         assert f"configuration error: {key}: a sweep reads {decider} instead" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -349,14 +368,14 @@ class TestSweepCommand:
     def test_target_below_default_ground_rcs(self, tmp_path, sweep_text, sigmas):
         # The sweep's base ground RCS is its smallest sigma_G, not the -30 dBsm default, so a target at
         # -40 dBsm runs once every sigma_G is below it.
-        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.target_rcs_dbsm = -40\n" + sweep_text)
+        cfg_path = _write_config(tmp_path, SMALL_ANTENNAS_TEXT + "scenario.target_rcs_dbsm = -40\n" + sweep_text)
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", cfg_path, "--trials", "1", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert {float(r[4]) for r in rows} == sigmas
 
     def test_every_sigma_g_at_or_above_target_exit_code(self, tmp_path, capsys):
-        text = SMALL_CONFIG_TEXT + "scenario.target_rcs_dbsm = -40\n" + ANTENNAS_SWEEP
+        text = SMALL_ANTENNAS_TEXT + "scenario.target_rcs_dbsm = -40\n" + ANTENNAS_SWEEP
         assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
         assert "configuration error: sweep.sigma_g_dbsm: needs a value below the target RCS" in capsys.readouterr().err
 
@@ -372,11 +391,22 @@ class TestSweepCommand:
         assert "configuration error: sweep.values" in capsys.readouterr().err
 
     def test_zero_cell_size_reported_as_invalid_point(self, tmp_path, capsys):
-        text = SMALL_CONFIG_TEXT + "sweep.parameter = cell_size_constant_area\nsweep.values = 0\n"
+        # The axis sets the grid, so the small scenario leaves its grid side out.
+        text = SMALL_CONFIG_TEXT.replace("scenario.grid_side = 8\n", "")
+        text += "sweep.parameter = cell_size_constant_area\nsweep.values = 0\n"
         assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 1
         err = capsys.readouterr().err
         assert "invalid sweep point: cell_size_constant_area=0.0: grid_side" in err
         assert "no valid sweep points" in err
+
+    def test_constant_area_sweep_takes_no_grid_side(self, tmp_path):
+        # The axis sets the grid, so the base scenario has a cell per UAV, which tiles for any UAV count:
+        # 9 UAVs sweep without a grid side, where the default grid side of 20 would not tile.
+        text = "scenario.uav_count = 9\nscenario.area_side_m = 90\nscenario.array_side = 4\nscenario.subcarriers = 16\n"
+        text += "sweep.parameter = cell_size_constant_area\nsweep.values = 10\n"
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1", "--out", str(out)]) == 0
+        assert [row.split(",")[1] for row in out.read_text().strip().split("\n")[1:]] == ["10"] * 3
 
     def test_config_sweep_section(self, tmp_path):
         text = SMALL_CONFIG_TEXT + "sweep.parameter = ground_rcs\nsweep.values = -30, -20\nsweep.deltas = 0\n"

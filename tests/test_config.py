@@ -238,9 +238,10 @@ def test_render_parse_roundtrip_with_every_field_changed():
     floats = {f.name: np.float64(getattr(cfg, f.name)) for f in fields(cfg) if isinstance(getattr(cfg, f.name), float)}
     numpy_sweep = replace(sweep, values=tuple(np.linspace(4, 8, 3)), sigma_g_dbsm=tuple(np.float64(sweep.sigma_g_dbsm)))
     # A run reads every scenario and run field. A sweep reads every sweep field and none of the keys that it
-    # refuses, so its text leaves them out: the options parse back as their defaults and the ground RCS as
-    # the smallest sigma_G of the sweep.
-    unread_cfg, unread_opts = dict(ground_rcs_m2=dbsm_to_m2(-12.5)), dict(beamformer="capon", fusion="avg")
+    # refuses, so its text leaves them out: the options and the fields the antennas axis sets parse back as
+    # their defaults and the ground RCS as the smallest sigma_G of the sweep.
+    unread_cfg = dict(ground_rcs_m2=dbsm_to_m2(-12.5), array_side=ScenarioConfig.array_side, altitude_m=None)
+    unread_opts = dict(beamformer="capon", fusion="avg")
     for cfg, sweep in ((cfg, sweep), (replace(cfg, **floats), numpy_sweep)):
         assert parse_config_text(render_config_text(cfg, opts), "run") == (cfg, opts, None)
         text = render_config_text(cfg, opts, sweep)
@@ -249,18 +250,19 @@ def test_render_parse_roundtrip_with_every_field_changed():
 
 
 def test_every_key_is_read_by_run_or_sweep():
-    # The one table of keys a sweep does not read places every key, a key added later too: run reads
+    # The tables of keys a sweep does not read place every key, a key added later too: run reads
     # all but the sweep section, a sweep on some axis reads all others, and each refusal names a key
     # that the sweep reads instead.
     run_unread = config_module._unread_keys(None)
     axes = {axis: config_module._unread_keys(SweepSpec(axis, (4.0,))) for axis in config_module._SWEEP_PARAMS}
     every_key = [*config_module._KEYS, *config_module._DB_KEYS]
-    assert set(config_module._SWEEP_DECIDES) <= set(every_key)
+    refusable = set(config_module._SWEEP_DECIDES).union(*config_module._SWEEP_PARAMS.values())
+    assert refusable <= set(every_key)
     for key in every_key:
         assert (key in run_unread) == key.startswith("sweep."), key
         assert key not in run_unread or any(key not in unread for unread in axes.values()), key
     for unread in axes.values():
-        assert set(unread) <= set(config_module._SWEEP_DECIDES)
+        assert set(unread) <= refusable
         for key, reason in unread.items():
             decider = re.fullmatch(r"a sweep reads (\S+) instead", reason)[1]
             assert decider in config_module._KEYS and decider not in unread, key

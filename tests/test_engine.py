@@ -827,6 +827,22 @@ class TestReferenceRamps:
             assert block.tobytes() == trial_phases(small_config, fast, trial).tobytes()
 
 
+class TestReferenceDataRemoval:
+    def test_maps_within_1e_12_of_dividing_by_the_data(self, monkeypatch):
+        # remove_data multiplies by the reciprocal of the data, which moves a frame sample by about an ulp
+        # from the quotient. A noiseless default reference trial's local maps stay within 1e-12 of the
+        # quotient's, relative to each map's largest value.
+        config = ScenarioConfig(trials=1)
+        tables = build_tables(config, RunOptions(fast_path=False, noise=False))
+        product = local_stack(run_trial(config, 0, tables=tables, collect_maps=True))
+        monkeypatch.setattr(engine, "remove_data", lambda rx_frame, tx_frame: rx_frame / tx_frame)
+        quotient = local_stack(run_trial(config, 0, tables=tables, collect_maps=True))
+        assert not np.array_equal(product, quotient, equal_nan=True)  # the division ran
+        assert np.array_equal(np.isnan(product), np.isnan(quotient))
+        for new, old in zip(product, quotient):
+            assert np.nanmax(np.abs(new - old)) <= 1e-12 * np.nanmax(old)
+
+
 class TestMonteCarlo:
     def test_single_trial_probabilities(self, small_config):
         cfg = replace(small_config, trials=1)

@@ -383,6 +383,20 @@ class TestRemoveData:
         rx2 = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         assert np.allclose(remove_data(rx1 + rx2, tx), remove_data(rx1, tx) + remove_data(rx2, tx))
 
+    def test_equals_division_on_any_nonzero_data(self, rng):
+        # Multiplying by the reciprocal of the data is the quotient to rounding, for data of any modulus.
+        tx = (rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))) * 10.0 ** rng.uniform(-3, 3, (8, 16))
+        rx = rng.standard_normal((5, 8, 16)) + 1j * rng.standard_normal((5, 8, 16))
+        np.testing.assert_allclose(remove_data(rx, tx), rx / tx, rtol=1e-15, atol=0.0)
+
+    def test_leaves_its_inputs_unchanged(self, rng):
+        tx = synth_tx_frame(frame_config(), rng)
+        rx = rng.standard_normal((3, 8, 16)) + 1j * rng.standard_normal((3, 8, 16))
+        rx_before, tx_before = rx.copy(), tx.copy()
+        processed = remove_data(rx, tx)
+        assert np.array_equal(rx, rx_before) and np.array_equal(tx, tx_before)
+        assert not np.shares_memory(processed, rx)
+
     def test_zero_symbol_guard(self):
         tx = np.ones((2, 2), dtype=complex)
         tx[0, 0] = 0.0
