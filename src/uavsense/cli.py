@@ -22,7 +22,6 @@ from .config import (
     m2_to_dbsm,
     parse_config_file,
     parse_config_text,
-    read_fields,
     render_config_text,
 )
 from .engine import RNG_SCHEME, SweepRow, run_monte_carlo, sweep, sweep_rows
@@ -121,10 +120,7 @@ def build_manifest(config, options, rows, errors, sweep_spec=None) -> dict:
         "peak_rss_mb": _peak_rss_mb(),
         "rng_scheme": RNG_SCHEME,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "master_seed": config.master_seed,
-        "config": read_fields(config, sweep_spec),
         "config_text": render_config_text(config, options, sweep_spec),
-        "options": read_fields(options, sweep_spec),
         "errors": errors,
         "results": [{column: getattr(r, name) for name, column in _RESULT_COLUMNS} for r in rows],
     }

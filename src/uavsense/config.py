@@ -23,7 +23,6 @@ __all__ = [
     "dbm_per_hz_to_w_per_hz",
     "parse_config_text",
     "parse_config_file",
-    "read_fields",
     "render_config_text",
 ]
 
@@ -364,19 +363,13 @@ def parse_config_file(path, command: str | None = None, preset: SweepSpec | None
         return parse_config_text(fh.read(), command, preset)
 
 
-def read_fields(obj, sweep: SweepSpec | None = None) -> dict:
-    """Field name -> value of each field of `obj`, a ScenarioConfig, RunOptions or SweepSpec (None: no field),
-    that `run` (no `sweep`) or that sweep reads, in field order."""
-    unread = _unread_keys(sweep)
-    return {name: getattr(obj, name) for key, (cls, name, _) in _KEYS.items() if cls is type(obj) and key not in unread}
-
-
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:
     """Canonical flat rendering of the keys its command reads; feeding it back reproduces identical runs."""
-    read = {type(obj): read_fields(obj, sweep) for obj in (config, options, sweep)}
+    unread = _unread_keys(sweep)
+    objects = {type(obj): obj for obj in (config, options, sweep)}
     lines = []
     for key, (cls, name, kind) in _KEYS.items():
-        value = read.get(cls, {}).get(name)
-        if value is not None:
+        value = getattr(objects.get(cls), name, None)
+        if key not in unread and value is not None:
             lines.append(f"{key} = {_render_value(kind, value)}")
     return "\n".join(lines) + "\n"

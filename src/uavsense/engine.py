@@ -302,6 +302,15 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     U = config.uav_count
     L = config.grid_side
     n = config.array_side
+    # Every UAV-to-cell offset is within (area side, area side, altitude): where its norm is finite, so are theirs.
+    altitude = float(positions[0, 2])
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm([config.area_side_m, config.area_side_m, altitude])):
+            name = "altitude_m" if (config.altitude_m or 0.0) > config.area_side_m else "area_side_m"
+            raise ConfigError(
+                f"{name}: an area side of {config.area_side_m!r} m at an altitude of {altitude!r} m puts the "
+                "UAV-to-cell distances outside the finite floats"
+            )
     cell_sets = [classify_cells(config, u, grid, positions) for u in range(U)]
     if not all(len(s.intended) for s in cell_sets):
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")

@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import scipy
 
 from uavsense import ScenarioConfig
 from uavsense.cli import PRESETS, build_manifest, main, render_results_csv
-from uavsense.config import RunOptions, parse_config_text
+from uavsense.config import RunOptions, parse_config_file, parse_config_text
 from uavsense.engine import RNG_SCHEME, SweepRow
 
 HEADER = "sweep_param,sweep_value,beamformer,fusion,sigma_G_dBsm,delta,trials,hits,p_detect,ci95_halfwidth,seed"
@@ -28,6 +28,8 @@ ANTENNAS_SWEEP = "sweep.parameter = antennas\nsweep.values = 4\n"
 COVERAGE_SWEEP = "sweep.parameter = cell_size_constant_coverage\nsweep.values = 4\n"
 # The small scenario without its array side, which an antennas sweep sets.
 SMALL_ANTENNAS_TEXT = SMALL_CONFIG_TEXT.replace("scenario.array_side = 4\n", "")
+# The run-section fields a sweep reads; sweep.beamformers and sweep.fusions decide the other two.
+SWEEP_RUN_KEYS = ("trials", "master_seed", "fast_path", "noise")
 # One sweep section, its keys in field order and in another order.
 SWEEP_SECTIONS = (
     "sweep.parameter = ground_rcs\nsweep.values = -30, -20\n",
@@ -51,6 +53,10 @@ def _row(**kwargs):
     )
     base.update(kwargs)
     return SweepRow(**base)
+
+
+def _echo_keys(manifest) -> set[str]:
+    return {line.partition(" = ")[0] for line in manifest["config_text"].splitlines()}
 
 
 def _write_config(tmp_path, text=SMALL_CONFIG_TEXT):
@@ -89,11 +95,13 @@ class TestManifest:
     def test_contains_seed_and_config(self):
         cfg = ScenarioConfig(master_seed=424242)
         manifest = build_manifest(cfg, RunOptions(), [_row(seed=424242)], [])
-        assert manifest["master_seed"] == 424242
-        assert manifest["config"]["master_seed"] == 424242
-        assert manifest["config"] == asdict(cfg)  # a run reads every scenario field
+        # config_text is the one record of the inputs; parsed back it gives the typed objects.
+        assert set(manifest) == {
+            "tool", "version", "numpy_version", "scipy_version", "blas_threads", "cpu_count", "peak_rss_mb",
+            "rng_scheme", "created_utc", "config_text", "errors", "results",
+        }
+        assert parse_config_text(manifest["config_text"], "run")[0] == cfg  # a run reads every scenario field
         assert manifest["results"][0]["seed"] == 424242
-        assert "config_text" in manifest
 
     def test_records_numpy_version_and_rng_scheme(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -132,8 +140,8 @@ class TestManifest:
     def test_options_record_every_run_option(self):
         options = RunOptions(beamformer="ls", fusion="prenorm", noise=False)
         manifest = build_manifest(ScenarioConfig(), options, [_row()], [])
-        assert list(manifest["options"]) == [f.name for f in fields(RunOptions)]
-        assert all(manifest["options"][f.name] == getattr(options, f.name) for f in fields(RunOptions))
+        assert {f"run.{f.name}" for f in fields(RunOptions)} <= _echo_keys(manifest)
+        assert parse_config_text(manifest["config_text"], "run")[1] == options
 
     def test_config_echo_reproduces_run(self, tmp_path):
         # The echoed config, fed back as input, yields identical rows; a run's
@@ -149,13 +157,15 @@ class TestManifest:
         assert main(["run", "--config", str(echo_path), "--format", "json", "--out", str(out2)]) == 0
         second = json.loads(out2.read_text())
         assert manifest["results"] == second["results"]
-        assert manifest["config"] == second["config"]
+        assert manifest["config_text"] == second["config_text"]
+        assert parse_config_text(manifest["config_text"], "run") == parse_config_file(cfg_path, "run")
 
     @pytest.mark.parametrize(
         "sweep_text, preset",
         [(SMALL_ANTENNAS_TEXT + ANTENNAS_SWEEP + "sweep.sigma_g_dbsm = -30, -5\n", []),
-         (SMALL_CONFIG_TEXT, ["--preset", "fig7"])],
-        ids=["file", "preset"],
+         (SMALL_CONFIG_TEXT, ["--preset", "fig7"]),
+         (SMALL_CONFIG_TEXT.replace("scenario.area_side_m = 40.0\n", ""), ["--preset", "fig5"])],
+        ids=["file", "preset", "preset_fig5"],
     )
     def test_sweep_config_echo_reproduces_sweep(self, tmp_path, sweep_text, preset):
         # A sweep's echo holds only the keys the sweep read, so `sweep --config` takes it back as its spec.
@@ -164,7 +174,7 @@ class TestManifest:
         json_out = ["--format", "json", "--out"]
         assert main(["sweep", "--config", cfg_path, *preset, "--trials", "2", *json_out, str(out1)]) == 0
         manifest = json.loads(out1.read_text())
-        keys = {line.partition(" = ")[0] for line in manifest["config_text"].splitlines()}
+        keys = _echo_keys(manifest)
         assert keys.isdisjoint(["run.beamformer", "run.fusion", "scenario.ground_rcs_m2"])
         assert "sweep.parameter" in keys
         echo_path = tmp_path / "echo.cfg"
@@ -173,9 +183,10 @@ class TestManifest:
         second = json.loads(out2.read_text())
         assert manifest["results"] == second["results"]
         assert manifest["config_text"] == second["config_text"]
-        # Nor do the recorded config and options hold what the sweep did not read.
-        assert "ground_rcs_m2" not in manifest["config"]
-        assert list(manifest["options"]) == ["fast_path", "noise"]
+        # Of the run section the echo holds only what the sweep read, and parsed back it gives what the sweep ran.
+        assert {key for key in keys if key.startswith("run.")} == {f"run.{name}" for name in SWEEP_RUN_KEYS}
+        config, options, spec = parse_config_file(cfg_path, "sweep", PRESETS[preset[1]] if preset else None)
+        assert parse_config_text(manifest["config_text"], "sweep") == (replace(config, trials=2), options, spec)
 
 
 class TestRunCommand:
@@ -225,6 +236,11 @@ class TestRunCommand:
         cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.carrier_frequency_hz = 1e-150\n")
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
         assert "configuration error: carrier_frequency_hz" in capsys.readouterr().err
+
+    def test_area_out_of_float_range_exit_code(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, "scenario.area_side_m = 1e300\n")
+        assert main(["run", "--config", cfg_path, "--trials", "3"]) == 2
+        assert "configuration error: area_side_m" in capsys.readouterr().err
 
     def test_noise_density_out_of_float_range_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, "scenario.noise_density_w_hz = 1e300\n")

@@ -15,6 +15,7 @@ from uavsense.config import (
     parse_config_text,
     render_config_text,
 )
+from uavsense.engine import _config_for_sweep_point
 
 
 def test_defaults_match_common_parameters():
@@ -266,6 +267,31 @@ def test_every_key_is_read_by_run_or_sweep():
         for key, reason in unread.items():
             decider = re.fullmatch(r"a sweep reads (\S+) instead", reason)[1]
             assert decider in config_module._KEYS and decider not in unread, key
+
+
+# One value per sweep axis that differs from the base below in every field the axis sets.
+_AXIS_VALUES = {
+    "cell_size_constant_coverage": 2.0,
+    "cell_size_constant_area": 2.5,
+    "antennas": 4.0,
+    "altitude": 120.0,
+    "ground_rcs": -10.0,
+}
+
+
+@pytest.mark.parametrize("axis", config_module._SWEEP_PARAMS)
+def test_sweep_refuses_the_fields_its_points_set(axis):
+    # The keys a sweep refuses as set by its axis (config) and the fields a point changes (engine) are two
+    # tables; the scenario fields they name must agree, each dB key counted as its linear twin.
+    base = ScenarioConfig(altitude_m=40.0)
+    point = _config_for_sweep_point(axis, _AXIS_VALUES[axis], base)
+    changed = {f.name for f in fields(base) if getattr(point, f.name) != getattr(base, f.name)}
+    refused = {
+        config_module._DB_KEYS.get(key, (key.removeprefix("scenario."),))[0]
+        for key in config_module._SWEEP_PARAMS[axis]
+        if key.startswith("scenario.")
+    }
+    assert changed == refused
 
 
 def test_sweep_section_requires_parameter_and_values():

@@ -566,6 +566,23 @@ class TestBuildTables:
         with pytest.raises(ConfigError, match="^carrier_frequency_hz: .*transmit_power_w"):
             build_tables(config, RunOptions())
 
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            (dict(area_side_m=1e154), "area_side_m"),
+            (dict(area_side_m=1e300), "area_side_m"),
+            (dict(area_side_m=1.7e308), "area_side_m"),  # its derived altitude is inf
+            (dict(area_side_m=1.7e308, altitude_m=100.0), "area_side_m"),
+            (dict(altitude_m=1e300), "altitude_m"),
+        ],
+        ids=["area_1e154", "area_1e300", "area_1.7e308", "area_1.7e308_altitude_100", "altitude_1e300"],
+    )
+    def test_distances_out_of_float_range_rejected(self, scenario, name):
+        # The UAV-to-cell distances overflowed in numpy's norm or hypot, with a RuntimeWarning, and the
+        # build then blamed carrier_frequency_hz for the zero amplitudes.
+        with pytest.raises(ConfigError, match=f"^{name}: .*outside the finite floats"):
+            build_tables(ScenarioConfig(**scenario), RunOptions())
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("density", [1e290, 1e300])
     def test_noise_density_out_of_float_range_rejected(self, density):
