@@ -7,7 +7,7 @@ dBm/Hz, radar cross-sections in dBsm) are converted once at parse time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -38,6 +38,18 @@ def m2_to_dbsm(value_m2: float) -> float:
 
 def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
     return 10.0 ** ((value_dbm_hz - 30.0) / 10.0)
+
+
+def _to_linear(key: str, to_linear, value_db: float) -> float:
+    """to_linear(value_db), the linear value of the dB-valued `key`; a ConfigError names `key` where that
+    is no positive finite float (10 ** x overflows above about x = 308 and is 0 below about x = -323)."""
+    try:
+        value = to_linear(value_db)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{key}: {value_db!r} is {value!r} in linear units, not a positive finite float")
+    return value
 
 
 # Speed of light in vacuum, m/s: exact by the SI definition of the metre.
@@ -218,6 +230,57 @@ class SweepSpec:
         for d in self.deltas:
             if d not in DELTAS:
                 raise ConfigError(f"sweep.deltas: must be among {DELTAS}, got {d!r}")
+        for value in self.values:  # every sigma_G is a positive finite float in m^2
+            self.sigma_g(value)
+
+    def point(self, value: float, base: ScenarioConfig) -> ScenarioConfig:
+        """The scenario at `value` of the axis over `base`, whose ground RCS it keeps (sigma_g gives the point's).
+        A value that makes no valid scenario raises a ConfigError naming the field."""
+        if self.parameter == "cell_size_constant_coverage":
+            # Fixed grid and per-UAV coverage; the cell size rescales the whole
+            # area, and the derived altitude grows with it.
+            return replace(base, area_side_m=value * base.grid_side, altitude_m=None)
+        if self.parameter == "cell_size_constant_area":
+            # Fixed area and altitude; the cell size changes how many cells exist.
+            if value <= 0:
+                raise ConfigError(f"grid_side: cell size must be positive, got {value}")
+            sides = base.area_side_m / value
+            new_side = round(sides) if sides < math.inf else 0
+            if new_side < 1 or abs(new_side * value - base.area_side_m) > 1e-9 * base.area_side_m:
+                raise ConfigError(f"grid_side: cell size {value} does not evenly divide the area side")
+            from .geometry import derive_altitude  # here, as geometry imports this module
+            altitude = derive_altitude(base, base.cells_per_uav_side) if base.altitude_m is None else base.altitude_m
+            return replace(base, grid_side=new_side, altitude_m=altitude)
+        if self.parameter == "antennas":
+            side = int(value)
+            if side != value:
+                raise ConfigError(f"array_side: must be an integer, got {value}")
+            return replace(base, array_side=side, altitude_m=None)
+        if self.parameter == "altitude":
+            return replace(base, altitude_m=float(value))
+        return base  # a ground_rcs axis: its values are its points' sigma_G
+
+    @property
+    def sigma_g_key(self) -> str:
+        """The key that gives the sigma_G values: sweep.values on a ground_rcs axis, else sweep.sigma_g_dbsm."""
+        return "sweep.values" if self.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
+
+    def sigma_g(self, value: float) -> tuple[tuple[float, float], ...]:
+        """(dBsm, m^2) of each sigma_G of the point at `value`: sigma_g_dbsm, or the value on a ground_rcs axis."""
+        dbsm = (value,) if self.sigma_g_key == "sweep.values" else self.sigma_g_dbsm
+        return tuple((s, _to_linear(self.sigma_g_key, dbsm_to_m2, s)) for s in dbsm)
+
+    def base_fields(self, scenario: dict) -> dict:
+        """The ScenarioConfig fields that the sweep fixes in a base of the given `scenario` fields: its smallest
+        sigma_G as ground RCS, each point setting its own, and on a constant-area axis one cell per UAV, so that
+        the fixed altitude spans a UAV's block and every UAV count tiles the grid."""
+        _, ground_rcs_m2 = min(s for value in self.values for s in self.sigma_g(value))
+        if ground_rcs_m2 >= scenario.get("target_rcs_m2", ScenarioConfig.target_rcs_m2):
+            raise ConfigError(f"{self.sigma_g_key}: needs a value below the target RCS")
+        fixed = {"ground_rcs_m2": ground_rcs_m2}
+        if self.parameter == "cell_size_constant_area":
+            fixed["grid_side"] = math.isqrt(max(scenario.get("uav_count", ScenarioConfig.uav_count), 0))
+        return fixed
 
 
 # Flat key-value config format: "section.key = value", '#' comments. Each
@@ -328,7 +391,7 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
         try:
             if key in _DB_KEYS:
                 name, to_linear = _DB_KEYS[key]
-                kwargs[ScenarioConfig][name] = to_linear(float(value))
+                kwargs[ScenarioConfig][name] = _to_linear(key, to_linear, float(value))
             else:
                 cls, name, kind = _KEYS[key]
                 kwargs[cls][name] = _parse_value(key, kind, value)
@@ -348,19 +411,18 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
         if key in raw:
             raise ConfigError(f"{key}: {unread[key]}")
     scenario = kwargs[ScenarioConfig]
-    if sweep is not None:  # its base ground RCS is its smallest sigma_G; each point sets its own
-        axis = "sweep.values" if sweep.parameter == "ground_rcs" else "sweep.sigma_g_dbsm"
-        scenario["ground_rcs_m2"] = dbsm_to_m2(min(getattr(sweep, _KEYS[axis][1])))
-        if scenario["ground_rcs_m2"] >= scenario.get("target_rcs_m2", ScenarioConfig.target_rcs_m2):
-            raise ConfigError(f"{axis}: needs a value below the target RCS")
-        if sweep.parameter == "cell_size_constant_area":  # a cell per UAV: the fixed altitude spans a UAV's block
-            scenario["grid_side"] = math.isqrt(max(scenario.get("uav_count", ScenarioConfig.uav_count), 0))
+    if sweep is not None:
+        scenario |= sweep.base_fields(scenario)
     return ScenarioConfig(**scenario), RunOptions(**kwargs[RunOptions]), sweep
 
 
 def parse_config_file(path, command: str | None = None, preset: SweepSpec | None = None):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), command, preset)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text, byte {exc.start} ({exc.reason})") from None
+    return parse_config_text(text, command, preset)
 
 
 def render_config_text(config: ScenarioConfig, options: RunOptions, sweep: SweepSpec | None = None) -> str:

@@ -29,7 +29,6 @@ from .config import (
     RunOptions,
     ScenarioConfig,
     SweepSpec,
-    dbsm_to_m2,
 )
 from .geometry import (
     AoA,
@@ -37,7 +36,6 @@ from .geometry import (
     build_grid,
     classify_cells,
     deploy_uavs,
-    derive_altitude,
     footprint_radius,
 )
 from .beamforming import aoa_mesh, capon_beamformer, ls_beamformer, steering_matrix, steering_vector
@@ -266,6 +264,31 @@ class ScenarioTables:
         return self.designs[self.design_index[rows]]
 
 
+def _geometry_error(config: ScenarioConfig, altitude: float, puts: str) -> ConfigError:
+    """The error of a geometry that puts some quantity outside the floats, naming the altitude where a given one
+    exceeds the area side, else the area side."""
+    name = "altitude_m" if (config.altitude_m or 0.0) > config.area_side_m else "area_side_m"
+    return ConfigError(f"{name}: an area side of {config.area_side_m!r} m at an altitude of {altitude!r} m puts {puts}")
+
+
+def _amplitude_error(config: ScenarioConfig, altitude: float, distances: np.ndarray) -> ConfigError:
+    """The error of two-hop amplitudes or RCS scales outside the positive finite floats. Each is the
+    distance-free factor P G lambda^2 / (4 pi)^3 times a power of d1^2 d2^2. The error names the carrier where
+    that factor lies at least as many orders of magnitude from 1 as the square of every UAV-to-cell distance
+    in `distances`, and otherwise the geometry."""
+    lam = config.wavelength_m
+    with np.errstate(over="ignore", divide="ignore"):
+        factor = np.float64(config.transmit_power_w) * config.transmit_gain * lam * lam / (4.0 * math.pi) ** 3
+        if abs(np.log10(factor)) < 2.0 * np.abs(np.log10(distances)).max():
+            puts = "the two-hop amplitudes or RCS scales outside the positive finite floats"
+            return _geometry_error(config, altitude, puts)
+    return ConfigError(
+        f"carrier_frequency_hz: a wavelength of {lam!r} m with transmit_power_w = {config.transmit_power_w!r} "
+        f"and transmit_gain = {config.transmit_gain!r} puts the two-hop amplitudes or RCS scales of this "
+        "geometry outside the positive finite floats"
+    )
+
+
 def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     """Precompute geometry, beamformers, and trial-invariant coupling tables.
 
@@ -306,11 +329,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     altitude = float(positions[0, 2])
     with np.errstate(over="ignore"):
         if not np.isfinite(np.linalg.norm([config.area_side_m, config.area_side_m, altitude])):
-            name = "altitude_m" if (config.altitude_m or 0.0) > config.area_side_m else "area_side_m"
-            raise ConfigError(
-                f"{name}: an area side of {config.area_side_m!r} m at an altitude of {altitude!r} m puts the "
-                "UAV-to-cell distances outside the finite floats"
-            )
+            raise _geometry_error(config, altitude, "the UAV-to-cell distances outside the finite floats")
     cell_sets = [classify_cells(config, u, grid, positions) for u in range(U)]
     if not all(len(s.intended) for s in cell_sets):
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
@@ -352,11 +371,7 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
             scale = estimate_rcs(1.0, config, d1_p, d2_p)
         both = np.concatenate([amplitude, scale], axis=1)
         if not np.all((both > 0) & (both < np.inf)):
-            raise ConfigError(
-                f"carrier_frequency_hz: a wavelength of {config.wavelength_m!r} m with transmit_power_w = "
-                f"{config.transmit_power_w!r} and transmit_gain = {config.transmit_gain!r} puts the two-hop "
-                "amplitudes or RCS scales of this geometry outside the positive finite floats"
-            )
+            raise _amplitude_error(config, altitude, np.concatenate([d1_q, d2_q, d1_p, d2_p], axis=None))
         shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
         for q, p in zip(q_offsets, p_offsets):
             source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
@@ -819,32 +834,6 @@ def run_monte_carlo(
     return run_monte_carlo_all_fusions(config, options, workers, tables)[fusion]
 
 
-def _config_for_sweep_point(parameter: str, value: float, base: ScenarioConfig) -> ScenarioConfig:
-    if parameter == "cell_size_constant_coverage":
-        # Fixed grid and per-UAV coverage; the cell size rescales the whole
-        # area, and the derived altitude grows with it.
-        return replace(base, area_side_m=value * base.grid_side, altitude_m=None)
-    if parameter == "cell_size_constant_area":
-        # Fixed area and altitude; the cell size changes how many cells exist.
-        if value <= 0:
-            raise ConfigError(f"grid_side: cell size must be positive, got {value}")
-        new_side = round(base.area_side_m / value)
-        if new_side < 1 or abs(new_side * value - base.area_side_m) > 1e-9 * base.area_side_m:
-            raise ConfigError(f"grid_side: cell size {value} does not evenly divide the area side")
-        altitude = derive_altitude(base, base.cells_per_uav_side) if base.altitude_m is None else base.altitude_m
-        return replace(base, grid_side=new_side, altitude_m=altitude)
-    if parameter == "antennas":
-        side = int(value)
-        if side != value:
-            raise ConfigError(f"array_side: must be an integer, got {value}")
-        return replace(base, array_side=side, altitude_m=None)
-    if parameter == "altitude":
-        return replace(base, altitude_m=float(value))
-    if parameter == "ground_rcs":
-        return replace(base, ground_rcs_m2=dbsm_to_m2(value))
-    raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r}")
-
-
 def sweep(
     spec: SweepSpec,
     base_config: ScenarioConfig,
@@ -857,15 +846,16 @@ def sweep(
     configuration is invalid; invalid points are reported, never silently
     skipped. It does not read base_config.ground_rcs_m2, base_options.beamformer
     or base_options.fusion: the spec's sigma_G axis, beamformers and fusions
-    set them. Runs whose configs differ only in ground_rcs_m2 (the sigma_G
-    axis of a sweep point, or all the values of a ground_rcs axis, which are
-    its sigma_G axis) share one table build per beamformer and one batch:
-    each trial's draws, phasors, ground sum and target rows are
+    set them. The spec gives each point's config (``spec.point``) and sigma_G
+    values (``spec.sigma_g``). Runs whose configs differ only in
+    ground_rcs_m2 (the sigma_G values of a point, or all the points of an
+    axis whose values are sigma_G) share one table build per beamformer and
+    one batch: each trial's draws, phasors, ground sum and target rows are
     computed once for all its sigma_G values, and every row has the same
     bytes as a separate run of its value. Fusion and delta axes share the
     batch's hit counts. Rows come point by point and beamformer-major within
-    a point, so a ground_rcs axis gives all its values for the first
-    beamformer, then all for the next.
+    a point, so an axis whose values are sigma_G gives all its values for the
+    first beamformer, then all for the next.
     """
     base_options = base_options or RunOptions()
     rows: list[SweepRow] = []
@@ -874,16 +864,16 @@ def sweep(
     groups: dict[tuple, list] = {}
     for value in spec.values:
         try:
-            point_config = _config_for_sweep_point(spec.parameter, value, base_config)
+            point_config = spec.point(value, base_config)
         except ConfigError as exc:
             errors.append(f"{spec.parameter}={value}: {exc}")
             continue
-        # The values of a ground_rcs axis are its sigma_G axis.
-        for sigma in (value,) if spec.parameter == "ground_rcs" else spec.sigma_g_dbsm:
+        for sigma, ground_rcs_m2 in spec.sigma_g(value):
             try:
-                config = _config_for_sweep_point("ground_rcs", sigma, point_config)
-            except ConfigError as exc:
-                errors.append(f"{spec.parameter}={value}, sigma_G={sigma} dBsm: {exc}")
+                config = replace(point_config, ground_rcs_m2=ground_rcs_m2)
+            except ConfigError as exc:  # where the values are the sigma_G, the value alone names the run
+                run = "" if spec.sigma_g_key == "sweep.values" else f", sigma_G={sigma} dBsm"
+                errors.append(f"{spec.parameter}={value}{run}: {exc}")
                 continue
             key = tuple(getattr(config, f.name) for f in fields(config) if f.name != "ground_rcs_m2")
             groups.setdefault(key, []).append((value, sigma, config))

@@ -242,6 +242,37 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--trials", "3"]) == 2
         assert "configuration error: area_side_m" in capsys.readouterr().err
 
+    def test_area_beyond_the_amplitudes_exit_code(self, tmp_path, capsys):
+        # The distances of a 1e80 m area side are finite and underflow the two-hop amplitudes; the error
+        # named carrier_frequency_hz.
+        cfg_path = _write_config(tmp_path, "scenario.area_side_m = 1e80\n")
+        assert main(["run", "--config", cfg_path, "--trials", "3"]) == 2
+        assert "configuration error: area_side_m: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("scenario.noise_density_dbm_hz", "1e10"),
+            ("scenario.target_rcs_dbsm", "4000"),
+            ("scenario.ground_rcs_dbsm", "-4000"),
+            ("scenario.noise_density_dbm_hz", "nan"),
+        ],
+    )
+    def test_db_key_outside_the_floats_exit_code(self, tmp_path, capsys, key, value):
+        # The first two ended in an OverflowError traceback with exit code 1; -4000 dBsm is 0.0 m^2, and the
+        # error named ground_rcs_m2, a key the file did not give.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + f"{key} = {value}\n")
+        assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and err.endswith(" not a positive finite float\n")
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        # A 0xff byte ended in a UnicodeDecodeError traceback with exit code 1.
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"run.trials = 3\n\xff\n")
+        assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {path}: not UTF-8 text, byte 15 (invalid start byte)\n"
+
     def test_noise_density_out_of_float_range_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, "scenario.noise_density_w_hz = 1e300\n")
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
@@ -405,6 +436,22 @@ class TestSweepCommand:
         text = SMALL_CONFIG_TEXT + "sweep.parameter = altitude\nsweep.values = 40, nan\n"
         assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 2
         assert "configuration error: sweep.values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep_text, key",
+        [
+            ("sweep.parameter = altitude\nsweep.values = 40\nsweep.sigma_g_dbsm = -30, 4000\n", "sweep.sigma_g_dbsm"),
+            ("sweep.parameter = altitude\nsweep.values = 40\nsweep.sigma_g_dbsm = -4000\n", "sweep.sigma_g_dbsm"),
+            ("sweep.parameter = ground_rcs\nsweep.values = 4000\n", "sweep.values"),
+            ("sweep.parameter = ground_rcs\nsweep.values = -30, -4000\n", "sweep.values"),
+        ],
+        ids=["sigma_g_4000", "sigma_g_-4000", "ground_rcs_4000", "ground_rcs_-4000"],
+    )
+    def test_sigma_g_outside_the_floats_exit_code(self, tmp_path, capsys, sweep_text, key):
+        # 4000 dBsm ended in an OverflowError traceback with exit code 1; -4000 dBsm is 0.0 m^2, which was
+        # blamed on ground_rcs_m2, a key a sweep refuses. The whole spec is refused, naming the key of its sigma_G.
+        assert main(["sweep", "--config", _write_config(tmp_path, SMALL_CONFIG_TEXT + sweep_text)]) == 2
+        assert f"configuration error: {key}: " in capsys.readouterr().err
 
     def test_zero_cell_size_reported_as_invalid_point(self, tmp_path, capsys):
         # The axis sets the grid, so the small scenario leaves its grid side out.

@@ -15,7 +15,6 @@ from uavsense.config import (
     parse_config_text,
     render_config_text,
 )
-from uavsense.engine import _config_for_sweep_point
 
 
 def test_defaults_match_common_parameters():
@@ -281,10 +280,14 @@ _AXIS_VALUES = {
 
 @pytest.mark.parametrize("axis", config_module._SWEEP_PARAMS)
 def test_sweep_refuses_the_fields_its_points_set(axis):
-    # The keys a sweep refuses as set by its axis (config) and the fields a point changes (engine) are two
-    # tables; the scenario fields they name must agree, each dB key counted as its linear twin.
+    # The keys a sweep refuses as set by its axis (_SWEEP_PARAMS) and the fields that SweepSpec's point and
+    # sigma_G give a point are two statements of the axis in config.py; the scenario fields they name must
+    # agree, each dB key counted as its linear twin.
     base = ScenarioConfig(altitude_m=40.0)
-    point = _config_for_sweep_point(axis, _AXIS_VALUES[axis], base)
+    value = _AXIS_VALUES[axis]
+    spec = SweepSpec(axis, (value,))
+    ((_, ground_rcs_m2),) = spec.sigma_g(value)
+    point = replace(spec.point(value, base), ground_rcs_m2=ground_rcs_m2)
     changed = {f.name for f in fields(base) if getattr(point, f.name) != getattr(base, f.name)}
     refused = {
         config_module._DB_KEYS.get(key, (key.removeprefix("scenario."),))[0]
@@ -343,6 +346,16 @@ def test_sweep_numbers_must_be_finite_numbers():
     # A non-finite entry rejects the whole spec, not one sweep point.
     with pytest.raises(ConfigError, match="^sweep.values: "):
         parse_config_text("sweep.parameter = antennas\nsweep.values = 4, nan\n")
+
+
+def test_sigma_g_outside_the_floats_refuses_the_spec():
+    # sweep() raised an OverflowError at the 4000 dBsm point rather than running any point.
+    with pytest.raises(ConfigError, match=r"^sweep.values: 4000.0 is inf in linear units"):
+        SweepSpec("ground_rcs", (-30.0, 4000.0))
+    with pytest.raises(ConfigError, match=r"^sweep.sigma_g_dbsm: -4000.0 is 0.0 in linear units"):
+        SweepSpec("antennas", (4.0,), sigma_g_dbsm=(-30.0, -4000.0))
+    # A ground_rcs axis reads no sigma_g_dbsm.
+    assert SweepSpec("ground_rcs", (-30.0,), sigma_g_dbsm=(4000.0,)).sigma_g(-30.0) == ((-30.0, dbsm_to_m2(-30.0)),)
 
 
 def test_run_options_validation():

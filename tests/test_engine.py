@@ -15,6 +15,7 @@ from uavsense import (
     build_grid,
     build_tables,
     classify_cells,
+    dbsm_to_m2,
     deploy_uavs,
     derive_altitude,
     run_monte_carlo,
@@ -40,7 +41,6 @@ from uavsense.ofdm import (
     synth_tx_frame,
 )
 from uavsense.engine import (
-    _config_for_sweep_point,
     substream,
     sweep_rows,
 )
@@ -584,6 +584,15 @@ class TestBuildTables:
             build_tables(ScenarioConfig(**scenario), RunOptions())
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("area", [3e76, 1e80, 1e150])
+    def test_amplitudes_out_of_float_range_name_the_area(self, area):
+        # Finite distances of these sizes put the two-hop amplitudes or RCS scales outside the floats at the
+        # default carrier, and the error named carrier_frequency_hz; 1e60 m still builds.
+        with pytest.raises(ConfigError, match="^area_side_m: .*amplitudes or RCS scales outside the positive finite"):
+            build_tables(ScenarioConfig(area_side_m=area), RunOptions())
+        build_tables(ScenarioConfig(area_side_m=1e60), RunOptions())
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("density", [1e290, 1e300])
     def test_noise_density_out_of_float_range_rejected(self, density):
         # At 1e290 W/Hz most noisy default estimates overflowed to inf and
@@ -1101,11 +1110,16 @@ class TestGroundRcsValues:
             assert calls["substream"] == 0
 
 
+def _point(parameter, value, base):
+    """The config of the point at `value` of a sweep on `parameter` over `base`."""
+    return SweepSpec(parameter, (value,)).point(value, base)
+
+
 class TestSweepPointConfigs:
     def test_constant_coverage_scales_area_and_altitude(self):
         base = ScenarioConfig()
-        cfg2 = _config_for_sweep_point("cell_size_constant_coverage", 2.0, base)
-        cfg4 = _config_for_sweep_point("cell_size_constant_coverage", 4.0, base)
+        cfg2 = _point("cell_size_constant_coverage", 2.0, base)
+        cfg4 = _point("cell_size_constant_coverage", 4.0, base)
         assert cfg2.cell_size_m == pytest.approx(2.0)
         assert cfg2.grid_side == base.grid_side
         h2 = derive_altitude(cfg2, cfg2.cells_per_uav_side)
@@ -1114,7 +1128,7 @@ class TestSweepPointConfigs:
 
     def test_constant_area_adjusts_grid(self):
         base = ScenarioConfig()
-        cfg = _config_for_sweep_point("cell_size_constant_area", 2.5, base)
+        cfg = _point("cell_size_constant_area", 2.5, base)
         assert cfg.grid_side == 40
         assert cfg.area_side_m == base.area_side_m
         assert cfg.altitude_m == pytest.approx(derive_altitude(base, 5))
@@ -1122,18 +1136,25 @@ class TestSweepPointConfigs:
     def test_constant_area_rejects_indivisible_grid(self):
         # d = 4 m would need a 25-cell side, which the 4x4 deployment cannot tile.
         with pytest.raises(ConfigError, match="grid_side"):
-            _config_for_sweep_point("cell_size_constant_area", 4.0, ScenarioConfig())
+            _point("cell_size_constant_area", 4.0, ScenarioConfig())
+
+    def test_constant_area_cell_size_below_the_floats_rejected(self):
+        # 100 m / 1e-320 m is inf cells, and round(inf) raised an OverflowError.
+        with pytest.raises(ConfigError, match="^grid_side: cell size 1e-320 does not evenly divide"):
+            _point("cell_size_constant_area", 1e-320, ScenarioConfig())
 
     def test_altitude_point(self):
-        cfg = _config_for_sweep_point("altitude", 120.0, ScenarioConfig())
+        cfg = _point("altitude", 120.0, ScenarioConfig())
         assert cfg.altitude_m == 120.0
 
     def test_ground_rcs_point(self):
-        cfg = _config_for_sweep_point("ground_rcs", -10.0, ScenarioConfig())
-        assert cfg.ground_rcs_m2 == pytest.approx(0.1)
+        # A ground_rcs point keeps the base config; its one sigma_G is its value.
+        spec = SweepSpec("ground_rcs", (-10.0,))
+        assert spec.point(-10.0, ScenarioConfig()) == ScenarioConfig()
+        assert spec.sigma_g(-10.0) == ((-10.0, pytest.approx(0.1)),)
 
     def test_antennas_point(self):
-        cfg = _config_for_sweep_point("antennas", 16.0, ScenarioConfig())
+        cfg = _point("antennas", 16.0, ScenarioConfig())
         assert cfg.array_side == 16
 
 
@@ -1225,12 +1246,12 @@ class TestSweep:
             points = [[(v, s) for s in spec.sigma_g_dbsm] for v in values]
         expected = []
         for runs in points:
-            point = _config_for_sweep_point(parameter, runs[0][0], cfg)
+            point = _point(parameter, runs[0][0], cfg)
             for beamformer in spec.beamformers:
                 options = RunOptions(beamformer=beamformer)
                 tables = build_tables(point, options)
                 for value, sigma in runs:
-                    config = _config_for_sweep_point("ground_rcs", sigma, point)
+                    config = replace(point, ground_rcs_m2=dbsm_to_m2(sigma))
                     stats = run_monte_carlo_all_fusions(config, options, tables=tables)
                     for fusion in spec.fusions:
                         expected += sweep_rows(
@@ -1250,7 +1271,7 @@ class TestSweep:
     def test_failed_ground_rcs_build_reported_per_value(self, small_config):
         # A geometry that cannot be built fails the one shared build of each
         # beamformer; the error names every value it stops.
-        base = _config_for_sweep_point("altitude", 0.5 * derive_altitude(small_config, 1), small_config)
+        base = _point("altitude", 0.5 * derive_altitude(small_config, 1), small_config)
         spec = SweepSpec(parameter="ground_rcs", values=(-30.0, -20.0), beamformers=("capon", "ls"), deltas=(0,))
         rows, errors = sweep(spec, replace(base, trials=2))
         assert not rows
@@ -1266,7 +1287,7 @@ class TestSweep:
         # Below the 3x3 threshold each intended set collapses to one cell.
         base = ScenarioConfig()
         h_small = 0.9 * derive_altitude(base, 3)
-        cfg = _config_for_sweep_point("altitude", h_small, base)
+        cfg = _point("altitude", h_small, base)
         tables = build_tables(cfg, RunOptions())
         sizes = {len(s.intended) for s in tables.cell_sets}
         assert sizes == {1}
@@ -1277,7 +1298,7 @@ class TestSweep:
         # over the cells.
         small = ScenarioConfig(uav_count=4, grid_side=8, area_side_m=40.0)
         for base, cells in [(ScenarioConfig(), 7), (ScenarioConfig(), 20), (small, 6)]:
-            cfg = _config_for_sweep_point("altitude", 1.05 * derive_altitude(base, cells), base)
+            cfg = _point("altitude", 1.05 * derive_altitude(base, cells), base)
             grid = build_grid(cfg)
             positions = deploy_uavs(cfg, grid)
             owners, expected = {}, None
@@ -1298,7 +1319,7 @@ class TestSweep:
 
     def test_no_intended_cells_rejected(self):
         base = ScenarioConfig()
-        cfg = _config_for_sweep_point("altitude", 0.5 * derive_altitude(base, 1), base)
+        cfg = _point("altitude", 0.5 * derive_altitude(base, 1), base)
         with pytest.raises(ConfigError, match="altitude"):
             build_tables(cfg, RunOptions())
 
