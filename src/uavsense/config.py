@@ -40,18 +40,6 @@ def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
     return 10.0 ** ((value_dbm_hz - 30.0) / 10.0)
 
 
-def _to_linear(key: str, to_linear, value_db: float) -> float:
-    """to_linear(value_db), the linear value of the dB-valued `key`; a ConfigError names `key` where that
-    is no positive finite float (10 ** x overflows above about x = 308 and is 0 below about x = -323)."""
-    try:
-        value = to_linear(value_db)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{key}: {value_db!r} is {value!r} in linear units, not a positive finite float")
-    return value
-
-
 # Speed of light in vacuum, m/s: exact by the SI definition of the metre.
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -99,6 +87,65 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# The closed range [lo, hi] of each field of ScenarioConfig, and its unit; each dB key's range is the dB image of
+# its field's, checked before the conversion. Inside them every amplitude, distance, delay, RCS scale and noise
+# variance is a normal float, and every estimate and fused sum a finite one, by decades:
+# - A UAV flies at h above the area of side A and each cell centre lies in it, so a UAV-to-cell distance d is in
+#   [h, sqrt(2 A^2 + h^2)]. A given h is in [1e-2, 1e6] m; a derived one is the block side A / sqrt(U) >= A / L
+#   over sqrt(2) tan(HPBW / 2), which is in [0.039, 0.671] for n in [2, 32]. So h and d are in [3.6e-6, 2.6e6] m,
+#   and the delays (d1 + d2) / c in [2e-14, 0.02] s.
+# - lambda = c / f is in [3e-4, 300] m and P G in [1e-12, 1e12] W, so the two-hop amplitude
+#   sqrt(P G sigma lambda^2 / ((4 pi)^3 d1^2 d2^2)) at an RCS in [1e-20, 1e10] m^2 (1 in the tables) is in
+#   [1e-34, 5e22], and the RCS scale (4 pi)^3 d1^2 d2^2 / (N M P G lambda^2), N M <= 2^32, in [9e-46, 1e48].
+# - The noise variance N0 B ||w||^2, ||w||^2 in [1 / n^2, 1] (Capon 1 / n^2, LS 1), is in [1e-30, 1e7] W, so a
+#   cell's mean noise-only estimate is in [8e-76, 1e55].
+# - A coupling is an amplitude times a gain |w^H g| <= n times a delay kernel <= N M, and a cell sums at most
+#   L^2 + 1 of them and its noise, so an estimate stays below 1e131 and a fused sum over U <= L^2 maps below 1e138.
+# The Doppler shift and the cyclic prefix only turn phases. The counts keep N M <= 2^32 and U <= L^2 <= 2^24
+# (sqrt(U) divides L); the array side also bounds the cost, as an LS design block takes 0.27 GB at n = 32 and
+# 4.3 GB at 64; and the trial ids and the seed each name a distinct 64-bit stream.
+_RANGES = {  # field -> (lo, hi, unit)
+    "transmit_power_w": (1e-6, 1e6, " W"),
+    "transmit_gain": (1e-6, 1e6, ""),
+    "area_side_m": (1e-2, 1e5, " m"),
+    "uav_count": (1, 2**24, ""),
+    "noise_density_w_hz": (1e-30, 1e-3, " W/Hz"),
+    "ground_rcs_m2": (1e-20, 1e10, " m^2"),
+    "target_rcs_m2": (1e-20, 1e10, " m^2"),
+    "symbols_per_frame": (1, 2**16, ""),
+    "subcarriers": (1, 2**16, ""),
+    "array_side": (2, 32, ""),
+    "carrier_frequency_hz": (1e6, 1e12, " Hz"),
+    "bandwidth_hz": (1e3, 1e10, " Hz"),
+    "cp_duration_s": (1e-12, 1.0, " s"),
+    "grid_side": (1, 2**12, ""),
+    "doppler_hz": (-1e9, 1e9, " Hz"),
+    "altitude_m": (1e-2, 1e6, " m"),
+    "trials": (1, 2**64, ""),
+    "master_seed": (0, 2**64 - 1, ""),
+}
+
+_DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit, lo, hi, unit)
+    "scenario.noise_density_dbm_hz": ("noise_density_w_hz", dbm_per_hz_to_w_per_hz, -270.0, 0.0, " dBm/Hz"),
+    "scenario.ground_rcs_dbsm": ("ground_rcs_m2", dbsm_to_m2, -200.0, 100.0, " dBsm"),
+    "scenario.target_rcs_dbsm": ("target_rcs_m2", dbsm_to_m2, -200.0, 100.0, " dBsm"),
+}
+
+
+def _check_range(name: str, value, lo, hi, unit: str) -> None:
+    """ConfigError naming `name` where its `value`, if not None, lies outside [lo, hi] (as NaN does)."""
+    if value is not None and not lo <= value <= hi:
+        raise ConfigError(f"{name}: must lie in [{lo!r}, {hi!r}]{unit}, got {value!r}")
+
+
+def _to_linear(key: str, db_key: str, value_db: float) -> float:
+    """The linear value of `value_db`, given by `key` in the unit of the dB key `db_key`; a ConfigError names `key`
+    where the value lies outside db_key's range."""
+    _, to_linear, lo, hi, unit = _DB_KEYS[db_key]
+    _check_range(key, value_db, lo, hi, unit)
+    return to_linear(value_db)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical and protocol parameters of one sensing scenario.
@@ -130,12 +177,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_types(self)
-        for f in fields(self):  # every number given but the Doppler shift and the seed is a positive size or count
-            value = getattr(self, f.name)
-            if value is not None and f.name not in ("doppler_hz", "master_seed") and value <= 0:
-                raise ConfigError(f"{f.name}: must be positive, got {value!r}")
-        if self.array_side < 2:
-            raise ConfigError(f"array_side: must be >= 2 for a beam width, got {self.array_side}")
+        for name, bounds in _RANGES.items():
+            _check_range(name, getattr(self, name), *bounds)
         if self.ground_rcs_m2 >= self.target_rcs_m2:
             raise ConfigError(
                 "ground_rcs_m2: must be smaller than target_rcs_m2 "
@@ -148,8 +191,6 @@ class ScenarioConfig:
                 f"grid_side: sqrt(uav_count)={math.isqrt(self.uav_count)} must divide "
                 f"grid_side={self.grid_side} for the uniform deployment"
             )
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"master_seed: must be a 64-bit unsigned integer, got {self.master_seed!r}")
 
     # Derived quantities; each recomputation is pure and repeatable.
     @property
@@ -230,7 +271,7 @@ class SweepSpec:
         for d in self.deltas:
             if d not in DELTAS:
                 raise ConfigError(f"sweep.deltas: must be among {DELTAS}, got {d!r}")
-        for value in self.values:  # every sigma_G is a positive finite float in m^2
+        for value in self.values:  # every sigma_G lies in the ground RCS's dB range
             self.sigma_g(value)
 
     def point(self, value: float, base: ScenarioConfig) -> ScenarioConfig:
@@ -252,6 +293,7 @@ class SweepSpec:
             altitude = derive_altitude(base, base.cells_per_uav_side) if base.altitude_m is None else base.altitude_m
             return replace(base, grid_side=new_side, altitude_m=altitude)
         if self.parameter == "antennas":
+            _check_range("array_side", value, *_RANGES["array_side"])
             side = int(value)
             if side != value:
                 raise ConfigError(f"array_side: must be an integer, got {value}")
@@ -268,7 +310,7 @@ class SweepSpec:
     def sigma_g(self, value: float) -> tuple[tuple[float, float], ...]:
         """(dBsm, m^2) of each sigma_G of the point at `value`: sigma_g_dbsm, or the value on a ground_rcs axis."""
         dbsm = (value,) if self.sigma_g_key == "sweep.values" else self.sigma_g_dbsm
-        return tuple((s, _to_linear(self.sigma_g_key, dbsm_to_m2, s)) for s in dbsm)
+        return tuple((s, _to_linear(self.sigma_g_key, "scenario.ground_rcs_dbsm", s)) for s in dbsm)
 
     def base_fields(self, scenario: dict) -> dict:
         """The ScenarioConfig fields that the sweep fixes in a base of the given `scenario` fields: its smallest
@@ -294,12 +336,6 @@ _KEYS = {  # key -> (dataclass, field name, annotation)
     f"{'run' if f.name in _RUN_SECTION else section}.{f.name}": (cls, f.name, f.type)
     for cls, section in ((ScenarioConfig, "scenario"), (RunOptions, "run"), (SweepSpec, "sweep"))
     for f in fields(cls)
-}
-
-_DB_KEYS = {  # key -> (ScenarioConfig field, conversion to its linear unit)
-    "scenario.noise_density_dbm_hz": ("noise_density_w_hz", dbm_per_hz_to_w_per_hz),
-    "scenario.ground_rcs_dbsm": ("ground_rcs_m2", dbsm_to_m2),
-    "scenario.target_rcs_dbsm": ("target_rcs_m2", dbsm_to_m2),
 }
 
 _ONOFF = {"on": True, "off": False, "true": True, "false": False}
@@ -382,7 +418,7 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
     for key in raw:
         if key not in _KEYS and key not in _DB_KEYS:
             raise ConfigError(f"{key}: unknown configuration key")
-    for key, (name, _) in _DB_KEYS.items():
+    for key, (name, *_) in _DB_KEYS.items():
         if key in raw and f"scenario.{name}" in raw:
             raise ConfigError(f"{key}: conflicts with scenario.{name}; give exactly one")
 
@@ -390,8 +426,7 @@ def parse_config_text(text: str, command: str | None = None, preset: SweepSpec |
     for key, value in raw.items():
         try:
             if key in _DB_KEYS:
-                name, to_linear = _DB_KEYS[key]
-                kwargs[ScenarioConfig][name] = _to_linear(key, to_linear, float(value))
+                kwargs[ScenarioConfig][_DB_KEYS[key][0]] = _to_linear(key, key, float(value))
             else:
                 cls, name, kind = _KEYS[key]
                 kwargs[cls][name] = _parse_value(key, kind, value)

@@ -264,31 +264,6 @@ class ScenarioTables:
         return self.designs[self.design_index[rows]]
 
 
-def _geometry_error(config: ScenarioConfig, altitude: float, puts: str) -> ConfigError:
-    """The error of a geometry that puts some quantity outside the floats, naming the altitude where a given one
-    exceeds the area side, else the area side."""
-    name = "altitude_m" if (config.altitude_m or 0.0) > config.area_side_m else "area_side_m"
-    return ConfigError(f"{name}: an area side of {config.area_side_m!r} m at an altitude of {altitude!r} m puts {puts}")
-
-
-def _amplitude_error(config: ScenarioConfig, altitude: float, distances: np.ndarray) -> ConfigError:
-    """The error of two-hop amplitudes or RCS scales outside the positive finite floats. Each is the
-    distance-free factor P G lambda^2 / (4 pi)^3 times a power of d1^2 d2^2. The error names the carrier where
-    that factor lies at least as many orders of magnitude from 1 as the square of every UAV-to-cell distance
-    in `distances`, and otherwise the geometry."""
-    lam = config.wavelength_m
-    with np.errstate(over="ignore", divide="ignore"):
-        factor = np.float64(config.transmit_power_w) * config.transmit_gain * lam * lam / (4.0 * math.pi) ** 3
-        if abs(np.log10(factor)) < 2.0 * np.abs(np.log10(distances)).max():
-            puts = "the two-hop amplitudes or RCS scales outside the positive finite floats"
-            return _geometry_error(config, altitude, puts)
-    return ConfigError(
-        f"carrier_frequency_hz: a wavelength of {lam!r} m with transmit_power_w = {config.transmit_power_w!r} "
-        f"and transmit_gain = {config.transmit_gain!r} puts the two-hop amplitudes or RCS scales of this "
-        "geometry outside the positive finite floats"
-    )
-
-
 def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     """Precompute geometry, beamformers, and trial-invariant coupling tables.
 
@@ -325,11 +300,6 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     U = config.uav_count
     L = config.grid_side
     n = config.array_side
-    # Every UAV-to-cell offset is within (area side, area side, altitude): where its norm is finite, so are theirs.
-    altitude = float(positions[0, 2])
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.linalg.norm([config.area_side_m, config.area_side_m, altitude])):
-            raise _geometry_error(config, altitude, "the UAV-to-cell distances outside the finite floats")
     cell_sets = [classify_cells(config, u, grid, positions) for u in range(U)]
     if not all(len(s.intended) for s in cell_sets):
         raise ConfigError("altitude_m: no cell fits inside any footprint at this altitude")
@@ -366,12 +336,8 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
         p_offsets = p_points - rx_pos  # (L, n_p, 3)
         d1_p = np.linalg.norm(p_points - positions[tx], axis=1)
         d2_p = np.linalg.norm(p_offsets, axis=-1)  # (L, n_p)
-        with np.errstate(over="ignore", divide="ignore"):
-            amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
-            scale = estimate_rcs(1.0, config, d1_p, d2_p)
-        both = np.concatenate([amplitude, scale], axis=1)
-        if not np.all((both > 0) & (both < np.inf)):
-            raise _amplitude_error(config, altitude, np.concatenate([d1_q, d2_q, d1_p, d2_p], axis=None))
+        amplitude = reflection_amplitude(config, 1.0, d1_q, d2_q)
+        scale = estimate_rcs(1.0, config, d1_p, d2_p)
         shared = ((q_points - positions[tx]).tobytes(), (p_points - positions[tx]).tobytes())
         for q, p in zip(q_offsets, p_offsets):
             source.append(geometries.setdefault(shared + (q.tobytes(), p.tobytes()), len(source)))
@@ -436,13 +402,6 @@ def build_tables(config: ScenarioConfig, options: RunOptions) -> ScenarioTables:
     design_index = index.reshape(-1, matched_delay.shape[1])[(np.cumsum(new) - 1)[source]]
     # A pair's weights are its designs' rows, so its noise variance is theirs.
     noise_var = (noise_w * np.sum(np.abs(designs) ** 2, axis=-1))[design_index]
-    # A cell's mean noise-only estimate is est_scale * noise_var; it exceeds 1000 times that w.p. e^-1000.
-    with np.errstate(over="ignore"):
-        if options.noise and not np.isfinite(est_scale * noise_var * 1e3).all():
-            raise ConfigError(
-                f"noise_density_w_hz: {config.noise_density_w_hz!r} W/Hz over bandwidth_hz = {config.bandwidth_hz!r} "
-                "puts the noise-only RCS estimates of this geometry beyond the finite floats"
-            )
 
     n_q_max = max(len(q_points) for _, q_points, *_ in staged)
     width = matched_delay.shape[1] if options.fast_path else 0  # reference tables: zero width

@@ -219,7 +219,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side: must be >= 2"),
+            (SMALL_CONFIG_TEXT.replace("array_side = 4", "array_side = 1"), "array_side: must lie in [2, 32], got 1"),
             (
                 "scenario.uav_count = 1\nscenario.grid_side = 4\nscenario.array_side = 4\n",
                 "uav_count: half-duplex sensing needs at least 2 UAVs, got 1",
@@ -260,11 +260,17 @@ class TestRunCommand:
     )
     def test_db_key_outside_the_floats_exit_code(self, tmp_path, capsys, key, value):
         # The first two ended in an OverflowError traceback with exit code 1; -4000 dBsm is 0.0 m^2, and the
-        # error named ground_rcs_m2, a key the file did not give.
+        # error named ground_rcs_m2, a key the file did not give. The dB value is checked before its conversion.
         cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + f"{key} = {value}\n")
         assert main(["run", "--config", cfg_path, "--trials", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {key}: ") and err.endswith(" not a positive finite float\n")
+        assert err.startswith(f"configuration error: {key}: must lie in [")
+        assert err.endswith(f", got {float(value)!r}\n")
+
+    def test_target_rcs_at_its_upper_edge_runs(self, tmp_path):
+        # 1.7e308 m^2 overflowed in fusion's average, and pyproject.toml makes that RuntimeWarning an error.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG_TEXT + "scenario.target_rcs_m2 = 1e10\n")
+        assert main(["run", "--config", cfg_path, "--trials", "2"]) == 0
 
     def test_config_not_utf8_exit_code(self, tmp_path, capsys):
         # A 0xff byte ended in a UnicodeDecodeError traceback with exit code 1.
@@ -453,14 +459,32 @@ class TestSweepCommand:
         assert main(["sweep", "--config", _write_config(tmp_path, SMALL_CONFIG_TEXT + sweep_text)]) == 2
         assert f"configuration error: {key}: " in capsys.readouterr().err
 
-    def test_zero_cell_size_reported_as_invalid_point(self, tmp_path, capsys):
-        # The axis sets the grid, so the small scenario leaves its grid side out.
-        text = SMALL_CONFIG_TEXT.replace("scenario.grid_side = 8\n", "")
-        text += "sweep.parameter = cell_size_constant_area\nsweep.values = 0\n"
-        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1"]) == 1
+    @pytest.mark.parametrize(
+        "text, code, invalid, rows",
+        [
+            # The axis sets the grid, so the small scenario leaves its grid side out.
+            (
+                SMALL_CONFIG_TEXT.replace("scenario.grid_side = 8\n", "")
+                + "sweep.parameter = cell_size_constant_area\nsweep.values = 0\n",
+                1, "cell_size_constant_area=0.0: grid_side: ", [],
+            ),
+            # An array side of 1e300 derived an altitude whose distances left the floats, blamed on area_side_m.
+            (
+                SMALL_ANTENNAS_TEXT + "sweep.parameter = antennas\nsweep.values = 1e300, 4\n",
+                0, "antennas=1e+300: array_side: must lie in [2, 32], got 1e+300\n", ["4"] * 3,
+            ),
+        ],
+        ids=["zero_cell_size", "antennas_1e300"],
+    )
+    def test_invalid_point_reported(self, tmp_path, capsys, text, code, invalid, rows):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", _write_config(tmp_path, text), "--trials", "1", "--out", str(out)]) == code
         err = capsys.readouterr().err
-        assert "invalid sweep point: cell_size_constant_area=0.0: grid_side" in err
-        assert "no valid sweep points" in err
+        assert f"invalid sweep point: {invalid}" in err
+        if code:
+            assert "no valid sweep points" in err
+        else:
+            assert [row.split(",")[1] for row in out.read_text().strip().split("\n")[1:]] == rows
 
     def test_constant_area_sweep_takes_no_grid_side(self, tmp_path):
         # The axis sets the grid, so the base scenario has a cell per UAV, which tiles for any UAV count:

@@ -79,6 +79,8 @@ def test_db_conversions():
         (dict(altitude_m="50"), "altitude_m"),
         (dict(altitude_m=np.True_), "altitude_m"),
         (dict(cp_duration_s=math.inf), "cp_duration_s"),
+        (dict(area_side_m=1e-12), "area_side_m"),  # the build blamed altitude_m: footprints overlap
+        (dict(target_rcs_m2=1.7e308), "target_rcs_m2"),  # fusion's average overflowed
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -348,11 +350,19 @@ def test_sweep_numbers_must_be_finite_numbers():
         parse_config_text("sweep.parameter = antennas\nsweep.values = 4, nan\n")
 
 
+def test_every_field_has_one_range_and_each_db_range_is_its_image():
+    # The range check covers every field, and a dB edge converts to its field's edge exactly, so a dB value
+    # that passes its own check passes its field's.
+    assert list(config_module._RANGES) == [f.name for f in fields(ScenarioConfig)]
+    for key, (name, to_linear, lo, hi, _) in config_module._DB_KEYS.items():
+        assert (to_linear(lo), to_linear(hi)) == config_module._RANGES[name][:2], key
+
+
 def test_sigma_g_outside_the_floats_refuses_the_spec():
     # sweep() raised an OverflowError at the 4000 dBsm point rather than running any point.
-    with pytest.raises(ConfigError, match=r"^sweep.values: 4000.0 is inf in linear units"):
+    with pytest.raises(ConfigError, match=r"^sweep.values: must lie in \[-200.0, 100.0\] dBsm, got 4000.0"):
         SweepSpec("ground_rcs", (-30.0, 4000.0))
-    with pytest.raises(ConfigError, match=r"^sweep.sigma_g_dbsm: -4000.0 is 0.0 in linear units"):
+    with pytest.raises(ConfigError, match=r"^sweep.sigma_g_dbsm: must lie in \[-200.0, 100.0\] dBsm, got -4000.0"):
         SweepSpec("antennas", (4.0,), sigma_g_dbsm=(-30.0, -4000.0))
     # A ground_rcs axis reads no sigma_g_dbsm.
     assert SweepSpec("ground_rcs", (-30.0,), sigma_g_dbsm=(4000.0,)).sigma_g(-30.0) == ((-30.0, dbsm_to_m2(-30.0)),)

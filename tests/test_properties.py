@@ -1,13 +1,18 @@
 """Property tests over drawn scenarios: every configuration the validators
 accept either runs or fails with a ConfigError naming a field, every estimated
 cell is finite, extending `trials` keeps the earlier trials, noiseless
-fast-path maps equal the frame-level reference maps, and two worker processes
-count the same hits as one.
+fast-path maps equal the frame-level reference maps, two worker processes
+count the same hits as one, and a config text on or next to the range edges
+of its keys runs through the command line or names a key it set.
 
 Derandomized with a fixed example count, so every run draws the same cases.
 """
 
+import contextlib
+import io
+import math
 import os
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,6 +29,8 @@ from uavsense import (
     run_monte_carlo_all_fusions,
     run_trial,
 )
+from uavsense import config as config_module
+from uavsense.cli import main
 
 SMALL = dict(uav_count=4, grid_side=8, area_side_m=40.0, symbols_per_frame=8, subcarriers=16, trials=2)
 FIELDS = {f.name for f in fields(ScenarioConfig)} | {f.name for f in fields(RunOptions)}
@@ -179,3 +186,78 @@ def test_two_workers_equal_serial(drawn, fast_path):
     event(f"ran ({beamformer}, {'fast' if fast_path else 'reference'} path)")
     serial = run_monte_carlo_all_fusions(config, workers=1, tables=tables)
     assert run_monte_carlo_all_fusions(config, workers=2, tables=tables) == serial
+
+
+# The keys whose ranges bound the floats of a run, each with its closed range: every float scenario key, the
+# array side and the dB keys. The counts' other ranges bound the cost, and their edges would not run in a test.
+EDGE_KEYS = {
+    key: config_module._RANGES[name][:2]
+    for key, (_, name, kind) in config_module._KEYS.items()
+    if key.startswith("scenario.") and ("float" in kind or name == "array_side")
+}
+EDGE_KEYS |= {key: (lo, hi) for key, (_, _, lo, hi, _) in config_module._DB_KEYS.items()}
+# The small scenario of the range check: 4 UAVs over a 4 x 4 grid, short frames.
+EDGE_BASE = (
+    "scenario.uav_count = 4\nscenario.grid_side = 4\n"
+    "scenario.symbols_per_frame = 8\nscenario.subcarriers = 16\n"
+)
+# Each axis of the one-point sweep, with the fields its values set and a value's edges: the array side's,
+# and the cell sizes that put the area side on its edges.
+EDGE_AXES = {
+    "antennas": (("array_side", "altitude_m"), (2, 32)),
+    "cell_size_constant_coverage": (("area_side_m", "altitude_m"), (1e-2 / 4, 1e5 / 4)),
+}
+
+
+def edge_values(lo, hi) -> list:
+    """Each edge of [lo, hi], and the value next to it just inside and just outside."""
+    if isinstance(lo, int):
+        return [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
+    return [math.nextafter(lo, -math.inf), lo, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf), hi,
+            math.nextafter(hi, math.inf)]
+
+
+@st.composite
+def edge_texts(draw):
+    """A config text that sets one or two keys on or next to their range edges, and a one-point sweep section."""
+    keys = draw(st.lists(st.sampled_from(sorted(EDGE_KEYS)), min_size=1, max_size=2, unique=True))
+    text = "".join(f"{key} = {draw(st.sampled_from(edge_values(*EDGE_KEYS[key])))!r}\n" for key in keys)
+    axis = draw(st.sampled_from(sorted(EDGE_AXES)))
+    value = draw(st.sampled_from(edge_values(*EDGE_AXES[axis][1])))
+    return keys, text, f"sweep.parameter = {axis}\nsweep.values = {float(value)!r}\n"
+
+
+def run_cli(args: list) -> tuple[int, str]:
+    """main(args)'s exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edge_texts())
+def test_range_edges_run_or_name_a_key_the_text_set(drawn):
+    # Every text either runs, or exits 2 naming a key it set (either RCS where the ground RCS is not below the
+    # target's); a one-point sweep may also report its point as invalid, naming a field that its axis sets.
+    # Any RuntimeWarning is an error (pyproject.toml), so a value that leaves the floats fails the test.
+    keys, text, sweep_section = drawn
+    named = set(keys) | {key.removeprefix("scenario.") for key in keys} | {"sweep.values"}
+    if any("rcs" in key for key in keys):
+        named |= {"ground_rcs_m2", "target_rcs_m2", "sweep.sigma_g_dbsm"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.cfg")
+        for command, body in (("run", EDGE_BASE + text), ("sweep", EDGE_BASE + text + sweep_section)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+            code, err = run_cli([command, "--config", path, "--trials", "2"])
+            event(f"{command} exit {code}")
+            if code == 2:
+                message = err.removeprefix("configuration error: ")
+                assert message != err and message.partition(": ")[0] in named, err
+            elif code == 1:
+                axis = sweep_section.split()[2]
+                point = err.removeprefix("invalid sweep point: ").partition(": ")[2].partition(": ")[0]
+                assert point in named | set(EDGE_AXES[axis][0]) and err.endswith("no valid sweep points\n"), err
+            else:
+                assert code == 0, err
